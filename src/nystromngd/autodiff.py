@@ -1,31 +1,32 @@
 """Minimal array-valued automatic differentiation.
 
-Three mechanisms, all operating on numpy arrays batched over quadrature
-points:
+Mechanisms, all operating on numpy arrays batched over quadrature points:
 
-* ``Dual`` -- forward-mode dual numbers, used by :func:`jvp`.
 * ``Tape``/``Var`` -- a reverse-mode tape, used by :func:`vjp` and
   :func:`grad`.  A built tape also supports forward sweeps, which lets a
   single linearization serve both Jacobian-vector and vector-Jacobian
   products (see :func:`linearize`).
+* :func:`affine` and :func:`tanh_jet` -- hand-written nodes for the layers
+  of a network carried as a stacked second-order Taylor jet (value, first
+  and pure second input derivatives in one array).
 * :func:`freeze` -- stop-gradient: identity on values, zero derivative.
 
 Plain ``numpy`` arrays act as constants everywhere, so functions written
 with the generic helpers (:func:`tanh`, :func:`matmul`, ...) can be
-evaluated with ndarrays, ``Dual`` or ``Var`` inputs interchangeably.
+evaluated with ndarray or ``Var`` inputs interchangeably.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
 __all__ = [
     "NonFiniteError",
-    "Dual",
     "Tape",
     "Var",
     "LinearizedMap",
-    "jvp",
     "vjp",
     "grad",
     "freeze",
@@ -37,7 +38,8 @@ __all__ = [
     "matmul",
     "concat",
     "asum",
-    "mlp_input_derivatives",
+    "affine",
+    "tanh_jet",
 ]
 
 #: Eagerly abort on NaN/Inf produced by any primitive. Can be disabled for
@@ -79,7 +81,11 @@ def _unbroadcast(g, shape):
 
 
 class Tape:
-    """Ordered record of primitive operations for one trace."""
+    """Ordered record of primitive operations for one trace.
+
+    The tape owns its nodes; nodes refer back to it only weakly, so a tape
+    that nothing else references is freed, nodes and all, by refcount.
+    """
 
     def __init__(self):
         self.nodes = []
@@ -89,6 +95,8 @@ class Tape:
 
     def forward_sweep(self, leaf, out, tangent):
         """Propagate a tangent from ``leaf`` to ``out`` (tape-based JVP)."""
+        if not isinstance(out, Var):
+            return np.zeros(np.shape(out))
         tangents = [None] * len(self.nodes)
         tangents[leaf.index] = np.asarray(tangent, dtype=float)
         for node in self.nodes[leaf.index + 1 :]:
@@ -107,6 +115,8 @@ class Tape:
 
     def reverse_sweep(self, out, leaf, cotangent):
         """Pull a cotangent back from ``out`` to ``leaf`` (tape-based VJP)."""
+        if not isinstance(out, Var):
+            return np.zeros(np.shape(leaf.value))
         cots = [None] * len(self.nodes)
         cots[out.index] = np.broadcast_to(
             np.asarray(cotangent, dtype=float), np.shape(out.value)
@@ -133,7 +143,7 @@ class Var:
     (output cotangent -> parent cotangent contribution).
     """
 
-    __slots__ = ("value", "tape", "parents", "edges", "index")
+    __slots__ = ("value", "_tape", "parents", "edges", "index")
 
     # defer to the reflected operators instead of elementwise object math
     __array_ufunc__ = None
@@ -142,11 +152,18 @@ class Var:
     def __init__(self, value, tape, parents, edges):
         _check_finite(value, type(self).__name__)
         self.value = value
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.parents = parents
         self.edges = edges
         self.index = len(tape.nodes)
         tape.nodes.append(self)
+
+    @property
+    def tape(self):
+        tape = self._tape()
+        if tape is None:
+            raise ReferenceError("the tape recording this node was released")
+        return tape
 
     @property
     def shape(self):
@@ -350,142 +367,30 @@ def _concat_var(parts, tape):
 
 
 # ---------------------------------------------------------------------------
-# Forward-mode duals
-# ---------------------------------------------------------------------------
-
-
-class Dual:
-    """Forward-mode dual number over ndarrays: primal + directional tangent."""
-
-    __slots__ = ("primal", "tangent")
-
-    # defer to the reflected operators instead of elementwise object math
-    __array_ufunc__ = None
-    __array_priority__ = 1000
-
-    def __init__(self, primal, tangent):
-        self.primal = np.asarray(primal, dtype=float)
-        self.tangent = np.asarray(tangent, dtype=float)
-        _check_finite(self.primal, "Dual")
-        _check_finite(self.tangent, "Dual tangent")
-
-    @property
-    def shape(self):
-        return self.primal.shape
-
-    @property
-    def ndim(self):
-        return self.primal.ndim
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.primal + other.primal, self.tangent + other.tangent)
-        return Dual(self.primal + other, np.broadcast_to(self.tangent, np.broadcast_shapes(self.shape, np.shape(other))))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.primal, -self.tangent)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.primal * other.primal,
-                self.tangent * other.primal + self.primal * other.tangent,
-            )
-        other = np.asarray(other)
-        return Dual(self.primal * other, self.tangent * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            return self * other ** (-1.0)
-        return self * (1.0 / np.asarray(other))
-
-    def __rtruediv__(self, other):
-        return self ** (-1.0) * other
-
-    def __pow__(self, n):
-        return Dual(self.primal**n, n * self.primal ** (n - 1) * self.tangent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __getitem__(self, idx):
-        return Dual(self.primal[idx], self.tangent[idx])
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return Dual(self.primal.reshape(shape), self.tangent.reshape(shape))
-
-    @property
-    def T(self):
-        return Dual(self.primal.T, self.tangent.T)
-
-    def sum(self, axis=None):
-        return Dual(self.primal.sum(axis=axis), self.tangent.sum(axis=axis))
-
-    def tanh(self):
-        v = np.tanh(self.primal)
-        return Dual(v, (1.0 - v * v) * self.tangent)
-
-    def sin(self):
-        return Dual(np.sin(self.primal), np.cos(self.primal) * self.tangent)
-
-    def cos(self):
-        return Dual(np.cos(self.primal), -np.sin(self.primal) * self.tangent)
-
-    def exp(self):
-        v = np.exp(self.primal)
-        return Dual(v, v * self.tangent)
-
-
-def _matmul_dual(a, b):
-    if isinstance(a, Dual) and isinstance(b, Dual):
-        return Dual(a.primal @ b.primal, a.tangent @ b.primal + a.primal @ b.tangent)
-    if isinstance(a, Dual):
-        b = np.asarray(b)
-        return Dual(a.primal @ b, a.tangent @ b)
-    a = np.asarray(a)
-    return Dual(a @ b.primal, a @ b.tangent)
-
-
-# ---------------------------------------------------------------------------
-# Generic helpers (dispatch on ndarray / Dual / Var)
+# Generic helpers (dispatch on ndarray / Var)
 # ---------------------------------------------------------------------------
 
 
 def tanh(x):
-    if isinstance(x, (Dual, Var)):
+    if isinstance(x, Var):
         return x.tanh()
     return np.tanh(x)
 
 
 def sin(x):
-    if isinstance(x, (Dual, Var)):
+    if isinstance(x, Var):
         return x.sin()
     return np.sin(x)
 
 
 def cos(x):
-    if isinstance(x, (Dual, Var)):
+    if isinstance(x, Var):
         return x.cos()
     return np.cos(x)
 
 
 def exp(x):
-    if isinstance(x, (Dual, Var)):
+    if isinstance(x, Var):
         return x.exp()
     return np.exp(x)
 
@@ -493,27 +398,19 @@ def exp(x):
 def matmul(a, b):
     if isinstance(a, Var) or isinstance(b, Var):
         return _matmul_var(a, b)
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        return _matmul_dual(a, b)
     return np.asarray(a) @ np.asarray(b)
 
 
 def concat(parts):
-    """Concatenate along the leading axis, mixing Vars/Duals with constants."""
+    """Concatenate along the leading axis, mixing Vars with constants."""
     var = next((p for p in parts if isinstance(p, Var)), None)
     if var is not None:
         return _concat_var(parts, var.tape)
-    if any(isinstance(p, Dual) for p in parts):
-        primals = [p.primal if isinstance(p, Dual) else np.asarray(p, float) for p in parts]
-        tangents = [
-            p.tangent if isinstance(p, Dual) else np.zeros(np.shape(p)) for p in parts
-        ]
-        return Dual(np.concatenate(primals), np.concatenate(tangents))
     return np.concatenate([np.asarray(p) for p in parts])
 
 
 def asum(x, axis=None):
-    if isinstance(x, (Dual, Var)):
+    if isinstance(x, Var):
         return x.sum(axis=axis)
     return np.sum(x, axis=axis)
 
@@ -522,35 +419,117 @@ def freeze(x):
     """Stop-gradient: same values, all derivative paths cut."""
     if isinstance(x, Var):
         return x.value
-    if isinstance(x, Dual):
-        return x.primal
     return x
 
 
 def primal_value(x):
-    """Plain ndarray value of an ndarray/Dual/Var."""
+    """Plain ndarray value of an ndarray or Var."""
     if isinstance(x, Var):
         return x.value
-    if isinstance(x, Dual):
-        return x.primal
     return np.asarray(x)
+
+
+# ---------------------------------------------------------------------------
+# Stacked Taylor jets: one node per network layer
+# ---------------------------------------------------------------------------
+#
+# A jet has shape (1 + 2d, q, n): channel 0 holds the layer's values at q
+# points, channels 1..d the first derivatives along the d input coordinates
+# and channels d+1..2d the pure second derivatives.  A jet with d = 0 is a
+# plain forward pass.
+
+
+def _channel_matmul(z, m):
+    """``z @ m`` for a stacked (c, q, n) array as one 2D product."""
+    out = np.reshape(z, (-1, z.shape[-1])) @ m
+    return out.reshape(z.shape[:-1] + (m.shape[1],))
+
+
+def affine(jet, theta, w_slice, b_slice, shape):
+    """Affine layer on a stacked jet: ``jet @ W.T``, plus ``b`` on channel 0.
+
+    ``W = theta[w_slice].reshape(shape)`` and ``b = theta[b_slice]`` are
+    read straight from the flat parameter vector; derivative channels get
+    no bias.  ``jet`` and ``theta`` may each be a Var or a plain ndarray.
+    """
+    z = primal_value(jet)
+    th = primal_value(theta)
+    n_out, n_in = shape
+    w = th[w_slice].reshape(shape)
+    out = _channel_matmul(z, w.T)
+    out[0] += th[b_slice]
+    parents, edges = [], []
+    if isinstance(jet, Var):
+        parents.append(jet)
+        edges.append(
+            (lambda t: _channel_matmul(t, w.T), lambda g: _channel_matmul(g, w))
+        )
+    if isinstance(theta, Var):
+
+        def push(t):
+            dz = _channel_matmul(z, t[w_slice].reshape(shape).T)
+            dz[0] += t[b_slice]
+            return dz
+
+        def pull(g):
+            gt = np.zeros(th.shape)
+            gt[w_slice] = (np.reshape(g, (-1, n_out)).T @ z.reshape(-1, n_in)).ravel()
+            gt[b_slice] = g[0].sum(axis=0)
+            return gt
+
+        parents.append(theta)
+        edges.append((push, pull))
+    if not parents:
+        return out
+    return Var(out, parents[0].tape, tuple(parents), tuple(edges))
+
+
+def tanh_jet(jet):
+    """Elementwise tanh of a stacked jet, by the second-order chain rule.
+
+    With t = tanh(z), d1 = 1 - t^2 and d2 = -2 t d1, the output channels are
+    t, d1 g and d2 g^2 + d1 h for input channels z, g (first) and h (second).
+    The linearization is precomputed when the node is recorded:
+    dt = d1 dz, dg = C dz + d1 dg_z and dh = A dz + B dg_z + d1 dh_z.
+    """
+    z = primal_value(jet)
+    d = (z.shape[0] - 1) // 2
+    t = np.tanh(z[0])
+    d1 = 1.0 - t * t
+    out = np.empty_like(z)
+    out[0] = t
+    if d:
+        d2 = -2.0 * t * d1
+        g, h = z[1 : 1 + d], z[1 + d :]
+        out[1 : 1 + d] = d1 * g
+        out[1 + d :] = d2 * g * g + d1 * h
+    if not isinstance(jet, Var):
+        return out
+    if d:
+        d3 = d1 * (4.0 * t * t - 2.0 * d1)
+        ca = np.concatenate([d2 * g, d3 * g * g + d2 * h])  # C then A
+        b = 2.0 * d2 * g
+
+    def push(tz):
+        dz = d1 * tz
+        if d:
+            dz[1:] += ca * tz[0]
+            dz[1 + d :] += b * tz[1 : 1 + d]
+        return dz
+
+    def pull(gz):
+        dz = d1 * gz
+        if d:
+            dz[0] += (ca * gz[1:]).sum(axis=0)
+            dz[1 : 1 + d] += b * gz[1 + d :]
+        return dz
+
+    return Var(out, jet.tape, (jet,), ((push, pull),))
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
-
-
-def jvp(f, theta, v):
-    """Jacobian-vector product J_theta f(theta) @ v via dual lifting."""
-    theta = np.asarray(theta, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if theta.shape != v.shape:
-        raise ValueError(f"tangent shape {v.shape} != parameter shape {theta.shape}")
-    out = f(Dual(theta, v))
-    if isinstance(out, Dual):
-        return np.asarray(out.tangent, dtype=float)
-    return np.zeros(np.shape(out))
 
 
 def vjp(f, theta, w):
@@ -560,12 +539,8 @@ def vjp(f, theta, w):
     leaf = tape.leaf(theta)
     out = f(leaf)
     w = np.asarray(w, dtype=float)
-    if not isinstance(out, Var):
-        if w.shape != np.shape(out):
-            raise ValueError(f"cotangent shape {w.shape} != output shape {np.shape(out)}")
-        return np.zeros_like(theta)
-    if w.shape != out.shape:
-        raise ValueError(f"cotangent shape {w.shape} != output shape {out.shape}")
+    if w.shape != np.shape(out):
+        raise ValueError(f"cotangent shape {w.shape} != output shape {np.shape(out)}")
     return tape.reverse_sweep(out, leaf, w)
 
 
@@ -579,8 +554,6 @@ def grad(loss, theta):
     if np.ndim(value) != 0:
         raise ValueError("grad expects a scalar-valued map")
     _check_finite(value, "loss")
-    if not isinstance(out, Var):
-        return np.zeros_like(theta)
     return tape.reverse_sweep(out, leaf, np.asarray(1.0))
 
 
@@ -588,7 +561,8 @@ class LinearizedMap:
     """A map f traced at a point, exposing value, jvp and vjp.
 
     The trace stores the local partials of every primitive at ``theta``,
-    so both sweeps evaluate the exact Jacobian of f at that point.
+    so both sweeps evaluate the exact Jacobian of f at that point.  A map
+    whose output does not depend on theta has zero Jacobian.
     """
 
     def __init__(self, f, theta):
@@ -596,9 +570,7 @@ class LinearizedMap:
         self.tape = Tape()
         self.leaf = self.tape.leaf(theta)
         self.out = f(self.leaf)
-        if not isinstance(self.out, Var):
-            raise ValueError("map output does not depend on theta")
-        self.value = np.asarray(self.out.value, dtype=float)
+        self.value = np.asarray(primal_value(self.out), dtype=float)
         self.input_dim = theta.shape[0]
         self.output_dim = self.value.shape[0]
 
@@ -611,66 +583,3 @@ class LinearizedMap:
 
 def linearize(f, theta):
     return LinearizedMap(f, theta)
-
-
-# ---------------------------------------------------------------------------
-# Second-order input derivatives (forward-over-forward jets)
-# ---------------------------------------------------------------------------
-
-
-def mlp_input_derivatives(layers, x, activation="tanh"):
-    """Evaluate a feedforward net together with its input derivatives.
-
-    Propagates, for each input coordinate, the value, first and pure
-    second derivative through the layers (second-order Taylor jets).
-    Cross second derivatives are not tracked; they are not needed for
-    Laplacians.
-
-    Parameters
-    ----------
-    layers : list of (W, b) pairs; entries may be ndarray, Dual or Var,
-        so the result stays differentiable with respect to parameters.
-    x : (q, d) ndarray of evaluation points.
-    activation : only ``tanh`` supports second derivatives.
-
-    Returns
-    -------
-    (value, gradient, second) with shapes (q,), (q, d), (q, d) for a
-    scalar-output net; ``second[:, i]`` is d^2 u / d x_i^2.
-    """
-    if activation != "tanh":
-        raise ValueError(f"second derivatives unsupported for activation {activation!r}")
-    x = np.asarray(x, dtype=float)
-    q, d = x.shape
-    value = x
-    grads = [np.broadcast_to(np.eye(d)[i], (q, d)).copy() for i in range(d)]
-    seconds = [np.zeros((q, d)) for _ in range(d)]
-    n_layers = len(layers)
-    for k, (w, b) in enumerate(layers):
-        value = matmul(value, w.T) + b
-        grads = [matmul(g, w.T) for g in grads]
-        seconds = [matmul(h, w.T) for h in seconds]
-        if k < n_layers - 1:
-            t = tanh(value)
-            d1 = 1.0 - t * t
-            d2 = -2.0 * t * d1
-            seconds = [d2 * g * g + d1 * h for g, h in zip(grads, seconds)]
-            grads = [d1 * g for g in grads]
-            value = t
-    # scalar output: drop the trailing singleton dimension
-    value = value.reshape((q,))
-    grads = [g.reshape((q,)) for g in grads]
-    seconds = [h.reshape((q,)) for h in seconds]
-    gradient = _stack_columns(grads)
-    second = _stack_columns(seconds)
-    return value, gradient, second
-
-
-def _stack_columns(cols):
-    """Stack 1D columns into a (q, d) array, keeping Dual/Var semantics."""
-    q = np.shape(primal_value(cols[0]))[0]
-    reshaped = [c.reshape((q, 1)) if isinstance(c, (Dual, Var)) else np.reshape(c, (q, 1)) for c in cols]
-    if len(reshaped) == 1:
-        return reshaped[0]
-    out = concat([c.T if isinstance(c, (Dual, Var)) else c.T for c in reshaped])
-    return out.T if isinstance(out, (Dual, Var)) else out.T

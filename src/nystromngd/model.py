@@ -11,10 +11,10 @@ from . import autodiff as ad
 
 @dataclass(frozen=True)
 class MlpTopology:
-    """Layer widths (n0, n1, ..., n_{L+1}); tanh on hidden layers only."""
+    """Layer widths (n0, n1, ..., n_{L+1}); hidden layers are tanh, the
+    output layer is affine."""
 
     widths: tuple
-    activation: str = "tanh"
 
     def __post_init__(self):
         if len(self.widths) < 2:
@@ -51,7 +51,7 @@ class MlpTopology:
         return out
 
     def unflatten(self, theta):
-        """Split a flat vector into [(W, b), ...]; works on ndarray/Dual/Var."""
+        """Split a flat vector into [(W, b), ...]; works on ndarray or Var."""
         layers = []
         for ws, bs, n_out, n_in in self.layer_slices():
             w = theta[ws].reshape((n_out, n_in))
@@ -100,51 +100,65 @@ def init(topology, seed):
     return ParamVector(theta, topology)
 
 
+def jet(topology, theta, x, order=2):
+    """Evaluate the tanh network as a stacked Taylor jet on a batch x of shape (q, d).
+
+    Returns shape (1 + 2d, q, n_out) at order 2: channel 0 is the value,
+    channels 1..d the first derivatives du/dx_i and channels d+1..2d the
+    pure second derivatives d^2u/dx_i^2 (cross derivatives are not
+    tracked; Laplacians do not need them).  Order 0 returns the value
+    channel alone, shape (1, q, n_out).  theta may be an ndarray or a Var;
+    each layer is one affine and one tanh node on the tape.
+    """
+    if order not in (0, 2):
+        raise ValueError(f"jet order must be 0 or 2, got {order}")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    q, d = x.shape
+    if d != topology.input_dim:
+        raise ValueError(f"input dim {d} does not match topology ({topology.input_dim})")
+    if isinstance(theta, ParamVector):
+        theta = theta.values
+    z = x[None]
+    if order == 2:
+        unit = np.broadcast_to(np.eye(d)[:, None, :], (d, q, d))
+        z = np.concatenate([z, unit, np.zeros((d, q, d))])
+    layers = topology.layer_slices()
+    for k, (ws, bs, n_out, n_in) in enumerate(layers):
+        z = ad.affine(z, theta, ws, bs, (n_out, n_in))
+        if k < len(layers) - 1:
+            z = ad.tanh_jet(z)
+    return z
+
+
 def forward(topology, theta, x):
     """Evaluate the network on a batch x of shape (q, d).
 
-    theta may be an ndarray, Dual or Var; the result has shape (q,) for
-    scalar output, (q, d') otherwise.
+    theta may be an ndarray or Var; the result has shape (q,) for scalar
+    output, (q, d') otherwise.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != topology.input_dim:
-        raise ValueError(
-            f"input dim {x.shape[1]} does not match topology ({topology.input_dim})"
-        )
-    if isinstance(theta, ParamVector):
-        theta = theta.values
-    layers = topology.unflatten(theta)
-    value = x
-    for k, (w, b) in enumerate(layers):
-        value = ad.matmul(value, w.T) + b
-        if k < len(layers) - 1:
-            value = ad.tanh(value)
-    if topology.output_dim == 1:
-        return value.reshape((x.shape[0],))
-    return value
+    z = jet(topology, theta, x, order=0)
+    q = z.shape[1]
+    return z.reshape((q,) if topology.output_dim == 1 else (q, topology.output_dim))
+
+
+def derivatives(topology, theta, x):
+    """Value and per-coordinate input derivatives of a scalar network.
+
+    Returns (u, du, d2u) with shapes (q,), (d, q), (d, q): du[i] is du/dx_i
+    and d2u[i] is d^2u/dx_i^2.  Problems read the jet through this helper
+    rather than by channel index.  Remains differentiable with respect to
+    theta (Var passes through).
+    """
+    z = jet(topology, theta, x)
+    d = topology.input_dim
+    return z[0, :, 0], z[1 : 1 + d, :, 0], z[1 + d :, :, 0]
 
 
 def input_derivatives(topology, theta, x):
     """Network value, input gradient and Laplacian on a batch of points.
 
-    Returns (u, grad_u, lap_u) with shapes (q,), (q, d), (q,).  Remains
-    differentiable with respect to theta (Dual/Var pass through).
+    Returns (u, grad_u, lap_u) with shapes (q,), (q, d), (q,) for a scalar
+    network.
     """
-    if isinstance(theta, ParamVector):
-        theta = theta.values
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    layers = topology.unflatten(theta)
-    value, gradient, second = ad.mlp_input_derivatives(
-        layers, x, activation=topology.activation
-    )
-    lap = ad.asum(second, axis=1)
-    return value, gradient, lap
-
-
-def input_jet(topology, theta, x):
-    """Like input_derivatives but returns per-coordinate second derivatives."""
-    if isinstance(theta, ParamVector):
-        theta = theta.values
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    layers = topology.unflatten(theta)
-    return ad.mlp_input_derivatives(layers, x, activation=topology.activation)
+    u, du, d2u = derivatives(topology, theta, x)
+    return u, du.T, d2u.sum(axis=0)

@@ -123,16 +123,17 @@ def backtracking_linesearch(
     direction,
     loss_fn,
     grad_dot_dir,
+    loss0,
     shrink=0.5,
     max_backtracks=30,
     sufficient_decrease=1e-4,
 ):
     """Armijo backtracking along theta - alpha * direction.
 
-    Returns (alpha, new_loss); alpha = 0.0 flags failure (no decrease
-    found), in which case new_loss is the loss at theta.
+    ``loss0`` is the caller's ``loss_fn(theta)``.  Returns (alpha,
+    new_loss); alpha = 0.0 flags failure (no decrease found), in which
+    case new_loss is loss0.
     """
-    loss0 = loss_fn(theta)
     alpha = 1.0
     for _ in range(max_backtracks + 1):
         candidate = theta - alpha * direction
@@ -242,6 +243,7 @@ def nystrom_ngd_run(problem, theta0, config, quad, quad_eval=None, h1_stop=None)
             report.solution,
             loss_fn,
             float(g @ report.solution),
+            loss,
             shrink=config.ls_shrink,
             max_backtracks=config.ls_max_backtracks,
             sufficient_decrease=config.ls_sufficient_decrease,
@@ -275,9 +277,12 @@ def _baseline_mu(loss, cap=1e-5):
     return max(min(cap, loss), 1e-14)
 
 
-def ngd_cg_step(problem, theta, quad, mu, kappa, maxit_total, loss_fn=None):
-    """One matrix-free NGD step solved with plain CG (no preconditioner)."""
-    loss_fn = loss_fn or (lambda th: problem.loss_value(th, quad))
+def ngd_cg_step(problem, theta, quad, mu, kappa, maxit_total, loss):
+    """One matrix-free NGD step solved with plain CG (no preconditioner).
+
+    ``loss`` is the loss at theta.
+    """
+    loss_fn = lambda th: problem.loss_value(th, quad)
     g = problem.loss_grad(theta, quad)
     grad_norm = float(np.linalg.norm(g))
     gop = GramianOperator.from_problem(problem, theta, quad)
@@ -285,7 +290,7 @@ def ngd_cg_step(problem, theta, quad, mu, kappa, maxit_total, loss_fn=None):
         ShiftedOperator(gop, mu), g, _cg_rel_tol(kappa, grad_norm), maxit_total
     )
     alpha, _ = backtracking_linesearch(
-        theta, report.solution, loss_fn, float(g @ report.solution)
+        theta, report.solution, loss_fn, float(g @ report.solution), loss
     )
     theta_next = theta - alpha * report.solution if alpha > 0.0 else theta
     return theta_next, report, gop.matvec_count
@@ -307,7 +312,7 @@ def ngd_cg_run(problem, theta0, config, quad, quad_eval=None, matvec_budget=None
         loss = loss_fn(theta)
         mu = _baseline_mu(loss)
         theta, report, used = ngd_cg_step(
-            problem, theta, quad, mu, config.kappa, maxit_total, loss_fn
+            problem, theta, quad, mu, config.kappa, maxit_total, loss
         )
         total_matvecs += used
         records.append(
@@ -327,14 +332,19 @@ def ngd_cg_run(problem, theta0, config, quad, quad_eval=None, matvec_budget=None
     return theta, records
 
 
-def ngd_dense_step(problem, theta, quad, mu, guard=2000):
-    """One NGD step with a dense SVD pseudoinverse of (G + mu I)."""
+def ngd_dense_step(problem, theta, quad, mu, loss, guard=2000):
+    """One NGD step with a dense SVD pseudoinverse of (G + mu I).
+
+    ``loss`` is the loss at theta.
+    """
     g = problem.loss_grad(theta, quad)
     gop = GramianOperator.from_problem(problem, theta, quad)
     dense = assemble_dense(gop, guard=guard) + mu * np.eye(gop.dim)
     direction = _pinv_solve(dense, g)
     loss_fn = lambda th: problem.loss_value(th, quad)
-    alpha, _ = backtracking_linesearch(theta, direction, loss_fn, float(g @ direction))
+    alpha, _ = backtracking_linesearch(
+        theta, direction, loss_fn, float(g @ direction), loss
+    )
     theta_next = theta - alpha * direction if alpha > 0.0 else theta
     return theta_next, direction
 
@@ -356,7 +366,7 @@ def ngd_dense_run(problem, theta0, config, quad, quad_eval=None):
         tic = time.perf_counter()
         loss = loss_fn(theta)
         mu = _baseline_mu(loss)
-        theta, _ = ngd_dense_step(problem, theta, quad, mu)
+        theta, _ = ngd_dense_step(problem, theta, quad, mu, loss)
         total_matvecs += theta.shape[0]
         records.append(
             RunRecord(
@@ -373,11 +383,12 @@ def ngd_dense_run(problem, theta0, config, quad, quad_eval=None):
     return theta, records
 
 
-def gradient_descent_step(problem, theta, quad):
-    """Plain gradient descent with Armijo backtracking."""
+def gradient_descent_step(problem, theta, quad, loss):
+    """Plain gradient descent with Armijo backtracking; ``loss`` is the
+    loss at theta."""
     g = problem.loss_grad(theta, quad)
     loss_fn = lambda th: problem.loss_value(th, quad)
-    alpha, _ = backtracking_linesearch(theta, g, loss_fn, float(g @ g))
+    alpha, _ = backtracking_linesearch(theta, g, loss_fn, float(g @ g), loss)
     return theta - alpha * g if alpha > 0.0 else theta
 
 
@@ -387,7 +398,7 @@ def gradient_descent_run(problem, theta0, config, quad, quad_eval=None):
     for k in range(config.iterations):
         tic = time.perf_counter()
         loss = problem.loss_value(theta, quad)
-        theta = gradient_descent_step(problem, theta, quad)
+        theta = gradient_descent_step(problem, theta, quad, loss)
         records.append(
             RunRecord(
                 iteration=k,
@@ -417,7 +428,9 @@ def bfgs_run(problem, theta0, config, quad, quad_eval=None, guard=5000):
         tic = time.perf_counter()
         loss = loss_fn(theta)
         direction = h @ g
-        alpha, _ = backtracking_linesearch(theta, direction, loss_fn, float(g @ direction))
+        alpha, _ = backtracking_linesearch(
+            theta, direction, loss_fn, float(g @ direction), loss
+        )
         if alpha > 0.0:
             theta_next = theta - alpha * direction
             g_next = problem.loss_grad(theta_next, quad)

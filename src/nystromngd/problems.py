@@ -9,8 +9,8 @@ Shipped problems (selected by name):
 * ``nlpoisson2d`` -- -Laplace(u) + u^3 = f on the unit square, with a
   Gauss-Newton metric linearized at a frozen point.
 
-Every stack builder accepts theta as ndarray, Dual or Var, so the same
-code path serves plain evaluation, JVPs and VJPs.
+Every stack builder accepts theta as ndarray or Var, so the same code
+path serves plain evaluation and the tape behind JVPs and VJPs.
 """
 
 from __future__ import annotations
@@ -286,14 +286,13 @@ class Heat1p1D(PdeProblem):
         )
 
     def _heat_operator(self, theta, x):
-        """u_t - u_xx at the given points."""
-        _, gradient, second = model.input_jet(self.topology, theta, x)
-        return gradient[:, 0] - second[:, 1]
+        """(u, u_t - u_xx) at the given points (t, x), from one jet."""
+        u, du, d2u = model.derivatives(self.topology, theta, x)
+        return u, du[0] - d2u[1]
 
     def residual_stack(self, theta, quad):
-        interior = self._heat_operator(theta, quad.interior_points) - self.source(
-            quad.interior_points
-        )
+        _, op = self._heat_operator(theta, quad.interior_points)
+        interior = op - self.source(quad.interior_points)
         ub = model.forward(self.topology, theta, quad.boundary_points)
         boundary = ub - self.dirichlet(quad.boundary_points)
         ui = model.forward(self.topology, theta, quad.initial_points)
@@ -306,8 +305,7 @@ class Heat1p1D(PdeProblem):
         )
 
     def metric_stack(self, theta, theta_bar, quad):
-        op = self._heat_operator(theta, quad.interior_points)
-        bulk = model.forward(self.topology, theta, quad.interior_points)
+        bulk, op = self._heat_operator(theta, quad.interior_points)
         ui = model.forward(self.topology, theta, quad.initial_points)
         return ad.concat([op, bulk, ui])
 

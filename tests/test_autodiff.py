@@ -4,6 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
+from nystromngd import model, problems
+
+
+def jvp(f, theta, v):
+    return ad.linearize(f, theta).jvp(v)
 
 
 def quad_map(theta):
@@ -23,11 +28,11 @@ def two_layer_net(theta, x):
 class TestJvp:
     def test_identity_map(self):
         e1 = np.array([1.0, 0.0, 0.0])
-        out = ad.jvp(lambda th: th, np.array([0.3, -1.2, 2.0]), e1)
+        out = jvp(lambda th: th, np.array([0.3, -1.2, 2.0]), e1)
         np.testing.assert_array_equal(out, e1)
 
     def test_hand_quadratic(self):
-        out = ad.jvp(quad_map, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+        out = jvp(quad_map, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [2.0, 2.0], rtol=1e-14)
 
     def test_matches_central_difference_on_tanh_net(self):
@@ -36,7 +41,7 @@ class TestJvp:
         v = rng.standard_normal(13)
         x = rng.standard_normal(2)
         f = lambda th: two_layer_net(th, x)
-        got = ad.jvp(f, theta, v)
+        got = jvp(f, theta, v)
         h = 1e-5
         fd = (f(theta + h * v) - f(theta - h * v)) / (2 * h)
         np.testing.assert_allclose(got, fd, rtol=1e-6)
@@ -62,7 +67,7 @@ class TestVjp:
         w = rng.standard_normal(1)
         x = rng.standard_normal(2)
         f = lambda th: two_layer_net(th, x)
-        lhs = float(w @ ad.jvp(f, theta, v))
+        lhs = float(w @ jvp(f, theta, v))
         rhs = float(ad.vjp(f, theta, w) @ v)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -107,7 +112,7 @@ class TestFreeze:
         np.testing.assert_allclose(out, [2.0], rtol=1e-15)
 
     def test_jvp_through_freeze_is_zero(self):
-        out = ad.jvp(
+        out = jvp(
             lambda th: ad.freeze(ad.tanh(th)), np.array([0.4, 0.5]), np.array([1.0, -1.0])
         )
         np.testing.assert_array_equal(out, np.zeros(2))
@@ -121,12 +126,52 @@ class TestFreeze:
         assert np.array_equal(ad.freeze(f(leaf)), direct)
 
 
+def oracle_jet(layers, x):
+    """Reference jet built from generic per-op tape nodes, one input
+    coordinate at a time: (value, [du/dx_i], [d^2u/dx_i^2]) as (q,) columns.
+
+    ``layers`` is [(W, b), ...] of ndarrays or Vars; tanh on hidden layers.
+    """
+    q, d = x.shape
+    value = x
+    grads = [np.broadcast_to(np.eye(d)[i], (q, d)).copy() for i in range(d)]
+    seconds = [np.zeros((q, d)) for _ in range(d)]
+    for k, (w, b) in enumerate(layers):
+        value = ad.matmul(value, w.T) + b
+        grads = [ad.matmul(g, w.T) for g in grads]
+        seconds = [ad.matmul(h, w.T) for h in seconds]
+        if k < len(layers) - 1:
+            t = ad.tanh(value)
+            d1 = 1.0 - t * t
+            d2 = -2.0 * t * d1
+            seconds = [d2 * g * g + d1 * h for g, h in zip(grads, seconds)]
+            grads = [d1 * g for g in grads]
+            value = t
+    return (
+        value.reshape((q,)),
+        [g.reshape((q,)) for g in grads],
+        [h.reshape((q,)) for h in seconds],
+    )
+
+
+def jet_channels(layers, x):
+    """(value, gradient, second) of the stacked jet, shapes (q,), (q, d), (q, d)."""
+    top = model.MlpTopology((x.shape[1],) + tuple(w.shape[0] for w, _ in layers))
+    z = model.jet(top, top.flatten(layers), x)[:, :, 0]
+    d = x.shape[1]
+    return z[0], z[1 : 1 + d].T, z[1 + d :].T
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), np.finfo(float).tiny)
+
+
 class TestLaplacianJets:
     def test_affine_net_zero_laplacian(self):
         w = np.array([[1.5, -2.0]])
         b = np.array([0.25])
         x = np.array([[0.3, 0.7]])
-        v, g, h = ad.mlp_input_derivatives([(w, b)], x)
+        v, g, h = jet_channels([(w, b)], x)
         np.testing.assert_allclose(v, w @ x[0] + b, rtol=1e-15)
         np.testing.assert_allclose(g[0], w[0], rtol=1e-15)
         np.testing.assert_allclose(h, np.zeros((1, 2)), atol=0.0)
@@ -137,7 +182,7 @@ class TestLaplacianJets:
         b1 = np.array([0.0])
         w2 = np.array([[1.0]])
         b2 = np.array([0.0])
-        v, g, h = ad.mlp_input_derivatives([(w1, b1), (w2, b2)], np.array([[0.0]]))
+        v, g, h = jet_channels([(w1, b1), (w2, b2)], np.array([[0.0]]))
         assert v[0] == pytest.approx(0.0, abs=1e-15)
         assert g[0, 0] == pytest.approx(1.0, rel=1e-15)
         assert h[0, 0] == pytest.approx(0.0, abs=1e-15)
@@ -152,10 +197,10 @@ class TestLaplacianJets:
         x0 = np.array([0.3, -0.2])
 
         def u(x):
-            v, _, _ = ad.mlp_input_derivatives(layers, x.reshape(1, 2))
+            v, _, _ = jet_channels(layers, x.reshape(1, 2))
             return v[0]
 
-        _, _, h = ad.mlp_input_derivatives(layers, x0.reshape(1, 2))
+        _, _, h = jet_channels(layers, x0.reshape(1, 2))
         lap = h[0].sum()
         step = 1e-4
         stencil = 0.0
@@ -164,6 +209,51 @@ class TestLaplacianJets:
             e[d] = step
             stencil += (u(x0 + e) - 2 * u(x0) + u(x0 - e)) / step**2
         assert lap == pytest.approx(stencil, rel=1e-5)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.integers(1, 2),
+        st.integers(1, 20),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_jet_matches_per_op_oracle(self, depth, width, d, q, seed):
+        rng = np.random.default_rng(seed)
+        prob = problems.make_problem(
+            "poisson2d" if d == 2 else "poisson1d", hidden_width=width, hidden_depth=depth
+        )
+        top = prob.topology
+        theta = 0.8 * rng.standard_normal(top.param_count)
+        quad = problems.QuadratureSet(
+            interior_points=rng.uniform(-1.0, 1.0, (q, d)),
+            interior_weights=np.ones(q),
+            boundary_points=rng.uniform(-1.0, 1.0, (3, d)),
+            boundary_weights=np.ones(3),
+        )
+        x = quad.interior_points
+
+        value, grads, seconds = oracle_jet(top.unflatten(theta), x)
+        u, gu, second = jet_channels(top.unflatten(theta), x)
+        assert rel_err(u, value) <= 1e-12
+        assert rel_err(gu, np.stack(grads, axis=1)) <= 1e-12
+        assert rel_err(second, np.stack(seconds, axis=1)) <= 1e-12
+
+        def oracle_stack(th):
+            _, _, sec = oracle_jet(top.unflatten(th), x)
+            total = sec[0]
+            for h in sec[1:]:
+                total = total + h
+            ub, _, _ = oracle_jet(top.unflatten(th), quad.boundary_points)
+            return ad.concat([total, ub])
+
+        lin = ad.linearize(lambda th: prob.metric_stack(th, theta, quad), theta)
+        ref = ad.linearize(oracle_stack, theta)
+        assert rel_err(lin.value, ref.value) <= 1e-12
+        v = rng.standard_normal(top.param_count)
+        w = rng.standard_normal(q + 3)
+        assert rel_err(lin.jvp(v), ref.jvp(v)) <= 1e-12
+        assert rel_err(lin.vjp(w), ref.vjp(w)) <= 1e-12
 
 
 class TestNumericHygiene:
@@ -175,7 +265,7 @@ class TestNumericHygiene:
     def test_check_can_be_disabled(self):
         ad.CHECK_FINITE = False
         try:
-            out = ad.jvp(lambda th: th * np.inf, np.array([1.0]), np.array([1.0]))
+            out = jvp(lambda th: th * np.inf, np.array([1.0]), np.array([1.0]))
             assert np.isinf(out).all()
         finally:
             ad.CHECK_FINITE = True

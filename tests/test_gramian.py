@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,19 @@ class TestGramianOperator:
         gop.matvec(np.ones(gop.dim))
         gop.matmat(np.ones((gop.dim, 3)))
         assert gop.matvec_count == 4
+
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_dropped_operator_frees_its_tape_without_gc(self, name):
+        prob, quad, theta = small_instance(name)
+        gc.disable()
+        try:
+            gop = gramian.GramianOperator.from_problem(prob, theta, quad)
+            gop.matvec(np.ones(gop.dim))
+            tape = weakref.ref(gop._lin.tape)
+            del gop
+            assert tape() is None
+        finally:
+            gc.enable()
 
 
 class TestTwoFactorOperator:

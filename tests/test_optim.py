@@ -103,7 +103,7 @@ class TestLinesearch:
         theta = np.array([2.0, -1.0])
         loss_fn = lambda th: 0.5 * float(th @ th)
         alpha, new_loss = optim.backtracking_linesearch(
-            theta, theta, loss_fn, float(theta @ theta)
+            theta, theta, loss_fn, float(theta @ theta), loss_fn(theta)
         )
         assert alpha == 1.0
         assert new_loss == 0.0
@@ -112,7 +112,9 @@ class TestLinesearch:
         theta = np.array([1.0])
         loss_fn = lambda th: float(np.cosh(th[0]))
         g = np.sinh(1.0) * np.ones(1)
-        alpha, new_loss = optim.backtracking_linesearch(theta, g, loss_fn, float(g @ g))
+        alpha, new_loss = optim.backtracking_linesearch(
+            theta, g, loss_fn, float(g @ g), loss_fn(theta)
+        )
         assert alpha > 0.0
         assert new_loss < loss_fn(theta)
 
@@ -120,7 +122,7 @@ class TestLinesearch:
         theta = np.array([1.0, 1.0])
         loss_fn = lambda th: 0.5 * float(th @ th)
         alpha, new_loss = optim.backtracking_linesearch(
-            theta, -theta, loss_fn, float(theta @ theta)
+            theta, -theta, loss_fn, float(theta @ theta), loss_fn(theta)
         )
         assert alpha == 0.0
         assert new_loss == loss_fn(theta)
@@ -210,7 +212,8 @@ class TestDenseNgd:
         theta = np.zeros(3)
         mu = 0.5
         g = prob.loss_grad(theta, None)
-        _, direction = optim.ngd_dense_step(prob, theta, None, mu)
+        loss = prob.loss_value(theta, None)
+        _, direction = optim.ngd_dense_step(prob, theta, None, mu, loss)
         np.testing.assert_allclose(direction, g / (1.0 + mu), rtol=1e-12)
 
     def test_large_mu_gradient_limit(self):
@@ -218,7 +221,8 @@ class TestDenseNgd:
         theta = np.random.default_rng(6).standard_normal(8)
         g = prob.loss_grad(theta, None)
         mu = 1e8
-        _, direction = optim.ngd_dense_step(prob, theta, None, mu)
+        loss = prob.loss_value(theta, None)
+        _, direction = optim.ngd_dense_step(prob, theta, None, mu, loss)
         cos = (direction @ g) / (np.linalg.norm(direction) * np.linalg.norm(g))
         assert np.arccos(np.clip(cos, -1, 1)) <= 1e-3
 
@@ -246,8 +250,11 @@ class TestCgNgd:
         prob = toy(seed=9, n=50, p=6)
         theta = np.random.default_rng(10).standard_normal(6)
         mu = 1e-3
-        next_dense, d_dense = optim.ngd_dense_step(prob, theta.copy(), None, mu)
-        next_cg, report, _ = optim.ngd_cg_step(prob, theta.copy(), None, mu, 1e-12, 500)
+        loss = prob.loss_value(theta, None)
+        next_dense, d_dense = optim.ngd_dense_step(prob, theta.copy(), None, mu, loss)
+        next_cg, report, _ = optim.ngd_cg_step(
+            prob, theta.copy(), None, mu, 1e-12, 500, loss
+        )
         np.testing.assert_allclose(report.solution, d_dense, rtol=1e-6, atol=1e-8)
 
     def test_matvec_budget_per_step(self):
@@ -269,7 +276,8 @@ class TestGradientDescent:
     def test_stationary_point_unchanged(self):
         prob = LinearLeastSquares(np.eye(2), np.array([1.0, -1.0]), np.ones(2))
         theta_star = np.array([1.0, -1.0])
-        theta = optim.gradient_descent_step(prob, theta_star, None)
+        loss = prob.loss_value(theta_star, None)
+        theta = optim.gradient_descent_step(prob, theta_star, None, loss)
         np.testing.assert_allclose(theta, theta_star, atol=1e-15)
 
 

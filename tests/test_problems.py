@@ -86,8 +86,8 @@ class TestMetricStack:
         # the Jacobian, so the stop-gradient is load-bearing
         prob, quad, theta = small_problem("nlpoisson2d", width=4, depth=1)
         v = np.random.default_rng(0).standard_normal(theta.size)
-        frozen = ad.jvp(lambda th: prob.metric_stack(th, theta, quad), theta, v)
-        unfrozen = ad.jvp(lambda th: prob.metric_stack_unfrozen(th, quad), theta, v)
+        frozen = ad.linearize(lambda th: prob.metric_stack(th, theta, quad), theta).jvp(v)
+        unfrozen = ad.linearize(lambda th: prob.metric_stack_unfrozen(th, quad), theta).jvp(v)
         assert not np.allclose(frozen, unfrozen, rtol=1e-6)
 
 
