@@ -15,7 +15,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from nystromngd.harness import ExperimentConfig, run_experiment
-from nystromngd.model import MlpTopology
 from nystromngd.problems import PROBLEM_NAMES, make_problem
 
 GAMMA_MULTIPLES = (100.0, 10.0, 1.0, 0.1, 0.01)

@@ -64,40 +64,6 @@ class GramianOperator:
         return self.matvec(v)
 
 
-class TwoFactorGramianOperator:
-    """v -> J_1^T diag(w) J_2 v for two metric stacks sharing quadrature."""
-
-    def __init__(self, lin_left, lin_right, weights):
-        if lin_left.output_dim != lin_right.output_dim:
-            raise ValueError(
-                f"stack lengths differ: {lin_left.output_dim} vs {lin_right.output_dim}"
-            )
-        if lin_left.input_dim != lin_right.input_dim:
-            raise ValueError("stacks must share the parameter dimension")
-        self._left = lin_left
-        self._right = lin_right
-        self.weights = np.asarray(weights, dtype=float)
-        self.dim = lin_left.input_dim
-        self.matvec_count = 0
-
-    @classmethod
-    def from_stacks(cls, stack_left, stack_right, theta, weights):
-        theta = np.asarray(theta, dtype=float)
-        return cls(
-            ad.linearize(stack_left, theta), ad.linearize(stack_right, theta), weights
-        )
-
-    def matvec(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {v.shape}")
-        self.matvec_count += 1
-        return self._left.vjp(self.weights * self._right.jvp(v))
-
-    def __call__(self, v):
-        return self.matvec(v)
-
-
 class DenseOperator:
     """Matvec wrapper around an explicit SPSD matrix (tests, synthetic runs)."""
 

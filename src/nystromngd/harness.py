@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import model
 from .gramian import GramianOperator, assemble_dense
-from .optim import NystromNgdConfig, run_optimizer, OPTIMIZER_NAMES
+from .optim import OPTIMIZER_NAMES, NystromNgdConfig, RunRecord, run_optimizer
 from .problems import make_problem, PROBLEM_NAMES
 
 CSV_COLUMNS = (
@@ -41,8 +41,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+class ExperimentConfig(NystromNgdConfig):
+    """Everything needed to reproduce one experiment: the optimizer's
+    hyperparameters plus the problem, network, quadrature and outputs."""
 
     problem: str = "poisson2d"
     optimizer: str = "nystrom_ngd"
@@ -51,22 +52,11 @@ class ExperimentConfig:
     n_interior: int = 400
     n_boundary: int = 160
     quad_seed: int = 0
-    seed: int = 0
     repetitions: int = 1
-    iterations: int = 300
     out_dir: str = "results"
-    # NystromNgdConfig knobs (gamma = "p" means: use the parameter count)
-    ell0: int = 10
-    ell_max: int | None = None  # None -> min(500, p // 2)
-    gamma: float | None = None
-    cg_maxit: int = 20
-    kappa: float = 0.1
-    rank_ratio: float = 10.0
-    mu_floor_mode: str = "loss-power"
-    mu_floor_coeff: float = 1e-4
-    mu_floor_exponent: float = 2.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.problem not in PROBLEM_NAMES:
             raise ValueError(
                 f"unknown problem {self.problem!r}; available: {PROBLEM_NAMES}"
@@ -80,43 +70,17 @@ class ExperimentConfig:
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
 
-    def optimizer_config(self, seed):
-        return NystromNgdConfig(
-            ell0=self.ell0,
-            ell_max=self.ell_max,
-            gamma=self.gamma,
-            cg_maxit=self.cg_maxit,
-            kappa=self.kappa,
-            rank_ratio=self.rank_ratio,
-            mu_floor_mode=self.mu_floor_mode,
-            mu_floor_coeff=self.mu_floor_coeff,
-            mu_floor_exponent=self.mu_floor_exponent,
-            iterations=self.iterations,
-            seed=seed,
-        )
 
-
+# annotation strings such as "int | None" (postponed evaluation)
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_INT_KEYS = {
-    "hidden_width",
-    "hidden_depth",
-    "n_interior",
-    "n_boundary",
-    "quad_seed",
-    "seed",
-    "repetitions",
-    "iterations",
-    "ell0",
-    "ell_max",
-    "cg_maxit",
-}
-_FLOAT_KEYS = {
-    "kappa",
-    "rank_ratio",
-    "mu_floor_coeff",
-    "mu_floor_exponent",
-}
-_STR_KEYS = {"problem", "optimizer", "mu_floor_mode", "out_dir"}
+
+
+def _parse_value(key, value):
+    """Convert by the field's declared type; ``gamma = p`` means None."""
+    if key == "gamma" and value == "p":
+        return None
+    kind = _FIELD_TYPES[key].split(" |")[0]
+    return {"int": int, "float": float}.get(kind, str)(value)
 
 
 def parse_config(text):
@@ -134,14 +98,7 @@ def parse_config(text):
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in options:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS:
-            options[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            options[key] = float(value)
-        elif key == "gamma":
-            options[key] = None if value == "p" else float(value)
-        else:
-            options[key] = value
+        options[key] = _parse_value(key, value)
     return ExperimentConfig(**options)
 
 
@@ -182,8 +139,6 @@ def _write_trace(path, records):
 
 
 def _initial_record(problem, theta0, quad):
-    from .optim import RunRecord
-
     return RunRecord(
         iteration=0,
         loss=problem.loss_value(theta0, quad),
@@ -213,7 +168,7 @@ def run_experiment(config, out_dir=None):
                 config.optimizer,
                 problem,
                 theta0,
-                config.optimizer_config(seed),
+                replace(config, seed=seed),
                 quad,
                 quad_eval=quad,
             )

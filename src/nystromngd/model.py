@@ -86,11 +86,6 @@ class ParamVector:
         return self.values.shape[0]
 
 
-def concat_params(params):
-    """Combine several ParamVectors into one flat vector (multi-network runs)."""
-    return np.concatenate([p.values for p in params])
-
-
 def init(topology, seed):
     """Deterministic init: weights ~ N(0, 1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)

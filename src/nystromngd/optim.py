@@ -1,7 +1,10 @@
 """Outer optimizers: Nystrom-preconditioned NGD and its baselines.
 
-All optimizers consume a problem (loss/gradient/metric stacks on a fixed
-quadrature set) and emit a list of per-iteration :class:`RunRecord`.
+One loop, :func:`run_optimizer`, runs every optimizer: it evaluates the
+loss, takes one step, and appends a :class:`RunRecord` per iteration.
+Each optimizer is a factory ``(problem, theta0, config, quad) -> step``
+whose closure holds that optimizer's state; ``step(theta, loss)`` returns
+``(theta_next, StepReport)``.
 """
 
 from __future__ import annotations
@@ -17,22 +20,20 @@ from .krylov import pcg
 from .sketch import NystromPreconditioner, nystrom_approximate
 
 EPS_MACH = np.finfo(float).eps
+BFGS_GUARD = 5000  # largest p for which the dense p x p inverse Hessian is built
 
 __all__ = [
     "NystromNgdConfig",
     "RunRecord",
+    "StepReport",
     "adapt_mu",
     "adapt_rank",
     "backtracking_linesearch",
     "bfgs_update",
+    "run_optimizer",
     "nystrom_ngd_run",
     "ngd_cg_run",
-    "ngd_dense_run",
-    "gradient_descent_run",
-    "bfgs_run",
-    "ngd_dense_step",
-    "ngd_cg_step",
-    "gradient_descent_step",
+    "ngd_dense_direction",
     "OPTIMIZER_NAMES",
 ]
 
@@ -50,9 +51,6 @@ class NystromNgdConfig:
     mu_floor_mode: str = "loss-power"  # loss-power | grad-power | constant
     mu_floor_coeff: float = 1e-4
     mu_floor_exponent: float = 2.0
-    ls_shrink: float = 0.5
-    ls_max_backtracks: int = 30
-    ls_sufficient_decrease: float = 1e-4
     iterations: int = 300
     seed: int = 0
 
@@ -81,6 +79,16 @@ class RunRecord:
     pcg_iters: int
     matvecs: int  # cumulative
     seconds: float
+
+
+@dataclass(frozen=True)
+class StepReport:
+    """What one optimizer step reports to run_optimizer; matvecs are this step's."""
+
+    mu: float = 0.0
+    ell: int = 0
+    pcg_iters: int = 0
+    matvecs: int = 0
 
 
 def adapt_mu(lam1, gamma, loss, grad_norm, mode, coeff, exponent):
@@ -147,6 +155,19 @@ def backtracking_linesearch(
     return 0.0, loss0
 
 
+def _descend(problem, quad, theta, loss, g, direction):
+    """Line search along -direction; returns (theta_next, alpha), where
+    theta_next is theta itself when no decrease was found (alpha = 0)."""
+    alpha, _ = backtracking_linesearch(
+        theta,
+        direction,
+        lambda th: problem.loss_value(th, quad),
+        float(g @ direction),
+        loss,
+    )
+    return (theta - alpha * direction if alpha > 0.0 else theta), alpha
+
+
 def bfgs_update(h, s, y):
     """Inverse-Hessian BFGS update without matrix-matrix products.
 
@@ -161,10 +182,6 @@ def bfgs_update(h, s, y):
     hy = h @ y
     coeff = rho + rho**2 * float(y @ hy)
     return h + coeff * np.outer(s, s) - rho * (np.outer(hy, s) + np.outer(s, hy))
-
-
-def _resolve_gamma(config, p):
-    return float(config.gamma) if config.gamma is not None else float(p)
 
 
 def _resolve_ell_max(config, p):
@@ -186,35 +203,25 @@ def _cg_rel_tol(kappa, grad_norm):
     return min(max(min(kappa, grad_norm), 1e-300), 1.0 - 1e-16)
 
 
-def nystrom_ngd_run(problem, theta0, config, quad, quad_eval=None, h1_stop=None):
+def _nystrom_ngd(problem, theta0, config, quad):
     """Natural gradient descent with a randomized Nystrom preconditioner.
 
-    Per iteration: linearize the metric stack at the current iterate
+    Per step: linearize the metric stack at the current iterate
     (matrix-free Gramian), sketch it at the current rank, adapt the
     damping from the top eigenvalue estimate, run PCG on the damped
     system, backtrack along the resulting direction, then adapt the
-    rank from the estimated spectrum.
-
-    With ``h1_stop`` set the loop exits early once the tracked relative
-    H1 error (requires ``quad_eval``) falls to or below the target.
-
-    Returns (theta_final, [RunRecord, ...]).
+    rank from the estimated spectrum.  A failed line search raises the
+    damping floor tenfold for the next step.
     """
-    theta = np.asarray(theta0, dtype=float)
-    p = theta.shape[0]
-    gamma = _resolve_gamma(config, p)
+    p = theta0.shape[0]
+    gamma = float(config.gamma) if config.gamma is not None else float(p)
     ell_max = _resolve_ell_max(config, p)
     ell = min(config.ell0, ell_max)
     rng = np.random.default_rng(config.seed)
-    loss_fn = lambda th: problem.loss_value(th, quad)
-    records = []
-    total_matvecs = 0
     floor_boost = 1.0
-    for k in range(config.iterations):
-        tic = time.perf_counter()
-        loss = loss_fn(theta)
-        if not np.isfinite(loss):
-            raise ad.NonFiniteError(f"non-finite loss at iteration {k}")
+
+    def step(theta, loss):
+        nonlocal ell, floor_boost
         g = problem.loss_grad(theta, quad)
         grad_norm = float(np.linalg.norm(g))
         gop = GramianOperator.from_problem(problem, theta, quad)
@@ -230,46 +237,20 @@ def nystrom_ngd_run(problem, theta0, config, quad, quad_eval=None, h1_stop=None)
         )
         if mu <= 0.0:
             mu = gamma * EPS_MACH  # all-zero spectrum with zero floor
-        precond = NystromPreconditioner(factor, mu)
         report = pcg(
             ShiftedOperator(gop, mu),
             g,
             _cg_rel_tol(config.kappa, grad_norm),
             config.cg_maxit,
-            precond=precond,
+            precond=NystromPreconditioner(factor, mu),
         )
-        alpha, _ = backtracking_linesearch(
-            theta,
-            report.solution,
-            loss_fn,
-            float(g @ report.solution),
-            loss,
-            shrink=config.ls_shrink,
-            max_backtracks=config.ls_max_backtracks,
-            sufficient_decrease=config.ls_sufficient_decrease,
-        )
-        if alpha == 0.0:
-            floor_boost *= 10.0  # no decrease found: damp harder next time
-        else:
-            theta = theta - alpha * report.solution
-            floor_boost = 1.0
-        total_matvecs += gop.matvec_count
-        records.append(
-            RunRecord(
-                iteration=k,
-                loss=loss,
-                h1_rel_error=_h1(problem, theta, quad_eval),
-                mu=mu,
-                ell=ell,
-                pcg_iters=report.iterations,
-                matvecs=total_matvecs,
-                seconds=time.perf_counter() - tic,
-            )
-        )
+        theta_next, alpha = _descend(problem, quad, theta, loss, g, report.solution)
+        floor_boost = 10.0 * floor_boost if alpha == 0.0 else 1.0
+        done = StepReport(mu, ell, report.iterations, gop.matvec_count)
         ell = adapt_rank(factor.eigenvalues, mu, ell, ell_max, ratio=config.rank_ratio)
-        if h1_stop is not None and records[-1].h1_rel_error <= h1_stop:
-            break
-    return theta, records
+        return theta_next, done
+
+    return step
 
 
 def _baseline_mu(loss, cap=1e-5):
@@ -277,192 +258,146 @@ def _baseline_mu(loss, cap=1e-5):
     return max(min(cap, loss), 1e-14)
 
 
-def ngd_cg_step(problem, theta, quad, mu, kappa, maxit_total, loss):
-    """One matrix-free NGD step solved with plain CG (no preconditioner).
-
-    ``loss`` is the loss at theta.
-    """
-    loss_fn = lambda th: problem.loss_value(th, quad)
-    g = problem.loss_grad(theta, quad)
-    grad_norm = float(np.linalg.norm(g))
-    gop = GramianOperator.from_problem(problem, theta, quad)
-    report = pcg(
-        ShiftedOperator(gop, mu), g, _cg_rel_tol(kappa, grad_norm), maxit_total
-    )
-    alpha, _ = backtracking_linesearch(
-        theta, report.solution, loss_fn, float(g @ report.solution), loss
-    )
-    theta_next = theta - alpha * report.solution if alpha > 0.0 else theta
-    return theta_next, report, gop.matvec_count
-
-
-def ngd_cg_run(problem, theta0, config, quad, quad_eval=None, matvec_budget=None):
+def _ngd_cg(problem, theta0, config, quad):
     """Unpreconditioned NGD-CG baseline: same tolerance rule, CG capped at
-    cg_maxit + ell_max iterations.  Stops early once ``matvec_budget``
-    cumulative matvecs are exceeded, if given."""
+    cg_maxit + ell_max iterations."""
+    maxit_total = config.cg_maxit + _resolve_ell_max(config, theta0.shape[0])
+
+    def step(theta, loss):
+        mu = _baseline_mu(loss)
+        g = problem.loss_grad(theta, quad)
+        gop = GramianOperator.from_problem(problem, theta, quad)
+        report = pcg(
+            ShiftedOperator(gop, mu),
+            g,
+            _cg_rel_tol(config.kappa, float(np.linalg.norm(g))),
+            maxit_total,
+        )
+        theta_next, _ = _descend(problem, quad, theta, loss, g, report.solution)
+        return theta_next, StepReport(mu, 0, report.iterations, gop.matvec_count)
+
+    return step
+
+
+def ngd_dense_direction(gop, g, mu):
+    """(G + mu I)^+ g from the densely assembled Gramian, by an SVD
+    pseudoinverse with the numerical-rank cutoff p*eps*s1."""
+    matrix = assemble_dense(gop) + mu * np.eye(gop.dim)
+    u, s, vt = np.linalg.svd(matrix, hermitian=True)
+    cutoff = matrix.shape[0] * EPS_MACH * s[0]
+    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    return vt.T @ (inv * (u.T @ g))
+
+
+def _ngd_dense(problem, theta0, config, quad):
+    """Oracle NGD baseline: dense assembly and pseudoinverse (p <= 2000)."""
+
+    def step(theta, loss):
+        mu = _baseline_mu(loss)
+        g = problem.loss_grad(theta, quad)
+        gop = GramianOperator.from_problem(problem, theta, quad)
+        direction = ngd_dense_direction(gop, g, mu)
+        theta_next, _ = _descend(problem, quad, theta, loss, g, direction)
+        return theta_next, StepReport(mu, matvecs=gop.matvec_count)
+
+    return step
+
+
+def _gradient_descent(problem, theta0, config, quad):
+    """Plain gradient descent with Armijo backtracking."""
+
+    def step(theta, loss):
+        g = problem.loss_grad(theta, quad)
+        theta_next, _ = _descend(problem, quad, theta, loss, g, g)
+        return theta_next, StepReport()
+
+    return step
+
+
+def _bfgs(problem, theta0, config, quad):
+    """Dense BFGS baseline using the rank-one-structured inverse update."""
+    p = theta0.shape[0]
+    if p > BFGS_GUARD:
+        raise ValueError(f"dense BFGS guard: p={p} exceeds {BFGS_GUARD}")
+    h = np.eye(p)
+    g = problem.loss_grad(theta0, quad)
+
+    def step(theta, loss):
+        nonlocal h, g
+        theta_next, alpha = _descend(problem, quad, theta, loss, g, h @ g)
+        if alpha > 0.0:
+            g_next = problem.loss_grad(theta_next, quad)
+            h = bfgs_update(h, theta_next - theta, g_next - g)
+            g = g_next
+        return theta_next, StepReport()
+
+    return step
+
+
+_OPTIMIZERS = {
+    "nystrom_ngd": _nystrom_ngd,
+    "ngd_cg": _ngd_cg,
+    "ngd_dense": _ngd_dense,
+    "gd": _gradient_descent,
+    "bfgs": _bfgs,
+}
+OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
+
+
+def run_optimizer(
+    name, problem, theta0, config, quad, quad_eval=None, h1_stop=None, matvec_budget=None
+):
+    """Run optimizer ``name`` for up to ``config.iterations`` steps.
+
+    Each record holds the loss before the step, the relative H1 error
+    after it (NaN without ``quad_eval``), and the cumulative matvecs.
+    The loop stops early once that H1 error is at most ``h1_stop``, or
+    once the matvecs reach ``matvec_budget``; a non-finite loss raises
+    ``NonFiniteError``.  Returns (theta_final, [RunRecord, ...]).
+    """
+    if name not in _OPTIMIZERS:
+        raise KeyError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
     theta = np.asarray(theta0, dtype=float)
-    p = theta.shape[0]
-    ell_max = _resolve_ell_max(config, p)
-    maxit_total = config.cg_maxit + ell_max
+    step = _OPTIMIZERS[name](problem, theta, config, quad)
     records = []
     total_matvecs = 0
-    loss_fn = lambda th: problem.loss_value(th, quad)
     for k in range(config.iterations):
         tic = time.perf_counter()
-        loss = loss_fn(theta)
-        mu = _baseline_mu(loss)
-        theta, report, used = ngd_cg_step(
-            problem, theta, quad, mu, config.kappa, maxit_total, loss
-        )
-        total_matvecs += used
+        loss = problem.loss_value(theta, quad)
+        if not np.isfinite(loss):
+            raise ad.NonFiniteError(f"non-finite loss at iteration {k}")
+        theta, report = step(theta, loss)
+        total_matvecs += report.matvecs
         records.append(
             RunRecord(
                 iteration=k,
                 loss=loss,
                 h1_rel_error=_h1(problem, theta, quad_eval),
-                mu=mu,
-                ell=0,
-                pcg_iters=report.iterations,
+                mu=report.mu,
+                ell=report.ell,
+                pcg_iters=report.pcg_iters,
                 matvecs=total_matvecs,
                 seconds=time.perf_counter() - tic,
             )
         )
+        if h1_stop is not None and records[-1].h1_rel_error <= h1_stop:
+            break
         if matvec_budget is not None and total_matvecs >= matvec_budget:
             break
     return theta, records
 
 
-def ngd_dense_step(problem, theta, quad, mu, loss, guard=2000):
-    """One NGD step with a dense SVD pseudoinverse of (G + mu I).
-
-    ``loss`` is the loss at theta.
-    """
-    g = problem.loss_grad(theta, quad)
-    gop = GramianOperator.from_problem(problem, theta, quad)
-    dense = assemble_dense(gop, guard=guard) + mu * np.eye(gop.dim)
-    direction = _pinv_solve(dense, g)
-    loss_fn = lambda th: problem.loss_value(th, quad)
-    alpha, _ = backtracking_linesearch(
-        theta, direction, loss_fn, float(g @ direction), loss
+def nystrom_ngd_run(problem, theta0, config, quad, quad_eval=None, h1_stop=None):
+    """Nystrom-preconditioned NGD through :func:`run_optimizer`; stops
+    early once the H1 error on ``quad_eval`` is at most ``h1_stop``."""
+    return run_optimizer(
+        "nystrom_ngd", problem, theta0, config, quad, quad_eval, h1_stop=h1_stop
     )
-    theta_next = theta - alpha * direction if alpha > 0.0 else theta
-    return theta_next, direction
 
 
-def _pinv_solve(matrix, rhs):
-    """SVD pseudoinverse solve with the numerical-rank cutoff p*eps*s1."""
-    u, s, vt = np.linalg.svd(matrix, hermitian=True)
-    cutoff = matrix.shape[0] * EPS_MACH * s[0]
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return vt.T @ (inv * (u.T @ rhs))
-
-
-def ngd_dense_run(problem, theta0, config, quad, quad_eval=None):
-    theta = np.asarray(theta0, dtype=float)
-    records = []
-    loss_fn = lambda th: problem.loss_value(th, quad)
-    total_matvecs = 0
-    for k in range(config.iterations):
-        tic = time.perf_counter()
-        loss = loss_fn(theta)
-        mu = _baseline_mu(loss)
-        theta, _ = ngd_dense_step(problem, theta, quad, mu, loss)
-        total_matvecs += theta.shape[0]
-        records.append(
-            RunRecord(
-                iteration=k,
-                loss=loss,
-                h1_rel_error=_h1(problem, theta, quad_eval),
-                mu=mu,
-                ell=0,
-                pcg_iters=0,
-                matvecs=total_matvecs,
-                seconds=time.perf_counter() - tic,
-            )
-        )
-    return theta, records
-
-
-def gradient_descent_step(problem, theta, quad, loss):
-    """Plain gradient descent with Armijo backtracking; ``loss`` is the
-    loss at theta."""
-    g = problem.loss_grad(theta, quad)
-    loss_fn = lambda th: problem.loss_value(th, quad)
-    alpha, _ = backtracking_linesearch(theta, g, loss_fn, float(g @ g), loss)
-    return theta - alpha * g if alpha > 0.0 else theta
-
-
-def gradient_descent_run(problem, theta0, config, quad, quad_eval=None):
-    theta = np.asarray(theta0, dtype=float)
-    records = []
-    for k in range(config.iterations):
-        tic = time.perf_counter()
-        loss = problem.loss_value(theta, quad)
-        theta = gradient_descent_step(problem, theta, quad, loss)
-        records.append(
-            RunRecord(
-                iteration=k,
-                loss=loss,
-                h1_rel_error=_h1(problem, theta, quad_eval),
-                mu=0.0,
-                ell=0,
-                pcg_iters=0,
-                matvecs=0,
-                seconds=time.perf_counter() - tic,
-            )
-        )
-    return theta, records
-
-
-def bfgs_run(problem, theta0, config, quad, quad_eval=None, guard=5000):
-    """Dense BFGS baseline using the rank-one-structured inverse update."""
-    theta = np.asarray(theta0, dtype=float)
-    p = theta.shape[0]
-    if p > guard:
-        raise ValueError(f"dense BFGS guard: p={p} exceeds {guard}")
-    h = np.eye(p)
-    g = problem.loss_grad(theta, quad)
-    loss_fn = lambda th: problem.loss_value(th, quad)
-    records = []
-    for k in range(config.iterations):
-        tic = time.perf_counter()
-        loss = loss_fn(theta)
-        direction = h @ g
-        alpha, _ = backtracking_linesearch(
-            theta, direction, loss_fn, float(g @ direction), loss
-        )
-        if alpha > 0.0:
-            theta_next = theta - alpha * direction
-            g_next = problem.loss_grad(theta_next, quad)
-            h = bfgs_update(h, theta_next - theta, g_next - g)
-            theta, g = theta_next, g_next
-        records.append(
-            RunRecord(
-                iteration=k,
-                loss=loss,
-                h1_rel_error=_h1(problem, theta, quad_eval),
-                mu=0.0,
-                ell=0,
-                pcg_iters=0,
-                matvecs=0,
-                seconds=time.perf_counter() - tic,
-            )
-        )
-    return theta, records
-
-
-OPTIMIZER_NAMES = ("nystrom_ngd", "ngd_cg", "ngd_dense", "gd", "bfgs")
-
-_RUNNERS = {
-    "nystrom_ngd": nystrom_ngd_run,
-    "ngd_cg": ngd_cg_run,
-    "ngd_dense": ngd_dense_run,
-    "gd": gradient_descent_run,
-    "bfgs": bfgs_run,
-}
-
-
-def run_optimizer(name, problem, theta0, config, quad, quad_eval=None):
-    if name not in _RUNNERS:
-        raise KeyError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
-    return _RUNNERS[name](problem, theta0, config, quad, quad_eval=quad_eval)
+def ngd_cg_run(problem, theta0, config, quad, quad_eval=None, matvec_budget=None):
+    """Plain NGD-CG through :func:`run_optimizer`; stops early once the
+    cumulative matvecs reach ``matvec_budget``."""
+    return run_optimizer(
+        "ngd_cg", problem, theta0, config, quad, quad_eval, matvec_budget=matvec_budget
+    )

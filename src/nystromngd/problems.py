@@ -52,8 +52,6 @@ class PdeProblem:
     """Base class: least-squares loss assembled from the residual stack."""
 
     name = "abstract"
-    metric_kind = "least-squares"
-    has_initial = False
 
     def __init__(self, topology):
         self.topology = topology
@@ -243,7 +241,6 @@ class Heat1p1D(PdeProblem):
 
     name = "heat1p1d"
     input_dim = 2  # coordinates (t, x)
-    has_initial = True
 
     def exact(self, x):
         return np.cos(np.pi * x[:, 1]) * np.exp(-np.pi**2 * x[:, 0] / 4.0)
@@ -339,7 +336,6 @@ class NonlinearPoisson2D(Poisson2D):
     """
 
     name = "nlpoisson2d"
-    metric_kind = "gauss-newton"
 
     def source(self, x):
         u = self.exact(x)

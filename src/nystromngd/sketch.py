@@ -148,14 +148,9 @@ def pivoted_cholesky(op, rank, strategy, seed=None, tol_factor=1e-12, guard=2000
     if strategy not in ("greedy", "uniform", "rp"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     rng = np.random.default_rng(seed)
-    if isinstance(op, DenseOperator):
-        matrix = op.matrix
-        diag = matrix.diagonal().copy()
-        column = lambda i: matrix[:, i].copy()
-    else:
-        matrix = assemble_dense(op, guard=guard)
-        diag = matrix.diagonal().copy()
-        column = lambda i: matrix[:, i].copy()
+    matrix = op.matrix if isinstance(op, DenseOperator) else assemble_dense(op, guard=guard)
+    diag = matrix.diagonal().copy()
+    column = lambda i: matrix[:, i].copy()
 
     tol = tol_factor * max(diag.max(initial=0.0), 1.0)
     factor = np.zeros((p, rank))

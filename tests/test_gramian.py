@@ -85,40 +85,6 @@ class TestGramianOperator:
             gc.enable()
 
 
-class TestTwoFactorOperator:
-    def _stacks(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((7, 5))
-        w = rng.random(7) + 0.1
-        theta = rng.standard_normal(5)
-        left = lambda th: ad.matmul(a, th)
-        right = lambda th: ad.matmul(b, th)
-        return a, b, w, theta, left, right
-
-    def test_equal_factors_reduce_to_gramian(self):
-        a, b, w, theta, left, right = self._stacks()
-        two = gramian.TwoFactorGramianOperator.from_stacks(left, left, theta, w)
-        one = gramian.GramianOperator.from_stack(left, theta, w)
-        v = np.random.default_rng(3).standard_normal(5)
-        np.testing.assert_allclose(two.matvec(v), one.matvec(v), rtol=1e-15)
-
-    def test_scaled_factor_bilinearity(self):
-        a, b, w, theta, left, right = self._stacks()
-        double = lambda th: ad.matmul(2.0 * b, th)
-        two = gramian.TwoFactorGramianOperator.from_stacks(double, right, theta, w)
-        base = gramian.TwoFactorGramianOperator.from_stacks(right, right, theta, w)
-        v = np.random.default_rng(4).standard_normal(5)
-        np.testing.assert_allclose(two.matvec(v), 2.0 * base.matvec(v), rtol=1e-14)
-
-    def test_dense_oracle(self):
-        a, b, w, theta, left, right = self._stacks()
-        two = gramian.TwoFactorGramianOperator.from_stacks(left, right, theta, w)
-        expected = a.T @ (w[:, None] * b)
-        v = np.random.default_rng(5).standard_normal(5)
-        np.testing.assert_allclose(two.matvec(v), expected @ v, rtol=1e-12)
-
-
 class TestDenseAssembly:
     def test_diagonal_metric_on_linear_model(self):
         xs = np.array([0.2, 0.4, 0.8])

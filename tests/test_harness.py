@@ -1,11 +1,21 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from nystromngd import harness
 from nystromngd.cli import main as cli_main
+
+
+# the config keys of the README's schema table
+README_KEYS = {
+    "problem", "optimizer", "hidden_width", "hidden_depth", "n_interior",
+    "n_boundary", "quad_seed", "seed", "repetitions", "iterations", "out_dir",
+    "ell0", "ell_max", "gamma", "cg_maxit", "kappa", "rank_ratio",
+    "mu_floor_mode", "mu_floor_coeff", "mu_floor_exponent",
+}
 
 
 def small_config_text(**overrides):
@@ -57,6 +67,19 @@ class TestParseConfig:
     def test_unknown_problem_raises(self):
         with pytest.raises(ValueError, match="unknown problem"):
             harness.parse_config("problem = stokes")
+
+    @pytest.mark.parametrize(
+        "text", ["kappa = 2", "mu_floor_mode = nope", "ell0 = 20\nell_max = 10"]
+    )
+    def test_invalid_optimizer_values_raise_at_parse_time(self, text):
+        with pytest.raises(ValueError):
+            harness.parse_config(text)
+
+    def test_key_set_is_the_documented_schema(self):
+        keys = {f.name for f in fields(harness.ExperimentConfig)}
+        assert keys == README_KEYS
+        with pytest.raises(ValueError, match="unknown config key"):
+            harness.parse_config("ls_shrink = 0.5")
 
 
 class TestRunExperiment:

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,9 @@ from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
 from nystromngd import optim
+from nystromngd.gramian import GramianOperator, ShiftedOperator, assemble_dense
+from nystromngd.krylov import pcg
+from nystromngd.sketch import NystromPreconditioner, nystrom_approximate
 
 EPS = np.finfo(float).eps
 
@@ -41,6 +46,16 @@ class LinearLeastSquares:
         a = self.phi.T @ (self.w[:, None] * self.phi)
         b = self.phi.T @ (self.w * self.y)
         return np.linalg.solve(a, b)
+
+    def h1_relative_error(self, theta, quad):
+        """Stand-in for the H1 error: relative distance to the optimum."""
+        best = self.optimum()
+        return float(np.linalg.norm(theta - best) / np.linalg.norm(best))
+
+
+def numeric(records):
+    """Every RunRecord field but the wall-clock seconds."""
+    return [astuple(r)[:-1] for r in records]
 
 
 def toy(seed=0, n=40, p=8):
@@ -199,11 +214,41 @@ class TestNystromNgdRun:
     def test_records_well_formed(self):
         prob = toy(seed=4)
         cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=4, seed=0)
-        _, records = optim.nystrom_ngd_run(prob, np.zeros(8), cfg, quad=None)
-        its = [r.iteration for r in records]
-        assert its == list(range(4))
-        mv = [r.matvecs for r in records]
-        assert all(b >= a for a, b in zip(mv, mv[1:]))
+        for name in optim.OPTIMIZER_NAMES:
+            _, records = optim.run_optimizer(name, prob, np.zeros(8), cfg, quad=None)
+            its = [r.iteration for r in records]
+            assert its == list(range(4)), name
+            mv = [r.matvecs for r in records]
+            assert all(b >= a for a, b in zip(mv, mv[1:])), name
+
+    def test_h1_stop_ends_at_first_record_at_target(self):
+        prob = toy(seed=4)
+        cfg = optim.NystromNgdConfig(ell0=2, ell_max=4, iterations=6, seed=0)
+        run = lambda **kw: optim.nystrom_ngd_run(prob, np.zeros(8), cfg, None, "eval", **kw)
+        _, full = run()
+        target = full[2].h1_rel_error
+        first = next(i for i, r in enumerate(full) if r.h1_rel_error <= target)
+        assert first < len(full) - 1  # the stop has records to cut
+        _, records = run(h1_stop=target)
+        assert numeric(records) == numeric(full[: first + 1])
+
+
+class TestRunOptimizer:
+    def test_unknown_name_raises(self):
+        cfg = optim.NystromNgdConfig(iterations=1)
+        with pytest.raises(KeyError, match="unknown optimizer"):
+            optim.run_optimizer("adam", toy(), np.zeros(8), cfg, quad=None)
+
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    def test_nonfinite_loss_raises(self, name):
+        class NanLoss(LinearLeastSquares):
+            def loss_value(self, theta, quad):
+                return float("nan")
+
+        prob = NanLoss(np.eye(3), np.ones(3), np.ones(3))
+        cfg = optim.NystromNgdConfig(iterations=2)
+        with pytest.raises(ad.NonFiniteError, match="iteration 0"):
+            optim.run_optimizer(name, prob, np.zeros(3), cfg, quad=None)
 
 
 class TestDenseNgd:
@@ -212,8 +257,8 @@ class TestDenseNgd:
         theta = np.zeros(3)
         mu = 0.5
         g = prob.loss_grad(theta, None)
-        loss = prob.loss_value(theta, None)
-        _, direction = optim.ngd_dense_step(prob, theta, None, mu, loss)
+        gop = GramianOperator.from_problem(prob, theta, None)
+        direction = optim.ngd_dense_direction(gop, g, mu)
         np.testing.assert_allclose(direction, g / (1.0 + mu), rtol=1e-12)
 
     def test_large_mu_gradient_limit(self):
@@ -221,16 +266,12 @@ class TestDenseNgd:
         theta = np.random.default_rng(6).standard_normal(8)
         g = prob.loss_grad(theta, None)
         mu = 1e8
-        loss = prob.loss_value(theta, None)
-        _, direction = optim.ngd_dense_step(prob, theta, None, mu, loss)
+        gop = GramianOperator.from_problem(prob, theta, None)
+        direction = optim.ngd_dense_direction(gop, g, mu)
         cos = (direction @ g) / (np.linalg.norm(direction) * np.linalg.norm(g))
         assert np.arccos(np.clip(cos, -1, 1)) <= 1e-3
 
     def test_agrees_with_nystrom_ngd_direction(self):
-        from nystromngd.gramian import GramianOperator, ShiftedOperator, assemble_dense
-        from nystromngd.krylov import pcg
-        from nystromngd.sketch import NystromPreconditioner, nystrom_approximate
-
         prob = toy(seed=7, n=50, p=10)
         theta = np.random.default_rng(8).standard_normal(10)
         mu = 1e-6
@@ -250,11 +291,10 @@ class TestCgNgd:
         prob = toy(seed=9, n=50, p=6)
         theta = np.random.default_rng(10).standard_normal(6)
         mu = 1e-3
-        loss = prob.loss_value(theta, None)
-        next_dense, d_dense = optim.ngd_dense_step(prob, theta.copy(), None, mu, loss)
-        next_cg, report, _ = optim.ngd_cg_step(
-            prob, theta.copy(), None, mu, 1e-12, 500, loss
-        )
+        g = prob.loss_grad(theta, None)
+        gop = GramianOperator.from_problem(prob, theta, None)
+        d_dense = optim.ngd_dense_direction(gop, g, mu)
+        report = pcg(ShiftedOperator(gop, mu), g, 1e-12, 500)
         np.testing.assert_allclose(report.solution, d_dense, rtol=1e-6, atol=1e-8)
 
     def test_matvec_budget_per_step(self):
@@ -264,20 +304,31 @@ class TestCgNgd:
         per_step = np.diff([0] + [r.matvecs for r in records])
         assert all(m <= 5 + 8 + 1 for m in per_step)
 
+    def test_matvec_budget_ends_at_first_record_reaching_it(self):
+        prob = toy(seed=11)
+        cfg = optim.NystromNgdConfig(iterations=6, cg_maxit=5, ell0=4, ell_max=4, seed=0)
+        run = lambda **kw: optim.ngd_cg_run(prob, np.zeros(8), cfg, None, "eval", **kw)
+        _, full = run()
+        budget = full[1].matvecs
+        first = next(i for i, r in enumerate(full) if r.matvecs >= budget)
+        assert first < len(full) - 1  # the stop has records to cut
+        _, records = run(matvec_budget=budget)
+        assert numeric(records) == numeric(full[: first + 1])
+
 
 class TestGradientDescent:
     def test_monotone_on_quadratic_bowl(self):
         prob = LinearLeastSquares(np.eye(4), np.ones(4), np.ones(4))
         cfg = optim.NystromNgdConfig(iterations=10, seed=0)
-        _, records = optim.gradient_descent_run(prob, np.full(4, 5.0), cfg, quad=None)
+        _, records = optim.run_optimizer("gd", prob, np.full(4, 5.0), cfg, quad=None)
         losses = [r.loss for r in records]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
     def test_stationary_point_unchanged(self):
         prob = LinearLeastSquares(np.eye(2), np.array([1.0, -1.0]), np.ones(2))
         theta_star = np.array([1.0, -1.0])
-        loss = prob.loss_value(theta_star, None)
-        theta = optim.gradient_descent_step(prob, theta_star, None, loss)
+        cfg = optim.NystromNgdConfig(iterations=1)
+        theta, _ = optim.run_optimizer("gd", prob, theta_star, cfg, quad=None)
         np.testing.assert_allclose(theta, theta_star, atol=1e-15)
 
 
@@ -285,12 +336,17 @@ class TestBfgsRun:
     def test_converges_on_quadratic(self):
         prob = toy(seed=12, n=30, p=5)
         cfg = optim.NystromNgdConfig(iterations=40, seed=0)
-        theta, records = optim.bfgs_run(prob, np.zeros(5), cfg, quad=None)
+        theta, records = optim.run_optimizer("bfgs", prob, np.zeros(5), cfg, quad=None)
         best = prob.loss_value(prob.optimum(), None)
         assert records[-1].loss - best <= 1e-8
 
-    def test_guard(self):
-        prob = toy()
+    def test_guard(self, monkeypatch):
+        class NoEvaluation(LinearLeastSquares):
+            def loss_grad(self, theta, quad):
+                raise AssertionError("evaluated before the guard")
+
+        prob = NoEvaluation(np.eye(8), np.ones(8), np.ones(8))
+        monkeypatch.setattr(optim, "BFGS_GUARD", 4)
         cfg = optim.NystromNgdConfig(iterations=1)
-        with pytest.raises(ValueError):
-            optim.bfgs_run(prob, np.zeros(8), cfg, quad=None, guard=4)
+        with pytest.raises(ValueError, match="guard"):
+            optim.run_optimizer("bfgs", prob, np.zeros(8), cfg, quad=None)
