@@ -40,6 +40,7 @@ __all__ = [
     "asum",
     "affine",
     "tanh_jet",
+    "tanh_jet_rule",
 ]
 
 #: Eagerly abort on NaN/Inf produced by any primitive. Can be disabled for
@@ -484,15 +485,16 @@ def affine(jet, theta, w_slice, b_slice, shape):
     return Var(out, parents[0].tape, tuple(parents), tuple(edges))
 
 
-def tanh_jet(jet):
-    """Elementwise tanh of a stacked jet, by the second-order chain rule.
+def tanh_jet_rule(z, linearize=True):
+    """Elementwise tanh of an ndarray jet ``z``, by the second-order chain rule.
 
     With t = tanh(z), d1 = 1 - t^2 and d2 = -2 t d1, the output channels are
     t, d1 g and d2 g^2 + d1 h for input channels z, g (first) and h (second).
-    The linearization is precomputed when the node is recorded:
-    dt = d1 dz, dg = C dz + d1 dg_z and dh = A dz + B dg_z + d1 dh_z.
+    Returns (out, (push, pull)), the edge being the linearization at ``z``:
+    dt = d1 dz, dg = C dz + d1 dg_z and dh = A dz + B dg_z + d1 dh_z.  Both
+    act point by point, on any stack of tangents or cotangents shaped like
+    ``z``.  The edge is None unless ``linearize``.
     """
-    z = primal_value(jet)
     d = (z.shape[0] - 1) // 2
     t = np.tanh(z[0])
     d1 = 1.0 - t * t
@@ -503,8 +505,8 @@ def tanh_jet(jet):
         g, h = z[1 : 1 + d], z[1 + d :]
         out[1 : 1 + d] = d1 * g
         out[1 + d :] = d2 * g * g + d1 * h
-    if not isinstance(jet, Var):
-        return out
+    if not linearize:
+        return out, None
     if d:
         d3 = d1 * (4.0 * t * t - 2.0 * d1)
         ca = np.concatenate([d2 * g, d3 * g * g + d2 * h])  # C then A
@@ -524,7 +526,15 @@ def tanh_jet(jet):
             dz[1 : 1 + d] += b * gz[1 + d :]
         return dz
 
-    return Var(out, jet.tape, (jet,), ((push, pull),))
+    return out, (push, pull)
+
+
+def tanh_jet(jet):
+    """Elementwise tanh of a stacked jet (Var or ndarray); see :func:`tanh_jet_rule`."""
+    out, edge = tanh_jet_rule(primal_value(jet), isinstance(jet, Var))
+    if edge is None:
+        return out
+    return Var(out, jet.tape, (jet,), (edge,))
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,19 @@ def init(topology, seed):
     return ParamVector(theta, topology)
 
 
+def _input_jet(topology, x, order):
+    """The jet of the inputs themselves: x, unit first and zero second derivatives."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    q, d = x.shape
+    if d != topology.input_dim:
+        raise ValueError(f"input dim {d} does not match topology ({topology.input_dim})")
+    z = x[None]
+    if order == 2:
+        unit = np.broadcast_to(np.eye(d)[:, None, :], (d, q, d))
+        z = np.concatenate([z, unit, np.zeros((d, q, d))])
+    return z
+
+
 def jet(topology, theta, x, order=2):
     """Evaluate the tanh network as a stacked Taylor jet on a batch x of shape (q, d).
 
@@ -107,22 +120,52 @@ def jet(topology, theta, x, order=2):
     """
     if order not in (0, 2):
         raise ValueError(f"jet order must be 0 or 2, got {order}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    q, d = x.shape
-    if d != topology.input_dim:
-        raise ValueError(f"input dim {d} does not match topology ({topology.input_dim})")
+    z = _input_jet(topology, x, order)
     if isinstance(theta, ParamVector):
         theta = theta.values
-    z = x[None]
-    if order == 2:
-        unit = np.broadcast_to(np.eye(d)[:, None, :], (d, q, d))
-        z = np.concatenate([z, unit, np.zeros((d, q, d))])
     layers = topology.layer_slices()
     for k, (ws, bs, n_out, n_in) in enumerate(layers):
         z = ad.affine(z, theta, ws, bs, (n_out, n_in))
         if k < len(layers) - 1:
             z = ad.tanh_jet(z)
     return z
+
+
+def jet_pullback(topology, theta, x):
+    """The order-2 jet z at x and its per-point pullback to the parameters.
+
+    For a cotangent g shaped like z, pullback(g) is the (q, p) matrix whose
+    row r is the gradient in theta of sum(g[:, r] * z[:, r]): one reverse
+    pass in which each affine layer keeps its parameter cotangents per
+    point (a batched outer product) instead of summing them over points.
+    """
+    theta = np.asarray(theta, dtype=float)
+    z = _input_jet(topology, x, 2)
+    inputs, pulls = [], []
+    layers = topology.layer_slices()
+    for k, (ws, bs, n_out, n_in) in enumerate(layers):
+        inputs.append(z)
+        z = ad.affine(z, theta, ws, bs, (n_out, n_in))
+        if k < len(layers) - 1:
+            z, (_, pull) = ad.tanh_jet_rule(z)
+            pulls.append(pull)
+
+    def pullback(g):
+        q = g.shape[1]
+        jac = np.empty((q, theta.shape[0]))
+        for k in reversed(range(len(layers))):
+            ws, bs, n_out, n_in = layers[k]
+            if k < len(pulls):
+                g = pulls[k](g)
+            jac[:, ws] = np.matmul(
+                g.transpose(1, 2, 0), inputs[k].transpose(1, 0, 2)
+            ).reshape(q, -1)
+            jac[:, bs] = g[0]
+            if k:
+                g = g @ theta[ws].reshape(n_out, n_in)
+        return jac
+
+    return z, pullback
 
 
 def forward(topology, theta, x):

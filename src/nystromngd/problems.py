@@ -10,7 +10,9 @@ Shipped problems (selected by name):
   Gauss-Newton metric linearized at a frozen point.
 
 Every stack builder accepts theta as ndarray or Var, so the same code
-path serves plain evaluation and the tape behind JVPs and VJPs.
+path serves plain evaluation and the tape behind VJPs.  Each problem
+declares its metric once, as blocks of rows (``metric_blocks``); the
+metric stack, its weights and its Jacobian are derived from them.
 """
 
 from __future__ import annotations
@@ -73,19 +75,47 @@ class PdeProblem:
     def residual_stack(self, theta, quad):
         raise NotImplementedError
 
-    def metric_stack(self, theta, theta_bar, quad):
+    def metric_blocks(self, quad):
+        """The metric as a list of blocks (points, weights, coeffs).
+
+        Row r of a block is sum_c coeffs[c, r] * z[c, r], z being the jet
+        channels (1 + 2d, q) of the network at the points (``model.jet``).
+        coeffs is an array broadcastable to z, or a function of the jet
+        channels at the frozen linearization point that returns one.
+        """
         raise NotImplementedError
 
     def residual_weights(self, quad):
-        raise NotImplementedError
-
-    def metric_weights(self, quad):
         raise NotImplementedError
 
     def sample_quadrature(self, n_interior, n_boundary, seed):
         raise NotImplementedError
 
     # -- shared machinery ------------------------------------------------------
+
+    def metric_weights(self, quad):
+        return np.concatenate([w for _, w, _ in self.metric_blocks(quad)])
+
+    def metric_stack(self, theta, theta_bar, quad):
+        """Metric rows at theta, with their coefficients frozen at theta_bar."""
+        rows = []
+        for x, _, coeffs in self.metric_blocks(quad):
+            if callable(coeffs):
+                coeffs = coeffs(model.jet(self.topology, ad.freeze(theta_bar), x)[:, :, 0])
+            z = model.jet(self.topology, theta, x)[:, :, 0]
+            rows.append(ad.asum(coeffs * z, axis=0))
+        return ad.concat(rows)
+
+    def metric_jacobian(self, theta, quad):
+        """Jacobian (rows, p) of the metric stack at theta, frozen at theta:
+        one forward jet and one per-point reverse pass per block."""
+        rows = []
+        for x, _, coeffs in self.metric_blocks(quad):
+            z, pullback = model.jet_pullback(self.topology, theta, x)
+            if callable(coeffs):
+                coeffs = coeffs(z[:, :, 0])
+            rows.append(pullback(np.broadcast_to(coeffs[:, :, None], z.shape)))
+        return np.concatenate(rows)
 
     def loss(self, theta, quad):
         """0.5 * sum_r w_r * residual_r^2."""
@@ -115,6 +145,13 @@ class PdeProblem:
         if den == 0.0:
             raise ZeroDivisionError("exact solution has zero H1 norm")
         return float(np.sqrt(num / den))
+
+
+def _channels(d, value=0.0, first=0.0, second=0.0):
+    """Coefficients (1 + 2d, 1) of a metric row on the jet channels: the
+    value, each du/dx_i and each d^2u/dx_i^2."""
+    parts = [[value], np.broadcast_to(first, (d,)), np.broadcast_to(second, (d,))]
+    return np.concatenate(parts)[:, None]
 
 
 def _uniform_box(rng, n, lo, hi):
@@ -163,16 +200,16 @@ class Poisson1D(PdeProblem):
         boundary = ub - self.dirichlet(quad.boundary_points)
         return ad.concat([interior, boundary])
 
-    def metric_stack(self, theta, theta_bar, quad):
+    def metric_blocks(self, quad):
         # linear operator: the frozen linearization point plays no role
-        _, _, lap = model.input_derivatives(self.topology, theta, quad.interior_points)
-        ub = model.forward(self.topology, theta, quad.boundary_points)
-        return ad.concat([lap, ub])
+        d = self.input_dim
+        return [
+            (quad.interior_points, quad.interior_weights, _channels(d, second=1.0)),
+            (quad.boundary_points, quad.boundary_weights, _channels(d, value=1.0)),
+        ]
 
     def residual_weights(self, quad):
         return np.concatenate([quad.interior_weights, quad.boundary_weights])
-
-    metric_weights = residual_weights
 
     def residual_of_exact(self, quad):
         """Residual stack evaluated on the analytic solution (annihilation check)."""
@@ -282,14 +319,9 @@ class Heat1p1D(PdeProblem):
             initial_weights=np.full(n_init, 1.0 / n_init),
         )
 
-    def _heat_operator(self, theta, x):
-        """(u, u_t - u_xx) at the given points (t, x), from one jet."""
-        u, du, d2u = model.derivatives(self.topology, theta, x)
-        return u, du[0] - d2u[1]
-
     def residual_stack(self, theta, quad):
-        _, op = self._heat_operator(theta, quad.interior_points)
-        interior = op - self.source(quad.interior_points)
+        _, du, d2u = model.derivatives(self.topology, theta, quad.interior_points)
+        interior = du[0] - d2u[1] - self.source(quad.interior_points)
         ub = model.forward(self.topology, theta, quad.boundary_points)
         boundary = ub - self.dirichlet(quad.boundary_points)
         ui = model.forward(self.topology, theta, quad.initial_points)
@@ -301,15 +333,14 @@ class Heat1p1D(PdeProblem):
             [quad.interior_weights, quad.boundary_weights, quad.initial_weights]
         )
 
-    def metric_stack(self, theta, theta_bar, quad):
-        bulk, op = self._heat_operator(theta, quad.interior_points)
-        ui = model.forward(self.topology, theta, quad.initial_points)
-        return ad.concat([op, bulk, ui])
-
-    def metric_weights(self, quad):
-        return np.concatenate(
-            [quad.interior_weights, quad.interior_weights, quad.initial_weights]
-        )
+    def metric_blocks(self, quad):
+        x, w = quad.interior_points, quad.interior_weights
+        value = _channels(2, value=1.0)
+        return [
+            (x, w, _channels(2, first=(1.0, 0.0), second=(0.0, -1.0))),  # u_t - u_xx
+            (x, w, value),
+            (quad.initial_points, quad.initial_weights, value),
+        ]
 
     def residual_of_exact(self, quad):
         x = quad.interior_points
@@ -350,25 +381,10 @@ class NonlinearPoisson2D(Poisson2D):
         boundary = ub - self.dirichlet(quad.boundary_points)
         return ad.concat([interior, boundary])
 
-    def metric_stack(self, theta, theta_bar, quad):
-        ubar = ad.primal_value(
-            model.forward(self.topology, ad.freeze(theta_bar), quad.interior_points)
-        )
-        u, _, lap = model.input_derivatives(
-            self.topology, theta, quad.interior_points
-        )
-        interior = lap - 3.0 * ubar**2 * u
-        ub = model.forward(self.topology, theta, quad.boundary_points)
-        return ad.concat([interior, ub])
-
-    def metric_stack_unfrozen(self, theta, quad):
-        """Negative control: linearization coefficient not frozen."""
-        u, _, lap = model.input_derivatives(
-            self.topology, theta, quad.interior_points
-        )
-        interior = lap - 3.0 * u * u * u
-        ub = model.forward(self.topology, theta, quad.boundary_points)
-        return ad.concat([interior, ub])
+    def metric_blocks(self, quad):
+        (x, w, lap), boundary = super().metric_blocks(quad)
+        value = _channels(2, value=1.0)
+        return [(x, w, lambda zbar: lap - 3.0 * zbar[0] ** 2 * value), boundary]
 
     def residual_of_exact(self, quad):
         x = quad.interior_points

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .gramian import DenseOperator, assemble_dense
 
@@ -77,11 +76,11 @@ def nystrom_approximate(op, rank, seed, max_retries=3):
         shift = np.finfo(float).eps * np.linalg.norm(y, "fro")
         y_shifted = y + shift * omega
         try:
-            chol = scipy.linalg.cholesky(omega.T @ y_shifted, lower=False)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as err:
+            chol = np.linalg.cholesky(omega.T @ y_shifted)  # lower factor L
+        except np.linalg.LinAlgError as err:
             last_err = err
             continue
-        b = scipy.linalg.solve_triangular(chol, y_shifted.T, lower=False, trans="T").T
+        b = np.linalg.solve(chol, y_shifted.T).T  # Y L^{-T}
         u, s, _ = np.linalg.svd(b, full_matrices=False)
         eigs = np.maximum(s**2 - shift, 0.0)
         return NystromFactor(u, eigs)

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
 from nystromngd import gramian, model, problems
@@ -73,16 +75,47 @@ class TestGramianOperator:
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_dropped_operator_frees_its_tape_without_gc(self, name):
+        # the operator holds only ndarrays and counters (no Var or Tape),
+        # and its Jacobian is freed by refcount once the operator is dropped
         prob, quad, theta = small_instance(name)
         gc.disable()
         try:
             gop = gramian.GramianOperator.from_problem(prob, theta, quad)
             gop.matvec(np.ones(gop.dim))
-            tape = weakref.ref(gop._lin.tape)
+            for value in vars(gop).values():
+                assert type(value) in (np.ndarray, int)
+            jacobian = weakref.ref(gop.jacobian)
             del gop
-            assert tape() is None
+            assert jacobian() is None
         finally:
             gc.enable()
+
+    @given(
+        name=st.sampled_from(problems.PROBLEM_NAMES),
+        depth=st.integers(1, 3),
+        width=st.integers(1, 8),
+        q=st.integers(1, 20),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tape_matvec(self, name, depth, width, q, seed):
+        # fast path (row Jacobian from the per-point reverse pass) against
+        # the slow path (tape JVP and VJP through the metric stack)
+        prob = problems.make_problem(name, hidden_width=width, hidden_depth=depth)
+        quad = prob.sample_quadrature(q, 1 + seed % 7, seed)
+        theta = model.init(prob.topology, seed).values
+        gop = gramian.GramianOperator.from_problem(prob, theta, quad)
+        lin = ad.linearize(lambda th: prob.metric_stack(th, theta, quad), theta)
+        w = prob.metric_weights(quad)
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((theta.size, 3))
+        ref = np.column_stack([lin.vjp(w * lin.jvp(v)) for v in block.T])
+
+        def rel(a, b):
+            return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+        assert rel(gop.matvec(block[:, 0]), ref[:, 0]) <= 1e-12
+        assert rel(gop.matmat(block), ref) <= 1e-12
 
 
 class TestDenseAssembly:

@@ -5,6 +5,45 @@ from nystromngd import autodiff as ad
 from nystromngd import model, problems
 
 
+def poisson_metric_stack(prob, theta, theta_bar, quad):
+    """Poisson (1D and 2D) metric as written by hand: Laplacian rows, then boundary values."""
+    _, _, lap = model.input_derivatives(prob.topology, theta, quad.interior_points)
+    ub = model.forward(prob.topology, theta, quad.boundary_points)
+    return ad.concat([lap, ub])
+
+
+def heat_metric_stack(prob, theta, theta_bar, quad):
+    """Heat metric by hand: u_t - u_xx and u on the interior, u on the initial slice."""
+    u, du, d2u = model.derivatives(prob.topology, theta, quad.interior_points)
+    ui = model.forward(prob.topology, theta, quad.initial_points)
+    return ad.concat([du[0] - d2u[1], u, ui])
+
+
+def nlpoisson_metric_stack(prob, theta, theta_bar, quad):
+    """Gauss-Newton metric by hand: Laplacian - 3 ubar^2 u with ubar frozen at theta_bar."""
+    ubar = ad.primal_value(
+        model.forward(prob.topology, ad.freeze(theta_bar), quad.interior_points)
+    )
+    u, _, lap = model.input_derivatives(prob.topology, theta, quad.interior_points)
+    ub = model.forward(prob.topology, theta, quad.boundary_points)
+    return ad.concat([lap - 3.0 * ubar**2 * u, ub])
+
+
+def nlpoisson_metric_stack_unfrozen(prob, theta, quad):
+    """Negative control: the linearization coefficient is not frozen."""
+    u, _, lap = model.input_derivatives(prob.topology, theta, quad.interior_points)
+    ub = model.forward(prob.topology, theta, quad.boundary_points)
+    return ad.concat([lap - 3.0 * u * u * u, ub])
+
+
+HAND_METRIC_STACKS = {
+    "poisson1d": poisson_metric_stack,
+    "poisson2d": poisson_metric_stack,
+    "heat1p1d": heat_metric_stack,
+    "nlpoisson2d": nlpoisson_metric_stack,
+}
+
+
 def small_problem(name, seed=0, width=5, depth=2, n_int=30, n_bnd=12):
     prob = problems.make_problem(name, hidden_width=width, hidden_depth=depth)
     quad = prob.sample_quadrature(n_int, n_bnd, seed)
@@ -87,8 +126,30 @@ class TestMetricStack:
         prob, quad, theta = small_problem("nlpoisson2d", width=4, depth=1)
         v = np.random.default_rng(0).standard_normal(theta.size)
         frozen = ad.linearize(lambda th: prob.metric_stack(th, theta, quad), theta).jvp(v)
-        unfrozen = ad.linearize(lambda th: prob.metric_stack_unfrozen(th, quad), theta).jvp(v)
+        unfrozen = ad.linearize(
+            lambda th: nlpoisson_metric_stack_unfrozen(prob, th, quad), theta
+        ).jvp(v)
         assert not np.allclose(frozen, unfrozen, rtol=1e-6)
+
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_block_metric_matches_hand_written_stack(self, name):
+        # the metric declared as blocks against the stack written out by hand,
+        # at theta and (for the frozen coefficient) at a different theta_bar
+        prob, quad, theta = small_problem(name)
+        theta_bar = model.init(prob.topology, 17).values
+        hand = HAND_METRIC_STACKS[name]
+        for th, th_bar in ((theta, theta), (theta, theta_bar)):
+            got = ad.primal_value(prob.metric_stack(th, th_bar, quad))
+            ref = ad.primal_value(hand(prob, th, th_bar, quad))
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+        v = np.random.default_rng(3).standard_normal(theta.size)
+        got = ad.linearize(lambda t: prob.metric_stack(t, theta_bar, quad), theta).jvp(v)
+        ref = ad.linearize(lambda t: hand(prob, t, theta_bar, quad), theta).jvp(v)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        blocks = [quad.interior_weights, quad.boundary_weights]
+        if name == "heat1p1d":
+            blocks = [quad.interior_weights, quad.interior_weights, quad.initial_weights]
+        np.testing.assert_array_equal(prob.metric_weights(quad), np.concatenate(blocks))
 
 
 class TestH1Error:
