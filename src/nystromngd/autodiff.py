@@ -2,10 +2,11 @@
 
 Mechanisms, all operating on numpy arrays batched over quadrature points:
 
-* ``Tape``/``Var`` -- a reverse-mode tape, used by :func:`vjp` and
-  :func:`grad`.  A built tape also supports forward sweeps, which lets a
-  single linearization serve both Jacobian-vector and vector-Jacobian
-  products (see :func:`linearize`).
+* ``Tape``/``Var`` -- a tape that records a map of theta and sweeps it
+  forward and backward, so one linearization serves both
+  Jacobian-vector and vector-Jacobian products (see :func:`linearize`).
+  The library itself does not record tapes; the tests use them as the
+  reference for the hand-written jet pullbacks.
 * :func:`affine` and :func:`tanh_jet` -- hand-written nodes for the layers
   of a network carried as a stacked second-order Taylor jet (value, first
   and pure second input derivatives in one array).
@@ -27,25 +28,15 @@ __all__ = [
     "Tape",
     "Var",
     "LinearizedMap",
-    "vjp",
-    "grad",
     "freeze",
     "linearize",
     "tanh",
-    "sin",
-    "cos",
-    "exp",
     "matmul",
     "concat",
-    "asum",
     "affine",
     "tanh_jet",
     "tanh_jet_rule",
 ]
-
-#: Eagerly abort on NaN/Inf produced by any primitive. Can be disabled for
-#: speed in tight inner loops that are known finite.
-CHECK_FINITE = True
 
 
 class NonFiniteError(ArithmeticError):
@@ -53,8 +44,6 @@ class NonFiniteError(ArithmeticError):
 
 
 def _check_finite(value, where):
-    if not CHECK_FINITE:
-        return
     arr = np.asarray(value)
     if arr.dtype.kind not in "fc":
         return
@@ -170,10 +159,6 @@ class Var:
     def shape(self):
         return np.shape(self.value)
 
-    @property
-    def ndim(self):
-        return np.ndim(self.value)
-
     def _node(self, value, parents, edges):
         return Var(value, self.tape, parents, edges)
 
@@ -228,14 +213,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            return self * other ** (-1.0)
-        return self * (1.0 / np.asarray(other))
-
-    def __rtruediv__(self, other):
-        return self ** (-1.0) * other
-
     def __pow__(self, n):
         if isinstance(n, Var):
             raise TypeError("only constant exponents are supported")
@@ -247,9 +224,6 @@ class Var:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     # -- structural ops -----------------------------------------------------
 
@@ -302,16 +276,6 @@ class Var:
     def tanh(self):
         v = np.tanh(self.value)
         return self._unary(v, 1.0 - v * v)
-
-    def sin(self):
-        return self._unary(np.sin(self.value), np.cos(self.value))
-
-    def cos(self):
-        return self._unary(np.cos(self.value), -np.sin(self.value))
-
-    def exp(self):
-        v = np.exp(self.value)
-        return self._unary(v, v)
 
 
 def _matmul_var(a, b):
@@ -378,24 +342,6 @@ def tanh(x):
     return np.tanh(x)
 
 
-def sin(x):
-    if isinstance(x, Var):
-        return x.sin()
-    return np.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Var):
-        return x.cos()
-    return np.cos(x)
-
-
-def exp(x):
-    if isinstance(x, Var):
-        return x.exp()
-    return np.exp(x)
-
-
 def matmul(a, b):
     if isinstance(a, Var) or isinstance(b, Var):
         return _matmul_var(a, b)
@@ -408,12 +354,6 @@ def concat(parts):
     if var is not None:
         return _concat_var(parts, var.tape)
     return np.concatenate([np.asarray(p) for p in parts])
-
-
-def asum(x, axis=None):
-    if isinstance(x, Var):
-        return x.sum(axis=axis)
-    return np.sum(x, axis=axis)
 
 
 def freeze(x):
@@ -542,31 +482,6 @@ def tanh_jet(jet):
 # ---------------------------------------------------------------------------
 
 
-def vjp(f, theta, w):
-    """Vector-Jacobian product J_theta f(theta)^T @ w via a reverse tape."""
-    theta = np.asarray(theta, dtype=float)
-    tape = Tape()
-    leaf = tape.leaf(theta)
-    out = f(leaf)
-    w = np.asarray(w, dtype=float)
-    if w.shape != np.shape(out):
-        raise ValueError(f"cotangent shape {w.shape} != output shape {np.shape(out)}")
-    return tape.reverse_sweep(out, leaf, w)
-
-
-def grad(loss, theta):
-    """Gradient of a scalar map of theta."""
-    theta = np.asarray(theta, dtype=float)
-    tape = Tape()
-    leaf = tape.leaf(theta)
-    out = loss(leaf)
-    value = primal_value(out)
-    if np.ndim(value) != 0:
-        raise ValueError("grad expects a scalar-valued map")
-    _check_finite(value, "loss")
-    return tape.reverse_sweep(out, leaf, np.asarray(1.0))
-
-
 class LinearizedMap:
     """A map f traced at a point, exposing value, jvp and vjp.
 
@@ -581,8 +496,6 @@ class LinearizedMap:
         self.leaf = self.tape.leaf(theta)
         self.out = f(self.leaf)
         self.value = np.asarray(primal_value(self.out), dtype=float)
-        self.input_dim = theta.shape[0]
-        self.output_dim = self.value.shape[0]
 
     def jvp(self, v):
         return self.tape.forward_sweep(self.leaf, self.out, v)

@@ -1,20 +1,18 @@
 """Gramian operators G = J^T diag(w) J, without forming the p x p matrix.
 
-J is the Jacobian of a metric stack with respect to the parameters, one
-row per metric row (one quadrature point each), with the metric's
-linearization point frozen at the current parameters.  It is assembled
-once per iteration, by one forward jet and one per-point reverse pass
-through the network (``PdeProblem.metric_jacobian``).  It takes rows x p
-x 8 bytes: for 560 rows, 1.5 MB at p = 337 and 5.3 MB at p = 1185.
-Every Gramian matvec is then two BLAS matrix-vector products, and every
-block of matvecs two GEMMs.
+J is the Jacobian of a problem's residual stack with respect to the
+parameters, one row per residual row (one quadrature point each), so G
+is the Gauss-Newton metric.  It is assembled once per iteration, by one
+forward jet and one per-point reverse pass through the network
+(``PdeProblem.residual_jacobian``), and the same J gives the loss
+gradient J^T diag(w) r.  It takes rows x p x 8 bytes: for 560 rows,
+1.5 MB at p = 337 and 5.3 MB at p = 1185.  Every Gramian matvec is then
+two BLAS matrix-vector products, and every block of matvecs two GEMMs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import autodiff as ad
 
 DENSE_GUARD = 2000
 
@@ -34,17 +32,9 @@ class GramianOperator:
 
     @classmethod
     def from_problem(cls, problem, theta, quad):
-        """Gramian of a problem at theta, metric frozen at theta."""
-        theta = np.asarray(theta, dtype=float)
-        return cls(problem.metric_jacobian(theta, quad), problem.metric_weights(quad))
-
-    @classmethod
-    def from_stack(cls, stack_fn, theta, weights):
-        """Gramian of an arbitrary stack function, its Jacobian taken
-        column by column from tape JVPs on the unit vectors (slow path)."""
-        lin = ad.linearize(stack_fn, np.asarray(theta, dtype=float))
-        jac = [lin.jvp(e) for e in np.eye(lin.input_dim)]
-        return cls(np.column_stack(jac), weights)
+        """Gauss-Newton Gramian of a problem at theta."""
+        _, jac = problem.residual_jacobian(theta, quad)
+        return cls(jac, problem.metric_weights(quad))
 
     def matvec(self, v):
         v = np.asarray(v, dtype=float)

@@ -131,8 +131,8 @@ def jet(topology, theta, x, order=2):
     return z
 
 
-def jet_pullback(topology, theta, x):
-    """The order-2 jet z at x and its per-point pullback to the parameters.
+def jet_pullback(topology, theta, x, order=2):
+    """The jet z at x (see :func:`jet`) and its per-point pullback to the parameters.
 
     For a cotangent g shaped like z, pullback(g) is the (q, p) matrix whose
     row r is the gradient in theta of sum(g[:, r] * z[:, r]): one reverse
@@ -140,7 +140,7 @@ def jet_pullback(topology, theta, x):
     point (a batched outer product) instead of summing them over points.
     """
     theta = np.asarray(theta, dtype=float)
-    z = _input_jet(topology, x, 2)
+    z = _input_jet(topology, x, order)
     inputs, pulls = [], []
     layers = topology.layer_slices()
     for k, (ws, bs, n_out, n_in) in enumerate(layers):

@@ -140,15 +140,12 @@ def backtracking_linesearch(
 
     ``loss0`` is the caller's ``loss_fn(theta)``.  Returns (alpha,
     new_loss); alpha = 0.0 flags failure (no decrease found), in which
-    case new_loss is loss0.
+    case new_loss is loss0.  A NaN trial loss fails the Armijo test, so it
+    backtracks like any other rejected step.
     """
     alpha = 1.0
     for _ in range(max_backtracks + 1):
-        candidate = theta - alpha * direction
-        try:
-            loss_new = loss_fn(candidate)
-        except ad.NonFiniteError:
-            loss_new = np.inf
+        loss_new = loss_fn(theta - alpha * direction)
         if loss_new <= loss0 - sufficient_decrease * alpha * grad_dot_dir:
             return alpha, loss_new
         alpha *= shrink
@@ -166,6 +163,13 @@ def _descend(problem, quad, theta, loss, g, direction):
         loss,
     )
     return (theta - alpha * direction if alpha > 0.0 else theta), alpha
+
+
+def _gradient_and_gramian(problem, theta, quad):
+    """Loss gradient J^T W r and Gramian J^T W J from one residual Jacobian J."""
+    r, jac = problem.residual_jacobian(theta, quad)
+    gop = GramianOperator(jac, problem.metric_weights(quad))
+    return jac.T @ (gop.weights * r), gop
 
 
 def bfgs_update(h, s, y):
@@ -206,12 +210,12 @@ def _cg_rel_tol(kappa, grad_norm):
 def _nystrom_ngd(problem, theta0, config, quad):
     """Natural gradient descent with a randomized Nystrom preconditioner.
 
-    Per step: linearize the metric stack at the current iterate
-    (matrix-free Gramian), sketch it at the current rank, adapt the
-    damping from the top eigenvalue estimate, run PCG on the damped
-    system, backtrack along the resulting direction, then adapt the
-    rank from the estimated spectrum.  A failed line search raises the
-    damping floor tenfold for the next step.
+    Per step: assemble the residual Jacobian at the current iterate, which
+    gives both the gradient and the matrix-free Gramian, sketch the Gramian
+    at the current rank, adapt the damping from the top eigenvalue
+    estimate, run PCG on the damped system, backtrack along the resulting
+    direction, then adapt the rank from the estimated spectrum.  A failed
+    line search raises the damping floor tenfold for the next step.
     """
     p = theta0.shape[0]
     gamma = float(config.gamma) if config.gamma is not None else float(p)
@@ -222,9 +226,8 @@ def _nystrom_ngd(problem, theta0, config, quad):
 
     def step(theta, loss):
         nonlocal ell, floor_boost
-        g = problem.loss_grad(theta, quad)
+        g, gop = _gradient_and_gramian(problem, theta, quad)
         grad_norm = float(np.linalg.norm(g))
-        gop = GramianOperator.from_problem(problem, theta, quad)
         factor = nystrom_approximate(gop, ell, seed=int(rng.integers(2**63)))
         mu = adapt_mu(
             factor.eigenvalues[0],
@@ -265,8 +268,7 @@ def _ngd_cg(problem, theta0, config, quad):
 
     def step(theta, loss):
         mu = _baseline_mu(loss)
-        g = problem.loss_grad(theta, quad)
-        gop = GramianOperator.from_problem(problem, theta, quad)
+        g, gop = _gradient_and_gramian(problem, theta, quad)
         report = pcg(
             ShiftedOperator(gop, mu),
             g,
@@ -294,8 +296,7 @@ def _ngd_dense(problem, theta0, config, quad):
 
     def step(theta, loss):
         mu = _baseline_mu(loss)
-        g = problem.loss_grad(theta, quad)
-        gop = GramianOperator.from_problem(problem, theta, quad)
+        g, gop = _gradient_and_gramian(problem, theta, quad)
         direction = ngd_dense_direction(gop, g, mu)
         theta_next, _ = _descend(problem, quad, theta, loss, g, direction)
         return theta_next, StepReport(mu, matvecs=gop.matvec_count)

@@ -9,24 +9,26 @@ Shipped problems (selected by name):
 * ``nlpoisson2d`` -- -Laplace(u) + u^3 = f on the unit square, with a
   Gauss-Newton metric linearized at a frozen point.
 
-Every stack builder accepts theta as ndarray or Var, so the same code
-path serves plain evaluation and the tape behind VJPs.  Each problem
-declares its metric once, as blocks of rows (``metric_blocks``); the
-metric stack, its weights and its Jacobian are derived from them.
+Each problem declares its residual once, as blocks of rows
+(``residual_blocks``): points, weights, coefficients on the jet channels
+and target values.  The base class derives the residual stack, the loss,
+the residual Jacobian J (``residual_jacobian``), the gradient J^T W r and
+the Gauss-Newton metric stack from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model
 from .model import MlpTopology
 
 __all__ = [
     "QuadratureSet",
+    "ResidualBlock",
     "PdeProblem",
     "make_problem",
     "PROBLEM_NAMES",
@@ -50,8 +52,49 @@ class QuadratureSet:
                 raise ValueError("quadrature weights must be positive")
 
 
+class ResidualBlock(NamedTuple):
+    """One block of residual rows, one row per point.
+
+    Row r is coeffs @ z[:, r] + value_term(z[0, r]) - target[r], z being
+    the jet channels (1 + 2d, q) of the network at the points
+    (``model.jet``): the value, each du/dx_i and each d^2u/dx_i^2.
+    ``value_term``, if given, is a pointwise function of the value channel
+    that returns the term and its derivative.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    coeffs: np.ndarray
+    target: np.ndarray
+    value_term: Callable | None = None
+
+    @property
+    def order(self):
+        """Jet order the rows need: 0 when only the value channel enters."""
+        return 2 if np.any(self.coeffs[1:]) else 0
+
+    def rows(self, z):
+        """The residual rows from the block's jet channels z."""
+        r = self.coeffs[: len(z)] @ z - self.target
+        if self.value_term is not None:
+            r += self.value_term(z[0])[0]
+        return r
+
+    def slope(self, z):
+        """dr/dz, shaped like the jet channels z."""
+        dr = np.repeat(self.coeffs[: len(z), None], z.shape[1], axis=1)
+        if self.value_term is not None:
+            dr[0] += self.value_term(z[0])[1]
+        return dr
+
+
 class PdeProblem:
-    """Base class: least-squares loss assembled from the residual stack."""
+    """Base class: a least-squares loss 0.5 * sum_r w_r r_r^2 over residual blocks.
+
+    A problem declares its residual once (``residual_blocks``); the loss,
+    its gradient J^T W r and the Gauss-Newton metric J^T W J all come from
+    the blocks and their residual Jacobian J.
+    """
 
     name = "abstract"
 
@@ -61,6 +104,7 @@ class PdeProblem:
             raise ValueError(
                 f"{self.name} needs input dim {self.input_dim}, topology has {topology.input_dim}"
             )
+        self._cached_blocks = (None, [])
 
     # -- to be provided by subclasses ----------------------------------------
 
@@ -72,20 +116,12 @@ class PdeProblem:
     def exact_grad(self, x):
         raise NotImplementedError
 
-    def residual_stack(self, theta, quad):
+    def exact_second(self, x):
+        """Pure second derivatives d^2u*/dx_i^2 of the exact solution, (q, d)."""
         raise NotImplementedError
 
-    def metric_blocks(self, quad):
-        """The metric as a list of blocks (points, weights, coeffs).
-
-        Row r of a block is sum_c coeffs[c, r] * z[c, r], z being the jet
-        channels (1 + 2d, q) of the network at the points (``model.jet``).
-        coeffs is an array broadcastable to z, or a function of the jet
-        channels at the frozen linearization point that returns one.
-        """
-        raise NotImplementedError
-
-    def residual_weights(self, quad):
+    def residual_blocks(self, quad):
+        """The residual as a list of :class:`ResidualBlock`."""
         raise NotImplementedError
 
     def sample_quadrature(self, n_interior, n_boundary, seed):
@@ -93,41 +129,60 @@ class PdeProblem:
 
     # -- shared machinery ------------------------------------------------------
 
+    def _blocks(self, quad):
+        """``residual_blocks(quad)``, built once per quadrature set: their
+        points, weights, coefficients and targets do not depend on theta."""
+        if self._cached_blocks[0] is not quad:
+            self._cached_blocks = (quad, self.residual_blocks(quad))
+        return self._cached_blocks[1]
+
+    def _jet(self, theta, block):
+        return model.jet(self.topology, theta, block.points, block.order)[:, :, 0]
+
+    def residual_stack(self, theta, quad):
+        return np.concatenate([b.rows(self._jet(theta, b)) for b in self._blocks(quad)])
+
     def metric_weights(self, quad):
-        return np.concatenate([w for _, w, _ in self.metric_blocks(quad)])
+        return np.concatenate([b.weights for b in self._blocks(quad)])
 
     def metric_stack(self, theta, theta_bar, quad):
-        """Metric rows at theta, with their coefficients frozen at theta_bar."""
+        """Gauss-Newton metric rows sum_c dr/dz_c(zbar) z_c: the residual
+        linearized at theta_bar (zbar = z(theta_bar)), applied at theta."""
         rows = []
-        for x, _, coeffs in self.metric_blocks(quad):
-            if callable(coeffs):
-                coeffs = coeffs(model.jet(self.topology, ad.freeze(theta_bar), x)[:, :, 0])
-            z = model.jet(self.topology, theta, x)[:, :, 0]
-            rows.append(ad.asum(coeffs * z, axis=0))
-        return ad.concat(rows)
-
-    def metric_jacobian(self, theta, quad):
-        """Jacobian (rows, p) of the metric stack at theta, frozen at theta:
-        one forward jet and one per-point reverse pass per block."""
-        rows = []
-        for x, _, coeffs in self.metric_blocks(quad):
-            z, pullback = model.jet_pullback(self.topology, theta, x)
-            if callable(coeffs):
-                coeffs = coeffs(z[:, :, 0])
-            rows.append(pullback(np.broadcast_to(coeffs[:, :, None], z.shape)))
+        for b in self._blocks(quad):
+            z = self._jet(theta, b)
+            zbar = z if b.value_term is None else self._jet(theta_bar, b)
+            rows.append(np.sum(b.slope(zbar) * z, axis=0))
         return np.concatenate(rows)
 
-    def loss(self, theta, quad):
-        """0.5 * sum_r w_r * residual_r^2."""
-        r = self.residual_stack(theta, quad)
-        w = self.residual_weights(quad)
-        return 0.5 * ad.asum(w * r * r)
+    def residual_jacobian(self, theta, quad):
+        """Residual stack r at theta and its Jacobian J (rows, p): one
+        forward jet and one per-point reverse pass per block."""
+        rs, jacs = [], []
+        for b in self._blocks(quad):
+            z, pullback = model.jet_pullback(self.topology, theta, b.points, b.order)
+            rs.append(b.rows(z[:, :, 0]))
+            jacs.append(pullback(b.slope(z[:, :, 0])[:, :, None]))
+        return np.concatenate(rs), np.concatenate(jacs)
+
+    def residual_of_exact(self, quad):
+        """Residual rows on the exact solution (annihilation check): the
+        blocks applied to its exact jet channels."""
+        rows = []
+        for b in self._blocks(quad):
+            x = b.points
+            z = [self.exact(x)[None], self.exact_grad(x).T, self.exact_second(x).T]
+            rows.append(b.rows(np.concatenate(z)))
+        return np.concatenate(rows)
 
     def loss_value(self, theta, quad):
-        return float(ad.primal_value(self.loss(theta, quad)))
+        """0.5 * sum_r w_r * residual_r^2."""
+        r = self.residual_stack(theta, quad)
+        return 0.5 * float(np.sum(self.metric_weights(quad) * r * r))
 
     def loss_grad(self, theta, quad):
-        return ad.grad(lambda th: self.loss(th, quad), theta)
+        r, jac = self.residual_jacobian(theta, quad)
+        return jac.T @ (self.metric_weights(quad) * r)
 
     def h1_relative_error(self, theta, quad):
         """Relative H1 error against the exact solution, via quadrature.
@@ -148,10 +203,10 @@ class PdeProblem:
 
 
 def _channels(d, value=0.0, first=0.0, second=0.0):
-    """Coefficients (1 + 2d, 1) of a metric row on the jet channels: the
+    """Coefficients (1 + 2d,) of a residual row on the jet channels: the
     value, each du/dx_i and each d^2u/dx_i^2."""
     parts = [[value], np.broadcast_to(first, (d,)), np.broadcast_to(second, (d,))]
-    return np.concatenate(parts)[:, None]
+    return np.concatenate(parts)
 
 
 def _uniform_box(rng, n, lo, hi):
@@ -172,8 +227,8 @@ class Poisson1D(PdeProblem):
     def exact_grad(self, x):
         return np.pi * np.cos(np.pi * x[:, 0])[:, None]
 
-    def exact_laplacian(self, x):
-        return -np.pi**2 * np.sin(np.pi * x[:, 0])
+    def exact_second(self, x):
+        return -np.pi**2 * np.sin(np.pi * x)
 
     def source(self, x):
         return np.pi**2 * np.sin(np.pi * x[:, 0])
@@ -193,33 +248,17 @@ class Poisson1D(PdeProblem):
             boundary_weights=np.ones(2),
         )
 
-    def residual_stack(self, theta, quad):
-        _, _, lap = model.input_derivatives(self.topology, theta, quad.interior_points)
-        interior = lap + self.source(quad.interior_points)
-        ub = model.forward(self.topology, theta, quad.boundary_points)
-        boundary = ub - self.dirichlet(quad.boundary_points)
-        return ad.concat([interior, boundary])
-
-    def metric_blocks(self, quad):
-        # linear operator: the frozen linearization point plays no role
-        d = self.input_dim
+    def residual_blocks(self, quad):
+        # Laplace(u) + f on the interior, u - g on the boundary
+        x, xb, d = quad.interior_points, quad.boundary_points, self.input_dim
         return [
-            (quad.interior_points, quad.interior_weights, _channels(d, second=1.0)),
-            (quad.boundary_points, quad.boundary_weights, _channels(d, value=1.0)),
+            ResidualBlock(
+                x, quad.interior_weights, _channels(d, second=1.0), -self.source(x)
+            ),
+            ResidualBlock(
+                xb, quad.boundary_weights, _channels(d, value=1.0), self.dirichlet(xb)
+            ),
         ]
-
-    def residual_weights(self, quad):
-        return np.concatenate([quad.interior_weights, quad.boundary_weights])
-
-    def residual_of_exact(self, quad):
-        """Residual stack evaluated on the analytic solution (annihilation check)."""
-        interior = self.exact_laplacian(quad.interior_points) + self.source(
-            quad.interior_points
-        )
-        boundary = self.exact(quad.boundary_points) - self.dirichlet(
-            quad.boundary_points
-        )
-        return np.concatenate([interior, boundary])
 
 
 class Poisson2D(Poisson1D):
@@ -236,8 +275,8 @@ class Poisson2D(Poisson1D):
         sy, cy = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
         return np.pi * np.stack([cx * sy, sx * cy], axis=1)
 
-    def exact_laplacian(self, x):
-        return -2.0 * np.pi**2 * self.exact(x)
+    def exact_second(self, x):
+        return -np.pi**2 * np.repeat(self.exact(x)[:, None], 2, axis=1)
 
     def source(self, x):
         return 2.0 * np.pi**2 * self.exact(x)
@@ -271,9 +310,8 @@ class Heat1p1D(PdeProblem):
     """u_t - u_xx = f on (t,x) in (0,1)^2; u* = cos(pi x) exp(-pi^2 t / 4).
 
     Residual blocks: interior PDE residual, lateral-boundary misfit,
-    initial-time misfit.  The metric adds an interior L2 bulk block and
-    drops the lateral-boundary one, mirroring the heat-equation metric
-    with operator, bulk and initial terms.
+    initial-time misfit.  The metric is the Gauss-Newton metric of these
+    three blocks, like every other problem's.
     """
 
     name = "heat1p1d"
@@ -287,6 +325,10 @@ class Heat1p1D(PdeProblem):
         dt = -np.pi**2 / 4.0 * u
         dx = -np.pi * np.sin(np.pi * x[:, 1]) * np.exp(-np.pi**2 * x[:, 0] / 4.0)
         return np.stack([dt, dx], axis=1)
+
+    def exact_second(self, x):
+        u = self.exact(x)
+        return np.stack([np.pi**4 / 16.0 * u, -np.pi**2 * u], axis=1)
 
     def source(self, x):
         # u_t - u_xx = (-pi^2/4 + pi^2) u
@@ -319,51 +361,24 @@ class Heat1p1D(PdeProblem):
             initial_weights=np.full(n_init, 1.0 / n_init),
         )
 
-    def residual_stack(self, theta, quad):
-        _, du, d2u = model.derivatives(self.topology, theta, quad.interior_points)
-        interior = du[0] - d2u[1] - self.source(quad.interior_points)
-        ub = model.forward(self.topology, theta, quad.boundary_points)
-        boundary = ub - self.dirichlet(quad.boundary_points)
-        ui = model.forward(self.topology, theta, quad.initial_points)
-        initial = ui - self.initial_value(quad.initial_points)
-        return ad.concat([interior, boundary, initial])
-
-    def residual_weights(self, quad):
-        return np.concatenate(
-            [quad.interior_weights, quad.boundary_weights, quad.initial_weights]
-        )
-
-    def metric_blocks(self, quad):
-        x, w = quad.interior_points, quad.interior_weights
+    def residual_blocks(self, quad):
+        x, xb, xi = quad.interior_points, quad.boundary_points, quad.initial_points
         value = _channels(2, value=1.0)
+        heat = _channels(2, first=(1.0, 0.0), second=(0.0, -1.0))  # u_t - u_xx
         return [
-            (x, w, _channels(2, first=(1.0, 0.0), second=(0.0, -1.0))),  # u_t - u_xx
-            (x, w, value),
-            (quad.initial_points, quad.initial_weights, value),
+            ResidualBlock(x, quad.interior_weights, heat, self.source(x)),
+            ResidualBlock(xb, quad.boundary_weights, value, self.dirichlet(xb)),
+            ResidualBlock(xi, quad.initial_weights, value, self.initial_value(xi)),
         ]
-
-    def residual_of_exact(self, quad):
-        x = quad.interior_points
-        u = self.exact(x)
-        u_t = -np.pi**2 / 4.0 * u
-        u_xx = -np.pi**2 * u
-        interior = (u_t - u_xx) - self.source(x)
-        boundary = self.exact(quad.boundary_points) - self.dirichlet(
-            quad.boundary_points
-        )
-        initial = self.exact(quad.initial_points) - self.initial_value(
-            quad.initial_points
-        )
-        return np.concatenate([interior, boundary, initial])
 
 
 class NonlinearPoisson2D(Poisson2D):
     """-Laplace(u) + u^3 = f on (0,1)^2 with a Gauss-Newton metric.
 
-    The metric stack is the residual linearization Delta(v) - 3 ubar^2 v
-    at a frozen linearization point ubar, which makes the stop-gradient
-    load-bearing: without freezing, differentiating the coefficient
-    changes the assembled operator.
+    The interior residual carries the pointwise term -u^3, so its metric
+    rows are the residual linearization Delta(v) - 3 ubar^2 v at a frozen
+    linearization point ubar: differentiating the coefficient instead
+    would change the assembled operator.
     """
 
     name = "nlpoisson2d"
@@ -372,27 +387,9 @@ class NonlinearPoisson2D(Poisson2D):
         u = self.exact(x)
         return 2.0 * np.pi**2 * u + u**3
 
-    def residual_stack(self, theta, quad):
-        u, _, lap = model.input_derivatives(
-            self.topology, theta, quad.interior_points
-        )
-        interior = lap - u**3 + self.source(quad.interior_points)
-        ub = model.forward(self.topology, theta, quad.boundary_points)
-        boundary = ub - self.dirichlet(quad.boundary_points)
-        return ad.concat([interior, boundary])
-
-    def metric_blocks(self, quad):
-        (x, w, lap), boundary = super().metric_blocks(quad)
-        value = _channels(2, value=1.0)
-        return [(x, w, lambda zbar: lap - 3.0 * zbar[0] ** 2 * value), boundary]
-
-    def residual_of_exact(self, quad):
-        x = quad.interior_points
-        interior = self.exact_laplacian(x) - self.exact(x) ** 3 + self.source(x)
-        boundary = self.exact(quad.boundary_points) - self.dirichlet(
-            quad.boundary_points
-        )
-        return np.concatenate([interior, boundary])
+    def residual_blocks(self, quad):
+        interior, boundary = super().residual_blocks(quad)
+        return [interior._replace(value_term=lambda u: (-(u**3), -3.0 * u**2)), boundary]
 
 
 _PROBLEMS = {

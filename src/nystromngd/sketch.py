@@ -14,7 +14,6 @@ __all__ = [
     "nystrom_approximate",
     "effective_dimension",
     "pivoted_cholesky",
-    "cholesky_factor_to_nystrom",
     "SketchFailure",
 ]
 
@@ -176,10 +175,3 @@ def pivoted_cholesky(op, rank, strategy, seed=None, tol_factor=1e-12, guard=2000
         diag[i] = 0.0
         pivots.append(i)
     return factor, pivots
-
-
-def cholesky_factor_to_nystrom(factor):
-    """Eigendecompose F F^T so pivoted-Cholesky factors reuse the
-    Nystrom preconditioner formula."""
-    u, s, _ = np.linalg.svd(factor, full_matrices=False)
-    return NystromFactor(u, s**2)

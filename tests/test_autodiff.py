@@ -11,6 +11,15 @@ def jvp(f, theta, v):
     return ad.linearize(f, theta).jvp(v)
 
 
+def vjp(f, theta, w):
+    return ad.linearize(f, theta).vjp(w)
+
+
+def grad(f, theta):
+    """Gradient of a scalar map: the tape's reverse sweep from cotangent 1."""
+    return vjp(f, theta, 1.0)
+
+
 def quad_map(theta):
     # f(theta) = (theta_1^2, theta_1 * theta_2)
     return ad.concat([(theta[0] ** 2).reshape(1), (theta[0] * theta[1]).reshape(1)])
@@ -50,11 +59,11 @@ class TestJvp:
 class TestVjp:
     def test_identity_map(self):
         e2 = np.array([0.0, 1.0, 0.0])
-        out = ad.vjp(lambda th: th, np.array([5.0, 6.0, 7.0]), e2)
+        out = vjp(lambda th: th, np.array([5.0, 6.0, 7.0]), e2)
         np.testing.assert_array_equal(out, e2)
 
     def test_hand_jacobian_transpose(self):
-        out = ad.vjp(quad_map, np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+        out = vjp(quad_map, np.array([1.0, 2.0]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [4.0, 1.0], rtol=1e-14)
 
     @given(st.integers(0, 2**31 - 1))
@@ -68,18 +77,18 @@ class TestVjp:
         x = rng.standard_normal(2)
         f = lambda th: two_layer_net(th, x)
         lhs = float(w @ jvp(f, theta, v))
-        rhs = float(ad.vjp(f, theta, w) @ v)
+        rhs = float(vjp(f, theta, w) @ v)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestGrad:
     def test_quadratic(self):
         theta = np.array([1.0, -2.0, 0.5])
-        out = ad.grad(lambda th: 0.5 * ad.asum(th * th), theta)
+        out = grad(lambda th: 0.5 * (th * th).sum(), theta)
         np.testing.assert_allclose(out, theta, rtol=1e-14)
 
     def test_hand_product(self):
-        out = ad.grad(lambda th: ad.sin(th[0]) * th[1], np.array([0.0, 3.0]))
+        out = grad(lambda th: ad.tanh(th[0]) * th[1], np.array([0.0, 3.0]))
         np.testing.assert_allclose(out, [3.0, 0.0], atol=1e-15)
 
     def test_matches_finite_difference(self):
@@ -90,10 +99,10 @@ class TestGrad:
         def loss(th):
             total = 0.0
             for x in xs:
-                total = total + ad.asum(two_layer_net(th, x) ** 2)
+                total = total + (two_layer_net(th, x) ** 2).sum()
             return 0.5 * total
 
-        g = ad.grad(loss, theta)
+        g = grad(loss, theta)
         h = 1e-6
         fd = np.empty_like(theta)
         for i in range(theta.size):
@@ -108,7 +117,7 @@ class TestGrad:
 class TestFreeze:
     def test_grad_through_freeze(self):
         # d/dtheta [ sg(theta) * theta ] = sg(theta) = theta, not 2 theta
-        out = ad.grad(lambda th: ad.asum(ad.freeze(th) * th), np.array([2.0]))
+        out = grad(lambda th: (ad.freeze(th) * th).sum(), np.array([2.0]))
         np.testing.assert_allclose(out, [2.0], rtol=1e-15)
 
     def test_jvp_through_freeze_is_zero(self):
@@ -247,25 +256,16 @@ class TestLaplacianJets:
             ub, _, _ = oracle_jet(top.unflatten(th), quad.boundary_points)
             return ad.concat([total, ub])
 
-        lin = ad.linearize(lambda th: prob.metric_stack(th, theta, quad), theta)
         ref = ad.linearize(oracle_stack, theta)
-        assert rel_err(lin.value, ref.value) <= 1e-12
+        jac = prob.residual_jacobian(theta, quad)[1]
+        assert rel_err(prob.metric_stack(theta, theta, quad), ref.value) <= 1e-12
         v = rng.standard_normal(top.param_count)
         w = rng.standard_normal(q + 3)
-        assert rel_err(lin.jvp(v), ref.jvp(v)) <= 1e-12
-        assert rel_err(lin.vjp(w), ref.vjp(w)) <= 1e-12
+        assert rel_err(jac @ v, ref.jvp(v)) <= 1e-12
+        assert rel_err(jac.T @ w, ref.vjp(w)) <= 1e-12
 
 
 class TestNumericHygiene:
-    @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_nonfinite_raises(self):
         with pytest.raises(ad.NonFiniteError):
-            ad.grad(lambda th: ad.asum(th / 0.0), np.array([1.0]))
-
-    def test_check_can_be_disabled(self):
-        ad.CHECK_FINITE = False
-        try:
-            out = jvp(lambda th: th * np.inf, np.array([1.0]), np.array([1.0]))
-            assert np.isinf(out).all()
-        finally:
-            ad.CHECK_FINITE = True
+            ad.linearize(lambda th: th * np.inf, np.array([1.0]))

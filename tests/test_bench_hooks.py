@@ -3,7 +3,8 @@
 ``bench/tracer.py`` looks wrapped names up with ``vars(owner)[attr]``, so a
 ``--trace 1`` run breaks when one of them is renamed or moves to another
 class.  This installs the benchmark's wrappers on the library modules, runs
-a tiny Gramian, and checks that the spans were recorded.
+a tiny Gramian, a loss gradient and a tape JVP, and checks that the spans
+were recorded.
 """
 
 import importlib.util
@@ -28,6 +29,7 @@ def test_trace_hooks_record_gramian_spans():
     tracer = tracer_mod.Tracer()
     originals = {
         "from_problem": vars(gramian.GramianOperator)["from_problem"],
+        "loss_grad": vars(problems.PdeProblem)["loss_grad"],
         "linearize": autodiff.linearize,
     }
     prob = problems.make_problem("poisson2d", hidden_width=3, hidden_depth=1)
@@ -41,18 +43,19 @@ def test_trace_hooks_record_gramian_spans():
         gop = gramian.GramianOperator.from_problem(prob, theta, quad)
         gop.matvec(np.ones(gop.dim))
         gop.matmat(np.ones((gop.dim, 2)))
-        gramian.GramianOperator.from_stack(
-            lambda th: prob.metric_stack(th, theta, quad), theta, prob.metric_weights(quad)
-        )
+        prob.loss_grad(theta, quad)
+        x = quad.interior_points
+        autodiff.linearize(lambda th: model.forward(prob.topology, th, x), theta).jvp(theta)
     finally:
         tracer.restore()
     names = {s.name for s in tracer.spans}
     for name in (
         "gramian.from_problem", "gramian.matvec", "gramian.matmat",
-        "autodiff.linearize", "autodiff.jvp",
+        "problems.loss_grad", "autodiff.linearize", "autodiff.jvp",
     ):
         assert name in names
     matmat = [s for s in tracer.spans if s.name == "gramian.matmat"]
     assert matmat[0].attrs["cols"] == 2
     assert vars(gramian.GramianOperator)["from_problem"] is originals["from_problem"]
+    assert vars(problems.PdeProblem)["loss_grad"] is originals["loss_grad"]
     assert autodiff.linearize is originals["linearize"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
-from nystromngd import optim
+from nystromngd import model, optim, problems
 from nystromngd.gramian import GramianOperator, ShiftedOperator, assemble_dense
 from nystromngd.krylov import pcg
 from nystromngd.sketch import NystromPreconditioner, nystrom_approximate
@@ -26,21 +26,19 @@ class LinearLeastSquares:
         self.y = np.asarray(y, dtype=float)
         self.w = np.asarray(w, dtype=float)
 
-    def metric_jacobian(self, theta, quad):
-        return self.phi
+    def residual_jacobian(self, theta, quad):
+        return self.phi @ theta - self.y, self.phi
 
     def metric_weights(self, quad):
         return self.w
 
-    def _loss(self, theta):
-        r = ad.matmul(self.phi, theta) - self.y
-        return 0.5 * ad.asum(self.w * r * r)
-
     def loss_value(self, theta, quad):
-        return float(ad.primal_value(self._loss(theta)))
+        r, _ = self.residual_jacobian(theta, quad)
+        return 0.5 * float(np.sum(self.w * r * r))
 
     def loss_grad(self, theta, quad):
-        return ad.grad(self._loss, theta)
+        r, jac = self.residual_jacobian(theta, quad)
+        return jac.T @ (self.w * r)
 
     def optimum(self):
         a = self.phi.T @ (self.w[:, None] * self.phi)
@@ -132,6 +130,17 @@ class TestLinesearch:
         )
         assert alpha > 0.0
         assert new_loss < loss_fn(theta)
+
+    def test_nan_trial_backtracks(self):
+        # a NaN loss at alpha = 1 fails the Armijo test; alpha = 1/2 is taken
+        theta = np.array([2.0, -1.0])
+        quadratic = lambda th: 0.5 * float(th @ th)
+        loss_fn = lambda th: np.nan if np.array_equal(th, np.zeros(2)) else quadratic(th)
+        alpha, new_loss = optim.backtracking_linesearch(
+            theta, theta, loss_fn, float(theta @ theta), loss_fn(theta)
+        )
+        assert alpha == 0.5
+        assert new_loss == quadratic(0.5 * theta)
 
     def test_ascent_direction_fails(self):
         theta = np.array([1.0, 1.0])
@@ -231,6 +240,21 @@ class TestNystromNgdRun:
         assert first < len(full) - 1  # the stop has records to cut
         _, records = run(h1_stop=target)
         assert numeric(records) == numeric(full[: first + 1])
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_heat1p1d_reaches_target(self, seed):
+        # the criterion-10 setup on the heat problem, whose metric is the
+        # Gauss-Newton metric of its residual (operator, lateral boundary,
+        # initial slice)
+        prob = problems.make_problem("heat1p1d", hidden_width=16, hidden_depth=2)
+        quad = prob.sample_quadrature(400, 160, seed=seed)
+        theta0 = model.init(prob.topology, seed).values
+        cfg = optim.NystromNgdConfig(iterations=300, seed=seed)
+        _, records = optim.nystrom_ngd_run(
+            prob, theta0, cfg, quad, quad_eval=quad, h1_stop=1e-3
+        )
+        assert records[-1].h1_rel_error <= 1e-3
 
 
 class TestRunOptimizer:

@@ -1,8 +1,56 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
 from nystromngd import model, problems
+
+# Tape oracles: each problem's residual and metric stacks written out by
+# hand with the generic per-op jet helpers, so they can be linearized on
+# the tape and compared with the stacks the problems derive from their
+# residual blocks.
+
+
+def poisson_residual_stack(prob, theta, quad):
+    """Poisson residual by hand: Laplacian + f on the interior, u - g on the boundary."""
+    _, _, lap = model.input_derivatives(prob.topology, theta, quad.interior_points)
+    interior = lap + prob.source(quad.interior_points)
+    ub = model.forward(prob.topology, theta, quad.boundary_points)
+    return ad.concat([interior, ub - prob.dirichlet(quad.boundary_points)])
+
+
+def heat_residual_stack(prob, theta, quad):
+    """Heat residual by hand: u_t - u_xx - f, lateral-boundary and initial misfits."""
+    _, du, d2u = model.derivatives(prob.topology, theta, quad.interior_points)
+    interior = du[0] - d2u[1] - prob.source(quad.interior_points)
+    ub = model.forward(prob.topology, theta, quad.boundary_points)
+    boundary = ub - prob.dirichlet(quad.boundary_points)
+    ui = model.forward(prob.topology, theta, quad.initial_points)
+    initial = ui - prob.initial_value(quad.initial_points)
+    return ad.concat([interior, boundary, initial])
+
+
+def nlpoisson_residual_stack(prob, theta, quad):
+    """Nonlinear Poisson residual by hand: Laplacian - u^3 + f, then u - g."""
+    u, _, lap = model.input_derivatives(prob.topology, theta, quad.interior_points)
+    interior = lap - u**3 + prob.source(quad.interior_points)
+    ub = model.forward(prob.topology, theta, quad.boundary_points)
+    return ad.concat([interior, ub - prob.dirichlet(quad.boundary_points)])
+
+
+def residual_weights(quad):
+    """Quadrature weights of the residual rows, block by block."""
+    blocks = [quad.interior_weights, quad.boundary_weights, quad.initial_weights]
+    return np.concatenate([w for w in blocks if w is not None])
+
+
+HAND_RESIDUAL_STACKS = {
+    "poisson1d": poisson_residual_stack,
+    "poisson2d": poisson_residual_stack,
+    "heat1p1d": heat_residual_stack,
+    "nlpoisson2d": nlpoisson_residual_stack,
+}
 
 
 def poisson_metric_stack(prob, theta, theta_bar, quad):
@@ -13,10 +61,12 @@ def poisson_metric_stack(prob, theta, theta_bar, quad):
 
 
 def heat_metric_stack(prob, theta, theta_bar, quad):
-    """Heat metric by hand: u_t - u_xx and u on the interior, u on the initial slice."""
-    u, du, d2u = model.derivatives(prob.topology, theta, quad.interior_points)
+    """Heat metric by hand: u_t - u_xx on the interior, u on the lateral
+    boundary and on the initial slice."""
+    _, du, d2u = model.derivatives(prob.topology, theta, quad.interior_points)
+    ub = model.forward(prob.topology, theta, quad.boundary_points)
     ui = model.forward(prob.topology, theta, quad.initial_points)
-    return ad.concat([du[0] - d2u[1], u, ui])
+    return ad.concat([du[0] - d2u[1], ub, ui])
 
 
 def nlpoisson_metric_stack(prob, theta, theta_bar, quad):
@@ -51,6 +101,10 @@ def small_problem(name, seed=0, width=5, depth=2, n_int=30, n_bnd=12):
     return prob, quad, theta
 
 
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), np.finfo(float).tiny)
+
+
 class TestQuadrature:
     def test_unit_square_uniform_weights(self):
         prob = problems.make_problem("poisson2d", hidden_width=4, hidden_depth=1)
@@ -82,7 +136,7 @@ class TestResidualStack:
         # with theta = 0 the net is identically zero; strip sources by hand
         prob, quad, _ = small_problem("poisson1d")
         theta = np.zeros(prob.topology.param_count)
-        r = ad.primal_value(prob.residual_stack(theta, quad))
+        r = prob.residual_stack(theta, quad)
         offsets = np.concatenate(
             [prob.source(quad.interior_points), -prob.dirichlet(quad.boundary_points)]
         )
@@ -94,10 +148,24 @@ class TestResidualStack:
         r = prob.residual_of_exact(quad)
         assert np.abs(r).max() <= 1e-12
 
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_exact_second_derivatives_match_finite_difference(self, name):
+        # residual_of_exact reads them as the exact solution's jet channels
+        prob, quad, _ = small_problem(name)
+        x, h = quad.interior_points, 1e-6
+        fd = np.stack(
+            [
+                (prob.exact_grad(x + h * e)[:, i] - prob.exact_grad(x - h * e)[:, i]) / (2 * h)
+                for i, e in enumerate(np.eye(prob.input_dim))
+            ],
+            axis=1,
+        )
+        np.testing.assert_allclose(prob.exact_second(x), fd, rtol=0, atol=1e-7)
+
     def test_loss_equals_direct_quadrature(self):
         prob, quad, theta = small_problem("poisson2d")
-        r = ad.primal_value(prob.residual_stack(theta, quad))
-        w = prob.residual_weights(quad)
+        r = prob.residual_stack(theta, quad)
+        w = residual_weights(quad)
         direct = 0.5 * float(np.sum(w * r * r))
         assert prob.loss_value(theta, quad) == pytest.approx(direct, rel=1e-14)
 
@@ -105,8 +173,8 @@ class TestResidualStack:
 class TestMetricStack:
     def test_linear_problem_metric_is_offsetfree_residual(self):
         prob, quad, theta = small_problem("poisson1d")
-        r = ad.primal_value(prob.residual_stack(theta, quad))
-        m = ad.primal_value(prob.metric_stack(theta, theta, quad))
+        r = prob.residual_stack(theta, quad)
+        m = prob.metric_stack(theta, theta, quad)
         offsets = np.concatenate(
             [prob.source(quad.interior_points), -prob.dirichlet(quad.boundary_points)]
         )
@@ -116,8 +184,8 @@ class TestMetricStack:
         prob, quad, _ = small_problem("nlpoisson2d")
         theta = np.zeros(prob.topology.param_count)
         lin = problems.make_problem("poisson2d", topology=prob.topology)
-        m_nl = ad.primal_value(prob.metric_stack(theta, theta, quad))
-        m_lin = ad.primal_value(lin.metric_stack(theta, theta, quad))
+        m_nl = prob.metric_stack(theta, theta, quad)
+        m_lin = lin.metric_stack(theta, theta, quad)
         np.testing.assert_allclose(m_nl, m_lin, atol=1e-15)
 
     def test_frozen_coefficient_changes_the_jacobian(self):
@@ -125,7 +193,7 @@ class TestMetricStack:
         # the Jacobian, so the stop-gradient is load-bearing
         prob, quad, theta = small_problem("nlpoisson2d", width=4, depth=1)
         v = np.random.default_rng(0).standard_normal(theta.size)
-        frozen = ad.linearize(lambda th: prob.metric_stack(th, theta, quad), theta).jvp(v)
+        frozen = prob.residual_jacobian(theta, quad)[1] @ v
         unfrozen = ad.linearize(
             lambda th: nlpoisson_metric_stack_unfrozen(prob, th, quad), theta
         ).jvp(v)
@@ -133,23 +201,46 @@ class TestMetricStack:
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_block_metric_matches_hand_written_stack(self, name):
-        # the metric declared as blocks against the stack written out by hand,
-        # at theta and (for the frozen coefficient) at a different theta_bar
+        # the metric derived from the residual blocks against the stack written
+        # out by hand, at theta and (for the frozen coefficient) at a different
+        # theta_bar; its Jacobian at theta_bar = theta is the residual Jacobian
         prob, quad, theta = small_problem(name)
         theta_bar = model.init(prob.topology, 17).values
         hand = HAND_METRIC_STACKS[name]
         for th, th_bar in ((theta, theta), (theta, theta_bar)):
-            got = ad.primal_value(prob.metric_stack(th, th_bar, quad))
+            got = prob.metric_stack(th, th_bar, quad)
             ref = ad.primal_value(hand(prob, th, th_bar, quad))
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
         v = np.random.default_rng(3).standard_normal(theta.size)
-        got = ad.linearize(lambda t: prob.metric_stack(t, theta_bar, quad), theta).jvp(v)
-        ref = ad.linearize(lambda t: hand(prob, t, theta_bar, quad), theta).jvp(v)
+        got = prob.residual_jacobian(theta, quad)[1] @ v
+        ref = ad.linearize(lambda t: hand(prob, t, theta, quad), theta).jvp(v)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-        blocks = [quad.interior_weights, quad.boundary_weights]
-        if name == "heat1p1d":
-            blocks = [quad.interior_weights, quad.interior_weights, quad.initial_weights]
-        np.testing.assert_array_equal(prob.metric_weights(quad), np.concatenate(blocks))
+        np.testing.assert_array_equal(prob.metric_weights(quad), residual_weights(quad))
+
+
+class TestResidualJacobian:
+    @given(
+        name=st.sampled_from(problems.PROBLEM_NAMES),
+        depth=st.integers(1, 3),
+        width=st.integers(1, 8),
+        q=st.integers(1, 20),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tape_oracle(self, name, depth, width, q, seed):
+        # residual values, J @ v and the loss gradient J^T W r against the
+        # tape linearization of the hand-written residual stack
+        prob = problems.make_problem(name, hidden_width=width, hidden_depth=depth)
+        quad = prob.sample_quadrature(q, 1 + seed % 7, seed)
+        theta = model.init(prob.topology, seed).values
+        lin = ad.linearize(lambda th: HAND_RESIDUAL_STACKS[name](prob, th, quad), theta)
+        r, jac = prob.residual_jacobian(theta, quad)
+        v = np.random.default_rng(seed).standard_normal(theta.size)
+        assert rel_err(r, lin.value) <= 1e-12
+        assert rel_err(prob.residual_stack(theta, quad), lin.value) <= 1e-12
+        assert rel_err(jac @ v, lin.jvp(v)) <= 1e-12
+        grad = lin.vjp(residual_weights(quad) * lin.value)
+        assert rel_err(prob.loss_grad(theta, quad), grad) <= 1e-12
 
 
 class TestH1Error:

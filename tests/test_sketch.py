@@ -157,9 +157,8 @@ class TestPivotedCholesky:
             nys = g[:, s] @ np.linalg.pinv(g[np.ix_(s, s)]) @ g[:, s].T
             assert np.linalg.norm(f @ f.T - nys) <= 1e-10 * np.linalg.norm(g)
 
-    def test_factor_to_nystrom(self):
+    def test_exact_on_low_rank_matrix(self):
         rng = np.random.default_rng(10)
         g = random_psd(rng, 15, rank=4)
         f, _ = sketch.pivoted_cholesky(g, rank=6, strategy="greedy")
-        factor = sketch.cholesky_factor_to_nystrom(f)
-        np.testing.assert_allclose(factor.dense(), g, atol=1e-9 * np.linalg.norm(g))
+        np.testing.assert_allclose(f @ f.T, g, atol=1e-9 * np.linalg.norm(g))
