@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Hyperparameter sensitivity sweep for the preconditioned NGD loop.
 
-Sweeps the damping multiplier gamma (multiples of the parameter count),
-the rank-adaptation ratio, the CG tolerance cap kappa, and the CG
-iteration cap, one axis at a time around the defaults, and reports the
-median final H1 error for each setting.
+Sweeps the damping multiplier gamma (absolute values around the default
+1e6, plus the parameter count p), the rank-adaptation ratio, the CG
+tolerance cap kappa, and the CG iteration cap, one axis at a time around
+the defaults, and reports the median final H1 error for each setting.
 
 Usage: python scripts/sensitivity_sweep.py [problem]
 """
@@ -15,9 +15,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from nystromngd.harness import ExperimentConfig, run_experiment
-from nystromngd.problems import PROBLEM_NAMES, make_problem
+from nystromngd.problems import PROBLEM_NAMES
 
-GAMMA_MULTIPLES = (100.0, 10.0, 1.0, 0.1, 0.01)
+GAMMAS = (1e4, 1e5, 1e6, 1e7, 1e8, None)  # None: the parameter count p
 RANK_RATIOS = (2.0, 5.0, 10.0, 20.0, 50.0)
 KAPPAS = (0.5, 0.1, 0.01, 0.001)
 CG_MAXITS = (5, 10, 20, 40)
@@ -45,12 +45,12 @@ def main():
         n_interior=400,
         n_boundary=160,
     )
-    p = make_problem(args.problem, hidden_width=16, hidden_depth=2).topology.param_count
     out_root = Path(args.out) / args.problem
 
-    print("gamma sweep (multiples of the parameter count):")
-    for mult in GAMMA_MULTIPLES:
-        run(replace(base, gamma=mult * p), out_root, f"gamma_{mult:g}p")
+    print("gamma sweep:")
+    for gamma in GAMMAS:
+        tag = "p" if gamma is None else f"{gamma:g}"
+        run(replace(base, gamma=gamma), out_root, f"gamma_{tag}")
     print("rank-adaptation ratio sweep:")
     for ratio in RANK_RATIOS:
         run(replace(base, rank_ratio=ratio), out_root, f"ratio_{ratio:g}")

@@ -1,10 +1,11 @@
 """Outer optimizers: Nystrom-preconditioned NGD and its baselines.
 
-One loop, :func:`run_optimizer`, runs every optimizer: it evaluates the
-loss, takes one step, and appends a :class:`RunRecord` per iteration.
-Each optimizer is a factory ``(problem, theta0, config, quad) -> step``
-whose closure holds that optimizer's state; ``step(theta, loss)`` returns
-``(theta_next, StepReport)``.
+One loop, :func:`run_optimizer`, runs every optimizer: it takes one step
+and appends a :class:`RunRecord` per iteration.  Each optimizer is a
+factory ``(problem, theta0, config, quad) -> step`` whose closure holds
+that optimizer's state; ``step(theta, loss)`` returns ``(theta_next,
+loss_next, StepReport)``, where ``loss_next`` is the loss the line search
+accepted, so the loop evaluates the loss only once before the first step.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class NystromNgdConfig:
 
     ell0: int = 10
     ell_max: int | None = None  # None -> min(500, p // 2) at run time
-    gamma: float | None = None  # None -> parameter count p
+    gamma: float | None = 1e6  # None -> parameter count p
     cg_maxit: int = 20
     kappa: float = 0.1
     rank_ratio: float = 10.0
@@ -94,8 +95,10 @@ class StepReport:
 def adapt_mu(lam1, gamma, loss, grad_norm, mode, coeff, exponent):
     """Damping: mu = max(gamma * eps_mach * lam1, floor).
 
-    The first term is the usual numerical-rank cutoff scaled by the top
-    eigenvalue estimate; the floor enforces stronger damping early on.
+    The first term scales the top eigenvalue estimate; gamma = p gives the
+    numerical-rank cutoff p*eps*lam1, which sits at the rounding floor of
+    the Gramian, so the default gamma = 1e6 damps above that floor.  The
+    floor enforces stronger damping early on.
     """
     if lam1 < 0 or gamma <= 0:
         raise ValueError("need lam1 >= 0 and gamma > 0")
@@ -153,16 +156,17 @@ def backtracking_linesearch(
 
 
 def _descend(problem, quad, theta, loss, g, direction):
-    """Line search along -direction; returns (theta_next, alpha), where
-    theta_next is theta itself when no decrease was found (alpha = 0)."""
-    alpha, _ = backtracking_linesearch(
+    """Line search along -direction; returns (theta_next, loss_next, alpha),
+    where theta_next is theta itself and loss_next is ``loss`` when no
+    decrease was found (alpha = 0)."""
+    alpha, loss_next = backtracking_linesearch(
         theta,
         direction,
         lambda th: problem.loss_value(th, quad),
         float(g @ direction),
         loss,
     )
-    return (theta - alpha * direction if alpha > 0.0 else theta), alpha
+    return (theta - alpha * direction if alpha > 0.0 else theta), loss_next, alpha
 
 
 def _gradient_and_gramian(problem, theta, quad):
@@ -247,11 +251,13 @@ def _nystrom_ngd(problem, theta0, config, quad):
             config.cg_maxit,
             precond=NystromPreconditioner(factor, mu),
         )
-        theta_next, alpha = _descend(problem, quad, theta, loss, g, report.solution)
+        theta_next, loss_next, alpha = _descend(
+            problem, quad, theta, loss, g, report.solution
+        )
         floor_boost = 10.0 * floor_boost if alpha == 0.0 else 1.0
         done = StepReport(mu, ell, report.iterations, gop.matvec_count)
         ell = adapt_rank(factor.eigenvalues, mu, ell, ell_max, ratio=config.rank_ratio)
-        return theta_next, done
+        return theta_next, loss_next, done
 
     return step
 
@@ -275,8 +281,11 @@ def _ngd_cg(problem, theta0, config, quad):
             _cg_rel_tol(config.kappa, float(np.linalg.norm(g))),
             maxit_total,
         )
-        theta_next, _ = _descend(problem, quad, theta, loss, g, report.solution)
-        return theta_next, StepReport(mu, 0, report.iterations, gop.matvec_count)
+        theta_next, loss_next, _ = _descend(
+            problem, quad, theta, loss, g, report.solution
+        )
+        done = StepReport(mu, 0, report.iterations, gop.matvec_count)
+        return theta_next, loss_next, done
 
     return step
 
@@ -298,8 +307,8 @@ def _ngd_dense(problem, theta0, config, quad):
         mu = _baseline_mu(loss)
         g, gop = _gradient_and_gramian(problem, theta, quad)
         direction = ngd_dense_direction(gop, g, mu)
-        theta_next, _ = _descend(problem, quad, theta, loss, g, direction)
-        return theta_next, StepReport(mu, matvecs=gop.matvec_count)
+        theta_next, loss_next, _ = _descend(problem, quad, theta, loss, g, direction)
+        return theta_next, loss_next, StepReport(mu, matvecs=gop.matvec_count)
 
     return step
 
@@ -309,8 +318,8 @@ def _gradient_descent(problem, theta0, config, quad):
 
     def step(theta, loss):
         g = problem.loss_grad(theta, quad)
-        theta_next, _ = _descend(problem, quad, theta, loss, g, g)
-        return theta_next, StepReport()
+        theta_next, loss_next, _ = _descend(problem, quad, theta, loss, g, g)
+        return theta_next, loss_next, StepReport()
 
     return step
 
@@ -325,12 +334,12 @@ def _bfgs(problem, theta0, config, quad):
 
     def step(theta, loss):
         nonlocal h, g
-        theta_next, alpha = _descend(problem, quad, theta, loss, g, h @ g)
+        theta_next, loss_next, alpha = _descend(problem, quad, theta, loss, g, h @ g)
         if alpha > 0.0:
             g_next = problem.loss_grad(theta_next, quad)
             h = bfgs_update(h, theta_next - theta, g_next - g)
             g = g_next
-        return theta_next, StepReport()
+        return theta_next, loss_next, StepReport()
 
     return step
 
@@ -352,9 +361,11 @@ def run_optimizer(
 
     Each record holds the loss before the step, the relative H1 error
     after it (NaN without ``quad_eval``), and the cumulative matvecs.
-    The loop stops early once that H1 error is at most ``h1_stop``, or
-    once the matvecs reach ``matvec_budget``; a non-finite loss raises
-    ``NonFiniteError``.  Returns (theta_final, [RunRecord, ...]).
+    The loss is evaluated once here; after that each step hands back the
+    loss its line search accepted.  The loop stops early once that H1
+    error is at most ``h1_stop``, or once the matvecs reach
+    ``matvec_budget``; a non-finite loss raises ``NonFiniteError``.
+    Returns (theta_final, [RunRecord, ...]).
     """
     if name not in _OPTIMIZERS:
         raise KeyError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
@@ -362,25 +373,28 @@ def run_optimizer(
     step = _OPTIMIZERS[name](problem, theta, config, quad)
     records = []
     total_matvecs = 0
+    tic = time.perf_counter()
+    loss = problem.loss_value(theta, quad)
     for k in range(config.iterations):
-        tic = time.perf_counter()
-        loss = problem.loss_value(theta, quad)
         if not np.isfinite(loss):
             raise ad.NonFiniteError(f"non-finite loss at iteration {k}")
-        theta, report = step(theta, loss)
+        theta, loss_next, report = step(theta, loss)
         total_matvecs += report.matvecs
+        h1 = _h1(problem, theta, quad_eval)
+        toc = time.perf_counter()
         records.append(
             RunRecord(
                 iteration=k,
                 loss=loss,
-                h1_rel_error=_h1(problem, theta, quad_eval),
+                h1_rel_error=h1,
                 mu=report.mu,
                 ell=report.ell,
                 pcg_iters=report.pcg_iters,
                 matvecs=total_matvecs,
-                seconds=time.perf_counter() - tic,
+                seconds=toc - tic,
             )
         )
+        tic, loss = toc, loss_next
         if h1_stop is not None and records[-1].h1_rel_error <= h1_stop:
             break
         if matvec_budget is not None and total_matvecs >= matvec_budget:

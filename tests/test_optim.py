@@ -241,16 +241,16 @@ class TestNystromNgdRun:
         _, records = run(h1_stop=target)
         assert numeric(records) == numeric(full[: first + 1])
 
-
     @pytest.mark.parametrize("seed", range(3))
-    def test_heat1p1d_reaches_target(self, seed):
-        # the criterion-10 setup on the heat problem, whose metric is the
-        # Gauss-Newton metric of its residual (operator, lateral boundary,
-        # initial slice)
-        prob = problems.make_problem("heat1p1d", hidden_width=16, hidden_depth=2)
+    @pytest.mark.parametrize("name", ["poisson2d", "heat1p1d", "nlpoisson2d"])
+    def test_reaches_target(self, name, seed):
+        # the criterion-10 setup with the default config: damping above the
+        # Gramian's rounding floor reaches H1 <= 1e-3 within 45 iterations
+        # (with gamma = p the worst seeds took 73, 57 and 48)
+        prob = problems.make_problem(name, hidden_width=16, hidden_depth=2)
         quad = prob.sample_quadrature(400, 160, seed=seed)
         theta0 = model.init(prob.topology, seed).values
-        cfg = optim.NystromNgdConfig(iterations=300, seed=seed)
+        cfg = optim.NystromNgdConfig(iterations=45, seed=seed)
         _, records = optim.nystrom_ngd_run(
             prob, theta0, cfg, quad, quad_eval=quad, h1_stop=1e-3
         )
@@ -262,6 +262,33 @@ class TestRunOptimizer:
         cfg = optim.NystromNgdConfig(iterations=1)
         with pytest.raises(KeyError, match="unknown optimizer"):
             optim.run_optimizer("adam", toy(), np.zeros(8), cfg, quad=None)
+
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    def test_loss_evaluated_once_per_run_plus_line_search_trials(self, name, monkeypatch):
+        # each step hands back the loss its line search accepted
+        calls = {"loss": 0, "trials": 0}
+
+        class Counting(LinearLeastSquares):
+            def loss_value(self, theta, quad):
+                calls["loss"] += 1
+                return super().loss_value(theta, quad)
+
+        search = optim.backtracking_linesearch
+
+        def counted_search(theta, direction, loss_fn, *args, **kwargs):
+            def trial(th):
+                calls["trials"] += 1
+                return loss_fn(th)
+
+            return search(theta, direction, trial, *args, **kwargs)
+
+        monkeypatch.setattr(optim, "backtracking_linesearch", counted_search)
+        base = toy(seed=4)
+        cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=4, seed=0)
+        prob = Counting(base.phi, base.y, base.w)
+        _, records = optim.run_optimizer(name, prob, np.zeros(8), cfg, quad=None)
+        assert len(records) == 4
+        assert calls["loss"] == 1 + calls["trials"]
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_nonfinite_loss_raises(self, name):
