@@ -62,8 +62,14 @@ class NystromNgdConfig:
             raise ValueError("need 1 <= ell0 <= ell_max")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        if self.cg_maxit < 1:
+            raise ValueError("need cg_maxit >= 1")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError("kappa must be in (0, 1)")
+        if self.rank_ratio <= 0:
+            raise ValueError("rank_ratio must be positive")
+        if self.mu_floor_coeff < 0:
+            raise ValueError("mu_floor_coeff must be nonnegative")
         if self.mu_floor_mode not in ("loss-power", "grad-power", "constant"):
             raise ValueError(f"unknown mu floor mode {self.mu_floor_mode!r}")
 
@@ -218,8 +224,11 @@ def _nystrom_ngd(problem, theta0, config, quad):
     gives both the gradient and the matrix-free Gramian, sketch the Gramian
     at the current rank, adapt the damping from the top eigenvalue
     estimate, run PCG on the damped system, backtrack along the resulting
-    direction, then adapt the rank from the estimated spectrum.  A failed
-    line search raises the damping floor tenfold for the next step.
+    direction, then adapt the rank from the estimated spectrum.  Each
+    sketch's test matrix is the previous step's Nystrom basis (a fresh
+    Gaussian one on the first step), topped up with Gaussian columns when
+    the rank grows.  A failed line search raises the damping floor
+    tenfold for the next step.
     """
     p = theta0.shape[0]
     gamma = float(config.gamma) if config.gamma is not None else float(p)
@@ -227,12 +236,16 @@ def _nystrom_ngd(problem, theta0, config, quad):
     ell = min(config.ell0, ell_max)
     rng = np.random.default_rng(config.seed)
     floor_boost = 1.0
+    basis = None  # the previous step's Nystrom basis
 
     def step(theta, loss):
-        nonlocal ell, floor_boost
+        nonlocal ell, floor_boost, basis
         g, gop = _gradient_and_gramian(problem, theta, quad)
         grad_norm = float(np.linalg.norm(g))
-        factor = nystrom_approximate(gop, ell, seed=int(rng.integers(2**63)))
+        factor = nystrom_approximate(
+            gop, ell, seed=int(rng.integers(2**63)), basis=basis
+        )
+        basis = factor.basis
         mu = adapt_mu(
             factor.eigenvalues[0],
             gamma,

@@ -53,24 +53,46 @@ def _as_operator(op):
     return op
 
 
-def nystrom_approximate(op, rank, seed, max_retries=3):
+def _test_matrix(rng, p, rank, basis):
+    """Orthonormal (p, rank) test matrix: Gaussian + QR without ``basis``;
+    otherwise ``basis`` (orthonormal columns) itself, truncated to ``rank``
+    or topped up with Gaussian columns projected off it (twice) and QR'd."""
+    if basis is None:
+        omega, _ = np.linalg.qr(rng.standard_normal((p, rank)), mode="reduced")
+        return omega
+    k = basis.shape[1]
+    if k >= rank:
+        return basis[:, :rank]
+    extra = rng.standard_normal((p, rank - k))
+    for _ in range(2):
+        extra -= basis @ (basis.T @ extra)
+    extra, _ = np.linalg.qr(extra, mode="reduced")
+    return np.hstack([basis, extra])
+
+
+def nystrom_approximate(op, rank, seed, max_retries=3, basis=None):
     """Stable randomized Nystrom approximation of an SPSD operator.
 
-    Gaussian test matrix, thin QR, a Frobenius-norm shift for stability,
+    Orthonormal test matrix, a Frobenius-norm shift for stability,
     Cholesky + triangular solve, thin SVD, shift removal.  The ``rank``
-    matvecs are issued as one batched request.  A Cholesky failure
-    (numerically indefinite shifted sketch) is retried with a fresh
-    Gaussian matrix up to ``max_retries`` times.
+    matvecs are issued as one batched request.  The test matrix is a
+    QR'd Gaussian matrix, or, given ``basis`` (p x k, orthonormal columns,
+    e.g. the previous factor's basis of a slowly changing operator), its
+    first ``rank`` columns, topped up with fresh Gaussian columns when
+    ``rank`` exceeds k: one step of subspace iteration.  A Cholesky
+    failure (numerically indefinite shifted sketch) is retried with a
+    fresh Gaussian matrix, for ``max_retries`` attempts in all.
     """
     op = _as_operator(op)
     p = op.dim
     if not 1 <= rank <= p:
         raise ValueError(f"rank must be in [1, {p}], got {rank}")
+    if basis is not None and (basis.ndim != 2 or basis.shape[0] != p):
+        raise ValueError(f"basis must have shape ({p}, k), got {basis.shape}")
     rng = np.random.default_rng(seed)
     last_err = None
-    for _ in range(max_retries):
-        omega = rng.standard_normal((p, rank))
-        omega, _ = np.linalg.qr(omega, mode="reduced")
+    for attempt in range(max_retries):
+        omega = _test_matrix(rng, p, rank, basis if attempt == 0 else None)
         y = op.matmat(omega)
         shift = np.finfo(float).eps * np.linalg.norm(y, "fro")
         y_shifted = y + shift * omega

@@ -2,9 +2,11 @@
 
 ``bench/tracer.py`` looks wrapped names up with ``vars(owner)[attr]``, so a
 ``--trace 1`` run breaks when one of them is renamed or moves to another
-class.  This installs the benchmark's wrappers on the library modules, runs
-a tiny Gramian, a loss gradient and a tape JVP, and checks that the spans
-were recorded.
+class, or when a wrapped function's signature changes under the attribute
+functions of ``bench/layers.py``.  These tests install the benchmark's
+wrappers on the library modules, run a tiny Gramian, a loss gradient, a
+tape JVP and two Nystrom-NGD iterations, check that the spans were
+recorded, and check that the originals are back afterwards.
 """
 
 import importlib.util
@@ -24,9 +26,15 @@ def load(name):
     return module
 
 
+def install(tracer):
+    load("layers").install(
+        tracer, autodiff=autodiff, gramian=gramian, sketch=sketch,
+        optim=optim, problems=problems,
+    )
+
+
 def test_trace_hooks_record_gramian_spans():
-    layers, tracer_mod = load("layers"), load("tracer")
-    tracer = tracer_mod.Tracer()
+    tracer = load("tracer").Tracer()
     originals = {
         "from_problem": vars(gramian.GramianOperator)["from_problem"],
         "loss_grad": vars(problems.PdeProblem)["loss_grad"],
@@ -36,10 +44,7 @@ def test_trace_hooks_record_gramian_spans():
     quad = prob.sample_quadrature(6, 4, seed=0)
     theta = model.init(prob.topology, 0).values
     try:
-        layers.install(
-            tracer, autodiff=autodiff, gramian=gramian, sketch=sketch,
-            optim=optim, problems=problems,
-        )
+        install(tracer)
         gop = gramian.GramianOperator.from_problem(prob, theta, quad)
         gop.matvec(np.ones(gop.dim))
         gop.matmat(np.ones((gop.dim, 2)))
@@ -59,3 +64,36 @@ def test_trace_hooks_record_gramian_spans():
     assert vars(gramian.GramianOperator)["from_problem"] is originals["from_problem"]
     assert vars(problems.PdeProblem)["loss_grad"] is originals["loss_grad"]
     assert autodiff.linearize is originals["linearize"]
+
+
+def test_trace_hooks_record_optimizer_spans():
+    tracer = load("tracer").Tracer()
+    originals = {
+        "nystrom_approximate": optim.nystrom_approximate,
+        "pcg": optim.pcg,
+        "backtracking_linesearch": optim.backtracking_linesearch,
+        "loss_value": vars(problems.PdeProblem)["loss_value"],
+        "h1_relative_error": vars(problems.PdeProblem)["h1_relative_error"],
+    }
+    prob = problems.make_problem("poisson2d", hidden_width=3, hidden_depth=1)
+    quad = prob.sample_quadrature(6, 4, seed=0)
+    theta = model.init(prob.topology, 0).values
+    cfg = optim.NystromNgdConfig(ell0=2, iterations=2, seed=0)
+    try:
+        install(tracer)
+        _, records = optim.nystrom_ngd_run(prob, theta, cfg, quad, quad_eval=quad)
+    finally:
+        tracer.restore()
+    names = {s.name for s in tracer.spans}
+    for name in (
+        "sketch.nystrom", "krylov.pcg", "optim.linesearch",
+        "problems.loss_value", "problems.h1",
+    ):
+        assert name in names
+    ranks = [s.attrs["rank"] for s in tracer.spans if s.name == "sketch.nystrom"]
+    assert ranks == [r.ell for r in records]
+    assert optim.nystrom_approximate is originals["nystrom_approximate"]
+    assert optim.pcg is originals["pcg"]
+    assert optim.backtracking_linesearch is originals["backtracking_linesearch"]
+    assert vars(problems.PdeProblem)["loss_value"] is originals["loss_value"]
+    assert vars(problems.PdeProblem)["h1_relative_error"] is originals["h1_relative_error"]

@@ -69,7 +69,16 @@ class TestParseConfig:
             harness.parse_config("problem = stokes")
 
     @pytest.mark.parametrize(
-        "text", ["kappa = 2", "mu_floor_mode = nope", "ell0 = 20\nell_max = 10"]
+        "text",
+        [
+            "kappa = 2",
+            "mu_floor_mode = nope",
+            "ell0 = 20\nell_max = 10",
+            "cg_maxit = 0",
+            "rank_ratio = 0",
+            "rank_ratio = -1",
+            "mu_floor_coeff = -1e-4",
+        ],
     )
     def test_invalid_optimizer_values_raise_at_parse_time(self, text):
         with pytest.raises(ValueError):

@@ -19,6 +19,44 @@ def rotated_diag(rng, eigs):
     return (q * np.asarray(eigs)) @ q.T
 
 
+def orthonormal(rng, p, k):
+    q, _ = np.linalg.qr(rng.standard_normal((p, k)))
+    return q
+
+
+def gaussian_nystrom(g, rank, seed):
+    """The cold-start sketch written out step by step: QR'd Gaussian test
+    matrix, Frobenius-norm shift, Cholesky, triangular solve, SVD."""
+    rng = np.random.default_rng(seed)
+    omega, _ = np.linalg.qr(rng.standard_normal((g.shape[0], rank)), mode="reduced")
+    y = g @ omega
+    shift = np.finfo(float).eps * np.linalg.norm(y, "fro")
+    y_shifted = y + shift * omega
+    chol = np.linalg.cholesky(omega.T @ y_shifted)
+    u, s, _ = np.linalg.svd(np.linalg.solve(chol, y_shifted.T).T, full_matrices=False)
+    return u, np.maximum(s**2 - shift, 0.0)
+
+
+class RecordingOperator(DenseOperator):
+    """DenseOperator that keeps every block of test vectors it is given."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.blocks = []
+
+    def matmat(self, vmat):
+        self.blocks.append(np.array(vmat))
+        return super().matmat(vmat)
+
+
+def preconditioned_cond(g, factor, mu):
+    inv = sketch.NystromPreconditioner(factor, mu).dense_inverse()
+    w, q = np.linalg.eigh(inv)
+    half = (q * np.sqrt(w)) @ q.T
+    eigs = np.linalg.eigvalsh(half @ (g + mu * np.eye(g.shape[0])) @ half)
+    return eigs[-1] / eigs[0]
+
+
 class TestNystromApproximate:
     def test_identity_full_rank(self):
         p = 12
@@ -63,6 +101,75 @@ class TestNystromApproximate:
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
             sketch.nystrom_approximate(np.eye(4), rank=5, seed=0)
+
+    def test_invalid_basis_shape(self):
+        with pytest.raises(ValueError, match="basis"):
+            sketch.nystrom_approximate(np.eye(4), rank=2, seed=0, basis=np.eye(5)[:, :2])
+
+
+class TestWarmTestMatrix:
+    """The test matrix built from a previous basis (``basis=``)."""
+
+    @pytest.mark.parametrize("p, rank, seed", [(12, 12, 0), (30, 8, 3), (200, 20, 7)])
+    def test_cold_start_is_the_gaussian_sketch_bitwise(self, p, rank, seed):
+        g = random_psd(np.random.default_rng(seed), p)
+        factor = sketch.nystrom_approximate(g, rank=rank, seed=seed, basis=None)
+        u, eigs = gaussian_nystrom(g, rank, seed)
+        assert np.array_equal(factor.basis, u)
+        assert np.array_equal(factor.eigenvalues, eigs)
+
+    def test_basis_wider_than_rank_is_the_test_matrix(self):
+        rng = np.random.default_rng(11)
+        p, k, rank = 30, 9, 6
+        basis = orthonormal(rng, p, k)
+        op = RecordingOperator(random_psd(rng, p))
+        sketch.nystrom_approximate(op, rank=rank, seed=0, basis=basis)
+        assert len(op.blocks) == 1
+        assert np.array_equal(op.blocks[0], basis[:, :rank])
+        assert op.matvec_count == rank
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_topped_up_test_matrix_is_orthonormal_and_starts_with_basis(self, k):
+        rng = np.random.default_rng(12)
+        p, rank = 40, 8
+        basis = orthonormal(rng, p, k)
+        op = RecordingOperator(random_psd(rng, p))
+        sketch.nystrom_approximate(op, rank=rank, seed=5, basis=basis)
+        omega = op.blocks[0]
+        assert omega.shape == (p, rank)
+        assert np.array_equal(omega[:, :k], basis)
+        assert np.linalg.norm(omega.T @ omega - np.eye(rank)) <= 1e-12
+        assert op.matvec_count == rank
+
+    @pytest.mark.parametrize("extra", [-2, 0, 4])
+    def test_warm_basis_spanning_range_recovers_low_rank_matrix(self, extra):
+        # criterion 5's setup; the basis spans range(G), plus `extra`
+        # orthonormal directions outside it (negative: fewer than rank(G))
+        rng = np.random.default_rng(7)
+        p, k = 60, 6
+        f = rng.standard_normal((p, k))
+        g = f @ f.T
+        ell = k + 2
+        # the first k columns of this QR span range(G)
+        full, _ = np.linalg.qr(np.hstack([f, rng.standard_normal((p, 4))]))
+        basis = full[:, : k + extra]
+        factor = sketch.nystrom_approximate(g, ell, seed=1, basis=basis)
+        err = np.linalg.norm(g - factor.dense(), 2) / np.linalg.norm(g, 2)
+        assert err <= 1e-10
+        assert preconditioned_cond(g, factor, 1e-5) <= 1.0 + 1e-6
+
+    def test_indefinite_operator_with_warm_basis_still_fails_after_retries(self):
+        rng = np.random.default_rng(13)
+        p, rank = 20, 5
+        op = RecordingOperator(-random_psd(rng, p))
+        basis = orthonormal(rng, p, rank)
+        with pytest.raises(sketch.SketchFailure):
+            sketch.nystrom_approximate(op, rank=rank, seed=0, basis=basis, max_retries=3)
+        assert len(op.blocks) == 3
+        assert np.array_equal(op.blocks[0], basis)
+        for omega in op.blocks[1:]:  # the retries draw fresh Gaussian matrices
+            assert not np.allclose(omega, basis)
+            assert np.linalg.norm(omega.T @ omega - np.eye(rank)) <= 1e-12
 
 
 class TestPreconditioner:
