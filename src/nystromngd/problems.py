@@ -105,9 +105,6 @@ class PdeProblem:
                 f"{self.name} needs input dim {self.input_dim}, topology has {topology.input_dim}"
             )
         self._cached_blocks = (None, [])
-        # (points, copy of theta, jet channels) of the last order-2 interior
-        # block residual_stack evaluated, for h1_relative_error to reuse
-        self._interior_memo = (None, None, None)
 
     # -- to be provided by subclasses ----------------------------------------
 
@@ -143,13 +140,7 @@ class PdeProblem:
         return model.jet(self.topology, theta, block.points, block.order)[:, :, 0]
 
     def residual_stack(self, theta, quad):
-        rows = []
-        for b in self._blocks(quad):
-            z = self._jet(theta, b)
-            if b.order == 2 and b.points is quad.interior_points:
-                self._interior_memo = (b.points, np.array(theta), z)
-            rows.append(b.rows(z))
-        return np.concatenate(rows)
+        return np.concatenate([b.rows(self._jet(theta, b)) for b in self._blocks(quad)])
 
     def metric_weights(self, quad):
         return np.concatenate([b.weights for b in self._blocks(quad)])
@@ -197,17 +188,11 @@ class PdeProblem:
         """Relative H1 error against the exact solution, via quadrature.
 
         For the space-time heat problem the gradient runs over all input
-        coordinates (space-time H1 seminorm).  The network's jet on the
-        interior points is reused from the last ``residual_stack`` call
-        (a line-search trial, say) when it ran on the same points object
-        at an equal theta.
+        coordinates (space-time H1 seminorm).
         """
         x = quad.interior_points
         w = quad.interior_weights
-        points, theta_seen, z = self._interior_memo
-        if points is not x or not np.array_equal(theta_seen, theta):
-            z = model.jet(self.topology, theta, x)[:, :, 0]
-        u, gu = z[0], z[1 : 1 + self.input_dim].T
+        u, gu, _ = model.input_derivatives(self.topology, theta, x)
         ue = self.exact(x)
         ge = self.exact_grad(x)
         num = np.sum(w * (u - ue) ** 2) + np.sum(w * np.sum((gu - ge) ** 2, axis=1))

@@ -274,25 +274,6 @@ class TestH1Error:
         err = prob.h1_relative_error(theta, quad)
         assert np.isfinite(err) and err > 0
 
-    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
-    def test_reuses_the_loss_jet_bitwise_and_only_at_equal_theta(self, name, monkeypatch):
-        prob, quad, theta = small_problem(name)
-        fresh = small_problem(name)[0].h1_relative_error(theta, quad)
-        prob.loss_value(theta, quad)
-        jets = []
-        real_jet = model.jet
-        monkeypatch.setattr(model, "jet", lambda *a, **k: jets.append(1) or real_jet(*a, **k))
-        hit = prob.h1_relative_error(theta.copy(), quad)
-        assert jets == []  # memo hit: no new forward jet
-        assert hit == fresh
-        nudged = theta.copy()
-        nudged[0] = np.nextafter(nudged[0], np.inf)
-        prob.h1_relative_error(nudged, quad)
-        assert len(jets) == 1  # one ulp away: the memo misses
-        other = prob.sample_quadrature(30, 12, seed=1)
-        prob.h1_relative_error(theta, other)
-        assert len(jets) == 2  # other points: the memo misses
-
 
 class TestRegistry:
     def test_unknown_problem_raises(self):
