@@ -425,7 +425,7 @@ def affine(jet, theta, w_slice, b_slice, shape):
     return Var(out, parents[0].tape, tuple(parents), tuple(edges))
 
 
-def tanh_jet_rule(z, linearize=True):
+def tanh_jet_rule(z, linearize=True, out=None):
     """Elementwise tanh of an ndarray jet ``z``, by the second-order chain rule.
 
     With t = tanh(z), d1 = 1 - t^2 and d2 = -2 t d1, the output channels are
@@ -433,24 +433,30 @@ def tanh_jet_rule(z, linearize=True):
     Returns (out, (push, pull)), the edge being the linearization at ``z``:
     dt = d1 dz, dg = C dz + d1 dg_z and dh = A dz + B dg_z + d1 dh_z.  Both
     act point by point, on any stack of tangents or cotangents shaped like
-    ``z``.  The edge is None unless ``linearize``.
+    ``z``.  The edge is None unless ``linearize``.  The output is written
+    into ``out`` when given, which may be ``z`` itself if the caller owns it.
     """
     d = (z.shape[0] - 1) // 2
     t = np.tanh(z[0])
     d1 = 1.0 - t * t
-    out = np.empty_like(z)
-    out[0] = t
     if d:
         d2 = -2.0 * t * d1
         g, h = z[1 : 1 + d], z[1 + d :]
-        out[1 : 1 + d] = d1 * g
-        out[1 + d :] = d2 * g * g + d1 * h
+        if linearize:  # before out, which may be z, overwrites g and h
+            d3 = d1 * (4.0 * t * t - 2.0 * d1)
+            ca = np.concatenate([d2 * g, d3 * g * g + d2 * h])  # C then A
+            b = 2.0 * d2 * g
+    if out is None:
+        out = np.empty_like(z)
+    out[0] = t
+    if d:
+        second = d2 * g
+        second *= g
+        np.multiply(d1, h, out=out[1 + d :])
+        out[1 + d :] += second
+        np.multiply(d1, g, out=out[1 : 1 + d])
     if not linearize:
         return out, None
-    if d:
-        d3 = d1 * (4.0 * t * t - 2.0 * d1)
-        ca = np.concatenate([d2 * g, d3 * g * g + d2 * h])  # C then A
-        b = 2.0 * d2 * g
 
     def push(tz):
         dz = d1 * tz

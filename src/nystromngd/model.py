@@ -95,16 +95,60 @@ def init(topology, seed):
     return ParamVector(theta, topology)
 
 
-def _input_jet(topology, x, order):
-    """The jet of the inputs themselves: x, unit first and zero second derivatives."""
+def input_jet(topology, x, order=2):
+    """The jet of the inputs x (q, d) themselves at ``order`` 0, 1 or 2.
+
+    Channel 0 holds x; order 1 adds d unit first-derivative channels and
+    order 2 also d zero second-derivative channels, shape (1 + order * d,
+    q, d).  It does not depend on theta, so a caller that evaluates the
+    network at the same points many times builds it once.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     q, d = x.shape
     if d != topology.input_dim:
         raise ValueError(f"input dim {d} does not match topology ({topology.input_dim})")
+    if order not in (0, 1, 2):
+        raise ValueError(f"jet order must be 0, 1 or 2, got {order}")
     z = x[None]
-    if order == 2:
+    if order:
         unit = np.broadcast_to(np.eye(d)[:, None, :], (d, q, d))
-        z = np.concatenate([z, unit, np.zeros((d, q, d))])
+        z = np.concatenate([z, unit] + ([np.zeros((d, q, d))] if order == 2 else []))
+    return z
+
+
+def _tanh_first_order(z):
+    """tanh of an order-1 ndarray jet (value and first derivatives), in
+    place.  :func:`autodiff.tanh_jet_rule` reads d off an order-2 jet's
+    1 + 2d channels, so order 1 has this rule; its channels t and d1 g are
+    computed as there."""
+    t = np.tanh(z[0])
+    z[1:] *= 1.0 - t * t
+    z[0] = t
+    return z
+
+
+def propagate(topology, theta, z):
+    """Push an input jet z (:func:`input_jet`) through the network.
+
+    Returns the output jet, shape (c, q, n_out) for the c channels of z.
+    theta may be an ndarray or a Var at orders 0 and 2, where each layer
+    is one affine and one tanh node on the tape; order 1 needs an ndarray.
+    """
+    if isinstance(theta, ParamVector):
+        theta = theta.values
+    first_order = z.shape[0] == 1 + topology.input_dim
+    if first_order and isinstance(theta, ad.Var):
+        raise ValueError("order-1 jets are not taped; use order 2")
+    layers = topology.layer_slices()
+    for k, (ws, bs, n_out, n_in) in enumerate(layers):
+        z = ad.affine(z, theta, ws, bs, (n_out, n_in))
+        if k < len(layers) - 1:
+            if first_order:
+                z = _tanh_first_order(z)
+            elif isinstance(z, ad.Var):
+                z = ad.tanh_jet(z)
+            else:  # z is the affine layer's new array: overwrite it
+                ad.tanh_jet_rule(z, linearize=False, out=z)
     return z
 
 
@@ -114,56 +158,48 @@ def jet(topology, theta, x, order=2):
     Returns shape (1 + 2d, q, n_out) at order 2: channel 0 is the value,
     channels 1..d the first derivatives du/dx_i and channels d+1..2d the
     pure second derivatives d^2u/dx_i^2 (cross derivatives are not
-    tracked; Laplacians do not need them).  Order 0 returns the value
-    channel alone, shape (1, q, n_out).  theta may be an ndarray or a Var;
-    each layer is one affine and one tanh node on the tape.
+    tracked; Laplacians do not need them).  Order 1 returns the value and
+    first-derivative channels, shape (1 + d, q, n_out), and order 0 the
+    value channel alone, shape (1, q, n_out).  See :func:`propagate` for
+    theta.
     """
-    if order not in (0, 2):
-        raise ValueError(f"jet order must be 0 or 2, got {order}")
-    z = _input_jet(topology, x, order)
-    if isinstance(theta, ParamVector):
-        theta = theta.values
-    layers = topology.layer_slices()
-    for k, (ws, bs, n_out, n_in) in enumerate(layers):
-        z = ad.affine(z, theta, ws, bs, (n_out, n_in))
-        if k < len(layers) - 1:
-            z = ad.tanh_jet(z)
-    return z
+    return propagate(topology, theta, input_jet(topology, x, order))
 
 
-def jet_pullback(topology, theta, x, order=2):
-    """The jet z at x (see :func:`jet`) and its per-point pullback to the parameters.
+def jet_pullback(topology, theta, z):
+    """The network's output jet for the input jet z (see :func:`input_jet`,
+    orders 0 and 2) and its per-point pullback to the parameters.
 
-    For a cotangent g shaped like z, pullback(g) is the (q, p) matrix whose
-    row r is the gradient in theta of sum(g[:, r] * z[:, r]): one reverse
-    pass in which each affine layer keeps its parameter cotangents per
-    point (a batched outer product) instead of summing them over points.
+    For a cotangent g shaped like the output jet, pullback(g, out) writes
+    into ``out`` the (q, p) matrix whose row r is the gradient in theta of
+    sum(g[:, r] * jet[:, r]) and returns it: one reverse pass in which
+    each affine layer writes its parameter cotangents per point (a batched
+    outer product) straight into the columns of ``out`` that hold that
+    layer's parameters, instead of summing them over points.
     """
     theta = np.asarray(theta, dtype=float)
-    z = _input_jet(topology, x, order)
     inputs, pulls = [], []
     layers = topology.layer_slices()
     for k, (ws, bs, n_out, n_in) in enumerate(layers):
         inputs.append(z)
         z = ad.affine(z, theta, ws, bs, (n_out, n_in))
         if k < len(layers) - 1:
-            z, (_, pull) = ad.tanh_jet_rule(z)
+            z, (_, pull) = ad.tanh_jet_rule(z, out=z)
             pulls.append(pull)
 
-    def pullback(g):
+    def pullback(g, out):
         q = g.shape[1]
-        jac = np.empty((q, theta.shape[0]))
         for k in reversed(range(len(layers))):
             ws, bs, n_out, n_in = layers[k]
             if k < len(pulls):
                 g = pulls[k](g)
-            jac[:, ws] = np.matmul(
-                g.transpose(1, 2, 0), inputs[k].transpose(1, 0, 2)
-            ).reshape(q, -1)
-            jac[:, bs] = g[0]
+            # copy=False: a view of out's columns, or an error, never a copy
+            outer = np.reshape(out[:, ws], (q, n_out, n_in), copy=False)
+            np.matmul(g.transpose(1, 2, 0), inputs[k].transpose(1, 0, 2), out=outer)
+            out[:, bs] = g[0]
             if k:
                 g = g @ theta[ws].reshape(n_out, n_in)
-        return jac
+        return out
 
     return z, pullback
 
@@ -183,8 +219,7 @@ def derivatives(topology, theta, x):
     """Value and per-coordinate input derivatives of a scalar network.
 
     Returns (u, du, d2u) with shapes (q,), (d, q), (d, q): du[i] is du/dx_i
-    and d2u[i] is d^2u/dx_i^2.  Problems read the jet through this helper
-    rather than by channel index.  Remains differentiable with respect to
+    and d2u[i] is d^2u/dx_i^2.  Remains differentiable with respect to
     theta (Var passes through).
     """
     z = jet(topology, theta, x)
@@ -200,3 +235,11 @@ def input_derivatives(topology, theta, x):
     """
     u, du, d2u = derivatives(topology, theta, x)
     return u, du.T, d2u.sum(axis=0)
+
+
+def value_and_gradient(topology, theta, z):
+    """Value (q,) and input gradient (q, d) of a scalar network from the
+    order-1 input jet z of the points (:func:`input_jet`); the same numbers
+    as the first two outputs of :func:`input_derivatives`."""
+    z = propagate(topology, theta, z)
+    return z[0, :, 0], z[1:, :, 0].T

@@ -70,6 +70,9 @@ class NystromNgdConfig:
             raise ValueError("rank_ratio must be positive")
         if self.mu_floor_coeff < 0:
             raise ValueError("mu_floor_coeff must be nonnegative")
+        if self.mu_floor_exponent <= 0:
+            # a loss or gradient norm of exactly 0 would raise 0.0 ** -e
+            raise ValueError("mu_floor_exponent must be positive")
         if self.mu_floor_mode not in ("loss-power", "grad-power", "constant"):
             raise ValueError(f"unknown mu floor mode {self.mu_floor_mode!r}")
 
@@ -175,9 +178,16 @@ def _descend(problem, quad, theta, loss, g, direction):
     return (theta - alpha * direction if alpha > 0.0 else theta), loss_next, alpha
 
 
-def _gradient_and_gramian(problem, theta, quad):
-    """Loss gradient J^T W r and Gramian J^T W J from one residual Jacobian J."""
-    r, jac = problem.residual_jacobian(theta, quad)
+def _jacobian_buffer(problem, theta0, quad):
+    """The (rows, p) array a run assembles every step's J into."""
+    return np.empty((problem.metric_weights(quad).shape[0], theta0.shape[0]))
+
+
+def _gradient_and_gramian(problem, theta, quad, jac):
+    """Loss gradient J^T W r and Gramian J^T W J from one residual Jacobian
+    J, assembled into ``jac``; the Gramian holds ``jac`` until the next
+    assembly overwrites it."""
+    r, jac = problem.residual_jacobian(theta, quad, out=jac)
     gop = GramianOperator(jac, problem.metric_weights(quad))
     return jac.T @ (gop.weights * r), gop
 
@@ -237,10 +247,11 @@ def _nystrom_ngd(problem, theta0, config, quad):
     rng = np.random.default_rng(config.seed)
     floor_boost = 1.0
     basis = None  # the previous step's Nystrom basis
+    jac = _jacobian_buffer(problem, theta0, quad)
 
     def step(theta, loss):
         nonlocal ell, floor_boost, basis
-        g, gop = _gradient_and_gramian(problem, theta, quad)
+        g, gop = _gradient_and_gramian(problem, theta, quad, jac)
         grad_norm = float(np.linalg.norm(g))
         factor = nystrom_approximate(
             gop, ell, seed=int(rng.integers(2**63)), basis=basis
@@ -284,10 +295,11 @@ def _ngd_cg(problem, theta0, config, quad):
     """Unpreconditioned NGD-CG baseline: same tolerance rule, CG capped at
     cg_maxit + ell_max iterations."""
     maxit_total = config.cg_maxit + _resolve_ell_max(config, theta0.shape[0])
+    jac = _jacobian_buffer(problem, theta0, quad)
 
     def step(theta, loss):
         mu = _baseline_mu(loss)
-        g, gop = _gradient_and_gramian(problem, theta, quad)
+        g, gop = _gradient_and_gramian(problem, theta, quad, jac)
         report = pcg(
             ShiftedOperator(gop, mu),
             g,
@@ -315,10 +327,11 @@ def ngd_dense_direction(gop, g, mu):
 
 def _ngd_dense(problem, theta0, config, quad):
     """Oracle NGD baseline: dense assembly and pseudoinverse (p <= 2000)."""
+    jac = _jacobian_buffer(problem, theta0, quad)
 
     def step(theta, loss):
         mu = _baseline_mu(loss)
-        g, gop = _gradient_and_gramian(problem, theta, quad)
+        g, gop = _gradient_and_gramian(problem, theta, quad, jac)
         direction = ngd_dense_direction(gop, g, mu)
         theta_next, loss_next, _ = _descend(problem, quad, theta, loss, g, direction)
         return theta_next, loss_next, StepReport(mu, matvecs=gop.matvec_count)

@@ -13,7 +13,9 @@ Each problem declares its residual once, as blocks of rows
 (``residual_blocks``): points, weights, coefficients on the jet channels
 and target values.  The base class derives the residual stack, the loss,
 the residual Jacobian J (``residual_jacobian``), the gradient J^T W r and
-the Gauss-Newton metric stack from them.
+the Gauss-Newton metric stack from them.  What does not depend on theta
+(the blocks, their input jets, the stacked weights and the exact solution
+on the H1 points) is built once per quadrature set.
 """
 
 from __future__ import annotations
@@ -47,8 +49,21 @@ class QuadratureSet:
     initial_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        for w in (self.interior_weights, self.boundary_weights, self.initial_weights):
-            if w is not None and np.any(np.asarray(w) <= 0):
+        if (self.initial_points is None) != (self.initial_weights is None):
+            raise ValueError("initial points and weights must be given together")
+        for part in ("interior", "boundary", "initial"):
+            x, w = getattr(self, f"{part}_points"), getattr(self, f"{part}_weights")
+            if x is None:
+                continue
+            x, w = np.asarray(x), np.asarray(w)
+            if x.ndim != 2:
+                raise ValueError(f"{part} points must have shape (q, d), got {x.shape}")
+            if w.shape != (x.shape[0],):
+                raise ValueError(
+                    f"{part} weights must have shape ({x.shape[0]},), one per point, "
+                    f"got {w.shape}"
+                )
+            if np.any(w <= 0):
                 raise ValueError("quadrature weights must be positive")
 
 
@@ -104,7 +119,7 @@ class PdeProblem:
             raise ValueError(
                 f"{self.name} needs input dim {self.input_dim}, topology has {topology.input_dim}"
             )
-        self._cached_blocks = (None, [])
+        self._cache = {}  # per quadrature set, see _cached
 
     # -- to be provided by subclasses ----------------------------------------
 
@@ -129,47 +144,79 @@ class PdeProblem:
 
     # -- shared machinery ------------------------------------------------------
 
-    def _blocks(self, quad):
-        """``residual_blocks(quad)``, built once per quadrature set: their
-        points, weights, coefficients and targets do not depend on theta."""
-        if self._cached_blocks[0] is not quad:
-            self._cached_blocks = (quad, self.residual_blocks(quad))
-        return self._cached_blocks[1]
+    def _cached(self, kind, quad, build):
+        """``build(quad)``, rebuilt only when ``quad`` is not the last
+        quadrature set seen for this ``kind``; nothing cached depends on
+        theta."""
+        hit = self._cache.get(kind)
+        if hit is None or hit[0] is not quad:
+            hit = self._cache[kind] = (quad, build(quad))
+        return hit[1]
 
-    def _jet(self, theta, block):
-        return model.jet(self.topology, theta, block.points, block.order)[:, :, 0]
+    def _blocks(self, quad):
+        """The blocks of ``residual_blocks(quad)`` with their input jets,
+        and the stacked metric weights."""
+        return self._cached("blocks", quad, self._build_blocks)
+
+    def _build_blocks(self, quad):
+        blocks = self.residual_blocks(quad)
+        weights = np.concatenate([b.weights for b in blocks])
+        weights.flags.writeable = False  # metric_weights hands out this array
+        return _BlockSet(
+            blocks,
+            [model.input_jet(self.topology, b.points, b.order) for b in blocks],
+            weights,
+        )
+
+    def _jet(self, theta, inputs):
+        """Jet channels (c, q) at theta for a block's input jet."""
+        return model.propagate(self.topology, theta, inputs)[:, :, 0]
 
     def residual_stack(self, theta, quad):
-        return np.concatenate([b.rows(self._jet(theta, b)) for b in self._blocks(quad)])
+        bs = self._blocks(quad)
+        return np.concatenate(
+            [b.rows(self._jet(theta, z0)) for b, z0 in zip(bs.blocks, bs.inputs)]
+        )
 
     def metric_weights(self, quad):
-        return np.concatenate([b.weights for b in self._blocks(quad)])
+        return self._blocks(quad).weights
 
     def metric_stack(self, theta, theta_bar, quad):
         """Gauss-Newton metric rows sum_c dr/dz_c(zbar) z_c: the residual
         linearized at theta_bar (zbar = z(theta_bar)), applied at theta."""
         rows = []
-        for b in self._blocks(quad):
-            z = self._jet(theta, b)
-            zbar = z if b.value_term is None else self._jet(theta_bar, b)
+        bs = self._blocks(quad)
+        for b, z0 in zip(bs.blocks, bs.inputs):
+            z = self._jet(theta, z0)
+            zbar = z if b.value_term is None else self._jet(theta_bar, z0)
             rows.append(np.sum(b.slope(zbar) * z, axis=0))
         return np.concatenate(rows)
 
-    def residual_jacobian(self, theta, quad):
+    def residual_jacobian(self, theta, quad, out=None):
         """Residual stack r at theta and its Jacobian J (rows, p): one
-        forward jet and one per-point reverse pass per block."""
-        rs, jacs = [], []
-        for b in self._blocks(quad):
-            z, pullback = model.jet_pullback(self.topology, theta, b.points, b.order)
-            rs.append(b.rows(z[:, :, 0]))
-            jacs.append(pullback(b.slope(z[:, :, 0])[:, :, None]))
-        return np.concatenate(rs), np.concatenate(jacs)
+        forward jet and one per-point reverse pass per block, each writing
+        its rows of J in place.  J is ``out`` when given, else a new array.
+        """
+        bs = self._blocks(quad)
+        shape = (bs.weights.shape[0], self.topology.param_count)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64:
+            raise ValueError(f"out must be a float64 array of shape {shape}")
+        r = np.empty(shape[0])
+        rows = slice(0, 0)
+        for b, z0 in zip(bs.blocks, bs.inputs):
+            rows = slice(rows.stop, rows.stop + len(b.weights))
+            z, pullback = model.jet_pullback(self.topology, theta, z0)
+            r[rows] = b.rows(z[:, :, 0])
+            pullback(b.slope(z[:, :, 0])[:, :, None], out[rows])
+        return r, out
 
     def residual_of_exact(self, quad):
         """Residual rows on the exact solution (annihilation check): the
         blocks applied to its exact jet channels."""
         rows = []
-        for b in self._blocks(quad):
+        for b in self._blocks(quad).blocks:
             x = b.points
             z = [self.exact(x)[None], self.exact_grad(x).T, self.exact_second(x).T]
             rows.append(b.rows(np.concatenate(z)))
@@ -184,22 +231,46 @@ class PdeProblem:
         r, jac = self.residual_jacobian(theta, quad)
         return jac.T @ (self.metric_weights(quad) * r)
 
+    def _build_h1(self, quad):
+        x, w = quad.interior_points, quad.interior_weights
+        ue, ge = self.exact(x), self.exact_grad(x)
+        norm = np.sum(w * ue**2) + np.sum(w * np.sum(ge**2, axis=1))
+        if norm == 0.0:
+            raise ZeroDivisionError("exact solution has zero H1 norm")
+        return _H1Reference(model.input_jet(self.topology, x, 1), w, ue, ge, norm)
+
     def h1_relative_error(self, theta, quad):
         """Relative H1 error against the exact solution, via quadrature.
 
-        For the space-time heat problem the gradient runs over all input
-        coordinates (space-time H1 seminorm).
+        Reads only the value and gradient channels of the network (an
+        order-1 jet).  For the space-time heat problem the gradient runs
+        over all input coordinates (space-time H1 seminorm).
         """
-        x = quad.interior_points
-        w = quad.interior_weights
-        u, gu, _ = model.input_derivatives(self.topology, theta, x)
-        ue = self.exact(x)
-        ge = self.exact_grad(x)
-        num = np.sum(w * (u - ue) ** 2) + np.sum(w * np.sum((gu - ge) ** 2, axis=1))
-        den = np.sum(w * ue**2) + np.sum(w * np.sum(ge**2, axis=1))
-        if den == 0.0:
-            raise ZeroDivisionError("exact solution has zero H1 norm")
-        return float(np.sqrt(num / den))
+        ref = self._cached("h1", quad, self._build_h1)
+        u, gu = model.value_and_gradient(self.topology, theta, ref.inputs)
+        w = ref.weights
+        num = np.sum(w * (u - ref.exact) ** 2) + np.sum(
+            w * np.sum((gu - ref.exact_grad) ** 2, axis=1)
+        )
+        return float(np.sqrt(num / ref.norm))
+
+
+class _BlockSet(NamedTuple):
+    """A quadrature set's residual blocks and what follows from them alone."""
+
+    blocks: list
+    inputs: list  # each block's input jet (model.input_jet)
+    weights: np.ndarray  # the stacked metric weights
+
+
+class _H1Reference(NamedTuple):
+    """The exact solution on a quadrature set's interior, for the H1 error."""
+
+    inputs: np.ndarray  # the order-1 input jet of the interior points
+    weights: np.ndarray
+    exact: np.ndarray
+    exact_grad: np.ndarray
+    norm: float  # the squared H1 norm of the exact solution
 
 
 def _channels(d, value=0.0, first=0.0, second=0.0):

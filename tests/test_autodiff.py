@@ -265,6 +265,25 @@ class TestLaplacianJets:
         assert rel_err(jac.T @ w, ref.vjp(w)) <= 1e-12
 
 
+    @given(seed=st.integers(0, 2**31 - 1), d=st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_tanh_rule_written_over_its_input_is_bitwise_unchanged(self, seed, d):
+        # out=z overwrites the input jet; the output and both edge maps
+        # must equal the out-of-place rule's bit for bit
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((1 + 2 * d, 6, 4))
+        ref, (push, pull) = ad.tanh_jet_rule(z)
+        own = z.copy()
+        got, (push2, pull2) = ad.tanh_jet_rule(own, out=own)
+        assert got is own
+        np.testing.assert_array_equal(got, ref)
+        t = rng.standard_normal(z.shape)
+        np.testing.assert_array_equal(push2(t), push(t))
+        np.testing.assert_array_equal(pull2(t), pull(t))
+        own = z.copy()
+        np.testing.assert_array_equal(ad.tanh_jet_rule(own, False, out=own)[0], ref)
+
+
 class TestNumericHygiene:
     def test_nonfinite_raises(self):
         with pytest.raises(ad.NonFiniteError):

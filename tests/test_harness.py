@@ -78,6 +78,8 @@ class TestParseConfig:
             "rank_ratio = 0",
             "rank_ratio = -1",
             "mu_floor_coeff = -1e-4",
+            "mu_floor_exponent = 0",
+            "mu_floor_exponent = -1",
         ],
     )
     def test_invalid_optimizer_values_raise_at_parse_time(self, text):

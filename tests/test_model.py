@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nystromngd import autodiff as ad
 from nystromngd import model
 
 
@@ -95,3 +96,37 @@ class TestInputDerivatives:
                 + model.forward(top, theta, x - e)
             )[0] / h**2
         assert lap[0] == pytest.approx(stencil, rel=1e-5)
+
+
+class TestJetOrders:
+    def test_input_jet_channels(self):
+        top = model.MlpTopology((2, 3, 1))
+        x = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        for order, channels in ((0, 1), (1, 3), (2, 5)):
+            z = model.input_jet(top, x, order)
+            assert z.shape == (channels, 3, 2)
+            np.testing.assert_array_equal(z[0], x)
+            if order:
+                np.testing.assert_array_equal(z[1:3], np.broadcast_to(np.eye(2)[:, None], (2, 3, 2)))
+        with pytest.raises(ValueError, match="order"):
+            model.input_jet(top, x, 3)
+
+    @given(seed=st.integers(0, 2**31 - 1), depth=st.integers(1, 3), d=st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_first_order_channels_equal_second_order_ones_bitwise(self, seed, depth, d):
+        top = model.MlpTopology((d,) + (5,) * depth + (1,))
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal(top.param_count)
+        x = rng.random((7, d))
+        second = model.jet(top, theta, x, order=2)
+        np.testing.assert_array_equal(model.jet(top, theta, x, order=1), second[: 1 + d])
+        u, gu = model.value_and_gradient(top, theta, model.input_jet(top, x, 1))
+        u2, gu2, _ = model.input_derivatives(top, theta, x)
+        np.testing.assert_array_equal(u, u2)
+        np.testing.assert_array_equal(gu, gu2)
+
+    def test_first_order_jet_is_not_taped(self):
+        top = model.MlpTopology((2, 3, 1))
+        theta = model.init(top, 0).values
+        with pytest.raises(ValueError, match="order-1"):
+            ad.linearize(lambda th: model.jet(top, th, np.zeros((1, 2)), order=1), theta)

@@ -26,8 +26,11 @@ class LinearLeastSquares:
         self.y = np.asarray(y, dtype=float)
         self.w = np.asarray(w, dtype=float)
 
-    def residual_jacobian(self, theta, quad):
-        return self.phi @ theta - self.y, self.phi
+    def residual_jacobian(self, theta, quad, out=None):
+        if out is None:
+            return self.phi @ theta - self.y, self.phi
+        out[...] = self.phi
+        return self.phi @ theta - self.y, out
 
     def metric_weights(self, quad):
         return self.w
@@ -318,6 +321,25 @@ class TestRunOptimizer:
         cfg = optim.NystromNgdConfig(iterations=2)
         with pytest.raises(ad.NonFiniteError, match="iteration 0"):
             optim.run_optimizer(name, prob, np.zeros(3), cfg, quad=None)
+
+
+    @pytest.mark.parametrize("name", ["nystrom_ngd", "ngd_cg", "ngd_dense"])
+    def test_ngd_steps_assemble_into_one_buffer_per_run(self, name):
+        outs = []
+
+        class Recording(LinearLeastSquares):
+            def residual_jacobian(self, theta, quad, out=None):
+                if out is not None:  # the loss evaluations pass none
+                    outs.append(out)
+                return super().residual_jacobian(theta, quad, out)
+
+        base = toy(seed=2)
+        cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=3, seed=0)
+        prob = Recording(base.phi, base.y, base.w)
+        optim.run_optimizer(name, prob, np.zeros(8), cfg, quad=None)
+        assert len(outs) == 3
+        assert all(out is outs[0] for out in outs)
+        assert outs[0].shape == base.phi.shape
 
 
 class TestDenseNgd:

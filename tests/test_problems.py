@@ -130,6 +130,46 @@ class TestQuadrature:
         quad = prob.sample_quadrature(10, 13, seed=0)
         assert quad.boundary_weights.sum() == pytest.approx(4.0, rel=1e-15)
 
+    @staticmethod
+    def _parts(**changes):
+        parts = dict(
+            interior_points=np.zeros((3, 2)),
+            interior_weights=np.ones(3),
+            boundary_points=np.zeros((2, 2)),
+            boundary_weights=np.ones(2),
+        )
+        return {**parts, **changes}
+
+    def test_valid_parts_build(self):
+        problems.QuadratureSet(**self._parts())
+        problems.QuadratureSet(
+            **self._parts(initial_points=np.zeros((1, 2)), initial_weights=np.ones(1))
+        )
+
+    def test_nonpositive_weight_raises(self):
+        with pytest.raises(ValueError, match="positive"):
+            problems.QuadratureSet(**self._parts(boundary_weights=np.array([1.0, 0.0])))
+
+    def test_points_must_be_2d(self):
+        with pytest.raises(ValueError, match="interior points must have shape"):
+            problems.QuadratureSet(**self._parts(interior_points=np.zeros(3)))
+
+    def test_weights_must_be_1d(self):
+        with pytest.raises(ValueError, match="boundary weights must have shape"):
+            problems.QuadratureSet(**self._parts(boundary_weights=np.ones((2, 1))))
+
+    def test_one_weight_per_point(self):
+        with pytest.raises(ValueError, match="interior weights must have shape"):
+            problems.QuadratureSet(**self._parts(interior_weights=np.ones(4)))
+
+    @pytest.mark.parametrize(
+        "initial",
+        [{"initial_points": np.zeros((1, 2))}, {"initial_weights": np.ones(1)}],
+    )
+    def test_initial_points_and_weights_come_together(self, initial):
+        with pytest.raises(ValueError, match="given together"):
+            problems.QuadratureSet(**self._parts(**initial))
+
 
 class TestResidualStack:
     def test_zero_net_zero_data_zero_stack(self):
@@ -243,6 +283,53 @@ class TestResidualJacobian:
         assert rel_err(prob.loss_grad(theta, quad), grad) <= 1e-12
 
 
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_out_buffer_is_filled_bitwise_and_returned(self, name):
+        prob, quad, theta = small_problem(name)
+        r, jac = prob.residual_jacobian(theta, quad)
+        buf = np.full(jac.shape, np.nan)
+        r_buf, jac_buf = prob.residual_jacobian(theta, quad, out=buf)
+        assert jac_buf is buf
+        np.testing.assert_array_equal(jac_buf, jac)
+        np.testing.assert_array_equal(r_buf, r)
+
+    @pytest.mark.parametrize("shape", [(1, 0), (0, -1), (1, -1)])
+    def test_wrongly_shaped_out_raises(self, shape):
+        prob, quad, theta = small_problem("heat1p1d")
+        rows, p = prob.metric_weights(quad).shape[0], theta.size
+        with pytest.raises(ValueError, match="out must be"):
+            prob.residual_jacobian(theta, quad, out=np.empty((rows + shape[0], p + shape[1])))
+
+    def test_out_of_another_dtype_raises(self):
+        prob, quad, theta = small_problem("poisson2d")
+        out = np.empty((prob.metric_weights(quad).shape[0], theta.size), dtype=np.float32)
+        with pytest.raises(ValueError, match="out must be"):
+            prob.residual_jacobian(theta, quad, out=out)
+
+
+class TestPerQuadratureCaches:
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_switching_quadrature_sets_matches_fresh_instances(self, name):
+        # training quad A, held-out quad B, then A again: the identity-keyed
+        # caches must not serve one set's inputs for the other
+        prob, quad_a, theta = small_problem(name)
+        quad_b = prob.sample_quadrature(41, 9, seed=7)
+
+        def values(p, quad):
+            r, jac = p.residual_jacobian(theta, quad)
+            return [p.loss_value(theta, quad), r, jac, p.h1_relative_error(theta, quad)]
+
+        for quad in (quad_a, quad_b, quad_a, quad_b):
+            fresh = problems.make_problem(name, topology=prob.topology)
+            for got, ref in zip(values(prob, quad), values(fresh, quad)):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_cached_metric_weights_are_read_only(self):
+        prob, quad, _ = small_problem("heat1p1d")
+        with pytest.raises(ValueError):
+            prob.metric_weights(quad)[0] = 1.0
+
+
 class TestH1Error:
     def _exact_feed_problem(self, scale=1.0):
         """A Poisson2D whose 'network' is scale * u*, fed directly."""
@@ -268,6 +355,23 @@ class TestH1Error:
         prob, quad, _ = small_problem("poisson2d")
         theta = np.zeros(prob.topology.param_count)
         assert prob.h1_relative_error(theta, quad) == pytest.approx(1.0, rel=1e-12)
+
+    @given(seed=st.integers(0, 2**31 - 1), scale=st.floats(0.01, 3.0))
+    @settings(max_examples=20, deadline=None)
+    def test_first_order_jet_matches_second_order_reference_bitwise(self, seed, scale):
+        # the order-1 jet reads the same value and gradient channels as the
+        # order-2 jet of model.input_derivatives, bit for bit
+        for name in problems.PROBLEM_NAMES:
+            prob, quad, _ = small_problem(name)
+            theta = scale * np.random.default_rng(seed).standard_normal(
+                prob.topology.param_count
+            )
+            x, w = quad.interior_points, quad.interior_weights
+            u, gu, _ = model.input_derivatives(prob.topology, theta, x)
+            ue, ge = prob.exact(x), prob.exact_grad(x)
+            num = np.sum(w * (u - ue) ** 2) + np.sum(w * np.sum((gu - ge) ** 2, axis=1))
+            den = np.sum(w * ue**2) + np.sum(w * np.sum(ge**2, axis=1))
+            assert prob.h1_relative_error(theta, quad) == float(np.sqrt(num / den))
 
     def test_heat_error_uses_space_time_gradient(self):
         prob, quad, theta = small_problem("heat1p1d")

@@ -29,3 +29,24 @@ def test_script_runs(script, args, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert any(tmp_path.iterdir())
+
+
+def test_parity_digest_is_deterministic():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = ["--optimizers", "nystrom_ngd", "gd", "--problems", "poisson1d",
+            "--seeds", "2", "--iterations", "2", "--width", "4"]
+    outputs = [
+        subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "parity_digest.py"), *args],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert outputs[0] == outputs[1]
+    lines = [line.split() for line in outputs[0].splitlines()]
+    assert [line[:3] for line in lines] == [
+        [opt, "poisson1d", seed] for opt in ("nystrom_ngd", "gd") for seed in ("0", "1")
+    ]
+    digests = [line[3] for line in lines]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
+    assert len(set(digests)) == 4
