@@ -1,15 +1,11 @@
-"""Minimal array-valued automatic differentiation.
+"""Minimal array-valued automatic differentiation: a tape and a stop-gradient.
 
-Mechanisms, all operating on numpy arrays batched over quadrature points:
-
-* ``Tape``/``Var`` -- a tape that records a map of theta and sweeps it
-  forward and backward, so one linearization serves both
-  Jacobian-vector and vector-Jacobian products (see :func:`linearize`).
-  The library itself does not record tapes; the tests use them as the
-  reference for the hand-written jet pullbacks.
-* :func:`affine` and :func:`tanh_jet` -- hand-written nodes for the layers
-  of a network carried as a stacked second-order Taylor jet (value, first
-  and pure second input derivatives in one array).
+* ``Tape``/``Var`` -- a tape that records a map of theta, built from
+  generic per-op nodes on numpy arrays, and sweeps it forward and
+  backward, so one linearization serves both Jacobian-vector and
+  vector-Jacobian products (see :func:`linearize`).  The library itself
+  records no tape: the network layer (``model``) is ndarray-only, and the
+  tests use the tape as the reference for its hand-written jet pullback.
 * :func:`freeze` -- stop-gradient: identity on values, zero derivative.
 
 Plain ``numpy`` arrays act as constants everywhere, so functions written
@@ -33,9 +29,6 @@ __all__ = [
     "tanh",
     "matmul",
     "concat",
-    "affine",
-    "tanh_jet",
-    "tanh_jet_rule",
 ]
 
 
@@ -368,119 +361,6 @@ def primal_value(x):
     if isinstance(x, Var):
         return x.value
     return np.asarray(x)
-
-
-# ---------------------------------------------------------------------------
-# Stacked Taylor jets: one node per network layer
-# ---------------------------------------------------------------------------
-#
-# A jet has shape (1 + 2d, q, n): channel 0 holds the layer's values at q
-# points, channels 1..d the first derivatives along the d input coordinates
-# and channels d+1..2d the pure second derivatives.  A jet with d = 0 is a
-# plain forward pass.
-
-
-def _channel_matmul(z, m):
-    """``z @ m`` for a stacked (c, q, n) array as one 2D product."""
-    out = np.reshape(z, (-1, z.shape[-1])) @ m
-    return out.reshape(z.shape[:-1] + (m.shape[1],))
-
-
-def affine(jet, theta, w_slice, b_slice, shape):
-    """Affine layer on a stacked jet: ``jet @ W.T``, plus ``b`` on channel 0.
-
-    ``W = theta[w_slice].reshape(shape)`` and ``b = theta[b_slice]`` are
-    read straight from the flat parameter vector; derivative channels get
-    no bias.  ``jet`` and ``theta`` may each be a Var or a plain ndarray.
-    """
-    z = primal_value(jet)
-    th = primal_value(theta)
-    n_out, n_in = shape
-    w = th[w_slice].reshape(shape)
-    out = _channel_matmul(z, w.T)
-    out[0] += th[b_slice]
-    parents, edges = [], []
-    if isinstance(jet, Var):
-        parents.append(jet)
-        edges.append(
-            (lambda t: _channel_matmul(t, w.T), lambda g: _channel_matmul(g, w))
-        )
-    if isinstance(theta, Var):
-
-        def push(t):
-            dz = _channel_matmul(z, t[w_slice].reshape(shape).T)
-            dz[0] += t[b_slice]
-            return dz
-
-        def pull(g):
-            gt = np.zeros(th.shape)
-            gt[w_slice] = (np.reshape(g, (-1, n_out)).T @ z.reshape(-1, n_in)).ravel()
-            gt[b_slice] = g[0].sum(axis=0)
-            return gt
-
-        parents.append(theta)
-        edges.append((push, pull))
-    if not parents:
-        return out
-    return Var(out, parents[0].tape, tuple(parents), tuple(edges))
-
-
-def tanh_jet_rule(z, linearize=True, out=None):
-    """Elementwise tanh of an ndarray jet ``z``, by the second-order chain rule.
-
-    With t = tanh(z), d1 = 1 - t^2 and d2 = -2 t d1, the output channels are
-    t, d1 g and d2 g^2 + d1 h for input channels z, g (first) and h (second).
-    Returns (out, (push, pull)), the edge being the linearization at ``z``:
-    dt = d1 dz, dg = C dz + d1 dg_z and dh = A dz + B dg_z + d1 dh_z.  Both
-    act point by point, on any stack of tangents or cotangents shaped like
-    ``z``.  The edge is None unless ``linearize``.  The output is written
-    into ``out`` when given, which may be ``z`` itself if the caller owns it.
-    """
-    d = (z.shape[0] - 1) // 2
-    t = np.tanh(z[0])
-    d1 = 1.0 - t * t
-    if d:
-        d2 = -2.0 * t * d1
-        g, h = z[1 : 1 + d], z[1 + d :]
-        if linearize:  # before out, which may be z, overwrites g and h
-            d3 = d1 * (4.0 * t * t - 2.0 * d1)
-            ca = np.concatenate([d2 * g, d3 * g * g + d2 * h])  # C then A
-            b = 2.0 * d2 * g
-    if out is None:
-        out = np.empty_like(z)
-    out[0] = t
-    if d:
-        second = d2 * g
-        second *= g
-        np.multiply(d1, h, out=out[1 + d :])
-        out[1 + d :] += second
-        np.multiply(d1, g, out=out[1 : 1 + d])
-    if not linearize:
-        return out, None
-
-    def push(tz):
-        dz = d1 * tz
-        if d:
-            dz[1:] += ca * tz[0]
-            dz[1 + d :] += b * tz[1 : 1 + d]
-        return dz
-
-    def pull(gz):
-        dz = d1 * gz
-        if d:
-            dz[0] += (ca * gz[1:]).sum(axis=0)
-            dz[1 : 1 + d] += b * gz[1 + d :]
-        return dz
-
-    return out, (push, pull)
-
-
-def tanh_jet(jet):
-    """Elementwise tanh of a stacked jet (Var or ndarray); see :func:`tanh_jet_rule`."""
-    out, edge = tanh_jet_rule(primal_value(jet), isinstance(jet, Var))
-    if edge is None:
-        return out
-    return Var(out, jet.tape, (jet,), (edge,))
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,6 @@ class GramianOperator:
         self.matvec_count += vmat.shape[1]
         return self.jacobian.T @ (self.weights[:, None] * (self.jacobian @ vmat))
 
-    def __call__(self, v):
-        return self.matvec(v)
-
 
 class DenseOperator:
     """Matvec wrapper around an explicit SPSD matrix (tests, synthetic runs)."""
@@ -72,9 +69,6 @@ class DenseOperator:
         self.matvec_count += vmat.shape[1]
         return self.matrix @ vmat
 
-    def __call__(self, v):
-        return self.matvec(v)
-
 
 class ShiftedOperator:
     """v -> A v + mu v; matvec counting delegates to the base operator."""
@@ -86,9 +80,6 @@ class ShiftedOperator:
 
     def matvec(self, v):
         return self.base.matvec(v) + self.mu * v
-
-    def __call__(self, v):
-        return self.matvec(v)
 
 
 def assemble_dense(op, guard=DENSE_GUARD):

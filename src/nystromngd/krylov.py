@@ -8,6 +8,8 @@ import numpy as np
 
 __all__ = ["SolveReport", "pcg"]
 
+RECOMPUTE_EVERY = 50  # iterations between true-residual recomputations
+
 
 @dataclass
 class SolveReport:
@@ -21,14 +23,14 @@ class SolveReport:
     breakdown: bool = False
 
 
-def pcg(op, b, rel_tol, maxit, precond=None, recompute_every=50):
+def pcg(op, b, rel_tol, maxit, precond=None):
     """Solve op x = b from x0 = 0 with (preconditioned) conjugate gradient.
 
     ``op`` is a callable or an object with ``matvec``; it must be SPD
     (the caller guarantees it, e.g. G + mu I with mu > 0).  The stopping
     test uses the unpreconditioned relative residual ||r|| / ||b||.  The
     recursive residual is replaced by the true residual every
-    ``recompute_every`` iterations to bound drift, and once more on
+    ``RECOMPUTE_EVERY`` iterations to bound drift, and once more on
     exit; those recomputations are counted as matvecs.
 
     On a breakdown (p^T A p <= 0, signalling a non-SPD operator or
@@ -66,7 +68,7 @@ def pcg(op, b, rel_tol, maxit, precond=None, recompute_every=50):
         alpha = rz / dad
         x = x + alpha * d
         iterations = it
-        if it % recompute_every == 0:
+        if it % RECOMPUTE_EVERY == 0:
             r = b - matvec(x)
             matvecs += 1
         else:

@@ -1,12 +1,21 @@
-"""Feedforward tanh networks with a flat parameter vector."""
+"""The network layer: feedforward tanh networks with a flat parameter vector.
+
+The network is evaluated on a batch of q points as a stacked Taylor jet,
+one ndarray of shape (c, q, n) per layer: channel 0 holds the layer's
+values, channels 1..d the first derivatives along the d input
+coordinates and, at order 2, channels d+1..2d the pure second
+derivatives (cross derivatives are not tracked; Laplacians do not need
+them).  Order 0 is a plain forward pass.  One forward loop
+(:func:`propagate`) serves the plain pass and the pass that also returns
+the per-point pullback to the parameters, from which the residual
+Jacobian is assembled.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
 
 
 @dataclass(frozen=True)
@@ -28,10 +37,6 @@ class MlpTopology:
         return self.widths[0]
 
     @property
-    def output_dim(self):
-        return self.widths[-1]
-
-    @property
     def param_count(self):
         return sum(
             n_out * n_in + n_out
@@ -50,22 +55,6 @@ class MlpTopology:
             out.append((ws, bs, n_out, n_in))
         return out
 
-    def unflatten(self, theta):
-        """Split a flat vector into [(W, b), ...]; works on ndarray or Var."""
-        layers = []
-        for ws, bs, n_out, n_in in self.layer_slices():
-            w = theta[ws].reshape((n_out, n_in))
-            b = theta[bs]
-            layers.append((w, b))
-        return layers
-
-    def flatten(self, layers):
-        parts = []
-        for w, b in layers:
-            parts.append(np.asarray(w).reshape(-1))
-            parts.append(np.asarray(b).reshape(-1))
-        return np.concatenate(parts)
-
 
 @dataclass(frozen=True)
 class ParamVector:
@@ -81,9 +70,6 @@ class ParamVector:
                 f"expected {self.topology.param_count} parameters, got {values.shape}"
             )
         object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return self.values.shape[0]
 
 
 def init(topology, seed):
@@ -116,78 +102,88 @@ def input_jet(topology, x, order=2):
     return z
 
 
-def _tanh_first_order(z):
-    """tanh of an order-1 ndarray jet (value and first derivatives), in
-    place.  :func:`autodiff.tanh_jet_rule` reads d off an order-2 jet's
-    1 + 2d channels, so order 1 has this rule; its channels t and d1 g are
-    computed as there."""
+def _channel_matmul(z, m):
+    """``z @ m`` for a stacked (c, q, n) array as one 2D product."""
+    out = np.reshape(z, (-1, z.shape[-1])) @ m
+    return out.reshape(z.shape[:-1] + (m.shape[1],))
+
+
+def tanh_jet_rule(z, d, linearize=False, out=None):
+    """Elementwise tanh of a jet z over d input coordinates, at any order.
+
+    With t = tanh(z), d1 = 1 - t^2 and d2 = -2 t d1, the output channels
+    are t, d1 g and d2 g^2 + d1 h for input channels z, g (first
+    derivatives, from order 1) and h (second derivatives, at order 2).
+    Returns (out, pull), pull being the pullback of the rule at ``z``, or
+    None unless ``linearize``: for output cotangents (dt, dg, dh) it gives
+    d1 dt + sum(C dg + A dh), d1 dg + B dh and d1 dh, with C = d2 g,
+    A = d3 g^2 + d2 h and B = 2 d2 g, point by point on any stack of
+    cotangents shaped like ``z``.  The output is written into ``out`` when
+    given, which may be ``z`` itself if the caller owns it.
+    """
+    order = (z.shape[0] - 1) // d
     t = np.tanh(z[0])
-    z[1:] *= 1.0 - t * t
-    z[0] = t
-    return z
+    d1 = 1.0 - t * t
+    g, h = z[1 : 1 + d], z[1 + d :]
+    if order:
+        d2 = -2.0 * t * d1
+        if linearize:  # before out, which may be z, overwrites g and h
+            ca = d2 * g  # C, then A at order 2
+            if order == 2:
+                d3 = d1 * (4.0 * t * t - 2.0 * d1)
+                ca = np.concatenate([ca, d3 * g * g + d2 * h])
+                b = 2.0 * d2 * g
+    if out is None:
+        out = np.empty_like(z)
+    out[0] = t
+    if order == 2:
+        second = d2 * g
+        second *= g
+        np.multiply(d1, h, out=out[1 + d :])
+        out[1 + d :] += second
+    np.multiply(d1, g, out=out[1 : 1 + d])
+    if not linearize:
+        return out, None
+
+    def pull(gz):
+        dz = d1 * gz
+        if order:
+            dz[0] += (ca * gz[1:]).sum(axis=0)
+        if order == 2:
+            dz[1 : 1 + d] += b * gz[1 + d :]
+        return dz
+
+    return out, pull
 
 
-def propagate(topology, theta, z):
+def propagate(topology, theta, z, pullback=False):
     """Push an input jet z (:func:`input_jet`) through the network.
 
     Returns the output jet, shape (c, q, n_out) for the c channels of z.
-    theta may be an ndarray or a Var at orders 0 and 2, where each layer
-    is one affine and one tanh node on the tape; order 1 needs an ndarray.
-    """
-    if isinstance(theta, ParamVector):
-        theta = theta.values
-    first_order = z.shape[0] == 1 + topology.input_dim
-    if first_order and isinstance(theta, ad.Var):
-        raise ValueError("order-1 jets are not taped; use order 2")
-    layers = topology.layer_slices()
-    for k, (ws, bs, n_out, n_in) in enumerate(layers):
-        z = ad.affine(z, theta, ws, bs, (n_out, n_in))
-        if k < len(layers) - 1:
-            if first_order:
-                z = _tanh_first_order(z)
-            elif isinstance(z, ad.Var):
-                z = ad.tanh_jet(z)
-            else:  # z is the affine layer's new array: overwrite it
-                ad.tanh_jet_rule(z, linearize=False, out=z)
-    return z
-
-
-def jet(topology, theta, x, order=2):
-    """Evaluate the tanh network as a stacked Taylor jet on a batch x of shape (q, d).
-
-    Returns shape (1 + 2d, q, n_out) at order 2: channel 0 is the value,
-    channels 1..d the first derivatives du/dx_i and channels d+1..2d the
-    pure second derivatives d^2u/dx_i^2 (cross derivatives are not
-    tracked; Laplacians do not need them).  Order 1 returns the value and
-    first-derivative channels, shape (1 + d, q, n_out), and order 0 the
-    value channel alone, shape (1, q, n_out).  See :func:`propagate` for
-    theta.
-    """
-    return propagate(topology, theta, input_jet(topology, x, order))
-
-
-def jet_pullback(topology, theta, z):
-    """The network's output jet for the input jet z (see :func:`input_jet`,
-    orders 0 and 2) and its per-point pullback to the parameters.
-
-    For a cotangent g shaped like the output jet, pullback(g, out) writes
-    into ``out`` the (q, p) matrix whose row r is the gradient in theta of
+    With ``pullback`` it returns (jet, pullback) instead.  For a cotangent
+    g shaped like the output jet, pullback(g, out) writes into ``out`` the
+    (q, p) matrix whose row r is the gradient in theta of
     sum(g[:, r] * jet[:, r]) and returns it: one reverse pass in which
     each affine layer writes its parameter cotangents per point (a batched
     outer product) straight into the columns of ``out`` that hold that
     layer's parameters, instead of summing them over points.
     """
     theta = np.asarray(theta, dtype=float)
-    inputs, pulls = [], []
+    d = topology.input_dim
     layers = topology.layer_slices()
+    inputs, pulls = [], []
     for k, (ws, bs, n_out, n_in) in enumerate(layers):
-        inputs.append(z)
-        z = ad.affine(z, theta, ws, bs, (n_out, n_in))
-        if k < len(layers) - 1:
-            z, (_, pull) = ad.tanh_jet_rule(z, out=z)
+        if pullback:
+            inputs.append(z)
+        z = _channel_matmul(z, theta[ws].reshape(n_out, n_in).T)
+        z[0] += theta[bs]  # the derivative channels get no bias
+        if k < len(layers) - 1:  # z is this layer's new array: overwrite it
+            z, pull = tanh_jet_rule(z, d, pullback, out=z)
             pulls.append(pull)
+    if not pullback:
+        return z
 
-    def pullback(g, out):
+    def back(g, out):
         q = g.shape[1]
         for k in reversed(range(len(layers))):
             ws, bs, n_out, n_in = layers[k]
@@ -201,45 +197,11 @@ def jet_pullback(topology, theta, z):
                 g = g @ theta[ws].reshape(n_out, n_in)
         return out
 
-    return z, pullback
-
-
-def forward(topology, theta, x):
-    """Evaluate the network on a batch x of shape (q, d).
-
-    theta may be an ndarray or Var; the result has shape (q,) for scalar
-    output, (q, d') otherwise.
-    """
-    z = jet(topology, theta, x, order=0)
-    q = z.shape[1]
-    return z.reshape((q,) if topology.output_dim == 1 else (q, topology.output_dim))
-
-
-def derivatives(topology, theta, x):
-    """Value and per-coordinate input derivatives of a scalar network.
-
-    Returns (u, du, d2u) with shapes (q,), (d, q), (d, q): du[i] is du/dx_i
-    and d2u[i] is d^2u/dx_i^2.  Remains differentiable with respect to
-    theta (Var passes through).
-    """
-    z = jet(topology, theta, x)
-    d = topology.input_dim
-    return z[0, :, 0], z[1 : 1 + d, :, 0], z[1 + d :, :, 0]
-
-
-def input_derivatives(topology, theta, x):
-    """Network value, input gradient and Laplacian on a batch of points.
-
-    Returns (u, grad_u, lap_u) with shapes (q,), (q, d), (q,) for a scalar
-    network.
-    """
-    u, du, d2u = derivatives(topology, theta, x)
-    return u, du.T, d2u.sum(axis=0)
+    return z, back
 
 
 def value_and_gradient(topology, theta, z):
     """Value (q,) and input gradient (q, d) of a scalar network from the
-    order-1 input jet z of the points (:func:`input_jet`); the same numbers
-    as the first two outputs of :func:`input_derivatives`."""
+    order-1 input jet z of the points (:func:`input_jet`)."""
     z = propagate(topology, theta, z)
     return z[0, :, 0], z[1:, :, 0].T

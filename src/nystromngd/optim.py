@@ -22,6 +22,11 @@ from .sketch import NystromPreconditioner, nystrom_approximate
 
 EPS_MACH = np.finfo(float).eps
 BFGS_GUARD = 5000  # largest p for which the dense p x p inverse Hessian is built
+# Armijo backtracking: step factor per rejected trial, trials after the
+# first, and the fraction of the predicted decrease a step must achieve
+LS_SHRINK = 0.5
+LS_MAX_BACKTRACKS = 30
+LS_SUFFICIENT_DECREASE = 1e-4
 
 __all__ = [
     "NystromNgdConfig",
@@ -138,16 +143,7 @@ def adapt_rank(eigenvalues, mu, ell, ell_max, ratio=10.0):
     return min(first_below + 1, ell_max)
 
 
-def backtracking_linesearch(
-    theta,
-    direction,
-    loss_fn,
-    grad_dot_dir,
-    loss0,
-    shrink=0.5,
-    max_backtracks=30,
-    sufficient_decrease=1e-4,
-):
+def backtracking_linesearch(theta, direction, loss_fn, grad_dot_dir, loss0):
     """Armijo backtracking along theta - alpha * direction.
 
     ``loss0`` is the caller's ``loss_fn(theta)``.  Returns (alpha,
@@ -156,11 +152,11 @@ def backtracking_linesearch(
     backtracks like any other rejected step.
     """
     alpha = 1.0
-    for _ in range(max_backtracks + 1):
+    for _ in range(LS_MAX_BACKTRACKS + 1):
         loss_new = loss_fn(theta - alpha * direction)
-        if loss_new <= loss0 - sufficient_decrease * alpha * grad_dot_dir:
+        if loss_new <= loss0 - LS_SUFFICIENT_DECREASE * alpha * grad_dot_dir:
             return alpha, loss_new
-        alpha *= shrink
+        alpha *= LS_SHRINK
     return 0.0, loss0
 
 

@@ -72,7 +72,7 @@ class ResidualBlock(NamedTuple):
 
     Row r is coeffs @ z[:, r] + value_term(z[0, r]) - target[r], z being
     the jet channels (1 + 2d, q) of the network at the points
-    (``model.jet``): the value, each du/dx_i and each d^2u/dx_i^2.
+    (``model.propagate``): the value, each du/dx_i and each d^2u/dx_i^2.
     ``value_term``, if given, is a pointwise function of the value channel
     that returns the term and its derivative.
     """
@@ -207,7 +207,7 @@ class PdeProblem:
         rows = slice(0, 0)
         for b, z0 in zip(bs.blocks, bs.inputs):
             rows = slice(rows.stop, rows.stop + len(b.weights))
-            z, pullback = model.jet_pullback(self.topology, theta, z0)
+            z, pullback = model.propagate(self.topology, theta, z0, pullback=True)
             r[rows] = b.rows(z[:, :, 0])
             pullback(b.slope(z[:, :, 0])[:, :, None], out[rows])
         return r, out

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gramian import DenseOperator, assemble_dense
+from .gramian import DENSE_GUARD, DenseOperator, assemble_dense
 
 __all__ = [
     "NystromFactor",
@@ -16,6 +16,10 @@ __all__ = [
     "pivoted_cholesky",
     "SketchFailure",
 ]
+
+
+SKETCH_ATTEMPTS = 3  # one with the warm basis, then fresh Gaussian matrices
+PIVOT_TOL = 1e-12  # residual diagonal below this times max(diag, 1) is exhausted
 
 
 class SketchFailure(RuntimeError):
@@ -70,7 +74,7 @@ def _test_matrix(rng, p, rank, basis):
     return np.hstack([basis, extra])
 
 
-def nystrom_approximate(op, rank, seed, max_retries=3, basis=None):
+def nystrom_approximate(op, rank, seed, basis=None):
     """Stable randomized Nystrom approximation of an SPSD operator.
 
     Orthonormal test matrix, a Frobenius-norm shift for stability,
@@ -81,7 +85,7 @@ def nystrom_approximate(op, rank, seed, max_retries=3, basis=None):
     first ``rank`` columns, topped up with fresh Gaussian columns when
     ``rank`` exceeds k: one step of subspace iteration.  A Cholesky
     failure (numerically indefinite shifted sketch) is retried with a
-    fresh Gaussian matrix, for ``max_retries`` attempts in all.
+    fresh Gaussian matrix, for ``SKETCH_ATTEMPTS`` attempts in all.
     """
     op = _as_operator(op)
     p = op.dim
@@ -91,7 +95,7 @@ def nystrom_approximate(op, rank, seed, max_retries=3, basis=None):
         raise ValueError(f"basis must have shape ({p}, k), got {basis.shape}")
     rng = np.random.default_rng(seed)
     last_err = None
-    for attempt in range(max_retries):
+    for attempt in range(SKETCH_ATTEMPTS):
         omega = _test_matrix(rng, p, rank, basis if attempt == 0 else None)
         y = op.matmat(omega)
         shift = np.finfo(float).eps * np.linalg.norm(y, "fro")
@@ -106,7 +110,7 @@ def nystrom_approximate(op, rank, seed, max_retries=3, basis=None):
         eigs = np.maximum(s**2 - shift, 0.0)
         return NystromFactor(u, eigs)
     raise SketchFailure(
-        f"sketch Cholesky failed after {max_retries} attempts"
+        f"sketch Cholesky failed after {SKETCH_ATTEMPTS} attempts"
     ) from last_err
 
 
@@ -131,9 +135,6 @@ class NystromPreconditioner:
         utv = u.T @ v
         return self._scale * (u @ (self._inv * utv)) + (v - u @ utv)
 
-    def __call__(self, v):
-        return self.apply(v)
-
     def dense_inverse(self):
         """Dense P^{-1} (test oracle)."""
         u = self.factor.basis
@@ -151,7 +152,7 @@ def effective_dimension(eigs, mu):
     return float(np.sum(eigs / (eigs + mu)))
 
 
-def pivoted_cholesky(op, rank, strategy, seed=None, tol_factor=1e-12, guard=2000):
+def pivoted_cholesky(op, rank, strategy, seed=None):
     """Rank-``rank`` partial Cholesky factor of an SPSD operator.
 
     Pivot strategies: ``greedy`` (largest residual diagonal), ``uniform``
@@ -163,16 +164,16 @@ def pivoted_cholesky(op, rank, strategy, seed=None, tol_factor=1e-12, guard=2000
     """
     op = _as_operator(op)
     p = op.dim
-    if p > guard:
-        raise ValueError(f"pivoted Cholesky needs the diagonal; p={p} exceeds {guard}")
+    if p > DENSE_GUARD:
+        raise ValueError(f"pivoted Cholesky needs the diagonal; p={p} exceeds {DENSE_GUARD}")
     if strategy not in ("greedy", "uniform", "rp"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     rng = np.random.default_rng(seed)
-    matrix = op.matrix if isinstance(op, DenseOperator) else assemble_dense(op, guard=guard)
+    matrix = op.matrix if isinstance(op, DenseOperator) else assemble_dense(op)
     diag = matrix.diagonal().copy()
     column = lambda i: matrix[:, i].copy()
 
-    tol = tol_factor * max(diag.max(initial=0.0), 1.0)
+    tol = PIVOT_TOL * max(diag.max(initial=0.0), 1.0)
     factor = np.zeros((p, rank))
     pivots = []
     for t in range(rank):

@@ -135,17 +135,19 @@ class TestFreeze:
         assert np.array_equal(ad.freeze(f(leaf)), direct)
 
 
-def oracle_jet(layers, x):
+def oracle_jet(topology, theta, x):
     """Reference jet built from generic per-op tape nodes, one input
     coordinate at a time: (value, [du/dx_i], [d^2u/dx_i^2]) as (q,) columns.
 
-    ``layers`` is [(W, b), ...] of ndarrays or Vars; tanh on hidden layers.
+    ``theta`` is an ndarray or a Var; tanh on hidden layers.
     """
     q, d = x.shape
     value = x
     grads = [np.broadcast_to(np.eye(d)[i], (q, d)).copy() for i in range(d)]
     seconds = [np.zeros((q, d)) for _ in range(d)]
-    for k, (w, b) in enumerate(layers):
+    layers = topology.layer_slices()
+    for k, (ws, bs, n_out, n_in) in enumerate(layers):
+        w, b = theta[ws].reshape((n_out, n_in)), theta[bs]
         value = ad.matmul(value, w.T) + b
         grads = [ad.matmul(g, w.T) for g in grads]
         seconds = [ad.matmul(h, w.T) for h in seconds]
@@ -163,10 +165,9 @@ def oracle_jet(layers, x):
     )
 
 
-def jet_channels(layers, x):
-    """(value, gradient, second) of the stacked jet, shapes (q,), (q, d), (q, d)."""
-    top = model.MlpTopology((x.shape[1],) + tuple(w.shape[0] for w, _ in layers))
-    z = model.jet(top, top.flatten(layers), x)[:, :, 0]
+def jet_channels(topology, theta, x):
+    """(value, gradient, second) of the network's order-2 jet, shapes (q,), (q, d), (q, d)."""
+    z = model.propagate(topology, theta, model.input_jet(topology, x))[:, :, 0]
     d = x.shape[1]
     return z[0], z[1 : 1 + d].T, z[1 + d :].T
 
@@ -180,36 +181,30 @@ class TestLaplacianJets:
         w = np.array([[1.5, -2.0]])
         b = np.array([0.25])
         x = np.array([[0.3, 0.7]])
-        v, g, h = jet_channels([(w, b)], x)
+        top = model.MlpTopology((2, 1))
+        v, g, h = jet_channels(top, np.concatenate([w.ravel(), b]), x)
         np.testing.assert_allclose(v, w @ x[0] + b, rtol=1e-15)
         np.testing.assert_allclose(g[0], w[0], rtol=1e-15)
         np.testing.assert_allclose(h, np.zeros((1, 2)), atol=0.0)
 
     def test_tanh_at_zero(self):
         # u(x) = tanh(x): u(0)=0, u'(0)=1, u''(0)=0
-        w1 = np.array([[1.0]])
-        b1 = np.array([0.0])
-        w2 = np.array([[1.0]])
-        b2 = np.array([0.0])
-        v, g, h = jet_channels([(w1, b1), (w2, b2)], np.array([[0.0]]))
+        top = model.MlpTopology((1, 1, 1))
+        v, g, h = jet_channels(top, np.array([1.0, 0.0, 1.0, 0.0]), np.array([[0.0]]))
         assert v[0] == pytest.approx(0.0, abs=1e-15)
         assert g[0, 0] == pytest.approx(1.0, rel=1e-15)
         assert h[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_laplacian_matches_stencil_2d(self):
-        rng = np.random.default_rng(11)
-        layers = [
-            (rng.standard_normal((6, 2)), rng.standard_normal(6)),
-            (rng.standard_normal((6, 6)), rng.standard_normal(6)),
-            (rng.standard_normal((1, 6)), rng.standard_normal(1)),
-        ]
+        top = model.MlpTopology((2, 6, 6, 1))
+        theta = np.random.default_rng(11).standard_normal(top.param_count)
         x0 = np.array([0.3, -0.2])
 
         def u(x):
-            v, _, _ = jet_channels(layers, x.reshape(1, 2))
+            v, _, _ = jet_channels(top, theta, x.reshape(1, 2))
             return v[0]
 
-        _, _, h = jet_channels(layers, x0.reshape(1, 2))
+        _, _, h = jet_channels(top, theta, x0.reshape(1, 2))
         lap = h[0].sum()
         step = 1e-4
         stencil = 0.0
@@ -242,18 +237,18 @@ class TestLaplacianJets:
         )
         x = quad.interior_points
 
-        value, grads, seconds = oracle_jet(top.unflatten(theta), x)
-        u, gu, second = jet_channels(top.unflatten(theta), x)
+        value, grads, seconds = oracle_jet(top, theta, x)
+        u, gu, second = jet_channels(top, theta, x)
         assert rel_err(u, value) <= 1e-12
         assert rel_err(gu, np.stack(grads, axis=1)) <= 1e-12
         assert rel_err(second, np.stack(seconds, axis=1)) <= 1e-12
 
         def oracle_stack(th):
-            _, _, sec = oracle_jet(top.unflatten(th), x)
+            _, _, sec = oracle_jet(top, th, x)
             total = sec[0]
             for h in sec[1:]:
                 total = total + h
-            ub, _, _ = oracle_jet(top.unflatten(th), quad.boundary_points)
+            ub, _, _ = oracle_jet(top, th, quad.boundary_points)
             return ad.concat([total, ub])
 
         ref = ad.linearize(oracle_stack, theta)
@@ -265,23 +260,22 @@ class TestLaplacianJets:
         assert rel_err(jac.T @ w, ref.vjp(w)) <= 1e-12
 
 
-    @given(seed=st.integers(0, 2**31 - 1), d=st.integers(0, 3))
+    @given(seed=st.integers(0, 2**31 - 1), d=st.integers(1, 3), order=st.integers(0, 2))
     @settings(max_examples=25, deadline=None)
-    def test_tanh_rule_written_over_its_input_is_bitwise_unchanged(self, seed, d):
-        # out=z overwrites the input jet; the output and both edge maps
-        # must equal the out-of-place rule's bit for bit
+    def test_tanh_rule_written_over_its_input_is_bitwise_unchanged(self, seed, d, order):
+        # out=z overwrites the input jet; the output and the pullback must
+        # equal the out-of-place rule's bit for bit
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal((1 + 2 * d, 6, 4))
-        ref, (push, pull) = ad.tanh_jet_rule(z)
+        z = rng.standard_normal((1 + order * d, 6, 4))
+        ref, pull = model.tanh_jet_rule(z, d, linearize=True)
         own = z.copy()
-        got, (push2, pull2) = ad.tanh_jet_rule(own, out=own)
+        got, pull2 = model.tanh_jet_rule(own, d, linearize=True, out=own)
         assert got is own
         np.testing.assert_array_equal(got, ref)
         t = rng.standard_normal(z.shape)
-        np.testing.assert_array_equal(push2(t), push(t))
         np.testing.assert_array_equal(pull2(t), pull(t))
         own = z.copy()
-        np.testing.assert_array_equal(ad.tanh_jet_rule(own, False, out=own)[0], ref)
+        np.testing.assert_array_equal(model.tanh_jet_rule(own, d, out=own)[0], ref)
 
 
 class TestNumericHygiene:

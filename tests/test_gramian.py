@@ -68,8 +68,8 @@ class TestGramianOperator:
         prob, quad, theta = small_instance(name)
         gop = gramian.GramianOperator.from_problem(prob, theta, quad)
         dense = gramian.assemble_dense(gop)
-        frozen = ad.freeze(theta)
-        jac = fd_jacobian(lambda th: prob.metric_stack(th, frozen, quad), theta)
+        hand = HAND_METRIC_STACKS[name]
+        jac = fd_jacobian(lambda th: hand(prob, th, ad.freeze(theta), quad), theta)
         w = prob.metric_weights(quad)
         expected = jac.T @ (w[:, None] * jac)
         err = np.linalg.norm(dense - expected) / np.linalg.norm(expected)

@@ -5,6 +5,12 @@ from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
 from nystromngd import model
+from test_autodiff import oracle_jet, rel_err
+
+
+def forward(top, theta, x):
+    """Network values (q,) at the points x: the value channel of an order-0 jet."""
+    return model.propagate(top, theta, model.input_jet(top, x, 0))[0, :, 0]
 
 
 class TestTopology:
@@ -12,17 +18,16 @@ class TestTopology:
         top = model.MlpTopology((3, 32, 32, 1))
         assert top.param_count == 3 * 32 + 32 + 32 * 32 + 32 + 32 * 1 + 1 == 1217
 
-    def test_flatten_unflatten_roundtrip(self):
-        top = model.MlpTopology((2, 5, 3, 1))
-        theta = np.random.default_rng(0).standard_normal(top.param_count)
-        np.testing.assert_array_equal(top.flatten(top.unflatten(theta)), theta)
-
     @given(st.lists(st.integers(1, 8), min_size=2, max_size=5))
     @settings(max_examples=30, deadline=None)
     def test_param_count_matches_layer_shapes(self, widths):
         top = model.MlpTopology(tuple(widths))
-        total = sum(w.size + b.size for w, b in top.unflatten(np.zeros(top.param_count)))
-        assert total == top.param_count
+        offset = 0
+        for ws, bs, n_out, n_in in top.layer_slices():
+            assert (ws.start, ws.stop) == (offset, offset + n_out * n_in)
+            assert (bs.start, bs.stop) == (ws.stop, ws.stop + n_out)
+            offset = bs.stop
+        assert offset == top.param_count
 
 
 class TestInit:
@@ -51,7 +56,7 @@ class TestForward:
     def test_zero_params_zero_output(self):
         top = model.MlpTopology((2, 4, 4, 1))
         x = np.random.default_rng(0).standard_normal((7, 2))
-        out = model.forward(top, np.zeros(top.param_count), x)
+        out = forward(top, np.zeros(top.param_count), x)
         np.testing.assert_array_equal(out, np.zeros(7))
 
     def test_hand_evaluated_tanh_composition(self):
@@ -60,16 +65,16 @@ class TestForward:
         b1 = np.array([0.5, 0.25])
         w2 = np.array([[1.5, -0.5]])
         b2 = np.array([0.125])
-        theta = top.flatten([(w1, b1), (w2, b2)])
+        theta = np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
         x = np.array([[0.3]])
         expected = w2 @ np.tanh(w1 @ x[0] + b1) + b2
-        out = model.forward(top, theta, x)
+        out = forward(top, theta, x)
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
     def test_batch_shape(self):
         top = model.MlpTopology((3, 5, 1))
         theta = model.init(top, 0).values
-        out = model.forward(top, theta, np.zeros((11, 3)))
+        out = forward(top, theta, np.zeros((11, 3)))
         assert out.shape == (11,)
 
 
@@ -78,24 +83,23 @@ class TestInputDerivatives:
         top = model.MlpTopology((2, 6, 6, 1))
         theta = model.init(top, 3).values
         x = np.array([[0.4, -0.1]])
-        u, gu, lap = model.input_derivatives(top, theta, x)
+        z = model.propagate(top, theta, model.input_jet(top, x))[:, 0, 0]
+        gu, lap = z[1:3], z[3:].sum()
         h = 1e-5
         for d in range(2):
             e = np.zeros((1, 2))
             e[0, d] = h
-            fd = (model.forward(top, theta, x + e) - model.forward(top, theta, x - e)) / (2 * h)
-            assert gu[0, d] == pytest.approx(fd[0], rel=1e-6)
+            fd = (forward(top, theta, x + e) - forward(top, theta, x - e)) / (2 * h)
+            assert gu[d] == pytest.approx(fd[0], rel=1e-6)
         h = 1e-4
         stencil = 0.0
         for d in range(2):
             e = np.zeros((1, 2))
             e[0, d] = h
             stencil += (
-                model.forward(top, theta, x + e)
-                - 2 * model.forward(top, theta, x)
-                + model.forward(top, theta, x - e)
+                forward(top, theta, x + e) - 2 * forward(top, theta, x) + forward(top, theta, x - e)
             )[0] / h**2
-        assert lap[0] == pytest.approx(stencil, rel=1e-5)
+        assert lap == pytest.approx(stencil, rel=1e-5)
 
 
 class TestJetOrders:
@@ -118,15 +122,42 @@ class TestJetOrders:
         rng = np.random.default_rng(seed)
         theta = rng.standard_normal(top.param_count)
         x = rng.random((7, d))
-        second = model.jet(top, theta, x, order=2)
-        np.testing.assert_array_equal(model.jet(top, theta, x, order=1), second[: 1 + d])
+        second = model.propagate(top, theta, model.input_jet(top, x, 2))
+        first = model.propagate(top, theta, model.input_jet(top, x, 1))
+        np.testing.assert_array_equal(first, second[: 1 + d])
         u, gu = model.value_and_gradient(top, theta, model.input_jet(top, x, 1))
-        u2, gu2, _ = model.input_derivatives(top, theta, x)
-        np.testing.assert_array_equal(u, u2)
-        np.testing.assert_array_equal(gu, gu2)
+        np.testing.assert_array_equal(u, second[0, :, 0])
+        np.testing.assert_array_equal(gu, second[1 : 1 + d, :, 0].T)
 
-    def test_first_order_jet_is_not_taped(self):
-        top = model.MlpTopology((2, 3, 1))
-        theta = model.init(top, 0).values
-        with pytest.raises(ValueError, match="order-1"):
-            ad.linearize(lambda th: model.jet(top, th, np.zeros((1, 2)), order=1), theta)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        depth=st.integers(1, 3),
+        width=st.integers(1, 8),
+        d=st.integers(1, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_every_order_matches_the_per_op_oracle(self, seed, depth, width, d):
+        # one tanh rule serves orders 0, 1 and 2: each order's channels, and
+        # their per-point pullback, against the generic per-op tape oracle
+        top = model.MlpTopology((d,) + (width,) * depth + (1,))
+        rng = np.random.default_rng(seed)
+        theta = 0.8 * rng.standard_normal(top.param_count)
+        x = rng.uniform(-1.0, 1.0, (7, d))
+        v = rng.standard_normal(top.param_count)
+        value, grads, seconds = oracle_jet(top, theta, x)
+        ref = np.stack([value] + grads + seconds)
+        for order in (0, 1, 2):
+            c = 1 + order * d
+            z, pullback = model.propagate(
+                top, theta, model.input_jet(top, x, order), pullback=True
+            )
+            assert z.shape == (c, 7, 1)
+            assert rel_err(z[:, :, 0], ref[:c]) <= 1e-12
+            g = rng.standard_normal((c, 7, 1))
+
+            def weighted(th):
+                value, grads, seconds = oracle_jet(top, th, x)
+                return sum(gc * ch for gc, ch in zip(g[:, :, 0], [value] + grads + seconds))
+
+            rows = pullback(g, np.empty((7, top.param_count)))
+            assert rel_err(rows @ v, ad.linearize(weighted, theta).jvp(v)) <= 1e-12

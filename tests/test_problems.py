@@ -5,37 +5,45 @@ from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
 from nystromngd import model, problems
+from test_autodiff import oracle_jet
 
 # Tape oracles: each problem's residual and metric stacks written out by
-# hand with the generic per-op jet helpers, so they can be linearized on
-# the tape and compared with the stacks the problems derive from their
+# hand on the generic per-op jet oracle, so they can be linearized on the
+# tape and compared with the stacks the problems derive from their
 # residual blocks.
+
+
+def laplacian(seconds):
+    total = seconds[0]
+    for h in seconds[1:]:
+        total = total + h
+    return total
 
 
 def poisson_residual_stack(prob, theta, quad):
     """Poisson residual by hand: Laplacian + f on the interior, u - g on the boundary."""
-    _, _, lap = model.input_derivatives(prob.topology, theta, quad.interior_points)
-    interior = lap + prob.source(quad.interior_points)
-    ub = model.forward(prob.topology, theta, quad.boundary_points)
+    _, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
+    interior = laplacian(sec) + prob.source(quad.interior_points)
+    ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
     return ad.concat([interior, ub - prob.dirichlet(quad.boundary_points)])
 
 
 def heat_residual_stack(prob, theta, quad):
     """Heat residual by hand: u_t - u_xx - f, lateral-boundary and initial misfits."""
-    _, du, d2u = model.derivatives(prob.topology, theta, quad.interior_points)
+    _, du, d2u = oracle_jet(prob.topology, theta, quad.interior_points)
     interior = du[0] - d2u[1] - prob.source(quad.interior_points)
-    ub = model.forward(prob.topology, theta, quad.boundary_points)
+    ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
     boundary = ub - prob.dirichlet(quad.boundary_points)
-    ui = model.forward(prob.topology, theta, quad.initial_points)
+    ui, _, _ = oracle_jet(prob.topology, theta, quad.initial_points)
     initial = ui - prob.initial_value(quad.initial_points)
     return ad.concat([interior, boundary, initial])
 
 
 def nlpoisson_residual_stack(prob, theta, quad):
     """Nonlinear Poisson residual by hand: Laplacian - u^3 + f, then u - g."""
-    u, _, lap = model.input_derivatives(prob.topology, theta, quad.interior_points)
-    interior = lap - u**3 + prob.source(quad.interior_points)
-    ub = model.forward(prob.topology, theta, quad.boundary_points)
+    u, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
+    interior = laplacian(sec) - u**3 + prob.source(quad.interior_points)
+    ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
     return ad.concat([interior, ub - prob.dirichlet(quad.boundary_points)])
 
 
@@ -55,35 +63,35 @@ HAND_RESIDUAL_STACKS = {
 
 def poisson_metric_stack(prob, theta, theta_bar, quad):
     """Poisson (1D and 2D) metric as written by hand: Laplacian rows, then boundary values."""
-    _, _, lap = model.input_derivatives(prob.topology, theta, quad.interior_points)
-    ub = model.forward(prob.topology, theta, quad.boundary_points)
-    return ad.concat([lap, ub])
+    _, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
+    ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
+    return ad.concat([laplacian(sec), ub])
 
 
 def heat_metric_stack(prob, theta, theta_bar, quad):
     """Heat metric by hand: u_t - u_xx on the interior, u on the lateral
     boundary and on the initial slice."""
-    _, du, d2u = model.derivatives(prob.topology, theta, quad.interior_points)
-    ub = model.forward(prob.topology, theta, quad.boundary_points)
-    ui = model.forward(prob.topology, theta, quad.initial_points)
+    _, du, d2u = oracle_jet(prob.topology, theta, quad.interior_points)
+    ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
+    ui, _, _ = oracle_jet(prob.topology, theta, quad.initial_points)
     return ad.concat([du[0] - d2u[1], ub, ui])
 
 
 def nlpoisson_metric_stack(prob, theta, theta_bar, quad):
     """Gauss-Newton metric by hand: Laplacian - 3 ubar^2 u with ubar frozen at theta_bar."""
     ubar = ad.primal_value(
-        model.forward(prob.topology, ad.freeze(theta_bar), quad.interior_points)
+        oracle_jet(prob.topology, ad.freeze(theta_bar), quad.interior_points)[0]
     )
-    u, _, lap = model.input_derivatives(prob.topology, theta, quad.interior_points)
-    ub = model.forward(prob.topology, theta, quad.boundary_points)
-    return ad.concat([lap - 3.0 * ubar**2 * u, ub])
+    u, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
+    ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
+    return ad.concat([laplacian(sec) - 3.0 * ubar**2 * u, ub])
 
 
 def nlpoisson_metric_stack_unfrozen(prob, theta, quad):
     """Negative control: the linearization coefficient is not frozen."""
-    u, _, lap = model.input_derivatives(prob.topology, theta, quad.interior_points)
-    ub = model.forward(prob.topology, theta, quad.boundary_points)
-    return ad.concat([lap - 3.0 * u * u * u, ub])
+    u, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
+    ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
+    return ad.concat([laplacian(sec) - 3.0 * u * u * u, ub])
 
 
 HAND_METRIC_STACKS = {
@@ -360,14 +368,15 @@ class TestH1Error:
     @settings(max_examples=20, deadline=None)
     def test_first_order_jet_matches_second_order_reference_bitwise(self, seed, scale):
         # the order-1 jet reads the same value and gradient channels as the
-        # order-2 jet of model.input_derivatives, bit for bit
+        # order-2 jet, bit for bit
         for name in problems.PROBLEM_NAMES:
             prob, quad, _ = small_problem(name)
             theta = scale * np.random.default_rng(seed).standard_normal(
                 prob.topology.param_count
             )
             x, w = quad.interior_points, quad.interior_weights
-            u, gu, _ = model.input_derivatives(prob.topology, theta, x)
+            z = model.propagate(prob.topology, theta, model.input_jet(prob.topology, x))
+            u, gu = z[0, :, 0], z[1 : 1 + prob.input_dim, :, 0].T
             ue, ge = prob.exact(x), prob.exact_grad(x)
             num = np.sum(w * (u - ue) ** 2) + np.sum(w * np.sum((gu - ge) ** 2, axis=1))
             den = np.sum(w * ue**2) + np.sum(w * np.sum(ge**2, axis=1))
