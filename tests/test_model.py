@@ -114,6 +114,28 @@ class TestJetOrders:
                 np.testing.assert_array_equal(z[1:3], np.broadcast_to(np.eye(2)[:, None], (2, 3, 2)))
         with pytest.raises(ValueError, match="order"):
             model.input_jet(top, x, 3)
+        with pytest.raises(ValueError, match="input dim"):
+            model.input_jet(top, x[:, :1])
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_propagate_leaves_its_inputs_unchanged(self, order):
+        # the tanh rule overwrites each layer's own new array, never the
+        # caller's input jet, which is built once and reused; the pullback
+        # can be called again with the same cotangent
+        top = model.MlpTopology((2, 5, 5, 1))
+        rng = np.random.default_rng(order)
+        theta = rng.standard_normal(top.param_count)
+        z = model.input_jet(top, rng.random((4, 2)), order)
+        theta0, z0 = theta.copy(), z.copy()
+        jet, pullback = model.propagate(top, theta, z, pullback=True)
+        np.testing.assert_array_equal(model.propagate(top, theta, z), jet)
+        g = rng.standard_normal(jet.shape)
+        g0 = g.copy()
+        rows = pullback(g, np.empty((4, top.param_count)))
+        np.testing.assert_array_equal(pullback(g, np.empty((4, top.param_count))), rows)
+        np.testing.assert_array_equal(z, z0)
+        np.testing.assert_array_equal(theta, theta0)
+        np.testing.assert_array_equal(g, g0)
 
     @given(seed=st.integers(0, 2**31 - 1), depth=st.integers(1, 3), d=st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
