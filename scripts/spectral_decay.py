@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from nystromngd import model
-from nystromngd.gramian import GramianOperator, assemble_dense
-from nystromngd.harness import normalized_spectrum
+from nystromngd.harness import gramian_spectrum
 from nystromngd.problems import PROBLEM_NAMES, make_problem
 
 
@@ -30,12 +29,11 @@ def main():
         prob = make_problem(name, hidden_width=args.width, hidden_depth=2)
         quad = prob.sample_quadrature(400, 160, seed=args.seed)
         theta = model.init(prob.topology, args.seed).values
-        gop = GramianOperator.from_problem(prob, theta, quad)
-        ratios = normalized_spectrum(assemble_dense(gop), top=args.top)
+        ratios = gramian_spectrum(prob, theta, quad, top=args.top)
         path = out / f"{name}.txt"
         np.savetxt(path, ratios, fmt="%.17g")
         decade = int(np.argmax(ratios < 1e-10)) if np.any(ratios < 1e-10) else len(ratios)
-        print(f"{name:<12} p={gop.dim:<5} first index below 1e-10: {decade} -> {path}")
+        print(f"{name:<12} p={theta.size:<5} first index below 1e-10: {decade} -> {path}")
     return 0
 
 

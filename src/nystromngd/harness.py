@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,16 +19,7 @@ from .gramian import GramianOperator, assemble_dense
 from .optim import OPTIMIZER_NAMES, NystromNgdConfig, RunRecord, run_optimizer
 from .problems import make_problem, PROBLEM_NAMES
 
-CSV_COLUMNS = (
-    "iteration",
-    "loss",
-    "h1_rel_error",
-    "mu",
-    "ell",
-    "pcg_iters",
-    "matvecs",
-    "seconds",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 __all__ = [
     "ExperimentConfig",
@@ -38,6 +29,13 @@ __all__ = [
     "dump_spectrum",
     "CSV_COLUMNS",
 ]
+
+
+# smallest accepted value of each count, size and seed
+_LOWER_BOUNDS = {
+    "hidden_width": 1, "n_interior": 1, "n_boundary": 1, "repetitions": 1,
+    "hidden_depth": 0, "seed": 0, "quad_seed": 0, "iterations": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,9 @@ class ExperimentConfig(NystromNgdConfig):
             raise ValueError(
                 f"unknown optimizer {self.optimizer!r}; available: {OPTIMIZER_NAMES}"
             )
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        for name, low in _LOWER_BOUNDS.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 # annotation strings such as "int | None" (postponed evaluation)
@@ -125,30 +122,13 @@ def _write_trace(path, records):
         writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow(
-                [
-                    rec.iteration,
-                    format(rec.loss, ".17g"),
-                    format(rec.h1_rel_error, ".17g"),
-                    format(rec.mu, ".17g"),
-                    rec.ell,
-                    rec.pcg_iters,
-                    rec.matvecs,
-                    format(rec.seconds, ".17g"),
-                ]
+                format(v, ".17g") if isinstance(v, float) else v for v in astuple(rec)
             )
 
 
 def _initial_record(problem, theta0, quad):
-    return RunRecord(
-        iteration=0,
-        loss=problem.loss_value(theta0, quad),
-        h1_rel_error=problem.h1_relative_error(theta0, quad),
-        mu=0.0,
-        ell=0,
-        pcg_iters=0,
-        matvecs=0,
-        seconds=0.0,
-    )
+    loss = problem.loss_value(theta0, quad)
+    return RunRecord(0, loss, problem.h1_relative_error(theta0, quad), 0.0, 0, 0, 0, 0.0)
 
 
 def run_experiment(config, out_dir=None):

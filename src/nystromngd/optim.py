@@ -27,6 +27,7 @@ BFGS_GUARD = 5000  # largest p for which the dense p x p inverse Hessian is buil
 LS_SHRINK = 0.5
 LS_MAX_BACKTRACKS = 30
 LS_SUFFICIENT_DECREASE = 1e-4
+MU_FLOOR_COEFF = 1e-4  # c in the damping floor c * L^2
 
 __all__ = [
     "NystromNgdConfig",
@@ -54,9 +55,6 @@ class NystromNgdConfig:
     cg_maxit: int = 20
     kappa: float = 0.1
     rank_ratio: float = 10.0
-    mu_floor_mode: str = "loss-power"  # loss-power | grad-power | constant
-    mu_floor_coeff: float = 1e-4
-    mu_floor_exponent: float = 2.0
     iterations: int = 300
     seed: int = 0
 
@@ -73,13 +71,6 @@ class NystromNgdConfig:
             raise ValueError("kappa must be in (0, 1)")
         if self.rank_ratio <= 0:
             raise ValueError("rank_ratio must be positive")
-        if self.mu_floor_coeff < 0:
-            raise ValueError("mu_floor_coeff must be nonnegative")
-        if self.mu_floor_exponent <= 0:
-            # a loss or gradient norm of exactly 0 would raise 0.0 ** -e
-            raise ValueError("mu_floor_exponent must be positive")
-        if self.mu_floor_mode not in ("loss-power", "grad-power", "constant"):
-            raise ValueError(f"unknown mu floor mode {self.mu_floor_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -106,26 +97,17 @@ class StepReport:
     matvecs: int = 0
 
 
-def adapt_mu(lam1, gamma, loss, grad_norm, mode, coeff, exponent):
-    """Damping: mu = max(gamma * eps_mach * lam1, floor).
+def adapt_mu(lam1, gamma, loss, coeff):
+    """Damping: mu = max(gamma * eps_mach * lam1, coeff * L^2).
 
     The first term scales the top eigenvalue estimate; gamma = p gives the
     numerical-rank cutoff p*eps*lam1, which sits at the rounding floor of
     the Gramian, so the default gamma = 1e6 damps above that floor.  The
-    floor enforces stronger damping early on.
+    floor, in the loss L, enforces stronger damping early on.
     """
     if lam1 < 0 or gamma <= 0:
         raise ValueError("need lam1 >= 0 and gamma > 0")
-    base = gamma * EPS_MACH * lam1
-    if mode == "loss-power":
-        floor = coeff * abs(loss) ** exponent
-    elif mode == "grad-power":
-        floor = coeff * grad_norm**exponent
-    elif mode == "constant":
-        floor = coeff
-    else:
-        raise ValueError(f"unknown mu floor mode {mode!r}")
-    return max(base, floor)
+    return max(gamma * EPS_MACH * lam1, coeff * abs(loss) ** 2.0)
 
 
 def adapt_rank(eigenvalues, mu, ell, ell_max, ratio=10.0):
@@ -233,8 +215,8 @@ def _nystrom_ngd(problem, theta0, config, quad):
     direction, then adapt the rank from the estimated spectrum.  Each
     sketch's test matrix is the previous step's Nystrom basis (a fresh
     Gaussian one on the first step), topped up with Gaussian columns when
-    the rank grows.  A failed line search raises the damping floor
-    tenfold for the next step.
+    the rank grows.  The damping floor is ``MU_FLOOR_COEFF * L^2``; a
+    failed line search raises it tenfold for the next step.
     """
     p = theta0.shape[0]
     gamma = float(config.gamma) if config.gamma is not None else float(p)
@@ -253,15 +235,7 @@ def _nystrom_ngd(problem, theta0, config, quad):
             gop, ell, seed=int(rng.integers(2**63)), basis=basis
         )
         basis = factor.basis
-        mu = adapt_mu(
-            factor.eigenvalues[0],
-            gamma,
-            loss,
-            grad_norm,
-            config.mu_floor_mode,
-            config.mu_floor_coeff * floor_boost,
-            config.mu_floor_exponent,
-        )
+        mu = adapt_mu(factor.eigenvalues[0], gamma, loss, MU_FLOOR_COEFF * floor_boost)
         if mu <= 0.0:
             mu = gamma * EPS_MACH  # all-zero spectrum with zero floor
         report = pcg(

@@ -1,21 +1,23 @@
 import csv
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nystromngd import harness
+from nystromngd import harness, model, optim, problems
 from nystromngd.cli import main as cli_main
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
-# the config keys of the README's schema table
-README_KEYS = {
-    "problem", "optimizer", "hidden_width", "hidden_depth", "n_interior",
-    "n_boundary", "quad_seed", "seed", "repetitions", "iterations", "out_dir",
-    "ell0", "ell_max", "gamma", "cg_maxit", "kappa", "rank_ratio",
-    "mu_floor_mode", "mu_floor_coeff", "mu_floor_exponent",
-}
+
+def readme_config_keys():
+    """The backticked names in the first column of the README's schema table."""
+    section = README.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    return {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
 
 
 def small_config_text(**overrides):
@@ -72,14 +74,19 @@ class TestParseConfig:
         "text",
         [
             "kappa = 2",
-            "mu_floor_mode = nope",
             "ell0 = 20\nell_max = 10",
             "cg_maxit = 0",
             "rank_ratio = 0",
             "rank_ratio = -1",
-            "mu_floor_coeff = -1e-4",
-            "mu_floor_exponent = 0",
-            "mu_floor_exponent = -1",
+            "n_interior = 0",
+            "n_interior = -5",
+            "n_boundary = 0",
+            "hidden_width = 0",
+            "hidden_depth = -1",
+            "seed = -1",
+            "quad_seed = -1",
+            "repetitions = 0",
+            "iterations = -1",
         ],
     )
     def test_invalid_optimizer_values_raise_at_parse_time(self, text):
@@ -88,9 +95,15 @@ class TestParseConfig:
 
     def test_key_set_is_the_documented_schema(self):
         keys = {f.name for f in fields(harness.ExperimentConfig)}
-        assert keys == README_KEYS
+        assert keys == readme_config_keys()
         with pytest.raises(ValueError, match="unknown config key"):
             harness.parse_config("ls_shrink = 0.5")
+
+    def test_csv_columns_are_the_documented_columns(self):
+        documented = re.search(r"column order\s+`([^`]+)`", README).group(1)
+        assert ",".join(harness.CSV_COLUMNS) == documented
+        # criterion 12 compares each row without its last column
+        assert harness.CSV_COLUMNS[-1] == "seconds"
 
 
 class TestRunExperiment:
@@ -109,6 +122,28 @@ class TestRunExperiment:
         rows_b = read_csv(tmp_path / "b" / "run_0.csv")
         drop_seconds = lambda rows: [r[:-1] for r in rows]
         assert drop_seconds(rows_a) == drop_seconds(rows_b)
+
+    @pytest.mark.parametrize("name", ["nystrom_ngd", "gd"])
+    def test_csv_round_trips_the_records_bitwise(self, tmp_path, name):
+        cfg = harness.parse_config(small_config_text(optimizer=name, seed=3))
+        harness.run_experiment(cfg, out_dir=tmp_path)
+        prob = problems.make_problem(
+            cfg.problem, hidden_width=cfg.hidden_width, hidden_depth=cfg.hidden_depth
+        )
+        quad = prob.sample_quadrature(cfg.n_interior, cfg.n_boundary, cfg.quad_seed)
+        theta0 = model.init(prob.topology, cfg.seed).values
+        _, records = optim.run_optimizer(name, prob, theta0, cfg, quad, quad_eval=quad)
+        header, *rows = read_csv(tmp_path / "run_3.csv")
+        assert len(rows) == len(records) == cfg.iterations
+        kinds = {f.name: f.type for f in fields(optim.RunRecord)}
+        for row, rec in zip(rows, records):
+            for column, cell in zip(header[:-1], row):  # all but the seconds
+                value = getattr(rec, column)
+                if kinds[column] == "int":
+                    assert cell.isdigit() and isinstance(value, int), column
+                    assert int(cell) == value, column
+                else:
+                    assert float(cell).hex() == value.hex(), column
 
     def test_summary_fields(self, tmp_path):
         cfg = harness.parse_config(small_config_text(repetitions=2))

@@ -69,31 +69,19 @@ def toy(seed=0, n=40, p=8):
 
 class TestAdaptMu:
     def test_machine_epsilon_scaling(self):
-        mu = optim.adapt_mu(1.0, 1217, loss=0.0, grad_norm=0.0,
-                            mode="constant", coeff=0.0, exponent=0.0)
+        mu = optim.adapt_mu(1.0, 1217, loss=0.0, coeff=0.0)
         assert mu == pytest.approx(1217 * 2.220446e-16, rel=1e-6)
         assert mu == pytest.approx(2.702e-13, rel=1e-3)
 
     def test_loss_power_floor_dominates_for_small_top_eigenvalue(self):
-        mu = optim.adapt_mu(1e-10, 100, loss=1e-2, grad_norm=0.0,
-                            mode="loss-power", coeff=1e-4, exponent=2.0)
+        mu = optim.adapt_mu(1e-10, 100, loss=1e-2, coeff=1e-4)
         assert mu == pytest.approx(1e-8, rel=1e-12)
-
-    def test_constant_floor(self):
-        mu = optim.adapt_mu(0.0, 10, loss=1.0, grad_norm=1.0,
-                            mode="constant", coeff=1e-9, exponent=0.0)
-        assert mu == 1e-9
-
-    def test_grad_power_floor(self):
-        mu = optim.adapt_mu(0.0, 10, loss=0.0, grad_norm=2.0,
-                            mode="grad-power", coeff=0.5, exponent=2.0)
-        assert mu == pytest.approx(2.0)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            optim.adapt_mu(-1.0, 1.0, 0.0, 0.0, "constant", 0.0, 0.0)
+            optim.adapt_mu(-1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            optim.adapt_mu(1.0, 1.0, 0.0, 0.0, "nope", 0.0, 0.0)
+            optim.adapt_mu(1.0, 0.0, 0.0, 0.0)
 
 
 class TestAdaptRank:
@@ -219,21 +207,19 @@ def reach_runs():
 
 
 class TestNystromNgdRun:
-    def test_linear_least_squares_converges_fast(self):
+    def test_linear_least_squares_converges_fast(self, monkeypatch):
+        monkeypatch.setattr(optim, "MU_FLOOR_COEFF", 0.0)
         prob = toy()
         theta0 = np.zeros(8)
-        cfg = optim.NystromNgdConfig(
-            ell0=8, ell_max=8, iterations=5, cg_maxit=50,
-            mu_floor_mode="constant", mu_floor_coeff=0.0, seed=0,
-        )
+        cfg = optim.NystromNgdConfig(ell0=8, ell_max=8, iterations=5, cg_maxit=50, seed=0)
         theta, records = optim.nystrom_ngd_run(prob, theta0, cfg, quad=None)
         best = prob.loss_value(prob.optimum(), None)
         assert records[-1].loss - best <= 1e-10 or prob.loss_value(theta, None) - best <= 1e-10
 
-    def test_rank_trajectory_bounded_and_monotone_until_shrink(self):
+    def test_rank_trajectory_bounded_and_monotone_until_shrink(self, monkeypatch):
+        monkeypatch.setattr(optim, "MU_FLOOR_COEFF", 1e-10)
         prob = toy(seed=3, n=60, p=12)
-        cfg = optim.NystromNgdConfig(ell0=2, ell_max=10, iterations=8, seed=1,
-                                     mu_floor_mode="constant", mu_floor_coeff=1e-10)
+        cfg = optim.NystromNgdConfig(ell0=2, ell_max=10, iterations=8, seed=1)
         _, records = optim.nystrom_ngd_run(prob, np.zeros(12), cfg, quad=None)
         ells = [r.ell for r in records]
         assert all(e <= 10 for e in ells)
