@@ -6,8 +6,11 @@ but the wall-clock seconds, so two checkouts do the same arithmetic on
 these runs exactly when their outputs do not differ:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/parity_digest.py > a.txt
-    (same command in the other checkout) > b.txt
-    diff a.txt b.txt
+    (same command in the other checkout) --against a.txt
+
+``--against FILE`` compares this checkout's digests with a saved run: it
+prints to stderr each (optimizer, problem, seed) whose digest differs from
+FILE's or that FILE lacks, and exits 1 if there is any.
 
 Each run is the criterion-10 setup: a tanh MLP of two hidden layers, 400
 interior and 160 boundary points, quadrature, initialization and
@@ -48,6 +51,16 @@ def run(optimizer, name, seed, iterations, width):
     return digest(theta, records)
 
 
+def read_digests(path):
+    """{(optimizer, problem, seed): digest} from a saved run's output."""
+    saved = {}
+    with open(path) as fh:
+        for line in filter(str.strip, fh):
+            optimizer, name, seed, value = line.split()
+            saved[optimizer, name, seed] = value
+    return saved
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--optimizers", nargs="+", default=list(optim.OPTIMIZER_NAMES))
@@ -55,13 +68,29 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=3, help="seeds 0 .. SEEDS-1")
     parser.add_argument("--iterations", type=int, default=25)
     parser.add_argument("--width", type=int, default=16)
+    parser.add_argument("--against", metavar="FILE", help="saved output to compare with")
     args = parser.parse_args(argv)
+    saved = read_digests(args.against) if args.against else None
+    mismatches = []
     for optimizer in args.optimizers:
         for name in args.problems:
             for seed in range(args.seeds):
                 line = run(optimizer, name, seed, args.iterations, args.width)
                 print(f"{optimizer} {name} {seed} {line}", flush=True)
-    return 0
+                if saved is not None:
+                    expected = saved.get((optimizer, name, str(seed)))
+                    if expected != line:
+                        kind = "missing" if expected is None else "differs"
+                        mismatches.append(f"{kind}: {optimizer} {name} {seed}")
+    if saved is None:
+        return 0
+    for mismatch in mismatches:  # stderr, so stdout stays a digest file
+        print(mismatch, file=sys.stderr)
+    print(
+        f"{len(mismatches)} run(s) differ from or are missing in {args.against}",
+        file=sys.stderr,
+    )
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 """Hyperparameter sensitivity sweep for the preconditioned NGD loop.
 
 Sweeps the damping multiplier gamma (absolute values around the default
-1e6, plus the parameter count p), the rank-adaptation ratio, the CG
+1e6, plus the network's parameter count p, the numerical-rank cutoff
+multiplier), the rank-adaptation ratio, the CG
 tolerance cap kappa, and the CG iteration cap, one axis at a time around
 the defaults, and reports the median final H1 error for each setting.
 
@@ -15,9 +16,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from nystromngd.harness import ExperimentConfig, run_experiment
-from nystromngd.problems import PROBLEM_NAMES
+from nystromngd.problems import PROBLEM_NAMES, make_problem
 
-GAMMAS = (1e4, 1e5, 1e6, 1e7, 1e8, None)  # None: the parameter count p
+GAMMAS = (1e4, 1e5, 1e6, 1e7, 1e8)
 RANK_RATIOS = (2.0, 5.0, 10.0, 20.0, 50.0)
 KAPPAS = (0.5, 0.1, 0.01, 0.001)
 CG_MAXITS = (5, 10, 20, 40)
@@ -47,10 +48,13 @@ def main():
     )
     out_root = Path(args.out) / args.problem
 
+    topology = make_problem(
+        base.problem, hidden_width=base.hidden_width, hidden_depth=base.hidden_depth
+    ).topology
     print("gamma sweep:")
     for gamma in GAMMAS:
-        tag = "p" if gamma is None else f"{gamma:g}"
-        run(replace(base, gamma=gamma), out_root, f"gamma_{tag}")
+        run(replace(base, gamma=gamma), out_root, f"gamma_{gamma:g}")
+    run(replace(base, gamma=float(topology.param_count)), out_root, "gamma_p")
     print("rank-adaptation ratio sweep:")
     for ratio in RANK_RATIOS:
         run(replace(base, rank_ratio=ratio), out_root, f"ratio_{ratio:g}")

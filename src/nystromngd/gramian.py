@@ -2,11 +2,10 @@
 
 J is the Jacobian of a problem's residual stack with respect to the
 parameters, one row per residual row (one quadrature point each), so G
-is the Gauss-Newton metric.  It is assembled once per iteration, by one
-forward jet and one per-point reverse pass through the network
-(``PdeProblem.residual_jacobian``), into an array that each NGD run
-allocates once, and the same J gives the loss
-gradient J^T diag(w) r.  It takes rows x p x 8 bytes: for 560 rows,
+is the Gauss-Newton metric.  It is assembled once per iteration with the
+loss gradient J^T diag(w) r (``PdeProblem.loss_grad``: one forward jet and
+one per-point reverse pass through the network), into an array that each
+optimizer run allocates once.  It takes rows x p x 8 bytes: for 560 rows,
 1.5 MB at p = 337 and 5.3 MB at p = 1185.  Every Gramian matvec is then
 two BLAS matrix-vector products, and every block of matvecs two GEMMs.
 """

@@ -73,9 +73,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key, value):
-    """Convert by the field's declared type; ``gamma = p`` means None."""
-    if key == "gamma" and value == "p":
-        return None
+    """Convert by the field's declared type."""
     kind = _FIELD_TYPES[key].split(" |")[0]
     return {"int": int, "float": float}.get(kind, str)(value)
 

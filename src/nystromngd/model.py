@@ -128,17 +128,18 @@ def tanh_jet_rule(z, d, linearize=False, out=None):
     if order:
         d2 = -2.0 * t * d1
         if linearize:  # before out, which may be z, overwrites g and h
-            ca = d2 * g  # C, then A at order 2
+            ca = np.empty_like(z[1:])  # C, then A at order 2
+            c = np.multiply(d2, g, out=ca[:d])
             if order == 2:
-                d3 = d1 * (4.0 * t * t - 2.0 * d1)
-                ca = np.concatenate([ca, d3 * g * g + d2 * h])
-                b = 2.0 * d2 * g
+                a = np.multiply(d1 * (4.0 * t * t - 2.0 * d1), g, out=ca[d:])  # d3 g
+                a *= g
+                a += d2 * h
+                b = 2.0 * c
     if out is None:
         out = np.empty_like(z)
     out[0] = t
     if order == 2:
-        second = d2 * g
-        second *= g
+        second = c * g if linearize else d2 * g * g
         np.multiply(d1, h, out=out[1 + d :])
         out[1 + d :] += second
     np.multiply(d1, g, out=out[1 : 1 + d])

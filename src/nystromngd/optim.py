@@ -51,7 +51,7 @@ class NystromNgdConfig:
 
     ell0: int = 10
     ell_max: int | None = None  # None -> min(500, p // 2) at run time
-    gamma: float | None = 1e6  # None -> parameter count p
+    gamma: float = 1e6
     cg_maxit: int = 20
     kappa: float = 0.1
     rank_ratio: float = 10.0
@@ -63,7 +63,7 @@ class NystromNgdConfig:
             raise ValueError("need ell0 >= 1")
         if self.ell_max is not None and self.ell0 > self.ell_max:
             raise ValueError("need 1 <= ell0 <= ell_max")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.cg_maxit < 1:
             raise ValueError("need cg_maxit >= 1")
@@ -100,10 +100,10 @@ class StepReport:
 def adapt_mu(lam1, gamma, loss, coeff):
     """Damping: mu = max(gamma * eps_mach * lam1, coeff * L^2).
 
-    The first term scales the top eigenvalue estimate; gamma = p gives the
-    numerical-rank cutoff p*eps*lam1, which sits at the rounding floor of
-    the Gramian, so the default gamma = 1e6 damps above that floor.  The
-    floor, in the loss L, enforces stronger damping early on.
+    The first term scales the top eigenvalue estimate; the numerical-rank
+    cutoff p*eps*lam1 sits at the rounding floor of the Gramian, so the
+    default gamma = 1e6 damps above that floor.  The floor, in the loss L,
+    enforces stronger damping early on.
     """
     if lam1 < 0 or gamma <= 0:
         raise ValueError("need lam1 >= 0 and gamma > 0")
@@ -161,15 +161,6 @@ def _jacobian_buffer(problem, theta0, quad):
     return np.empty((problem.metric_weights(quad).shape[0], theta0.shape[0]))
 
 
-def _gradient_and_gramian(problem, theta, quad, jac):
-    """Loss gradient J^T W r and Gramian J^T W J from one residual Jacobian
-    J, assembled into ``jac``; the Gramian holds ``jac`` until the next
-    assembly overwrites it."""
-    r, jac = problem.residual_jacobian(theta, quad, out=jac)
-    gop = GramianOperator(jac, problem.metric_weights(quad))
-    return jac.T @ (gop.weights * r), gop
-
-
 def bfgs_update(h, s, y):
     """Inverse-Hessian BFGS update without matrix-matrix products.
 
@@ -208,8 +199,8 @@ def _cg_rel_tol(kappa, grad_norm):
 def _nystrom_ngd(problem, theta0, config, quad):
     """Natural gradient descent with a randomized Nystrom preconditioner.
 
-    Per step: assemble the residual Jacobian at the current iterate, which
-    gives both the gradient and the matrix-free Gramian, sketch the Gramian
+    Per step: assemble the residual Jacobian J at the current iterate with
+    the loss gradient, wrap J as the matrix-free Gramian, sketch the Gramian
     at the current rank, adapt the damping from the top eigenvalue
     estimate, run PCG on the damped system, backtrack along the resulting
     direction, then adapt the rank from the estimated spectrum.  Each
@@ -218,9 +209,7 @@ def _nystrom_ngd(problem, theta0, config, quad):
     the rank grows.  The damping floor is ``MU_FLOOR_COEFF * L^2``; a
     failed line search raises it tenfold for the next step.
     """
-    p = theta0.shape[0]
-    gamma = float(config.gamma) if config.gamma is not None else float(p)
-    ell_max = _resolve_ell_max(config, p)
+    ell_max = _resolve_ell_max(config, theta0.shape[0])
     ell = min(config.ell0, ell_max)
     rng = np.random.default_rng(config.seed)
     floor_boost = 1.0
@@ -229,15 +218,18 @@ def _nystrom_ngd(problem, theta0, config, quad):
 
     def step(theta, loss):
         nonlocal ell, floor_boost, basis
-        g, gop = _gradient_and_gramian(problem, theta, quad, jac)
+        g = problem.loss_grad(theta, quad, out=jac)
+        gop = GramianOperator(jac, problem.metric_weights(quad))
         grad_norm = float(np.linalg.norm(g))
         factor = nystrom_approximate(
             gop, ell, seed=int(rng.integers(2**63)), basis=basis
         )
         basis = factor.basis
-        mu = adapt_mu(factor.eigenvalues[0], gamma, loss, MU_FLOOR_COEFF * floor_boost)
+        mu = adapt_mu(
+            factor.eigenvalues[0], config.gamma, loss, MU_FLOOR_COEFF * floor_boost
+        )
         if mu <= 0.0:
-            mu = gamma * EPS_MACH  # all-zero spectrum with zero floor
+            mu = config.gamma * EPS_MACH  # all-zero spectrum with zero floor
         report = pcg(
             ShiftedOperator(gop, mu),
             g,
@@ -269,7 +261,8 @@ def _ngd_cg(problem, theta0, config, quad):
 
     def step(theta, loss):
         mu = _baseline_mu(loss)
-        g, gop = _gradient_and_gramian(problem, theta, quad, jac)
+        g = problem.loss_grad(theta, quad, out=jac)
+        gop = GramianOperator(jac, problem.metric_weights(quad))
         report = pcg(
             ShiftedOperator(gop, mu),
             g,
@@ -301,7 +294,8 @@ def _ngd_dense(problem, theta0, config, quad):
 
     def step(theta, loss):
         mu = _baseline_mu(loss)
-        g, gop = _gradient_and_gramian(problem, theta, quad, jac)
+        g = problem.loss_grad(theta, quad, out=jac)
+        gop = GramianOperator(jac, problem.metric_weights(quad))
         direction = ngd_dense_direction(gop, g, mu)
         theta_next, loss_next, _ = _descend(problem, quad, theta, loss, g, direction)
         return theta_next, loss_next, StepReport(mu, matvecs=gop.matvec_count)
@@ -311,9 +305,10 @@ def _ngd_dense(problem, theta0, config, quad):
 
 def _gradient_descent(problem, theta0, config, quad):
     """Plain gradient descent with Armijo backtracking."""
+    jac = _jacobian_buffer(problem, theta0, quad)
 
     def step(theta, loss):
-        g = problem.loss_grad(theta, quad)
+        g = problem.loss_grad(theta, quad, out=jac)
         theta_next, loss_next, _ = _descend(problem, quad, theta, loss, g, g)
         return theta_next, loss_next, StepReport()
 
@@ -326,13 +321,14 @@ def _bfgs(problem, theta0, config, quad):
     if p > BFGS_GUARD:
         raise ValueError(f"dense BFGS guard: p={p} exceeds {BFGS_GUARD}")
     h = np.eye(p)
-    g = problem.loss_grad(theta0, quad)
+    jac = _jacobian_buffer(problem, theta0, quad)
+    g = problem.loss_grad(theta0, quad, out=jac)
 
     def step(theta, loss):
         nonlocal h, g
         theta_next, loss_next, alpha = _descend(problem, quad, theta, loss, g, h @ g)
         if alpha > 0.0:
-            g_next = problem.loss_grad(theta_next, quad)
+            g_next = problem.loss_grad(theta_next, quad, out=jac)
             h = bfgs_update(h, theta_next - theta, g_next - g)
             g = g_next
         return theta_next, loss_next, StepReport()

@@ -227,8 +227,10 @@ class PdeProblem:
         r = self.residual_stack(theta, quad)
         return 0.5 * float(np.sum(self.metric_weights(quad) * r * r))
 
-    def loss_grad(self, theta, quad):
-        r, jac = self.residual_jacobian(theta, quad)
+    def loss_grad(self, theta, quad, out=None):
+        """Loss gradient J^T W r; J is assembled into ``out`` when given
+        (see :meth:`residual_jacobian`), where it stays for the caller."""
+        r, jac = self.residual_jacobian(theta, quad, out=out)
         return jac.T @ (self.metric_weights(quad) * r)
 
     def _build_h1(self, quad):

@@ -155,8 +155,7 @@ def effective_dimension(eigs, mu):
 def pivoted_cholesky(op, rank, strategy, seed=None):
     """Rank-``rank`` partial Cholesky factor of an SPSD operator.
 
-    Pivot strategies: ``greedy`` (largest residual diagonal), ``uniform``
-    (uniform random among columns with positive residual), ``rp``
+    Pivot strategies: ``greedy`` (largest residual diagonal) and ``rp``
     (random, proportional to the residual diagonal).  Returns (F, pivots)
     with F F^T ~= G; equals the column Nystrom approximation on the pivot
     set.  Needs the diagonal of G, obtained via matvecs for matrix-free
@@ -166,7 +165,7 @@ def pivoted_cholesky(op, rank, strategy, seed=None):
     p = op.dim
     if p > DENSE_GUARD:
         raise ValueError(f"pivoted Cholesky needs the diagonal; p={p} exceeds {DENSE_GUARD}")
-    if strategy not in ("greedy", "uniform", "rp"):
+    if strategy not in ("greedy", "rp"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     rng = np.random.default_rng(seed)
     matrix = op.matrix if isinstance(op, DenseOperator) else assemble_dense(op)
@@ -184,8 +183,6 @@ def pivoted_cholesky(op, rank, strategy, seed=None):
             break  # residual numerically zero: factor is already exact
         if strategy == "greedy":
             i = int(np.argmax(diag))
-        elif strategy == "uniform":
-            i = int(rng.choice(np.flatnonzero(active)))
         else:  # rp
             probs = np.clip(diag, 0.0, None)
             probs /= probs.sum()

@@ -54,9 +54,11 @@ class TestParseConfig:
         text = "# a comment\n\nproblem = poisson2d  # trailing\n"
         assert harness.parse_config(text).problem == "poisson2d"
 
-    def test_gamma_literal_p(self):
-        assert harness.parse_config("gamma = p").gamma is None
+    def test_gamma_literal_p_raises(self):
+        # gamma is a positive number; the parameter count has no literal
         assert harness.parse_config("gamma = 3.5").gamma == 3.5
+        with pytest.raises(ValueError):
+            harness.parse_config("gamma = p")
 
     def test_unknown_key_raises(self):
         with pytest.raises(ValueError, match="unknown config key"):

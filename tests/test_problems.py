@@ -301,6 +301,16 @@ class TestResidualJacobian:
         np.testing.assert_array_equal(jac_buf, jac)
         np.testing.assert_array_equal(r_buf, r)
 
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_loss_grad_assembles_into_out_bitwise(self, name):
+        # the optimizers take the gradient this way and reuse J from ``out``
+        prob, quad, theta = small_problem(name)
+        _, jac = prob.residual_jacobian(theta, quad)
+        buf = np.full(jac.shape, np.nan)
+        g = prob.loss_grad(theta, quad, out=buf)
+        assert g.tobytes() == prob.loss_grad(theta, quad).tobytes()
+        assert buf.tobytes() == jac.tobytes()
+
     @pytest.mark.parametrize("shape", [(1, 0), (0, -1), (1, -1)])
     def test_wrongly_shaped_out_raises(self, shape):
         prob, quad, theta = small_problem("heat1p1d")

@@ -50,3 +50,38 @@ def test_parity_digest_is_deterministic():
     digests = [line[3] for line in lines]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
     assert len(set(digests)) == 4
+
+
+def parity_digest(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "parity_digest.py"),
+         "--optimizers", "gd", "--problems", "poisson1d", "--seeds", "2",
+         "--iterations", "2", "--width", "4", *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.fixture(scope="module")
+def saved_digests(tmp_path_factory):
+    path = tmp_path_factory.mktemp("parity") / "saved.txt"
+    path.write_text(parity_digest().stdout)
+    return path
+
+
+def test_parity_digest_against_its_own_output_passes(saved_digests):
+    result = parity_digest("--against", str(saved_digests))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == saved_digests.read_text()
+
+
+def test_parity_digest_against_an_altered_digest_fails(saved_digests, tmp_path):
+    lines = saved_digests.read_text().splitlines()
+    assert len(lines) == 2
+    lines[1] = " ".join(lines[1].split()[:3] + ["0" * 64])
+    altered = tmp_path / "altered.txt"
+    altered.write_text("\n".join(lines) + "\n")
+    result = parity_digest("--against", str(altered))
+    assert result.returncode == 1
+    assert "differs: gd poisson1d 1" in result.stderr
+    assert "poisson1d 0" not in result.stderr

@@ -247,12 +247,17 @@ class TestPivotedCholesky:
         assert pivots == [0, 2, 4]
         np.testing.assert_allclose((f @ f.T).diagonal(), [5.0, 0, 4.0, 0, 3.0], atol=1e-12)
 
-    @pytest.mark.parametrize("strategy", ["greedy", "uniform", "rp"])
+    @pytest.mark.parametrize("strategy", ["greedy", "rp"])
     def test_full_rank_exact(self, strategy):
         rng = np.random.default_rng(8)
         g = random_psd(rng, 12)
         f, _ = sketch.pivoted_cholesky(g, rank=12, strategy=strategy, seed=0)
         np.testing.assert_allclose(f @ f.T, g, atol=1e-10 * np.linalg.norm(g))
+
+    @pytest.mark.parametrize("strategy", ["uniform", "nope"])
+    def test_unknown_strategy_raises(self, strategy):
+        with pytest.raises(ValueError, match="unknown pivot strategy"):
+            sketch.pivoted_cholesky(np.eye(3), rank=2, strategy=strategy)
 
     @pytest.mark.parametrize("strategy", ["greedy", "rp"])
     def test_equals_column_nystrom_on_pivots(self, strategy):
