@@ -5,8 +5,11 @@ A digest covers the final theta's bytes and every numeric RunRecord field
 but the wall-clock seconds, so two checkouts do the same arithmetic on
 these runs exactly when their outputs do not differ:
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python scripts/parity_digest.py > a.txt
+    PYTHONPATH=src python scripts/parity_digest.py > a.txt
     (same command in the other checkout) --against a.txt
+
+The script pins OpenBLAS, OpenMP and MKL to one thread before numpy is
+imported, so a digest does not depend on how a BLAS splits its sums.
 
 ``--against FILE`` compares this checkout's digests with a saved run: it
 prints to stderr each (optimizer, problem, seed) whose digest differs from
@@ -21,8 +24,12 @@ against older checkouts.
 
 import argparse
 import hashlib
+import os
 import sys
 from dataclasses import fields
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"  # before numpy is imported
 
 import numpy as np
 

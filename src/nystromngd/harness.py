@@ -31,10 +31,11 @@ __all__ = [
 ]
 
 
-# smallest accepted value of each count, size and seed
+# smallest accepted value of each count, size and seed that ExperimentConfig
+# adds (NystromNgdConfig checks its own iterations and seed)
 _LOWER_BOUNDS = {
     "hidden_width": 1, "n_interior": 1, "n_boundary": 1, "repetitions": 1,
-    "hidden_depth": 0, "seed": 0, "quad_seed": 0, "iterations": 0,
+    "hidden_depth": 0, "quad_seed": 0,
 }
 
 
@@ -93,7 +94,10 @@ def parse_config(text):
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in options:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        options[key] = _parse_value(key, value)
+        try:
+            options[key] = _parse_value(key, value)
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {value!r}") from err
     return ExperimentConfig(**options)
 
 

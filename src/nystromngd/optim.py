@@ -1,11 +1,15 @@
 """Outer optimizers: Nystrom-preconditioned NGD and its baselines.
 
-One loop, :func:`run_optimizer`, runs every optimizer: it takes one step
-and appends a :class:`RunRecord` per iteration.  Each optimizer is a
-factory ``(problem, theta0, config, quad) -> step`` whose closure holds
-that optimizer's state; ``step(theta, loss)`` returns ``(theta_next,
-loss_next, StepReport)``, where ``loss_next`` is the loss the line search
-accepted, so the loop evaluates the loss only once before the first step.
+One loop, :func:`run_optimizer`, runs every optimizer and owns every phase
+they share.  Per iteration it assembles the residual Jacobian J into the
+run's one (rows, p) array together with the loss gradient, wraps J as the
+matrix-free Gramian, asks the optimizer for a search direction, runs the
+Armijo line search, moves theta, and appends a :class:`RunRecord`.  Each
+optimizer is a factory ``(problem, theta0, config, quad) -> direction``
+whose closure holds only that optimizer's own state;
+``direction(theta, loss, g, gop, alpha)`` returns ``(d, StepReport)``,
+where ``alpha`` is the step size the previous line search accepted (1.0
+before the first step, 0.0 after a failed search).
 """
 
 from __future__ import annotations
@@ -71,6 +75,10 @@ class NystromNgdConfig:
             raise ValueError("kappa must be in (0, 1)")
         if self.rank_ratio <= 0:
             raise ValueError("rank_ratio must be positive")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -89,12 +97,11 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class StepReport:
-    """What one optimizer step reports to run_optimizer; matvecs are this step's."""
+    """What one optimizer's direction reports to run_optimizer."""
 
     mu: float = 0.0
     ell: int = 0
     pcg_iters: int = 0
-    matvecs: int = 0
 
 
 def adapt_mu(lam1, gamma, loss, coeff):
@@ -142,25 +149,6 @@ def backtracking_linesearch(theta, direction, loss_fn, grad_dot_dir, loss0):
     return 0.0, loss0
 
 
-def _descend(problem, quad, theta, loss, g, direction):
-    """Line search along -direction; returns (theta_next, loss_next, alpha),
-    where theta_next is theta itself and loss_next is ``loss`` when no
-    decrease was found (alpha = 0)."""
-    alpha, loss_next = backtracking_linesearch(
-        theta,
-        direction,
-        lambda th: problem.loss_value(th, quad),
-        float(g @ direction),
-        loss,
-    )
-    return (theta - alpha * direction if alpha > 0.0 else theta), loss_next, alpha
-
-
-def _jacobian_buffer(problem, theta0, quad):
-    """The (rows, p) array a run assembles every step's J into."""
-    return np.empty((problem.metric_weights(quad).shape[0], theta0.shape[0]))
-
-
 def bfgs_update(h, s, y):
     """Inverse-Hessian BFGS update without matrix-matrix products.
 
@@ -185,42 +173,31 @@ def _resolve_ell_max(config, p):
     return max(min(500, p // 2), min(config.ell0, p))
 
 
-def _h1(problem, theta, quad_eval):
-    if quad_eval is None:
-        return float("nan")
-    return problem.h1_relative_error(theta, quad_eval)
-
-
 def _cg_rel_tol(kappa, grad_norm):
-    # clamp away from the closed interval bounds required by pcg
-    return min(max(min(kappa, grad_norm), 1e-300), 1.0 - 1e-16)
+    # kappa < 1 keeps the tolerance below 1; the floor keeps it positive at g = 0
+    return max(min(kappa, grad_norm), 1e-300)
 
 
 def _nystrom_ngd(problem, theta0, config, quad):
     """Natural gradient descent with a randomized Nystrom preconditioner.
 
-    Per step: assemble the residual Jacobian J at the current iterate with
-    the loss gradient, wrap J as the matrix-free Gramian, sketch the Gramian
-    at the current rank, adapt the damping from the top eigenvalue
-    estimate, run PCG on the damped system, backtrack along the resulting
-    direction, then adapt the rank from the estimated spectrum.  Each
-    sketch's test matrix is the previous step's Nystrom basis (a fresh
-    Gaussian one on the first step), topped up with Gaussian columns when
-    the rank grows.  The damping floor is ``MU_FLOOR_COEFF * L^2``; a
-    failed line search raises it tenfold for the next step.
+    Per step: sketch the Gramian at the current rank, adapt the damping
+    from the top eigenvalue estimate, run PCG on the damped system, then
+    adapt the rank from the estimated spectrum.  Each sketch's test matrix
+    is the previous step's Nystrom basis (a fresh Gaussian one on the
+    first step), topped up with Gaussian columns when the rank grows.  The
+    damping floor is ``MU_FLOOR_COEFF * L^2``; a failed line search
+    (``alpha == 0``) raises it tenfold for the next step.
     """
     ell_max = _resolve_ell_max(config, theta0.shape[0])
     ell = min(config.ell0, ell_max)
     rng = np.random.default_rng(config.seed)
     floor_boost = 1.0
     basis = None  # the previous step's Nystrom basis
-    jac = _jacobian_buffer(problem, theta0, quad)
 
-    def step(theta, loss):
+    def direction(theta, loss, g, gop, alpha):
         nonlocal ell, floor_boost, basis
-        g = problem.loss_grad(theta, quad, out=jac)
-        gop = GramianOperator(jac, problem.metric_weights(quad))
-        grad_norm = float(np.linalg.norm(g))
+        floor_boost = 10.0 * floor_boost if alpha == 0.0 else 1.0
         factor = nystrom_approximate(
             gop, ell, seed=int(rng.integers(2**63)), basis=basis
         )
@@ -233,19 +210,15 @@ def _nystrom_ngd(problem, theta0, config, quad):
         report = pcg(
             ShiftedOperator(gop, mu),
             g,
-            _cg_rel_tol(config.kappa, grad_norm),
+            _cg_rel_tol(config.kappa, float(np.linalg.norm(g))),
             config.cg_maxit,
             precond=NystromPreconditioner(factor, mu),
         )
-        theta_next, loss_next, alpha = _descend(
-            problem, quad, theta, loss, g, report.solution
-        )
-        floor_boost = 10.0 * floor_boost if alpha == 0.0 else 1.0
-        done = StepReport(mu, ell, report.iterations, gop.matvec_count)
+        done = StepReport(mu, ell, report.iterations)
         ell = adapt_rank(factor.eigenvalues, mu, ell, ell_max, ratio=config.rank_ratio)
-        return theta_next, loss_next, done
+        return report.solution, done
 
-    return step
+    return direction
 
 
 def _baseline_mu(loss, cap=1e-5):
@@ -257,25 +230,18 @@ def _ngd_cg(problem, theta0, config, quad):
     """Unpreconditioned NGD-CG baseline: same tolerance rule, CG capped at
     cg_maxit + ell_max iterations."""
     maxit_total = config.cg_maxit + _resolve_ell_max(config, theta0.shape[0])
-    jac = _jacobian_buffer(problem, theta0, quad)
 
-    def step(theta, loss):
+    def direction(theta, loss, g, gop, alpha):
         mu = _baseline_mu(loss)
-        g = problem.loss_grad(theta, quad, out=jac)
-        gop = GramianOperator(jac, problem.metric_weights(quad))
         report = pcg(
             ShiftedOperator(gop, mu),
             g,
             _cg_rel_tol(config.kappa, float(np.linalg.norm(g))),
             maxit_total,
         )
-        theta_next, loss_next, _ = _descend(
-            problem, quad, theta, loss, g, report.solution
-        )
-        done = StepReport(mu, 0, report.iterations, gop.matvec_count)
-        return theta_next, loss_next, done
+        return report.solution, StepReport(mu, 0, report.iterations)
 
-    return step
+    return direction
 
 
 def ngd_dense_direction(gop, g, mu):
@@ -290,29 +256,17 @@ def ngd_dense_direction(gop, g, mu):
 
 def _ngd_dense(problem, theta0, config, quad):
     """Oracle NGD baseline: dense assembly and pseudoinverse (p <= 2000)."""
-    jac = _jacobian_buffer(problem, theta0, quad)
 
-    def step(theta, loss):
+    def direction(theta, loss, g, gop, alpha):
         mu = _baseline_mu(loss)
-        g = problem.loss_grad(theta, quad, out=jac)
-        gop = GramianOperator(jac, problem.metric_weights(quad))
-        direction = ngd_dense_direction(gop, g, mu)
-        theta_next, loss_next, _ = _descend(problem, quad, theta, loss, g, direction)
-        return theta_next, loss_next, StepReport(mu, matvecs=gop.matvec_count)
+        return ngd_dense_direction(gop, g, mu), StepReport(mu)
 
-    return step
+    return direction
 
 
 def _gradient_descent(problem, theta0, config, quad):
-    """Plain gradient descent with Armijo backtracking."""
-    jac = _jacobian_buffer(problem, theta0, quad)
-
-    def step(theta, loss):
-        g = problem.loss_grad(theta, quad, out=jac)
-        theta_next, loss_next, _ = _descend(problem, quad, theta, loss, g, g)
-        return theta_next, loss_next, StepReport()
-
-    return step
+    """Plain gradient descent: the direction is the gradient itself."""
+    return lambda theta, loss, g, gop, alpha: (g, StepReport())
 
 
 def _bfgs(problem, theta0, config, quad):
@@ -321,19 +275,16 @@ def _bfgs(problem, theta0, config, quad):
     if p > BFGS_GUARD:
         raise ValueError(f"dense BFGS guard: p={p} exceeds {BFGS_GUARD}")
     h = np.eye(p)
-    jac = _jacobian_buffer(problem, theta0, quad)
-    g = problem.loss_grad(theta0, quad, out=jac)
+    previous = None  # (theta, g) at the previous step
 
-    def step(theta, loss):
-        nonlocal h, g
-        theta_next, loss_next, alpha = _descend(problem, quad, theta, loss, g, h @ g)
-        if alpha > 0.0:
-            g_next = problem.loss_grad(theta_next, quad, out=jac)
-            h = bfgs_update(h, theta_next - theta, g_next - g)
-            g = g_next
-        return theta_next, loss_next, StepReport()
+    def direction(theta, loss, g, gop, alpha):
+        nonlocal h, previous
+        if previous is not None and alpha > 0.0:
+            h = bfgs_update(h, theta - previous[0], g - previous[1])
+        previous = theta, g
+        return h @ g, StepReport()
 
-    return step
+    return direction
 
 
 _OPTIMIZERS = {
@@ -351,28 +302,40 @@ def run_optimizer(
 ):
     """Run optimizer ``name`` for up to ``config.iterations`` steps.
 
-    Each record holds the loss before the step, the relative H1 error
-    after it (NaN without ``quad_eval``), and the cumulative matvecs.
-    The loss is evaluated once here; after that each step hands back the
-    loss its line search accepted.  The loop stops early once that H1
-    error is at most ``h1_stop``, or once the matvecs reach
-    ``matvec_budget``; a non-finite loss raises ``NonFiniteError``.
-    Returns (theta_final, [RunRecord, ...]).
+    Each step assembles J into the run's one array with the gradient,
+    takes the optimizer's direction, and backtracks along it; theta moves
+    only when the line search accepts a step.  Each record holds the loss
+    before the step, the relative H1 error after it (NaN without
+    ``quad_eval``), and the cumulative matvecs.  The loss is evaluated
+    once here; after that each step reuses the loss its line search
+    accepted.  The loop stops early once that H1 error is at most
+    ``h1_stop``, or once the matvecs reach ``matvec_budget``; a non-finite
+    loss raises ``NonFiniteError``.  Returns (theta_final, [RunRecord, ...]).
     """
     if name not in _OPTIMIZERS:
         raise KeyError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
     theta = np.asarray(theta0, dtype=float)
-    step = _OPTIMIZERS[name](problem, theta, config, quad)
+    direction = _OPTIMIZERS[name](problem, theta, config, quad)
+    weights = problem.metric_weights(quad)
+    jac = np.empty((weights.shape[0], theta.shape[0]))  # J of every step
     records = []
     total_matvecs = 0
+    alpha = 1.0
     tic = time.perf_counter()
     loss = problem.loss_value(theta, quad)
     for k in range(config.iterations):
         if not np.isfinite(loss):
             raise ad.NonFiniteError(f"non-finite loss at iteration {k}")
-        theta, loss_next, report = step(theta, loss)
-        total_matvecs += report.matvecs
-        h1 = _h1(problem, theta, quad_eval)
+        g = problem.loss_grad(theta, quad, out=jac)
+        gop = GramianOperator(jac, weights)
+        d, report = direction(theta, loss, g, gop, alpha)
+        alpha, loss_next = backtracking_linesearch(
+            theta, d, lambda th: problem.loss_value(th, quad), float(g @ d), loss
+        )
+        if alpha > 0.0:
+            theta = theta - alpha * d
+        total_matvecs += gop.matvec_count
+        h1 = float("nan") if quad_eval is None else problem.h1_relative_error(theta, quad_eval)
         toc = time.perf_counter()
         records.append(
             RunRecord(
@@ -387,7 +350,7 @@ def run_optimizer(
             )
         )
         tic, loss = toc, loss_next
-        if h1_stop is not None and records[-1].h1_rel_error <= h1_stop:
+        if h1_stop is not None and h1 <= h1_stop:
             break
         if matvec_budget is not None and total_matvecs >= matvec_budget:
             break

@@ -60,6 +60,15 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             harness.parse_config("gamma = p")
 
+    @pytest.mark.parametrize(
+        ("text", "where"),
+        [("seed = 1\ngamma = p", "line 2: .*'gamma'"), ("iterations = 2.5", "line 1: .*'iterations'")],
+    )
+    def test_unconvertible_value_names_line_and_key(self, text, where):
+        with pytest.raises(ValueError, match=where) as info:
+            harness.parse_config(text)
+        assert isinstance(info.value.__cause__, ValueError)  # the conversion error
+
     def test_unknown_key_raises(self):
         with pytest.raises(ValueError, match="unknown config key"):
             harness.parse_config("not_a_key = 1")

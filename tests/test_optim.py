@@ -67,6 +67,16 @@ def toy(seed=0, n=40, p=8):
     return LinearLeastSquares(phi, y, w)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("name", ["iterations", "seed"])
+    def test_negative_count_raises(self, name):
+        # a negative seed would only fail inside numpy at the first sketch,
+        # and negative iterations would silently run nothing
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            optim.NystromNgdConfig(**{name: -1})
+        assert getattr(optim.NystromNgdConfig(**{name: 0}), name) == 0
+
+
 class TestAdaptMu:
     def test_machine_epsilon_scaling(self):
         mu = optim.adapt_mu(1.0, 1217, loss=0.0, coeff=0.0)
@@ -308,26 +318,55 @@ class TestRunOptimizer:
         with pytest.raises(ad.NonFiniteError, match="iteration 0"):
             optim.run_optimizer(name, prob, np.zeros(3), cfg, quad=None)
 
-
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
-    def test_ngd_steps_assemble_into_one_buffer_per_run(self, name):
-        # every optimizer assembles J through loss_grad into one array it owns
+    def test_loss_grad_called_once_per_iteration_into_one_buffer(self, name):
+        # the driver loop takes every gradient, assembling J into one array
         outs = []
 
         class Recording(LinearLeastSquares):
-            def residual_jacobian(self, theta, quad, out=None):
-                if out is not None:  # the loss evaluations pass none
-                    outs.append(out)
-                return super().residual_jacobian(theta, quad, out)
+            def loss_grad(self, theta, quad, out=None):
+                outs.append(out)
+                return super().loss_grad(theta, quad, out)
 
         base = toy(seed=2)
         cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=3, seed=0)
         prob = Recording(base.phi, base.y, base.w)
         optim.run_optimizer(name, prob, np.zeros(8), cfg, quad=None)
-        # bfgs also takes the gradient at theta0, before its first step
-        assert len(outs) == 3 + (name == "bfgs")
+        assert len(outs) == 3
         assert all(out is outs[0] for out in outs)
         assert outs[0].shape == base.phi.shape
+
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    def test_failed_line_search_keeps_theta(self, name, monkeypatch):
+        # every trial step is rejected, so each line search fails
+        theta0 = np.zeros(8)
+
+        class Wall(LinearLeastSquares):
+            def loss_value(self, theta, quad):
+                if np.array_equal(theta, theta0):
+                    return super().loss_value(theta, quad)
+                return float("inf")
+
+        updates = []
+        update = optim.bfgs_update
+
+        def counted_update(h, s, y):
+            updates.append(s)
+            return update(h, s, y)
+
+        monkeypatch.setattr(optim, "bfgs_update", counted_update)
+        base = toy(seed=2)
+        cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=3, seed=0)
+        prob = Wall(base.phi, base.y, base.w)
+        theta, records = optim.run_optimizer(name, prob, theta0.copy(), cfg, quad=None)
+        assert len(records) == 3
+        assert theta.tobytes() == theta0.tobytes()
+        assert updates == []
+        if name == "nystrom_ngd":
+            # the damping floor dominates here and rises tenfold per failure
+            mus = [r.mu for r in records]
+            for prev, cur in zip(mus, mus[1:]):
+                assert cur == pytest.approx(10.0 * prev, rel=1e-12)
 
 
 class TestDenseNgd:
