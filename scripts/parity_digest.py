@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 digest per (optimizer, problem, seed) training run.
+"""Print two SHA-256 digests per (optimizer, problem, seed) training run.
 
-A digest covers the final theta's bytes and every numeric RunRecord field
-but the wall-clock seconds, so two checkouts do the same arithmetic on
-these runs exactly when their outputs do not differ:
+The first digest covers the final theta's bytes, the second every numeric
+RunRecord field but the wall-clock seconds.  Two checkouts do the same
+arithmetic on these runs exactly when their outputs do not differ; a
+change that keeps the iterates but changes what the trace rows hold
+differs in the second column only:
 
     PYTHONPATH=src python scripts/parity_digest.py > a.txt
     (same command in the other checkout) --against a.txt
@@ -12,8 +14,10 @@ The script pins OpenBLAS, OpenMP and MKL to one thread before numpy is
 imported, so a digest does not depend on how a BLAS splits its sums.
 
 ``--against FILE`` compares this checkout's digests with a saved run: it
-prints to stderr each (optimizer, problem, seed) whose digest differs from
-FILE's or that FILE lacks, and exits 1 if there is any.
+prints to stderr each (optimizer, problem, seed) that FILE lacks or whose
+theta or records digest differs from FILE's, naming which of the two
+differs, and exits 1 if there is any.  A failed run prints its error in
+both columns.
 
 Each run is the criterion-10 setup: a tanh MLP of two hidden layers, 400
 interior and 160 boundary points, quadrature, initialization and
@@ -36,12 +40,17 @@ import numpy as np
 from nystromngd import autodiff, model, optim, problems, sketch
 
 
-def digest(theta, records):
-    h = hashlib.sha256(np.ascontiguousarray(theta, dtype=float).tobytes())
+COLUMNS = ("theta", "records")  # what each digest column covers
+
+
+def digests(theta, records):
+    """(theta digest, records digest)."""
+    theta_hash = hashlib.sha256(np.ascontiguousarray(theta, dtype=float).tobytes())
+    records_hash = hashlib.sha256()
     for rec in records:
         values = [getattr(rec, f.name) for f in fields(rec) if f.name != "seconds"]
-        h.update(repr(values).encode())
-    return h.hexdigest()
+        records_hash.update(repr(values).encode())
+    return theta_hash.hexdigest(), records_hash.hexdigest()
 
 
 def run(optimizer, name, seed, iterations, width):
@@ -54,17 +63,27 @@ def run(optimizer, name, seed, iterations, width):
             optimizer, prob, theta0, config, quad, quad_eval=quad
         )
     except (autodiff.NonFiniteError, sketch.SketchFailure) as err:
-        return f"failed:{type(err).__name__}"  # how a run ends is compared too
-    return digest(theta, records)
+        return (f"failed:{type(err).__name__}",) * 2  # how a run ends is compared too
+    return digests(theta, records)
+
+
+def compare(got, expected):
+    """'missing' when there is no saved run, else 'differs in ...' naming
+    the digest columns that differ, or '' when none does."""
+    if expected is None:
+        return "missing"
+    differ = [col for col, a, b in zip(COLUMNS, got, expected) if a != b]
+    return "differs in " + " and ".join(differ) if differ else ""
 
 
 def read_digests(path):
-    """{(optimizer, problem, seed): digest} from a saved run's output."""
+    """{(optimizer, problem, seed): (theta digest, records digest)} from a
+    saved run's output."""
     saved = {}
     with open(path) as fh:
         for line in filter(str.strip, fh):
-            optimizer, name, seed, value = line.split()
-            saved[optimizer, name, seed] = value
+            optimizer, name, seed, theta, records = line.split()
+            saved[optimizer, name, seed] = theta, records
     return saved
 
 
@@ -82,19 +101,22 @@ def main(argv=None):
     for optimizer in args.optimizers:
         for name in args.problems:
             for seed in range(args.seeds):
-                line = run(optimizer, name, seed, args.iterations, args.width)
-                print(f"{optimizer} {name} {seed} {line}", flush=True)
+                got = run(optimizer, name, seed, args.iterations, args.width)
+                print(f"{optimizer} {name} {seed} {got[0]} {got[1]}", flush=True)
                 if saved is not None:
-                    expected = saved.get((optimizer, name, str(seed)))
-                    if expected != line:
-                        kind = "missing" if expected is None else "differs"
-                        mismatches.append(f"{kind}: {optimizer} {name} {seed}")
+                    kind = compare(got, saved.get((optimizer, name, str(seed))))
+                    if kind:
+                        mismatches.append((kind, f"{optimizer} {name} {seed}"))
     if saved is None:
         return 0
-    for mismatch in mismatches:  # stderr, so stdout stays a digest file
-        print(mismatch, file=sys.stderr)
+    for kind, run_id in mismatches:  # stderr, so stdout stays a digest file
+        print(f"{kind}: {run_id}", file=sys.stderr)
+    per_column = ", ".join(
+        f"{sum(col in kind for kind, _ in mismatches)} in {col}" for col in COLUMNS
+    )
     print(
-        f"{len(mismatches)} run(s) differ from or are missing in {args.against}",
+        f"{len(mismatches)} run(s) differ from or are missing in {args.against}"
+        f" ({per_column})",
         file=sys.stderr,
     )
     return 1 if mismatches else 0

@@ -81,11 +81,11 @@ class ShiftedOperator:
         return self.base.matvec(v) + self.mu * v
 
 
-def assemble_dense(op, guard=DENSE_GUARD):
+def assemble_dense(op):
     """Assemble an operator column by column via matvecs with e_i."""
     p = op.dim
-    if p > guard:
-        raise ValueError(f"dense assembly guard: p={p} exceeds {guard}")
+    if p > DENSE_GUARD:
+        raise ValueError(f"dense assembly guard: p={p} exceeds {DENSE_GUARD}")
     basis = np.eye(p)
     cols = [op.matvec(basis[:, i]) for i in range(p)]
     return np.column_stack(cols)

@@ -128,14 +128,9 @@ def _write_trace(path, records):
             )
 
 
-def _initial_record(problem, theta0, quad):
-    loss = problem.loss_value(theta0, quad)
-    return RunRecord(0, loss, problem.h1_relative_error(theta0, quad), 0.0, 0, 0, 0, 0.0)
-
-
 def run_experiment(config, out_dir=None):
-    """Run ``repetitions`` seeded trainings, write per-run CSV traces and
-    a summary JSON; returns the summary dict."""
+    """Run ``repetitions`` seeded trainings, write per-run CSV traces (one
+    row per iterate, theta0 first) and a summary JSON; returns the summary."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     final_errors = []
@@ -143,17 +138,10 @@ def run_experiment(config, out_dir=None):
     for rep in range(config.repetitions):
         seed = config.seed + rep
         problem, quad, theta0 = _build(config, seed)
-        if config.iterations == 0:
-            records = [_initial_record(problem, theta0, quad)]
-        else:
-            _, records = run_optimizer(
-                config.optimizer,
-                problem,
-                theta0,
-                replace(config, seed=seed),
-                quad,
-                quad_eval=quad,
-            )
+        _, records = run_optimizer(
+            config.optimizer, problem, theta0, replace(config, seed=seed), quad,
+            quad_eval=quad,
+        )
         _write_trace(out / f"run_{seed}.csv", records)
         final_errors.append(records[-1].h1_rel_error)
         total_seconds.append(sum(r.seconds for r in records))

@@ -4,7 +4,7 @@ One loop, :func:`run_optimizer`, runs every optimizer and owns every phase
 they share.  Per iteration it assembles the residual Jacobian J into the
 run's one (rows, p) array together with the loss gradient, wraps J as the
 matrix-free Gramian, asks the optimizer for a search direction, runs the
-Armijo line search, moves theta, and appends a :class:`RunRecord`.  Each
+Armijo line search, moves theta, and records the new iterate.  Each
 optimizer is a factory ``(problem, theta0, config, quad) -> direction``
 whose closure holds only that optimizer's own state;
 ``direction(theta, loss, g, gop, alpha)`` returns ``(d, StepReport)``,
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import gramian
 from .gramian import GramianOperator, ShiftedOperator, assemble_dense
 from .krylov import pcg
 from .sketch import NystromPreconditioner, nystrom_approximate
@@ -83,7 +84,8 @@ class NystromNgdConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One optimizer iteration in the trace."""
+    """Trace row k: the iterate theta_k after k steps, with step k's mu,
+    ell and PCG iterations (all zero in row 0, which is theta0)."""
 
     iteration: int
     loss: float
@@ -256,6 +258,9 @@ def ngd_dense_direction(gop, g, mu):
 
 def _ngd_dense(problem, theta0, config, quad):
     """Oracle NGD baseline: dense assembly and pseudoinverse (p <= 2000)."""
+    p = theta0.shape[0]
+    if p > gramian.DENSE_GUARD:
+        raise ValueError(f"dense NGD guard: p={p} exceeds {gramian.DENSE_GUARD}")
 
     def direction(theta, loss, g, gop, alpha):
         mu = _baseline_mu(loss)
@@ -304,13 +309,14 @@ def run_optimizer(
 
     Each step assembles J into the run's one array with the gradient,
     takes the optimizer's direction, and backtracks along it; theta moves
-    only when the line search accepts a step.  Each record holds the loss
-    before the step, the relative H1 error after it (NaN without
-    ``quad_eval``), and the cumulative matvecs.  The loss is evaluated
-    once here; after that each step reuses the loss its line search
-    accepted.  The loop stops early once that H1 error is at most
-    ``h1_stop``, or once the matvecs reach ``matvec_budget``; a non-finite
-    loss raises ``NonFiniteError``.  Returns (theta_final, [RunRecord, ...]).
+    only when the line search accepts a step.  Record k holds theta_k's
+    loss (theta0's is evaluated here, each step's is the one its line
+    search accepted), its relative H1 error (NaN without ``quad_eval``),
+    and the cumulative matvecs, so n steps give n + 1 records and the
+    last describes the returned theta.  After any record, theta0's
+    included, the loop stops once its H1 error is at most ``h1_stop`` or
+    the matvecs reach ``matvec_budget``; a non-finite loss raises
+    ``NonFiniteError``.  Returns (theta_final, [RunRecord, ...]).
     """
     if name not in _OPTIMIZERS:
         raise KeyError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
@@ -321,20 +327,12 @@ def run_optimizer(
     records = []
     total_matvecs = 0
     alpha = 1.0
+    report = StepReport()  # row 0, the initialization, took no step
     tic = time.perf_counter()
     loss = problem.loss_value(theta, quad)
-    for k in range(config.iterations):
+    for k in range(config.iterations + 1):
         if not np.isfinite(loss):
             raise ad.NonFiniteError(f"non-finite loss at iteration {k}")
-        g = problem.loss_grad(theta, quad, out=jac)
-        gop = GramianOperator(jac, weights)
-        d, report = direction(theta, loss, g, gop, alpha)
-        alpha, loss_next = backtracking_linesearch(
-            theta, d, lambda th: problem.loss_value(th, quad), float(g @ d), loss
-        )
-        if alpha > 0.0:
-            theta = theta - alpha * d
-        total_matvecs += gop.matvec_count
         h1 = float("nan") if quad_eval is None else problem.h1_relative_error(theta, quad_eval)
         toc = time.perf_counter()
         records.append(
@@ -349,17 +347,26 @@ def run_optimizer(
                 seconds=toc - tic,
             )
         )
-        tic, loss = toc, loss_next
-        if h1_stop is not None and h1 <= h1_stop:
+        tic = toc
+        reached = h1_stop is not None and h1 <= h1_stop
+        spent = matvec_budget is not None and total_matvecs >= matvec_budget
+        if reached or spent or k == config.iterations:
             break
-        if matvec_budget is not None and total_matvecs >= matvec_budget:
-            break
+        g = problem.loss_grad(theta, quad, out=jac)
+        gop = GramianOperator(jac, weights)
+        d, report = direction(theta, loss, g, gop, alpha)
+        alpha, loss = backtracking_linesearch(
+            theta, d, lambda th: problem.loss_value(th, quad), float(g @ d), loss
+        )
+        if alpha > 0.0:
+            theta = theta - alpha * d
+        total_matvecs += gop.matvec_count
     return theta, records
 
 
 def nystrom_ngd_run(problem, theta0, config, quad, quad_eval=None, h1_stop=None):
-    """Nystrom-preconditioned NGD through :func:`run_optimizer`; stops
-    early once the H1 error on ``quad_eval`` is at most ``h1_stop``."""
+    """Nystrom-preconditioned NGD through :func:`run_optimizer`; stops at
+    the first iterate, theta0 included, with H1 error <= ``h1_stop``."""
     return run_optimizer(
         "nystrom_ngd", problem, theta0, config, quad, quad_eval, h1_stop=h1_stop
     )

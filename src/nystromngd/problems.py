@@ -63,8 +63,10 @@ class QuadratureSet:
                     f"{part} weights must have shape ({x.shape[0]},), one per point, "
                     f"got {w.shape}"
                 )
-            if np.any(w <= 0):
-                raise ValueError("quadrature weights must be positive")
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"{part} points must be finite")
+            if not np.all((w > 0) & np.isfinite(w)):
+                raise ValueError("quadrature weights must be positive and finite")
 
 
 class ResidualBlock(NamedTuple):
@@ -472,12 +474,10 @@ _PROBLEMS = {
 PROBLEM_NAMES = tuple(sorted(_PROBLEMS))
 
 
-def make_problem(name, topology=None, hidden_width=32, hidden_depth=2):
-    """Instantiate a problem by name, with a default tanh MLP topology."""
+def make_problem(name, hidden_width=32, hidden_depth=2):
+    """Instantiate a problem by name on a tanh MLP of the given hidden shape."""
     if name not in _PROBLEMS:
         raise KeyError(f"unknown problem {name!r}; available: {PROBLEM_NAMES}")
     cls = _PROBLEMS[name]
-    if topology is None:
-        widths = (cls.input_dim,) + (hidden_width,) * hidden_depth + (1,)
-        topology = MlpTopology(widths)
-    return cls(topology)
+    widths = (cls.input_dim,) + (hidden_width,) * hidden_depth + (1,)
+    return cls(MlpTopology(widths))

@@ -148,10 +148,11 @@ class TestDenseAssembly:
         eigs = np.linalg.eigvalsh(dense)
         assert eigs.min() >= -1e-12 * eigs.max()
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         gop = gramian.DenseOperator(np.eye(10))
-        with pytest.raises(ValueError):
-            gramian.assemble_dense(gop, guard=5)
+        monkeypatch.setattr(gramian, "DENSE_GUARD", 5)
+        with pytest.raises(ValueError, match="guard: p=10 exceeds 5"):
+            gramian.assemble_dense(gop)
 
     def test_shifted_operator(self):
         gop = gramian.DenseOperator(np.diag([1.0, 2.0]))

@@ -125,6 +125,16 @@ class TestRunExperiment:
         assert rows[0] == list(harness.CSV_COLUMNS)
         assert len(rows) == 2  # header + the initial state
 
+    def test_zero_budget_row_is_row_0_of_a_longer_run(self, tmp_path):
+        # row 0 describes theta0 whatever the budget
+        for n in (0, 3):
+            cfg = harness.parse_config(small_config_text(iterations=n))
+            harness.run_experiment(cfg, out_dir=tmp_path / str(n))
+        zero = read_csv(tmp_path / "0" / "run_0.csv")
+        three = read_csv(tmp_path / "3" / "run_0.csv")
+        assert len(zero) == 2 and len(three) == 5  # header + n + 1 rows
+        assert zero[1][:-1] == three[1][:-1]  # all but the seconds
+
     def test_determinism_modulo_wallclock(self, tmp_path):
         cfg = harness.parse_config(small_config_text())
         harness.run_experiment(cfg, out_dir=tmp_path / "a")
@@ -145,7 +155,7 @@ class TestRunExperiment:
         theta0 = model.init(prob.topology, cfg.seed).values
         _, records = optim.run_optimizer(name, prob, theta0, cfg, quad, quad_eval=quad)
         header, *rows = read_csv(tmp_path / "run_3.csv")
-        assert len(rows) == len(records) == cfg.iterations
+        assert len(rows) == len(records) == cfg.iterations + 1
         kinds = {f.name: f.type for f in fields(optim.RunRecord)}
         for row, rec in zip(rows, records):
             for column, cell in zip(header[:-1], row):  # all but the seconds

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
-from nystromngd import model, optim, problems
+from nystromngd import gramian, model, optim, problems
 from nystromngd.gramian import GramianOperator, ShiftedOperator, assemble_dense
 from nystromngd.krylov import pcg
 from nystromngd.sketch import NystromPreconditioner, nystrom_approximate
@@ -231,7 +231,7 @@ class TestNystromNgdRun:
         prob = toy(seed=3, n=60, p=12)
         cfg = optim.NystromNgdConfig(ell0=2, ell_max=10, iterations=8, seed=1)
         _, records = optim.nystrom_ngd_run(prob, np.zeros(12), cfg, quad=None)
-        ells = [r.ell for r in records]
+        ells = [r.ell for r in records[1:]]  # row 0 took no step
         assert all(e <= 10 for e in ells)
         shrunk = False
         for prev, cur in zip(ells, ells[1:]):
@@ -246,7 +246,7 @@ class TestNystromNgdRun:
         for name in optim.OPTIMIZER_NAMES:
             _, records = optim.run_optimizer(name, prob, np.zeros(8), cfg, quad=None)
             its = [r.iteration for r in records]
-            assert its == list(range(4)), name
+            assert its == list(range(5)), name  # theta0 and one row per step
             mv = [r.matvecs for r in records]
             assert all(b >= a for a, b in zip(mv, mv[1:])), name
 
@@ -270,8 +270,9 @@ class TestNystromNgdRun:
 
     def test_median_iterations_to_target(self, reach_runs):
         # warm-started sketches: median 20 iterations over the nine runs
-        # (28 with a fresh Gaussian test matrix every step)
-        assert np.median([len(r) for r in reach_runs.values()]) <= 24
+        # (28 with a fresh Gaussian test matrix every step); the last row's
+        # index counts the steps
+        assert np.median([r[-1].iteration for r in reach_runs.values()]) <= 24
 
 
 class TestRunOptimizer:
@@ -304,8 +305,21 @@ class TestRunOptimizer:
         cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=4, seed=0)
         prob = Counting(base.phi, base.y, base.w)
         _, records = optim.run_optimizer(name, prob, np.zeros(8), cfg, quad=None)
-        assert len(records) == 4
+        assert len(records) == 5
         assert calls["loss"] == 1 + calls["trials"]
+
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    def test_record_k_describes_iterate_k(self, name):
+        # row 0 is theta0 before any step; the last row is the returned theta
+        prob = toy(seed=4)
+        theta0 = np.random.default_rng(1).standard_normal(8)
+        cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=4, seed=0)
+        theta, records = optim.run_optimizer(name, prob, theta0, cfg, None, "eval")
+        first = (0, prob.loss_value(theta0, None), prob.h1_relative_error(theta0, "eval"))
+        assert numeric(records[:1]) == [first + (0.0, 0, 0, 0)]
+        assert [r.iteration for r in records] == list(range(cfg.iterations + 1))
+        assert records[-1].loss.hex() == prob.loss_value(theta, None).hex()
+        assert records[-1].h1_rel_error.hex() == prob.h1_relative_error(theta, "eval").hex()
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_nonfinite_loss_raises(self, name):
@@ -359,12 +373,12 @@ class TestRunOptimizer:
         cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=3, seed=0)
         prob = Wall(base.phi, base.y, base.w)
         theta, records = optim.run_optimizer(name, prob, theta0.copy(), cfg, quad=None)
-        assert len(records) == 3
+        assert len(records) == 4
         assert theta.tobytes() == theta0.tobytes()
         assert updates == []
         if name == "nystrom_ngd":
             # the damping floor dominates here and rises tenfold per failure
-            mus = [r.mu for r in records]
+            mus = [r.mu for r in records[1:]]
             for prev, cur in zip(mus, mus[1:]):
                 assert cur == pytest.approx(10.0 * prev, rel=1e-12)
 
@@ -388,6 +402,20 @@ class TestDenseNgd:
         direction = optim.ngd_dense_direction(gop, g, mu)
         cos = (direction @ g) / (np.linalg.norm(direction) * np.linalg.norm(g))
         assert np.arccos(np.clip(cos, -1, 1)) <= 1e-3
+
+    def test_guard(self):
+        class NoEvaluation(LinearLeastSquares):
+            def loss_value(self, theta, quad):
+                raise AssertionError("loss evaluated before the guard")
+
+            def loss_grad(self, theta, quad, out=None):
+                raise AssertionError("gradient evaluated before the guard")
+
+        p = gramian.DENSE_GUARD + 1
+        prob = NoEvaluation(np.zeros((2, p)), np.ones(2), np.ones(2))
+        cfg = optim.NystromNgdConfig(iterations=1)
+        with pytest.raises(ValueError, match=f"guard: p={p} exceeds"):
+            optim.run_optimizer("ngd_dense", prob, np.zeros(p), cfg, quad=None)
 
     def test_agrees_with_nystrom_ngd_direction(self):
         prob = toy(seed=7, n=50, p=10)
@@ -419,7 +447,7 @@ class TestCgNgd:
         prob = toy(seed=11)
         cfg = optim.NystromNgdConfig(iterations=2, cg_maxit=5, ell0=8, ell_max=8, seed=0)
         _, records = optim.ngd_cg_run(prob, np.zeros(8), cfg, quad=None)
-        per_step = np.diff([0] + [r.matvecs for r in records])
+        per_step = np.diff([r.matvecs for r in records])  # row 0 has 0
         assert all(m <= 5 + 8 + 1 for m in per_step)
 
     def test_matvec_budget_ends_at_first_record_reaching_it(self):

@@ -154,9 +154,18 @@ class TestQuadrature:
             **self._parts(initial_points=np.zeros((1, 2)), initial_weights=np.ones(1))
         )
 
-    def test_nonpositive_weight_raises(self):
-        with pytest.raises(ValueError, match="positive"):
-            problems.QuadratureSet(**self._parts(boundary_weights=np.array([1.0, 0.0])))
+    # a NaN weight passes a `w <= 0` test and turns the loss into NaN
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_weight_raises(self, bad):
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            problems.QuadratureSet(**self._parts(boundary_weights=np.array([1.0, bad])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_point_raises(self, bad):
+        points = np.zeros((3, 2))
+        points[1, 0] = bad
+        with pytest.raises(ValueError, match="interior points must be finite"):
+            problems.QuadratureSet(**self._parts(interior_points=points))
 
     def test_points_must_be_2d(self):
         with pytest.raises(ValueError, match="interior points must have shape"):
@@ -231,7 +240,7 @@ class TestMetricStack:
     def test_nonlinear_metric_at_zero_net_is_laplacian(self):
         prob, quad, _ = small_problem("nlpoisson2d")
         theta = np.zeros(prob.topology.param_count)
-        lin = problems.make_problem("poisson2d", topology=prob.topology)
+        lin = problems.Poisson2D(prob.topology)
         m_nl = prob.metric_stack(theta, theta, quad)
         m_lin = lin.metric_stack(theta, theta, quad)
         np.testing.assert_allclose(m_nl, m_lin, atol=1e-15)
@@ -338,7 +347,7 @@ class TestPerQuadratureCaches:
             return [p.loss_value(theta, quad), r, jac, p.h1_relative_error(theta, quad)]
 
         for quad in (quad_a, quad_b, quad_a, quad_b):
-            fresh = problems.make_problem(name, topology=prob.topology)
+            fresh = type(prob)(prob.topology)
             for got, ref in zip(values(prob, quad), values(fresh, quad)):
                 np.testing.assert_array_equal(got, ref)
 

@@ -47,9 +47,10 @@ def test_parity_digest_is_deterministic():
     assert [line[:3] for line in lines] == [
         [opt, "poisson1d", seed] for opt in ("nystrom_ngd", "gd") for seed in ("0", "1")
     ]
-    digests = [line[3] for line in lines]
+    assert all(len(line) == 5 for line in lines)  # theta and records digests
+    digests = [d for line in lines for d in line[3:]]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
-    assert len(set(digests)) == 4
+    assert len(set(digests)) == 8
 
 
 def parity_digest(*args):
@@ -75,13 +76,18 @@ def test_parity_digest_against_its_own_output_passes(saved_digests):
     assert result.stdout == saved_digests.read_text()
 
 
-def test_parity_digest_against_an_altered_digest_fails(saved_digests, tmp_path):
-    lines = saved_digests.read_text().splitlines()
+@pytest.mark.parametrize("column", ["theta", "records"])
+def test_parity_digest_against_an_altered_digest_fails(saved_digests, tmp_path, column):
+    # --against names which of the two digests differs
+    lines = [line.split() for line in saved_digests.read_text().splitlines()]
     assert len(lines) == 2
-    lines[1] = " ".join(lines[1].split()[:3] + ["0" * 64])
+    lines[1][3 if column == "theta" else 4] = "0" * 64
     altered = tmp_path / "altered.txt"
-    altered.write_text("\n".join(lines) + "\n")
+    altered.write_text("".join(" ".join(line) + "\n" for line in lines))
     result = parity_digest("--against", str(altered))
     assert result.returncode == 1
-    assert "differs: gd poisson1d 1" in result.stderr
+    assert f"differs in {column}: gd poisson1d 1" in result.stderr
     assert "poisson1d 0" not in result.stderr
+    counts = {"theta": 0, "records": 0, column: 1}
+    summary = f"({counts['theta']} in theta, {counts['records']} in records)"
+    assert f"1 run(s) differ from or are missing in {altered} {summary}" in result.stderr
