@@ -1,4 +1,5 @@
-"""Randomized Nystrom approximation, preconditioning and pivoted Cholesky."""
+"""Randomized Nystrom approximation with a floored eigendecomposed core,
+the Nystrom preconditioner, and pivoted Cholesky."""
 
 from __future__ import annotations
 
@@ -14,16 +15,10 @@ __all__ = [
     "nystrom_approximate",
     "effective_dimension",
     "pivoted_cholesky",
-    "SketchFailure",
 ]
 
 
-SKETCH_ATTEMPTS = 3  # one with the warm basis, then fresh Gaussian matrices
 PIVOT_TOL = 1e-12  # residual diagonal below this times max(diag, 1) is exhausted
-
-
-class SketchFailure(RuntimeError):
-    """The shifted sketch was numerically indefinite for all retry seeds."""
 
 
 @dataclass(frozen=True)
@@ -77,15 +72,20 @@ def _test_matrix(rng, p, rank, basis):
 def nystrom_approximate(op, rank, seed, basis=None):
     """Stable randomized Nystrom approximation of an SPSD operator.
 
-    Orthonormal test matrix, a Frobenius-norm shift for stability,
-    Cholesky + triangular solve, thin SVD, shift removal.  The ``rank``
-    matvecs are issued as one batched request.  The test matrix is a
+    One pass: an orthonormal test matrix Omega, the ``rank`` matvecs
+    Y = G Omega as one batched request, a Frobenius-norm shift nu for
+    stability, Y_nu = Y + nu Omega, the core C = Omega^T Y_nu = V Lam V^T
+    by a symmetric eigendecomposition with Lam floored at
+    rank * eps * max(Lam), the thin SVD of B = Y_nu V Lam^{-1/2}, and
+    shift removal.  All ``rank`` columns are kept.  The test matrix is a
     QR'd Gaussian matrix, or, given ``basis`` (p x k, orthonormal columns,
     e.g. the previous factor's basis of a slowly changing operator), its
     first ``rank`` columns, topped up with fresh Gaussian columns when
-    ``rank`` exceeds k: one step of subspace iteration.  A Cholesky
-    failure (numerically indefinite shifted sketch) is retried with a
-    fresh Gaussian matrix, for ``SKETCH_ATTEMPTS`` attempts in all.
+    ``rank`` exceeds k: one step of subspace iteration.
+
+    Raises ``ValueError`` when the core shows that the operator is not
+    PSD: it has no positive eigenvalue, or a negative one larger in
+    magnitude than sqrt(eps) * max(Lam), which rounding cannot produce.
     """
     op = _as_operator(op)
     p = op.dim
@@ -93,25 +93,21 @@ def nystrom_approximate(op, rank, seed, basis=None):
         raise ValueError(f"rank must be in [1, {p}], got {rank}")
     if basis is not None and (basis.ndim != 2 or basis.shape[0] != p):
         raise ValueError(f"basis must have shape ({p}, k), got {basis.shape}")
-    rng = np.random.default_rng(seed)
-    last_err = None
-    for attempt in range(SKETCH_ATTEMPTS):
-        omega = _test_matrix(rng, p, rank, basis if attempt == 0 else None)
-        y = op.matmat(omega)
-        shift = np.finfo(float).eps * np.linalg.norm(y, "fro")
-        y_shifted = y + shift * omega
-        try:
-            chol = np.linalg.cholesky(omega.T @ y_shifted)  # lower factor L
-        except np.linalg.LinAlgError as err:
-            last_err = err
-            continue
-        b = np.linalg.solve(chol, y_shifted.T).T  # Y L^{-T}
-        u, s, _ = np.linalg.svd(b, full_matrices=False)
-        eigs = np.maximum(s**2 - shift, 0.0)
-        return NystromFactor(u, eigs)
-    raise SketchFailure(
-        f"sketch Cholesky failed after {SKETCH_ATTEMPTS} attempts"
-    ) from last_err
+    eps = np.finfo(float).eps
+    omega = _test_matrix(np.random.default_rng(seed), p, rank, basis)
+    y = op.matmat(omega)
+    shift = eps * np.linalg.norm(y, "fro")
+    y_shifted = y + shift * omega
+    lam, v = np.linalg.eigh(omega.T @ y_shifted)  # ascending
+    if not (lam[-1] > 0 and lam[0] >= -np.sqrt(eps) * lam[-1]):
+        raise ValueError(
+            f"sketch core eigenvalues span [{lam[0]:.3e}, {lam[-1]:.3e}]: "
+            "the operator is zero or not positive semidefinite"
+        )
+    lam = np.maximum(lam, rank * eps * lam[-1])
+    u, s, _ = np.linalg.svd(y_shifted @ (v / np.sqrt(lam)), full_matrices=False)
+    eigs = np.maximum(s**2 - shift, 0.0)
+    return NystromFactor(u, eigs)
 
 
 class NystromPreconditioner:
