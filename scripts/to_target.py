@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Print iterations and Gramian matvecs to reach H1 <= 1e-3 with Nystrom-NGD.
+
+    PYTHONPATH=src python scripts/to_target.py
+
+Each run is the criterion-10 setup: a 16x2 tanh MLP, 400 interior and
+160 boundary points, quadrature, initialization and optimizer seeded by
+the seed, up to 300 iterations, and the H1 error recorded on the training
+points.  The script runs poisson2d, heat1p1d and nlpoisson2d at seeds
+0-7, prints each run's iterations, matvecs and final H1 error, then each
+problem's medians.  It exits 1 if any run misses the target.
+
+Run as a script, it pins OpenBLAS, OpenMP and MKL to one thread before
+numpy is imported, so the counts do not depend on how a BLAS splits its
+sums.
+"""
+
+import os
+import sys
+
+if __name__ == "__main__":
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy is imported
+
+import numpy as np
+
+from nystromngd import model, optim, problems
+
+PROBLEMS = ("poisson2d", "heat1p1d", "nlpoisson2d")
+SEEDS = range(8)
+TARGET = 1e-3
+
+
+def run(name, seed, width=16, n_interior=400, n_boundary=160, iterations=300):
+    """(iterations, matvecs, final H1 error) of one Nystrom-NGD run that
+    stops at the first iterate with H1 error <= TARGET."""
+    prob = problems.make_problem(name, hidden_width=width, hidden_depth=2)
+    quad = prob.sample_quadrature(n_interior, n_boundary, seed=seed)
+    theta0 = model.init(prob.topology, seed).values
+    config = optim.NystromNgdConfig(iterations=iterations, seed=seed)
+    _, records = optim.nystrom_ngd_run(
+        prob, theta0, config, quad, quad_eval=quad, h1_stop=TARGET
+    )
+    last = records[-1]
+    return last.iteration, last.matvecs, last.h1_rel_error
+
+
+def main():
+    missed = 0
+    for name in PROBLEMS:
+        runs = [run(name, seed) for seed in SEEDS]
+        for seed, (its, matvecs, h1) in zip(SEEDS, runs):
+            mark = "" if h1 <= TARGET else "  missed the target"
+            print(f"{name} seed {seed}: {its} iterations, {matvecs} matvecs, H1 {h1:.3e}{mark}")
+        missed += sum(not h1 <= TARGET for _, _, h1 in runs)
+        its, matvecs, _ = np.median(runs, axis=0)
+        print(f"{name} median: {its:g} iterations, {matvecs:g} matvecs", flush=True)
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

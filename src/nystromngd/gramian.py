@@ -1,13 +1,12 @@
-"""Gramian operators G = J^T diag(w) J, without forming the p x p matrix.
+"""Gramian operators G = A^T A, without forming the p x p matrix.
 
-J is the Jacobian of a problem's residual stack with respect to the
-parameters, one row per residual row (one quadrature point each), so G
-is the Gauss-Newton metric.  It is assembled once per iteration with the
-loss gradient J^T diag(w) r (``PdeProblem.loss_grad``: one forward jet and
-one per-point reverse pass through the network), into an array that each
-optimizer run allocates once.  It takes rows x p x 8 bytes: for 560 rows,
-1.5 MB at p = 337 and 5.3 MB at p = 1185.  Every Gramian matvec is then
-two BLAS matrix-vector products, and every block of matvecs two GEMMs.
+A = W^{1/2} J is the Jacobian of a problem's weighted residual
+s = W^{1/2} r in the parameters, one row per quadrature point, so
+G = J^T W J is the Gauss-Newton metric.  It is assembled once per
+iteration with the loss gradient A^T s (``PdeProblem.loss_grad``), into an
+array that each optimizer run allocates once: rows x p x 8 bytes, for 560
+rows 1.5 MB at p = 337 and 5.3 MB at p = 1185.  Every Gramian matvec is
+then two BLAS matrix-vector products, and every block of matvecs two GEMMs.
 """
 
 from __future__ import annotations
@@ -18,36 +17,30 @@ DENSE_GUARD = 2000
 
 
 class GramianOperator:
-    """SPSD operator v -> J^T diag(w) J v, held as the row Jacobian J and w."""
+    """SPSD operator v -> A^T A v, held as the weighted row Jacobian A."""
 
-    def __init__(self, jacobian, weights):
+    def __init__(self, jacobian):
         self.jacobian = np.asarray(jacobian, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        if self.weights.shape != (self.jacobian.shape[0],):
-            raise ValueError(
-                f"weights length {self.weights.shape} != stack length {self.jacobian.shape[0]}"
-            )
         self.dim = self.jacobian.shape[1]
         self.matvec_count = 0
 
     @classmethod
     def from_problem(cls, problem, theta, quad):
         """Gauss-Newton Gramian of a problem at theta."""
-        _, jac = problem.residual_jacobian(theta, quad)
-        return cls(jac, problem.metric_weights(quad))
+        return cls(problem.residual_jacobian(theta, quad)[1])
 
     def matvec(self, v):
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}, got {v.shape}")
         self.matvec_count += 1
-        return self.jacobian.T @ (self.weights * (self.jacobian @ v))
+        return self.jacobian.T @ (self.jacobian @ v)
 
     def matmat(self, vmat):
         """G V for a (p, k) block: one GEMM pair, counted as k matvecs."""
         vmat = np.asarray(vmat, dtype=float)
         self.matvec_count += vmat.shape[1]
-        return self.jacobian.T @ (self.weights[:, None] * (self.jacobian @ vmat))
+        return self.jacobian.T @ (self.jacobian @ vmat)
 
 
 class DenseOperator:

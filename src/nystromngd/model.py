@@ -170,6 +170,8 @@ def propagate(topology, theta, z, pullback=False):
     layer's parameters, instead of summing them over points.
     """
     theta = np.asarray(theta, dtype=float)
+    if theta.shape != (topology.param_count,):
+        raise ValueError(f"theta of shape {theta.shape}, expected ({topology.param_count},)")
     d = topology.input_dim
     layers = topology.layer_slices()
     inputs, pulls = [], []

@@ -1,12 +1,13 @@
 """Outer optimizers: Nystrom-preconditioned NGD and its baselines.
 
 One loop, :func:`run_optimizer`, runs every optimizer and owns every phase
-they share.  Per iteration it assembles the residual Jacobian J into the
-run's one (rows, p) array together with the loss gradient, wraps J as the
-matrix-free Gramian, asks the optimizer for a search direction, runs the
-Armijo line search, moves theta, and records the new iterate.  Each
-optimizer is a factory ``(problem, theta0, config, quad) -> direction``
-whose closure holds only that optimizer's own state;
+they share.  Per iteration it assembles the weighted residual Jacobian
+A = W^{1/2} J into the run's one (rows, p) array together with the loss
+gradient A^T s, wraps A as the matrix-free Gramian A^T A, asks the
+optimizer for a search direction, runs the Armijo line search, moves
+theta, and records the new iterate.  Each optimizer is a factory
+``(problem, theta0, config, quad) -> direction`` whose closure holds only
+that optimizer's own state;
 ``direction(theta, loss, g, gop, alpha)`` returns ``(d, StepReport)``,
 where ``alpha`` is the step size the previous line search accepted (1.0
 before the first step, 0.0 after a failed search).
@@ -307,7 +308,7 @@ def run_optimizer(
 ):
     """Run optimizer ``name`` for up to ``config.iterations`` steps.
 
-    Each step assembles J into the run's one array with the gradient,
+    Each step assembles A into the run's one array with the gradient,
     takes the optimizer's direction, and backtracks along it; theta moves
     only when the line search accepts a step.  Record k holds theta_k's
     loss (theta0's is evaluated here, each step's is the one its line
@@ -322,8 +323,7 @@ def run_optimizer(
         raise KeyError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
     theta = np.asarray(theta0, dtype=float)
     direction = _OPTIMIZERS[name](problem, theta, config, quad)
-    weights = problem.metric_weights(quad)
-    jac = np.empty((weights.shape[0], theta.shape[0]))  # J of every step
+    jac = np.empty((problem.metric_weights(quad).shape[0], theta.shape[0]))  # each step's A
     records = []
     total_matvecs = 0
     alpha = 1.0
@@ -353,7 +353,7 @@ def run_optimizer(
         if reached or spent or k == config.iterations:
             break
         g = problem.loss_grad(theta, quad, out=jac)
-        gop = GramianOperator(jac, weights)
+        gop = GramianOperator(jac)
         d, report = direction(theta, loss, g, gop, alpha)
         alpha, loss = backtracking_linesearch(
             theta, d, lambda th: problem.loss_value(th, quad), float(g @ d), loss

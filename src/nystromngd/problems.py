@@ -11,11 +11,12 @@ Shipped problems (selected by name):
 
 Each problem declares its residual once, as blocks of rows
 (``residual_blocks``): points, weights, coefficients on the jet channels
-and target values.  The base class derives the residual stack, the loss,
-the residual Jacobian J (``residual_jacobian``), the gradient J^T W r and
-the Gauss-Newton metric stack from them.  What does not depend on theta
-(the blocks, their input jets, the stacked weights and the exact solution
-on the H1 points) is built once per quadrature set.
+and target values.  From them the base class derives the weighted
+residual s = W^{1/2} r, its Jacobian A = W^{1/2} J (``residual_jacobian``),
+the loss 0.5 s^T s, its gradient A^T s and so the Gauss-Newton metric
+A^T A, and no caller applies W itself.  What does not depend on theta
+(the blocks, their input jets and sqrt(w), and the exact solution on the
+H1 points) is built once per quadrature set.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ class ResidualBlock(NamedTuple):
 class PdeProblem:
     """Base class: a least-squares loss 0.5 * sum_r w_r r_r^2 over residual blocks.
 
-    A problem declares its residual once (``residual_blocks``); the loss,
-    its gradient J^T W r and the Gauss-Newton metric J^T W J all come from
-    the blocks and their residual Jacobian J.
+    A problem declares its residual once (``residual_blocks``); the loss
+    0.5 s^T s, its gradient A^T s and the Gauss-Newton metric A^T A all
+    come from the weighted residual s = W^{1/2} r and its Jacobian A.
     """
 
     name = "abstract"
@@ -157,7 +158,7 @@ class PdeProblem:
 
     def _blocks(self, quad):
         """The blocks of ``residual_blocks(quad)`` with their input jets,
-        and the stacked metric weights."""
+        the stacked metric weights and each block's sqrt(w)."""
         return self._cached("blocks", quad, self._build_blocks)
 
     def _build_blocks(self, quad):
@@ -168,6 +169,7 @@ class PdeProblem:
             blocks,
             [model.input_jet(self.topology, b.points, b.order) for b in blocks],
             weights,
+            [np.sqrt(b.weights) for b in blocks],
         )
 
     def _jet(self, theta, inputs):
@@ -175,17 +177,17 @@ class PdeProblem:
         return model.propagate(self.topology, theta, inputs)[:, :, 0]
 
     def residual_stack(self, theta, quad):
+        """The weighted residual s = W^{1/2} r at theta."""
         bs = self._blocks(quad)
-        return np.concatenate(
-            [b.rows(self._jet(theta, z0)) for b, z0 in zip(bs.blocks, bs.inputs)]
-        )
+        parts = zip(bs.blocks, bs.inputs, bs.roots)
+        return np.concatenate([root * b.rows(self._jet(theta, z0)) for b, z0, root in parts])
 
     def metric_weights(self, quad):
         return self._blocks(quad).weights
 
     def metric_stack(self, theta, theta_bar, quad):
-        """Gauss-Newton metric rows sum_c dr/dz_c(zbar) z_c: the residual
-        linearized at theta_bar (zbar = z(theta_bar)), applied at theta."""
+        """Unweighted Gauss-Newton metric rows sum_c dr/dz_c(zbar) z_c: the
+        residual linearized at theta_bar (zbar = z(theta_bar)), applied at theta."""
         rows = []
         bs = self._blocks(quad)
         for b, z0 in zip(bs.blocks, bs.inputs):
@@ -195,9 +197,10 @@ class PdeProblem:
         return np.concatenate(rows)
 
     def residual_jacobian(self, theta, quad, out=None):
-        """Residual stack r at theta and its Jacobian J (rows, p): one
-        forward jet and one per-point reverse pass per block, each writing
-        its rows of J in place.  J is ``out`` when given, else a new array.
+        """Weighted residual s = W^{1/2} r at theta and its Jacobian
+        A = W^{1/2} J (rows, p): one forward jet and one per-point reverse
+        pass per block, seeded with sqrt(w) dr/dz, each writing its rows of
+        A in place.  A is ``out`` when given, else a new array.
         """
         bs = self._blocks(quad)
         shape = (bs.weights.shape[0], self.topology.param_count)
@@ -205,18 +208,18 @@ class PdeProblem:
             out = np.empty(shape)
         elif out.shape != shape or out.dtype != np.float64:
             raise ValueError(f"out must be a float64 array of shape {shape}")
-        r = np.empty(shape[0])
+        s = np.empty(shape[0])
         rows = slice(0, 0)
-        for b, z0 in zip(bs.blocks, bs.inputs):
-            rows = slice(rows.stop, rows.stop + len(b.weights))
+        for b, z0, root in zip(bs.blocks, bs.inputs, bs.roots):
+            rows = slice(rows.stop, rows.stop + len(root))
             z, pullback = model.propagate(self.topology, theta, z0, pullback=True)
-            r[rows] = b.rows(z[:, :, 0])
-            pullback(b.slope(z[:, :, 0])[:, :, None], out[rows])
-        return r, out
+            s[rows] = root * b.rows(z[:, :, 0])
+            pullback((root * b.slope(z[:, :, 0]))[:, :, None], out[rows])
+        return s, out
 
     def residual_of_exact(self, quad):
-        """Residual rows on the exact solution (annihilation check): the
-        blocks applied to its exact jet channels."""
+        """Unweighted residual rows on the exact solution (annihilation
+        check): the blocks applied to its exact jet channels."""
         rows = []
         for b in self._blocks(quad).blocks:
             x = b.points
@@ -225,15 +228,15 @@ class PdeProblem:
         return np.concatenate(rows)
 
     def loss_value(self, theta, quad):
-        """0.5 * sum_r w_r * residual_r^2."""
-        r = self.residual_stack(theta, quad)
-        return 0.5 * float(np.sum(self.metric_weights(quad) * r * r))
+        """0.5 * s^T s = 0.5 * sum_r w_r * residual_r^2."""
+        s = self.residual_stack(theta, quad)
+        return 0.5 * float(s @ s)
 
     def loss_grad(self, theta, quad, out=None):
-        """Loss gradient J^T W r; J is assembled into ``out`` when given
+        """Loss gradient A^T s; A is assembled into ``out`` when given
         (see :meth:`residual_jacobian`), where it stays for the caller."""
-        r, jac = self.residual_jacobian(theta, quad, out=out)
-        return jac.T @ (self.metric_weights(quad) * r)
+        s, a = self.residual_jacobian(theta, quad, out=out)
+        return a.T @ s
 
     def _build_h1(self, quad):
         x, w = quad.interior_points, quad.interior_weights
@@ -264,7 +267,8 @@ class _BlockSet(NamedTuple):
 
     blocks: list
     inputs: list  # each block's input jet (model.input_jet)
-    weights: np.ndarray  # the stacked metric weights
+    weights: np.ndarray  # the stacked metric weights w
+    roots: list  # each block's sqrt(w), the row scaling of s and A
 
 
 class _H1Reference(NamedTuple):

@@ -231,10 +231,11 @@ class TestLaplacianJets:
         theta = 0.8 * rng.standard_normal(top.param_count)
         quad = problems.QuadratureSet(
             interior_points=rng.uniform(-1.0, 1.0, (q, d)),
-            interior_weights=np.ones(q),
+            interior_weights=rng.uniform(0.5, 2.0, q),
             boundary_points=rng.uniform(-1.0, 1.0, (3, d)),
-            boundary_weights=np.ones(3),
+            boundary_weights=rng.uniform(0.5, 2.0, 3),
         )
+        root = np.sqrt(np.concatenate([quad.interior_weights, quad.boundary_weights]))
         x = quad.interior_points
 
         value, grads, seconds = oracle_jet(top, theta, x)
@@ -251,13 +252,14 @@ class TestLaplacianJets:
             ub, _, _ = oracle_jet(top, th, quad.boundary_points)
             return ad.concat([total, ub])
 
+        # the problem's Jacobian is A = W^{1/2} J of the oracle's stack
         ref = ad.linearize(oracle_stack, theta)
-        jac = prob.residual_jacobian(theta, quad)[1]
+        a = prob.residual_jacobian(theta, quad)[1]
         assert rel_err(prob.metric_stack(theta, theta, quad), ref.value) <= 1e-12
         v = rng.standard_normal(top.param_count)
         w = rng.standard_normal(q + 3)
-        assert rel_err(jac @ v, ref.jvp(v)) <= 1e-12
-        assert rel_err(jac.T @ w, ref.vjp(w)) <= 1e-12
+        assert rel_err(a @ v, root * ref.jvp(v)) <= 1e-12
+        assert rel_err(a.T @ w, ref.vjp(root * w)) <= 1e-12
 
 
     @given(seed=st.integers(0, 2**31 - 1), d=st.integers(1, 3), order=st.integers(0, 2))

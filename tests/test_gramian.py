@@ -12,11 +12,12 @@ from test_problems import HAND_METRIC_STACKS
 
 
 def gramian_from_stack(stack_fn, theta, weights):
-    """Gramian of an arbitrary stack function, its Jacobian taken column by
-    column from tape JVPs on the unit vectors (the generic slow path)."""
+    """Gramian A^T A of an arbitrary stack function under row weights w,
+    A = W^{1/2} J with J taken column by column from tape JVPs on the unit
+    vectors (the generic slow path)."""
     lin = ad.linearize(stack_fn, np.asarray(theta, dtype=float))
-    jac = [lin.jvp(e) for e in np.eye(np.size(theta))]
-    return gramian.GramianOperator(np.column_stack(jac), weights)
+    jac = np.column_stack([lin.jvp(e) for e in np.eye(np.size(theta))])
+    return gramian.GramianOperator(np.sqrt(weights)[:, None] * jac)
 
 
 def fd_jacobian(stack_fn, theta, h=1e-6):

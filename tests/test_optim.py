@@ -19,29 +19,33 @@ class LinearLeastSquares:
 
     The Gramian of the L2 metric equals the (weighted) normal matrix,
     so natural gradient with an exact solve is Newton's method here.
+    Like a PdeProblem it hands out the weighted residual
+    s = W^{1/2} (Phi theta - y) and its Jacobian A = W^{1/2} Phi.
     """
 
     def __init__(self, phi, y, w):
         self.phi = np.asarray(phi, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.w = np.asarray(w, dtype=float)
+        self.a = np.sqrt(self.w)[:, None] * self.phi
 
     def residual_jacobian(self, theta, quad, out=None):
+        s = np.sqrt(self.w) * (self.phi @ theta - self.y)
         if out is None:
-            return self.phi @ theta - self.y, self.phi
-        out[...] = self.phi
-        return self.phi @ theta - self.y, out
+            return s, self.a
+        out[...] = self.a
+        return s, out
 
     def metric_weights(self, quad):
         return self.w
 
     def loss_value(self, theta, quad):
-        r, _ = self.residual_jacobian(theta, quad)
-        return 0.5 * float(np.sum(self.w * r * r))
+        s, _ = self.residual_jacobian(theta, quad)
+        return 0.5 * float(s @ s)
 
     def loss_grad(self, theta, quad, out=None):
-        r, jac = self.residual_jacobian(theta, quad, out)
-        return jac.T @ (self.w * r)
+        s, a = self.residual_jacobian(theta, quad, out)
+        return a.T @ s
 
     def optimum(self):
         a = self.phi.T @ (self.w[:, None] * self.phi)

@@ -193,11 +193,13 @@ class TestResidualStack:
         # with theta = 0 the net is identically zero; strip sources by hand
         prob, quad, _ = small_problem("poisson1d")
         theta = np.zeros(prob.topology.param_count)
-        r = prob.residual_stack(theta, quad)
+        s = prob.residual_stack(theta, quad)
         offsets = np.concatenate(
             [prob.source(quad.interior_points), -prob.dirichlet(quad.boundary_points)]
         )
-        np.testing.assert_allclose(r, offsets, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            s, np.sqrt(residual_weights(quad)) * offsets, rtol=0, atol=1e-15
+        )
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_exact_solution_annihilates_residual(self, name):
@@ -221,7 +223,7 @@ class TestResidualStack:
 
     def test_loss_equals_direct_quadrature(self):
         prob, quad, theta = small_problem("poisson2d")
-        r = prob.residual_stack(theta, quad)
+        r = ad.primal_value(HAND_RESIDUAL_STACKS["poisson2d"](prob, theta, quad))
         w = residual_weights(quad)
         direct = 0.5 * float(np.sum(w * r * r))
         assert prob.loss_value(theta, quad) == pytest.approx(direct, rel=1e-14)
@@ -230,12 +232,13 @@ class TestResidualStack:
 class TestMetricStack:
     def test_linear_problem_metric_is_offsetfree_residual(self):
         prob, quad, theta = small_problem("poisson1d")
-        r = prob.residual_stack(theta, quad)
+        root = np.sqrt(residual_weights(quad))
+        s = prob.residual_stack(theta, quad)
         m = prob.metric_stack(theta, theta, quad)
         offsets = np.concatenate(
             [prob.source(quad.interior_points), -prob.dirichlet(quad.boundary_points)]
         )
-        np.testing.assert_allclose(r - offsets, m, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(s - root * offsets, root * m, rtol=1e-13, atol=1e-13)
 
     def test_nonlinear_metric_at_zero_net_is_laplacian(self):
         prob, quad, _ = small_problem("nlpoisson2d")
@@ -260,7 +263,8 @@ class TestMetricStack:
     def test_block_metric_matches_hand_written_stack(self, name):
         # the metric derived from the residual blocks against the stack written
         # out by hand, at theta and (for the frozen coefficient) at a different
-        # theta_bar; its Jacobian at theta_bar = theta is the residual Jacobian
+        # theta_bar; its Jacobian at theta_bar = theta, scaled by sqrt(w), is
+        # the weighted residual Jacobian A
         prob, quad, theta = small_problem(name)
         theta_bar = model.init(prob.topology, 17).values
         hand = HAND_METRIC_STACKS[name]
@@ -271,6 +275,7 @@ class TestMetricStack:
         v = np.random.default_rng(3).standard_normal(theta.size)
         got = prob.residual_jacobian(theta, quad)[1] @ v
         ref = ad.linearize(lambda t: hand(prob, t, theta, quad), theta).jvp(v)
+        ref *= np.sqrt(residual_weights(quad))
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         np.testing.assert_array_equal(prob.metric_weights(quad), residual_weights(quad))
 
@@ -285,17 +290,19 @@ class TestResidualJacobian:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_tape_oracle(self, name, depth, width, q, seed):
-        # residual values, J @ v and the loss gradient J^T W r against the
-        # tape linearization of the hand-written residual stack
+        # weighted residual s = W^{1/2} r, A @ v = W^{1/2} J v and the loss
+        # gradient J^T W r against the tape linearization of the hand-written
+        # residual stack
         prob = problems.make_problem(name, hidden_width=width, hidden_depth=depth)
         quad = prob.sample_quadrature(q, 1 + seed % 7, seed)
         theta = model.init(prob.topology, seed).values
         lin = ad.linearize(lambda th: HAND_RESIDUAL_STACKS[name](prob, th, quad), theta)
-        r, jac = prob.residual_jacobian(theta, quad)
+        s, a = prob.residual_jacobian(theta, quad)
+        root = np.sqrt(residual_weights(quad))
         v = np.random.default_rng(seed).standard_normal(theta.size)
-        assert rel_err(r, lin.value) <= 1e-12
-        assert rel_err(prob.residual_stack(theta, quad), lin.value) <= 1e-12
-        assert rel_err(jac @ v, lin.jvp(v)) <= 1e-12
+        assert rel_err(s, root * lin.value) <= 1e-12
+        assert rel_err(prob.residual_stack(theta, quad), root * lin.value) <= 1e-12
+        assert rel_err(a @ v, root * lin.jvp(v)) <= 1e-12
         grad = lin.vjp(residual_weights(quad) * lin.value)
         assert rel_err(prob.loss_grad(theta, quad), grad) <= 1e-12
 
@@ -312,13 +319,21 @@ class TestResidualJacobian:
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_loss_grad_assembles_into_out_bitwise(self, name):
-        # the optimizers take the gradient this way and reuse J from ``out``
+        # the optimizers take the gradient this way and reuse A from ``out``
         prob, quad, theta = small_problem(name)
         _, jac = prob.residual_jacobian(theta, quad)
         buf = np.full(jac.shape, np.nan)
         g = prob.loss_grad(theta, quad, out=buf)
         assert g.tobytes() == prob.loss_grad(theta, quad).tobytes()
         assert buf.tobytes() == jac.tobytes()
+
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_loss_and_gradient_are_read_off_s_and_a(self, name):
+        # the weights enter s and A once: the loss is 0.5 s^T s, its gradient A^T s
+        prob, quad, theta = small_problem(name)
+        s, a = prob.residual_jacobian(theta, quad)
+        assert 0.5 * float(s @ s) == pytest.approx(prob.loss_value(theta, quad), rel=1e-14)
+        np.testing.assert_array_equal(prob.loss_grad(theta, quad), a.T @ s)
 
     @pytest.mark.parametrize("shape", [(1, 0), (0, -1), (1, -1)])
     def test_wrongly_shaped_out_raises(self, shape):
@@ -332,6 +347,19 @@ class TestResidualJacobian:
         out = np.empty((prob.metric_weights(quad).shape[0], theta.size), dtype=np.float32)
         with pytest.raises(ValueError, match="out must be"):
             prob.residual_jacobian(theta, quad, out=out)
+
+
+class TestThetaLength:
+    @pytest.mark.parametrize("extra", [-1, 5])
+    def test_theta_of_the_wrong_length_raises(self, extra):
+        # a long theta used to be cut to its first p entries, a short one
+        # died inside a reshape
+        prob, quad, theta = small_problem("poisson2d", width=4, depth=2)
+        p = prob.topology.param_count
+        bad = np.resize(theta, p + extra)
+        for method in (prob.loss_value, prob.loss_grad, prob.h1_relative_error):
+            with pytest.raises(ValueError, match=rf"\({p + extra},\), expected \({p},\)"):
+                method(bad, quad)
 
 
 class TestPerQuadratureCaches:

@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ runs to completion on a tiny setting."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,6 +30,17 @@ def test_script_runs(script, args, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert any(tmp_path.iterdir())
+
+
+def test_to_target_run_reports_its_last_record():
+    # imported, the script leaves the BLAS thread settings alone
+    spec = importlib.util.spec_from_file_location("to_target", ROOT / "scripts" / "to_target.py")
+    to_target = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(to_target)
+    its, matvecs, h1 = to_target.run(
+        "poisson1d", 0, width=4, n_interior=20, n_boundary=2, iterations=2
+    )
+    assert its == 2 and matvecs > 0 and 1e-3 < h1 < float("inf")  # no early stop
 
 
 def test_parity_digest_is_deterministic():
