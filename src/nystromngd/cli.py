@@ -16,19 +16,18 @@ def build_parser():
         "natural gradient descent and baselines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", help="path to a flat key = value config file")
+    common.add_argument("--out", metavar="DIR", help="override the output directory")
+    common.add_argument("--seed", type=int, help="override the base seed")
 
-    run = sub.add_parser("run", help="run an experiment from a config file")
-    run.add_argument("config", help="path to a flat key = value config file")
-    run.add_argument("--out", metavar="DIR", help="override the output directory")
-    run.add_argument("--seed", type=int, help="override the base seed")
-
+    sub.add_parser("run", parents=[common], help="run an experiment from a config file")
     spect = sub.add_parser(
-        "spectrum", help="dump the normalized Gramian spectrum at initialization"
+        "spectrum",
+        parents=[common],
+        help="dump the normalized Gramian spectrum at initialization",
     )
-    spect.add_argument("config", help="path to a flat key = value config file")
     spect.add_argument("--top", type=int, default=None, help="keep only the top K values")
-    spect.add_argument("--out", metavar="DIR", help="override the output directory")
-    spect.add_argument("--seed", type=int, help="override the base seed")
     return parser
 
 

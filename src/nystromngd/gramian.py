@@ -39,6 +39,8 @@ class GramianOperator:
     def matmat(self, vmat):
         """G V for a (p, k) block: one GEMM pair, counted as k matvecs."""
         vmat = np.asarray(vmat, dtype=float)
+        if vmat.ndim != 2 or vmat.shape[0] != self.dim:
+            raise ValueError(f"expected a block of shape ({self.dim}, k), got {vmat.shape}")
         self.matvec_count += vmat.shape[1]
         return self.jacobian.T @ (self.jacobian @ vmat)
 

@@ -5,12 +5,11 @@ they share.  Per iteration it assembles the weighted residual Jacobian
 A = W^{1/2} J into the run's one (rows, p) array together with the loss
 gradient A^T s, wraps A as the matrix-free Gramian A^T A, asks the
 optimizer for a search direction, runs the Armijo line search, moves
-theta, and records the new iterate.  Each optimizer is a factory
+theta, and records the new iterate; a line search that finds no decrease
+ends the run.  Each optimizer is a factory
 ``(problem, theta0, config, quad) -> direction`` whose closure holds only
-that optimizer's own state;
-``direction(theta, loss, g, gop, alpha)`` returns ``(d, StepReport)``,
-where ``alpha`` is the step size the previous line search accepted (1.0
-before the first step, 0.0 after a failed search).
+that optimizer's own state; ``direction(theta, loss, g, gop)`` returns
+``(d, StepReport)``.
 """
 
 from __future__ import annotations
@@ -189,25 +188,20 @@ def _nystrom_ngd(problem, theta0, config, quad):
     adapt the rank from the estimated spectrum.  Each sketch's test matrix
     is the previous step's Nystrom basis (a fresh Gaussian one on the
     first step), topped up with Gaussian columns when the rank grows.  The
-    damping floor is ``MU_FLOOR_COEFF * L^2``; a failed line search
-    (``alpha == 0``) raises it tenfold for the next step.
+    damping floor is ``MU_FLOOR_COEFF * L^2``.
     """
     ell_max = _resolve_ell_max(config, theta0.shape[0])
     ell = min(config.ell0, ell_max)
     rng = np.random.default_rng(config.seed)
-    floor_boost = 1.0
     basis = None  # the previous step's Nystrom basis
 
-    def direction(theta, loss, g, gop, alpha):
-        nonlocal ell, floor_boost, basis
-        floor_boost = 10.0 * floor_boost if alpha == 0.0 else 1.0
+    def direction(theta, loss, g, gop):
+        nonlocal ell, basis
         factor = nystrom_approximate(
             gop, ell, seed=int(rng.integers(2**63)), basis=basis
         )
         basis = factor.basis
-        mu = adapt_mu(
-            factor.eigenvalues[0], config.gamma, loss, MU_FLOOR_COEFF * floor_boost
-        )
+        mu = adapt_mu(factor.eigenvalues[0], config.gamma, loss, MU_FLOOR_COEFF)
         if mu <= 0.0:
             mu = config.gamma * EPS_MACH  # all-zero spectrum with zero floor
         report = pcg(
@@ -234,7 +228,7 @@ def _ngd_cg(problem, theta0, config, quad):
     cg_maxit + ell_max iterations."""
     maxit_total = config.cg_maxit + _resolve_ell_max(config, theta0.shape[0])
 
-    def direction(theta, loss, g, gop, alpha):
+    def direction(theta, loss, g, gop):
         mu = _baseline_mu(loss)
         report = pcg(
             ShiftedOperator(gop, mu),
@@ -263,7 +257,7 @@ def _ngd_dense(problem, theta0, config, quad):
     if p > gramian.DENSE_GUARD:
         raise ValueError(f"dense NGD guard: p={p} exceeds {gramian.DENSE_GUARD}")
 
-    def direction(theta, loss, g, gop, alpha):
+    def direction(theta, loss, g, gop):
         mu = _baseline_mu(loss)
         return ngd_dense_direction(gop, g, mu), StepReport(mu)
 
@@ -272,7 +266,7 @@ def _ngd_dense(problem, theta0, config, quad):
 
 def _gradient_descent(problem, theta0, config, quad):
     """Plain gradient descent: the direction is the gradient itself."""
-    return lambda theta, loss, g, gop, alpha: (g, StepReport())
+    return lambda theta, loss, g, gop: (g, StepReport())
 
 
 def _bfgs(problem, theta0, config, quad):
@@ -281,11 +275,11 @@ def _bfgs(problem, theta0, config, quad):
     if p > BFGS_GUARD:
         raise ValueError(f"dense BFGS guard: p={p} exceeds {BFGS_GUARD}")
     h = np.eye(p)
-    previous = None  # (theta, g) at the previous step
+    previous = None  # (theta, g) at the previous step, which was accepted
 
-    def direction(theta, loss, g, gop, alpha):
+    def direction(theta, loss, g, gop):
         nonlocal h, previous
-        if previous is not None and alpha > 0.0:
+        if previous is not None:
             h = bfgs_update(h, theta - previous[0], g - previous[1])
         previous = theta, g
         return h @ g, StepReport()
@@ -309,15 +303,16 @@ def run_optimizer(
     """Run optimizer ``name`` for up to ``config.iterations`` steps.
 
     Each step assembles A into the run's one array with the gradient,
-    takes the optimizer's direction, and backtracks along it; theta moves
-    only when the line search accepts a step.  Record k holds theta_k's
-    loss (theta0's is evaluated here, each step's is the one its line
-    search accepted), its relative H1 error (NaN without ``quad_eval``),
-    and the cumulative matvecs, so n steps give n + 1 records and the
-    last describes the returned theta.  After any record, theta0's
-    included, the loop stops once its H1 error is at most ``h1_stop`` or
-    the matvecs reach ``matvec_budget``; a non-finite loss raises
-    ``NonFiniteError``.  Returns (theta_final, [RunRecord, ...]).
+    takes the optimizer's direction, and backtracks along it.  Record k
+    holds theta_k's loss (theta0's is evaluated here, each step's is the
+    one its line search accepted), its relative H1 error (NaN without
+    ``quad_eval``), and the cumulative matvecs, so n steps give n + 1
+    records and the last describes the returned theta.  After any record,
+    theta0's included, the loop stops once its H1 error is at most
+    ``h1_stop`` or the matvecs reach ``matvec_budget``.  A line search
+    that finds no decrease ends the run: its step's record keeps theta and
+    the previous loss.  A non-finite loss raises ``NonFiniteError``.
+    Returns (theta_final, [RunRecord, ...]).
     """
     if name not in _OPTIMIZERS:
         raise KeyError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
@@ -326,7 +321,7 @@ def run_optimizer(
     jac = np.empty((problem.metric_weights(quad).shape[0], theta.shape[0]))  # each step's A
     records = []
     total_matvecs = 0
-    alpha = 1.0
+    stalled = False  # the last line search found no decrease
     report = StepReport()  # row 0, the initialization, took no step
     tic = time.perf_counter()
     loss = problem.loss_value(theta, quad)
@@ -350,15 +345,16 @@ def run_optimizer(
         tic = toc
         reached = h1_stop is not None and h1 <= h1_stop
         spent = matvec_budget is not None and total_matvecs >= matvec_budget
-        if reached or spent or k == config.iterations:
+        if stalled or reached or spent or k == config.iterations:
             break
         g = problem.loss_grad(theta, quad, out=jac)
         gop = GramianOperator(jac)
-        d, report = direction(theta, loss, g, gop, alpha)
+        d, report = direction(theta, loss, g, gop)
         alpha, loss = backtracking_linesearch(
             theta, d, lambda th: problem.loss_value(th, quad), float(g @ d), loss
         )
-        if alpha > 0.0:
+        stalled = alpha == 0.0
+        if not stalled:
             theta = theta - alpha * d
         total_matvecs += gop.matvec_count
     return theta, records

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gramian import DENSE_GUARD, DenseOperator, assemble_dense
+from .gramian import DenseOperator, assemble_dense
 
 __all__ = [
     "NystromFactor",
@@ -154,13 +154,11 @@ def pivoted_cholesky(op, rank, strategy, seed=None):
     Pivot strategies: ``greedy`` (largest residual diagonal) and ``rp``
     (random, proportional to the residual diagonal).  Returns (F, pivots)
     with F F^T ~= G; equals the column Nystrom approximation on the pivot
-    set.  Needs the diagonal of G, obtained via matvecs for matrix-free
-    operators (hence the guard on p).
+    set.  Needs G itself: a matrix-free operator is assembled by p matvecs
+    (``assemble_dense``, which refuses p > ``DENSE_GUARD``).
     """
     op = _as_operator(op)
     p = op.dim
-    if p > DENSE_GUARD:
-        raise ValueError(f"pivoted Cholesky needs the diagonal; p={p} exceeds {DENSE_GUARD}")
     if strategy not in ("greedy", "rp"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     rng = np.random.default_rng(seed)

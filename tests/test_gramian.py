@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -82,6 +83,15 @@ class TestGramianOperator:
         gop.matvec(np.ones(gop.dim))
         gop.matmat(np.ones((gop.dim, 3)))
         assert gop.matvec_count == 4
+
+    @pytest.mark.parametrize("shape", ["rows", "vector"])
+    def test_matmat_rejects_a_wrong_shape_before_counting(self, shape):
+        prob, quad, theta = small_instance()
+        gop = gramian.GramianOperator.from_problem(prob, theta, quad)
+        block = np.ones((gop.dim + 1, 2)) if shape == "rows" else np.ones(gop.dim)
+        with pytest.raises(ValueError, match=re.escape(str(block.shape))):
+            gop.matmat(block)
+        assert gop.matvec_count == 0
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_dropped_operator_frees_its_tape_without_gc(self, name):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nystromngd import sketch
+from nystromngd import gramian, sketch
 from nystromngd.gramian import DenseOperator
 
 
@@ -285,6 +285,13 @@ class TestPivotedCholesky:
             s = list(pivots)
             nys = g[:, s] @ np.linalg.pinv(g[np.ix_(s, s)]) @ g[:, s].T
             assert np.linalg.norm(f @ f.T - nys) <= 1e-10 * np.linalg.norm(g)
+
+    def test_explicit_matrix_above_the_dense_guard(self):
+        # an explicit matrix needs no assembly, so the dense guard does not apply
+        d = np.arange(1.0, gramian.DENSE_GUARD + 2)
+        f, pivots = sketch.pivoted_cholesky(np.diag(d), rank=2, strategy="greedy")
+        assert f.shape == (d.size, 2)
+        assert pivots == [d.size - 1, d.size - 2]
 
     def test_exact_on_low_rank_matrix(self):
         rng = np.random.default_rng(10)
