@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Print iterations and Gramian matvecs to reach H1 <= 1e-3 with Nystrom-NGD.
+"""Print iterations and Gramian matvecs to reach H1 <= 1e-3 with one optimizer.
 
-    PYTHONPATH=src python scripts/to_target.py
+    PYTHONPATH=src python scripts/to_target.py [optimizer]
 
-Each run is the criterion-10 setup: a 16x2 tanh MLP, 400 interior and
-160 boundary points, quadrature, initialization and optimizer seeded by
-the seed, up to 300 iterations, and the H1 error recorded on the training
-points.  The script runs poisson2d, heat1p1d and nlpoisson2d at seeds
-0-7, prints each run's iterations, matvecs and final H1 error, then each
-problem's medians.  It exits 1 if any run misses the target.
+The optimizer is any of ``optim.OPTIMIZER_NAMES``; the default is
+``nystrom_ngd``.  Each run is the criterion-10 setup: a 16x2 tanh MLP,
+400 interior and 160 boundary points, quadrature, initialization and
+optimizer seeded by the seed, up to 300 iterations, and the H1 error
+recorded on the training points.  The script runs poisson2d, heat1p1d and
+nlpoisson2d at seeds 0-7, prints each run's iterations, matvecs and final
+H1 error, then each problem's medians.  It exits 1 if any run misses the
+target.  It uses only the package's public API, so it also runs against
+an older checkout's ``src``.
 
 Run as a script, it pins OpenBLAS, OpenMP and MKL to one thread before
 numpy is imported, so the counts do not depend on how a BLAS splits its
 sums.
 """
 
+import argparse
 import os
 import sys
 
@@ -31,24 +35,31 @@ SEEDS = range(8)
 TARGET = 1e-3
 
 
-def run(name, seed, width=16, n_interior=400, n_boundary=160, iterations=300):
-    """(iterations, matvecs, final H1 error) of one Nystrom-NGD run that
-    stops at the first iterate with H1 error <= TARGET."""
+def run(
+    name, seed, width=16, n_interior=400, n_boundary=160, iterations=300, optimizer="nystrom_ngd"
+):
+    """(iterations, matvecs, final H1 error) of one run of ``optimizer``
+    that stops at the first iterate with H1 error <= TARGET."""
     prob = problems.make_problem(name, hidden_width=width, hidden_depth=2)
     quad = prob.sample_quadrature(n_interior, n_boundary, seed=seed)
     theta0 = model.init(prob.topology, seed).values
     config = optim.NystromNgdConfig(iterations=iterations, seed=seed)
-    _, records = optim.nystrom_ngd_run(
-        prob, theta0, config, quad, quad_eval=quad, h1_stop=TARGET
+    _, records = optim.run_optimizer(
+        optimizer, prob, theta0, config, quad, quad_eval=quad, h1_stop=TARGET
     )
     last = records[-1]
     return last.iteration, last.matvecs, last.h1_rel_error
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "optimizer", nargs="?", default="nystrom_ngd", choices=optim.OPTIMIZER_NAMES
+    )
+    optimizer = parser.parse_args(argv).optimizer
     missed = 0
     for name in PROBLEMS:
-        runs = [run(name, seed) for seed in SEEDS]
+        runs = [run(name, seed, optimizer=optimizer) for seed in SEEDS]
         for seed, (its, matvecs, h1) in zip(SEEDS, runs):
             mark = "" if h1 <= TARGET else "  missed the target"
             print(f"{name} seed {seed}: {its} iterations, {matvecs} matvecs, H1 {h1:.3e}{mark}")

@@ -9,6 +9,12 @@ from dataclasses import replace
 from .harness import dump_spectrum, load_config, run_experiment
 
 
+def positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nystromngd",
@@ -27,7 +33,7 @@ def build_parser():
         parents=[common],
         help="dump the normalized Gramian spectrum at initialization",
     )
-    spect.add_argument("--top", type=int, default=None, help="keep only the top K values")
+    spect.add_argument("--top", type=positive_int, help="keep only the top K >= 1 values")
     return parser
 
 

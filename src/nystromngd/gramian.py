@@ -56,10 +56,16 @@ class DenseOperator:
         self.matvec_count = 0
 
     def matvec(self, v):
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.dim,):
+            raise ValueError(f"expected vector of length {self.dim}, got {v.shape}")
         self.matvec_count += 1
         return self.matrix @ v
 
     def matmat(self, vmat):
+        vmat = np.asarray(vmat, dtype=float)
+        if vmat.ndim != 2 or vmat.shape[0] != self.dim:
+            raise ValueError(f"expected a block of shape ({self.dim}, k), got {vmat.shape}")
         self.matvec_count += vmat.shape[1]
         return self.matrix @ vmat
 

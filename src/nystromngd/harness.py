@@ -161,6 +161,8 @@ def run_experiment(config, out_dir=None):
 
 def normalized_spectrum(matrix, top=None):
     """Descending eigenvalues of an SPSD matrix, normalized by the largest."""
+    if top is not None and top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
     eigs = np.linalg.eigvalsh(np.asarray(matrix, dtype=float))[::-1]
     eigs = np.clip(eigs, 0.0, None)
     if eigs[0] == 0.0:

@@ -8,8 +8,8 @@ optimizer for a search direction, runs the Armijo line search, moves
 theta, and records the new iterate; a line search that finds no decrease
 ends the run.  Each optimizer is a factory
 ``(problem, theta0, config, quad) -> direction`` whose closure holds only
-that optimizer's own state; ``direction(theta, loss, g, gop)`` returns
-``(d, StepReport)``.
+its own state; ``direction(theta, loss, g, gop)`` returns ``(d, StepReport)``.
+The NGD directions solve the damped system by (P)CG, ``ngd_dense`` directly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gramian
-from .gramian import GramianOperator, ShiftedOperator, assemble_dense
+from .gramian import GramianOperator, ShiftedOperator
 from .krylov import pcg
 from .sketch import NystromPreconditioner, nystrom_approximate
 
@@ -242,24 +242,24 @@ def _ngd_cg(problem, theta0, config, quad):
 
 
 def ngd_dense_direction(gop, g, mu):
-    """(G + mu I)^+ g from the densely assembled Gramian, by an SVD
-    pseudoinverse with the numerical-rank cutoff p*eps*s1."""
-    matrix = assemble_dense(gop) + mu * np.eye(gop.dim)
-    u, s, vt = np.linalg.svd(matrix, hermitian=True)
-    cutoff = matrix.shape[0] * EPS_MACH * s[0]
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return vt.T @ (inv * (u.T @ g))
+    """(d, mu~) with (G + mu~ I) d = g: G from one block product (p matvecs), and
+    mu~ = max(mu, p*eps*tr G) keeps the LU solve finite on a rank-deficient G."""
+    p = gop.dim
+    matrix = gop.matmat(np.eye(p))
+    mu = max(mu, p * EPS_MACH * float(np.trace(matrix)))
+    matrix[np.diag_indices(p)] += mu
+    return np.linalg.solve(matrix, g), mu
 
 
 def _ngd_dense(problem, theta0, config, quad):
-    """Oracle NGD baseline: dense assembly and pseudoinverse (p <= 2000)."""
+    """Oracle NGD baseline: dense Gramian and a damped direct solve (p <= 2000)."""
     p = theta0.shape[0]
     if p > gramian.DENSE_GUARD:
         raise ValueError(f"dense NGD guard: p={p} exceeds {gramian.DENSE_GUARD}")
 
     def direction(theta, loss, g, gop):
-        mu = _baseline_mu(loss)
-        return ngd_dense_direction(gop, g, mu), StepReport(mu)
+        d, mu = ngd_dense_direction(gop, g, _baseline_mu(loss))
+        return d, StepReport(mu)
 
     return direction
 

@@ -165,6 +165,15 @@ class TestDenseAssembly:
         with pytest.raises(ValueError, match="guard: p=10 exceeds 5"):
             gramian.assemble_dense(gop)
 
+    @pytest.mark.parametrize(
+        "method, shape", [("matmat", (4, 2)), ("matmat", (3,)), ("matvec", (3, 2))]
+    )
+    def test_dense_operator_rejects_a_wrong_shape_before_counting(self, method, shape):
+        gop = gramian.DenseOperator(np.eye(3))
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            getattr(gop, method)(np.ones(shape))
+        assert gop.matvec_count == 0
+
     def test_shifted_operator(self):
         gop = gramian.DenseOperator(np.diag([1.0, 2.0]))
         shifted = gramian.ShiftedOperator(gop, 0.5)

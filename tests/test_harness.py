@@ -197,6 +197,11 @@ class TestSpectrum:
         g = phi.T @ (w[:, None] * phi)
         np.testing.assert_allclose(harness.normalized_spectrum(g), [1.0, 0.25], rtol=1e-15)
 
+    @pytest.mark.parametrize("top", [0, -3])
+    def test_top_below_one_raises(self, top):
+        with pytest.raises(ValueError, match=f"top must be >= 1, got {top}"):
+            harness.normalized_spectrum(np.eye(6), top=top)
+
     def test_values_in_unit_interval_descending(self, tmp_path):
         cfg = harness.parse_config(small_config_text())
         ratios = harness.dump_spectrum(cfg, out_dir=tmp_path, top=10)
@@ -230,3 +235,14 @@ class TestCli:
         ) == 0
         vals = np.loadtxt(tmp_path / "sp" / "spectrum.txt")
         assert vals.shape == (5,)
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_spectrum_top_below_one_fails_at_parsing(self, tmp_path, capsys, top):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text())
+        out = tmp_path / "sp"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["spectrum", str(cfg_path), "--top", top, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"argument --top: must be >= 1, got {top}" in capsys.readouterr().err
+        assert not out.exists()

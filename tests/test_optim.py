@@ -72,6 +72,24 @@ def toy(seed=0, n=40, p=8):
     return LinearLeastSquares(phi, y, w)
 
 
+def svd_pseudoinverse_direction(gop, g, mu):
+    """The oracle: (G + mu I)^+ g by an SVD pseudoinverse with the
+    numerical-rank cutoff p*eps*s1, G assembled column by column."""
+    matrix = assemble_dense(gop) + mu * np.eye(gop.dim)
+    u, s, vt = np.linalg.svd(matrix, hermitian=True)
+    cutoff = matrix.shape[0] * EPS * s[0]
+    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    return vt.T @ (inv * (u.T @ g))
+
+
+def duplicated_columns(scale):
+    """A = [B, B] with B a 20 x 4 Gaussian of the given scale: G = A^T A has
+    rank 4 of p = 8, and its null space is the vectors (v, -v)."""
+    rng = np.random.default_rng(0)
+    b = scale * rng.standard_normal((20, 4))
+    return LinearLeastSquares(np.hstack([b, b]), rng.standard_normal(20), np.ones(20))
+
+
 class TestConfig:
     @pytest.mark.parametrize("name", ["iterations", "seed"])
     def test_negative_count_raises(self, name):
@@ -432,8 +450,9 @@ class TestDenseNgd:
         mu = 0.5
         g = prob.loss_grad(theta, None)
         gop = GramianOperator.from_problem(prob, theta, None)
-        direction = optim.ngd_dense_direction(gop, g, mu)
+        direction, mu_used = optim.ngd_dense_direction(gop, g, mu)
         np.testing.assert_allclose(direction, g / (1.0 + mu), rtol=1e-12)
+        assert mu_used == mu
 
     def test_large_mu_gradient_limit(self):
         prob = toy(seed=5)
@@ -441,9 +460,58 @@ class TestDenseNgd:
         g = prob.loss_grad(theta, None)
         mu = 1e8
         gop = GramianOperator.from_problem(prob, theta, None)
-        direction = optim.ngd_dense_direction(gop, g, mu)
+        direction, _ = optim.ngd_dense_direction(gop, g, mu)
         cos = (direction @ g) / (np.linalg.norm(direction) * np.linalg.norm(g))
         assert np.arccos(np.clip(cos, -1, 1)) <= 1e-3
+
+    @pytest.mark.parametrize("seed, mu", [(0, 1e-8), (1, 1e-3), (2, 1.0)])
+    def test_matches_svd_pseudoinverse_when_well_conditioned(self, seed, mu):
+        prob = toy(seed=seed, n=50, p=10)
+        theta = np.random.default_rng(seed + 10).standard_normal(10)
+        g = prob.loss_grad(theta, None)
+        gop = GramianOperator.from_problem(prob, theta, None)
+        direction, mu_used = optim.ngd_dense_direction(gop, g, mu)
+        oracle = svd_pseudoinverse_direction(gop, g, mu)
+        assert mu_used == mu  # above the floor p*eps*tr G
+        assert np.linalg.norm(direction - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+    def test_rank_deficient_gramian_takes_the_floor(self):
+        # G's diagonal is 1.5e3-2.3e3, so mu = 1e-14 is below half its ulp
+        prob = duplicated_columns(scale=10.0)
+        theta = np.zeros(8)
+        mu = 1e-14
+        g = prob.loss_grad(theta, None)
+        gop = GramianOperator.from_problem(prob, theta, None)
+        dense = gop.matmat(np.eye(8))
+        with pytest.raises(np.linalg.LinAlgError):  # the unfloored solve
+            np.linalg.solve(dense + mu * np.eye(8), g)
+        direction, mu_used = optim.ngd_dense_direction(gop, g, mu)
+        assert np.all(np.isfinite(direction)) and g @ direction > 0
+        assert mu_used == 8 * EPS * np.trace(dense) > mu
+        # the floored solve and the pseudoinverse differ only in G's null
+        # space, where rounding divided by mu~ leaves a component of about
+        # |d| / p; A d, the step in the residual, is the same
+        oracle = svd_pseudoinverse_direction(gop, g, mu)
+        gap = np.linalg.norm(prob.a @ (direction - oracle))
+        assert gap <= 1e-5 * np.linalg.norm(prob.a @ oracle)
+
+    def test_each_call_counts_p_matvecs(self):
+        prob = toy(seed=3)
+        theta = np.zeros(8)
+        g = prob.loss_grad(theta, None)
+        gop = GramianOperator.from_problem(prob, theta, None)
+        for calls in (1, 2):
+            optim.ngd_dense_direction(gop, g, 1e-6)
+            assert gop.matvec_count == 8 * calls
+
+    def test_run_records_the_floored_damping(self):
+        prob = duplicated_columns(scale=1e4)
+        cfg = optim.NystromNgdConfig(iterations=1)
+        _, records = optim.run_optimizer("ngd_dense", prob, np.zeros(8), cfg, quad=None)
+        floor = 8 * EPS * np.trace(GramianOperator(prob.a).matmat(np.eye(8)))
+        assert floor > 1e-5  # above any damping the loss rule gives
+        assert records[1].mu == pytest.approx(floor, rel=1e-14)
+        assert records[1].matvecs == 8
 
     def test_guard(self):
         class NoEvaluation(LinearLeastSquares):
@@ -481,7 +549,7 @@ class TestCgNgd:
         mu = 1e-3
         g = prob.loss_grad(theta, None)
         gop = GramianOperator.from_problem(prob, theta, None)
-        d_dense = optim.ngd_dense_direction(gop, g, mu)
+        d_dense, _ = optim.ngd_dense_direction(gop, g, mu)
         report = pcg(ShiftedOperator(gop, mu), g, 1e-12, 500)
         np.testing.assert_allclose(report.solution, d_dense, rtol=1e-6, atol=1e-8)
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from nystromngd import model, problems
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,15 +34,30 @@ def test_script_runs(script, args, tmp_path):
     assert any(tmp_path.iterdir())
 
 
-def test_to_target_run_reports_its_last_record():
+def load_to_target():
     # imported, the script leaves the BLAS thread settings alone
     spec = importlib.util.spec_from_file_location("to_target", ROOT / "scripts" / "to_target.py")
     to_target = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(to_target)
-    its, matvecs, h1 = to_target.run(
-        "poisson1d", 0, width=4, n_interior=20, n_boundary=2, iterations=2
-    )
+    return to_target
+
+
+TINY = dict(width=4, n_interior=20, n_boundary=2, iterations=2)
+
+
+def test_to_target_run_reports_its_last_record():
+    its, matvecs, h1 = load_to_target().run("poisson1d", 0, **TINY)
     assert its == 2 and matvecs > 0 and 1e-3 < h1 < float("inf")  # no early stop
+
+
+def test_to_target_runs_the_named_optimizer():
+    # ngd_dense forms G with p matvecs per step
+    to_target = load_to_target()
+    prob = problems.make_problem("poisson1d", hidden_width=4, hidden_depth=2)
+    p = model.init(prob.topology, 0).values.size
+    its, matvecs, h1 = to_target.run("poisson1d", 0, optimizer="ngd_dense", **TINY)
+    assert (its, matvecs) == (2, 2 * p)
+    assert 1e-3 < h1 < float("inf")
 
 
 def test_parity_digest_is_deterministic():
