@@ -9,10 +9,12 @@ from dataclasses import replace
 from .harness import dump_spectrum, load_config, run_experiment
 
 
-def positive_int(text):
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+def int_at_least(low):
+    def integer(text):  # argparse names it in "invalid integer value"
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
 
 
 def build_parser():
@@ -25,7 +27,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="path to a flat key = value config file")
     common.add_argument("--out", metavar="DIR", help="override the output directory")
-    common.add_argument("--seed", type=int, help="override the base seed")
+    common.add_argument("--seed", type=int_at_least(0), help="override the base seed (>= 0)")
 
     sub.add_parser("run", parents=[common], help="run an experiment from a config file")
     spect = sub.add_parser(
@@ -33,7 +35,7 @@ def build_parser():
         parents=[common],
         help="dump the normalized Gramian spectrum at initialization",
     )
-    spect.add_argument("--top", type=positive_int, help="keep only the top K >= 1 values")
+    spect.add_argument("--top", type=int_at_least(1), help="keep only the top K >= 1 values")
     return parser
 
 

@@ -44,6 +44,13 @@ class GramianOperator:
         self.matvec_count += vmat.shape[1]
         return self.jacobian.T @ (self.jacobian @ vmat)
 
+    def dense(self):
+        """G = A^T A itself (one syrk), counted as p matvecs; guarded like assemble_dense."""
+        if self.dim > DENSE_GUARD:
+            raise ValueError(f"dense assembly guard: p={self.dim} exceeds {DENSE_GUARD}")
+        self.matvec_count += self.dim
+        return self.jacobian.T @ self.jacobian
+
 
 class DenseOperator:
     """Matvec wrapper around an explicit SPSD matrix (tests, synthetic runs)."""

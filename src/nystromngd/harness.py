@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model
-from .gramian import GramianOperator, assemble_dense
+from .gramian import GramianOperator
 from .optim import OPTIMIZER_NAMES, NystromNgdConfig, RunRecord, run_optimizer
 from .problems import make_problem, PROBLEM_NAMES
 
@@ -75,8 +75,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 def _parse_value(key, value):
     """Convert by the field's declared type."""
-    kind = _FIELD_TYPES[key].split(" |")[0]
-    return {"int": int, "float": float}.get(kind, str)(value)
+    return int(value) if _FIELD_TYPES[key].startswith("int") else value
 
 
 def parse_config(text):
@@ -174,9 +173,9 @@ def normalized_spectrum(matrix, top=None):
 
 
 def gramian_spectrum(problem, theta, quad, top=None):
-    """Top normalized eigenvalues of the (densely assembled) Gramian."""
+    """Top normalized eigenvalues of the dense Gramian A^T A."""
     gop = GramianOperator.from_problem(problem, theta, quad)
-    return normalized_spectrum(assemble_dense(gop), top=top)
+    return normalized_spectrum(gop.dense(), top=top)
 
 
 def dump_spectrum(config, out_dir=None, top=None):

@@ -33,6 +33,10 @@ LS_SHRINK = 0.5
 LS_MAX_BACKTRACKS = 30
 LS_SUFFICIENT_DECREASE = 1e-4
 MU_FLOOR_COEFF = 1e-4  # c in the damping floor c * L^2
+GAMMA = 1e6  # mu >= GAMMA*eps*lam1 stays above G's rounding floor; 1e7 gave outlier seeds
+RANK_RATIO = 10.0  # the rank grows while lam_ell > RANK_RATIO*mu (arXiv:2110.02820)
+CG_TOL_CAP = 0.1  # PCG's relative tolerance is min(CG_TOL_CAP, |g|); 0.01 did no better
+CG_MAXIT = 20  # PCG iteration cap; PCG needs about 1 iteration in most steps
 
 __all__ = [
     "NystromNgdConfig",
@@ -56,10 +60,6 @@ class NystromNgdConfig:
 
     ell0: int = 10
     ell_max: int | None = None  # None -> min(500, p // 2) at run time
-    gamma: float = 1e6
-    cg_maxit: int = 20
-    kappa: float = 0.1
-    rank_ratio: float = 10.0
     iterations: int = 300
     seed: int = 0
 
@@ -68,14 +68,6 @@ class NystromNgdConfig:
             raise ValueError("need ell0 >= 1")
         if self.ell_max is not None and self.ell0 > self.ell_max:
             raise ValueError("need 1 <= ell0 <= ell_max")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.cg_maxit < 1:
-            raise ValueError("need cg_maxit >= 1")
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError("kappa must be in (0, 1)")
-        if self.rank_ratio <= 0:
-            raise ValueError("rank_ratio must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.seed < 0:
@@ -106,28 +98,28 @@ class StepReport:
     pcg_iters: int = 0
 
 
-def adapt_mu(lam1, gamma, loss, coeff):
-    """Damping: mu = max(gamma * eps_mach * lam1, coeff * L^2).
+def adapt_mu(lam1, loss):
+    """Damping: mu = max(GAMMA * eps_mach * lam1, MU_FLOOR_COEFF * L^2).
 
     The first term scales the top eigenvalue estimate; the numerical-rank
-    cutoff p*eps*lam1 sits at the rounding floor of the Gramian, so the
-    default gamma = 1e6 damps above that floor.  The floor, in the loss L,
+    cutoff p*eps*lam1 sits at the rounding floor of the Gramian, so
+    GAMMA = 1e6 damps above that floor.  The floor, in the loss L,
     enforces stronger damping early on.
     """
-    if lam1 < 0 or gamma <= 0:
-        raise ValueError("need lam1 >= 0 and gamma > 0")
-    return max(gamma * EPS_MACH * lam1, coeff * abs(loss) ** 2.0)
+    if lam1 < 0:
+        raise ValueError("need lam1 >= 0")
+    return max(GAMMA * EPS_MACH * lam1, MU_FLOOR_COEFF * abs(loss) ** 2.0)
 
 
-def adapt_rank(eigenvalues, mu, ell, ell_max, ratio=10.0):
+def adapt_rank(eigenvalues, mu, ell, ell_max):
     """Next sketch rank from the estimated spectrum.
 
-    If the smallest estimate still exceeds ratio*mu the rank doubles
-    (capped); otherwise it shrinks to the first index below the
+    If the smallest estimate still exceeds RANK_RATIO * mu the rank
+    doubles (capped); otherwise it shrinks to the first index below that
     threshold plus an offset of one.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    threshold = ratio * mu
+    threshold = RANK_RATIO * mu
     if eigenvalues[-1] > threshold:
         return min(2 * ell, ell_max)
     first_below = int(np.argmax(eigenvalues < threshold)) + 1  # 1-based index
@@ -175,9 +167,9 @@ def _resolve_ell_max(config, p):
     return max(min(500, p // 2), min(config.ell0, p))
 
 
-def _cg_rel_tol(kappa, grad_norm):
-    # kappa < 1 keeps the tolerance below 1; the floor keeps it positive at g = 0
-    return max(min(kappa, grad_norm), 1e-300)
+def _cg_rel_tol(grad_norm):
+    # CG_TOL_CAP < 1 keeps the tolerance below 1; the floor keeps it positive at g = 0
+    return max(min(CG_TOL_CAP, grad_norm), 1e-300)
 
 
 def _nystrom_ngd(problem, theta0, config, quad):
@@ -201,18 +193,14 @@ def _nystrom_ngd(problem, theta0, config, quad):
             gop, ell, seed=int(rng.integers(2**63)), basis=basis
         )
         basis = factor.basis
-        mu = adapt_mu(factor.eigenvalues[0], config.gamma, loss, MU_FLOOR_COEFF)
+        mu = adapt_mu(factor.eigenvalues[0], loss)
         if mu <= 0.0:
-            mu = config.gamma * EPS_MACH  # all-zero spectrum with zero floor
-        report = pcg(
-            ShiftedOperator(gop, mu),
-            g,
-            _cg_rel_tol(config.kappa, float(np.linalg.norm(g))),
-            config.cg_maxit,
-            precond=NystromPreconditioner(factor, mu),
-        )
+            mu = GAMMA * EPS_MACH  # all-zero spectrum with zero floor
+        tol = _cg_rel_tol(float(np.linalg.norm(g)))
+        precond = NystromPreconditioner(factor, mu)
+        report = pcg(ShiftedOperator(gop, mu), g, tol, CG_MAXIT, precond=precond)
         done = StepReport(mu, ell, report.iterations)
-        ell = adapt_rank(factor.eigenvalues, mu, ell, ell_max, ratio=config.rank_ratio)
+        ell = adapt_rank(factor.eigenvalues, mu, ell, ell_max)
         return report.solution, done
 
     return direction
@@ -225,27 +213,23 @@ def _baseline_mu(loss, cap=1e-5):
 
 def _ngd_cg(problem, theta0, config, quad):
     """Unpreconditioned NGD-CG baseline: same tolerance rule, CG capped at
-    cg_maxit + ell_max iterations."""
-    maxit_total = config.cg_maxit + _resolve_ell_max(config, theta0.shape[0])
+    CG_MAXIT + ell_max iterations."""
+    maxit_total = CG_MAXIT + _resolve_ell_max(config, theta0.shape[0])
 
     def direction(theta, loss, g, gop):
         mu = _baseline_mu(loss)
-        report = pcg(
-            ShiftedOperator(gop, mu),
-            g,
-            _cg_rel_tol(config.kappa, float(np.linalg.norm(g))),
-            maxit_total,
-        )
+        tol = _cg_rel_tol(float(np.linalg.norm(g)))
+        report = pcg(ShiftedOperator(gop, mu), g, tol, maxit_total)
         return report.solution, StepReport(mu, 0, report.iterations)
 
     return direction
 
 
 def ngd_dense_direction(gop, g, mu):
-    """(d, mu~) with (G + mu~ I) d = g: G from one block product (p matvecs), and
+    """(d, mu~) with (G + mu~ I) d = g: G = A^T A formed directly (p matvecs), and
     mu~ = max(mu, p*eps*tr G) keeps the LU solve finite on a rank-deficient G."""
     p = gop.dim
-    matrix = gop.matmat(np.eye(p))
+    matrix = gop.dense()
     mu = max(mu, p * EPS_MACH * float(np.trace(matrix)))
     matrix[np.diag_indices(p)] += mu
     return np.linalg.solve(matrix, g), mu

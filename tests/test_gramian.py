@@ -165,6 +165,24 @@ class TestDenseAssembly:
         with pytest.raises(ValueError, match="guard: p=10 exceeds 5"):
             gramian.assemble_dense(gop)
 
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_gramian_dense_matches_column_assembly_and_counts_p(self, name):
+        prob, quad, theta = small_instance(name)
+        gop = gramian.GramianOperator.from_problem(prob, theta, quad)
+        reference = gramian.assemble_dense(gramian.GramianOperator(gop.jacobian))
+        dense = gop.dense()
+        assert np.linalg.norm(dense - reference) <= 1e-14 * np.linalg.norm(reference)
+        assert gop.matvec_count == gop.dim
+
+    def test_gramian_dense_guard(self, monkeypatch):
+        gop = gramian.GramianOperator(np.ones((3, 10)))
+        monkeypatch.setattr(gramian, "DENSE_GUARD", 9)
+        with pytest.raises(ValueError, match="guard: p=10 exceeds 9"):
+            gop.dense()
+        assert gop.matvec_count == 0
+        monkeypatch.setattr(gramian, "DENSE_GUARD", 10)
+        np.testing.assert_array_equal(gop.dense(), np.full((10, 10), 3.0))
+
     @pytest.mark.parametrize(
         "method, shape", [("matmat", (4, 2)), ("matmat", (3,)), ("matvec", (3, 2))]
     )

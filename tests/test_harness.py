@@ -10,7 +10,8 @@ import pytest
 from nystromngd import harness, model, optim, problems
 from nystromngd.cli import main as cli_main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def readme_config_keys():
@@ -45,24 +46,28 @@ def read_csv(path):
 
 class TestParseConfig:
     def test_roundtrip_values(self):
-        cfg = harness.parse_config(small_config_text(kappa=0.2))
+        cfg = harness.parse_config(small_config_text(ell0=6))
         assert cfg.problem == "poisson1d"
         assert cfg.hidden_width == 5
-        assert cfg.kappa == 0.2
+        assert cfg.ell0 == 6
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\nproblem = poisson2d  # trailing\n"
         assert harness.parse_config(text).problem == "poisson2d"
 
-    def test_gamma_literal_p_raises(self):
-        # gamma is a positive number; the parameter count has no literal
-        assert harness.parse_config("gamma = 3.5").gamma == 3.5
-        with pytest.raises(ValueError):
-            harness.parse_config("gamma = p")
+    @pytest.mark.parametrize("key", ["gamma", "kappa", "rank_ratio", "cg_maxit"])
+    def test_tuned_rules_are_not_config_keys(self, key):
+        # optim.GAMMA, CG_TOL_CAP, RANK_RATIO and CG_MAXIT are module constants
+        with pytest.raises(ValueError, match=f"line 2: unknown config key '{key}'"):
+            harness.parse_config(f"seed = 1\n{key} = 1")
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_configs_parse(self, path):
+        harness.load_config(path)  # raises on an unknown key or a bad value
 
     @pytest.mark.parametrize(
         ("text", "where"),
-        [("seed = 1\ngamma = p", "line 2: .*'gamma'"), ("iterations = 2.5", "line 1: .*'iterations'")],
+        [("seed = 1\nell0 = p", "line 2: .*'ell0'"), ("iterations = 2.5", "line 1: .*'iterations'")],
     )
     def test_unconvertible_value_names_line_and_key(self, text, where):
         with pytest.raises(ValueError, match=where) as info:
@@ -84,11 +89,7 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "text",
         [
-            "kappa = 2",
             "ell0 = 20\nell_max = 10",
-            "cg_maxit = 0",
-            "rank_ratio = 0",
-            "rank_ratio = -1",
             "n_interior = 0",
             "n_interior = -5",
             "n_boundary = 0",
@@ -236,13 +237,23 @@ class TestCli:
         vals = np.loadtxt(tmp_path / "sp" / "spectrum.txt")
         assert vals.shape == (5,)
 
-    @pytest.mark.parametrize("top", ["0", "-3"])
-    def test_spectrum_top_below_one_fails_at_parsing(self, tmp_path, capsys, top):
+    @pytest.mark.parametrize(
+        "command, option, value, low",
+        [
+            ("spectrum", "--top", "0", 1),
+            ("spectrum", "--top", "-3", 1),
+            ("run", "--seed", "-1", 0),
+            ("spectrum", "--seed", "-1", 0),
+        ],
+    )
+    def test_int_option_below_its_bound_fails_at_parsing(
+        self, tmp_path, capsys, command, option, value, low
+    ):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text())
-        out = tmp_path / "sp"
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exit_info:
-            cli_main(["spectrum", str(cfg_path), "--top", top, "--out", str(out)])
+            cli_main([command, str(cfg_path), option, value, "--out", str(out)])
         assert exit_info.value.code == 2
-        assert f"argument --top: must be >= 1, got {top}" in capsys.readouterr().err
+        assert f"argument {option}: must be >= {low}, got {value}" in capsys.readouterr().err
         assert not out.exists()

@@ -17,7 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
     "script, args",
     [
         ("run_benchmark.py", ["poisson1d", "--iterations", "1", "--seeds", "1", "--width", "4"]),
-        ("sensitivity_sweep.py", ["poisson1d", "--iterations", "1", "--seeds", "1"]),
         ("spectral_decay.py", ["--top", "5", "--width", "4"]),
     ],
 )
