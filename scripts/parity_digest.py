@@ -5,10 +5,10 @@ The first digest covers the final theta's bytes, the second every numeric
 RunRecord field but the wall-clock seconds.  Two checkouts do the same
 arithmetic on these runs exactly when their outputs do not differ; a
 change that keeps the iterates but changes what the trace rows hold
-differs in the second column only:
+differs in the second column only.  Each checkout runs its own copy:
 
-    PYTHONPATH=src python scripts/parity_digest.py > a.txt
-    (same command in the other checkout) --against a.txt
+    PYTHONPATH=src python scripts/parity_digest.py > a.txt  # the other checkout
+    PYTHONPATH=src python scripts/parity_digest.py --against a.txt
 
 The script pins OpenBLAS, OpenMP and MKL to one thread before numpy is
 imported, so a digest does not depend on how a BLAS splits its sums.
@@ -16,14 +16,13 @@ imported, so a digest does not depend on how a BLAS splits its sums.
 ``--against FILE`` compares this checkout's digests with a saved run: it
 prints to stderr each (optimizer, problem, seed) that FILE lacks or whose
 theta or records digest differs from FILE's, naming which of the two
-differs, and exits 1 if there is any.  A failed run prints its error in
-both columns.
+differs, then how many of FILE's runs it compared, and exits 1 if there
+is any difference.  A failed run prints its error in both columns.
 
-Each run is the criterion-10 setup: a tanh MLP of two hidden layers, 400
-interior and 160 boundary points, quadrature, initialization and
-optimizer seeded by the seed, and the H1 error recorded on the training
-points.  Only the package's public API is used, so the script also runs
-against older checkouts.
+Each run is ``harness.set_up`` of the default ``ExperimentConfig`` but
+for the width and iterations (the criterion-10 setup: 400 interior and
+160 boundary points, quadrature, initialization and optimizer seeded by
+the seed), with the H1 error recorded on the training points.
 """
 
 import argparse
@@ -37,7 +36,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from nystromngd import autodiff, model, optim, problems
+from nystromngd import autodiff, optim, problems
+from nystromngd.harness import ExperimentConfig, set_up
 
 
 COLUMNS = ("theta", "records")  # what each digest column covers
@@ -54,10 +54,10 @@ def digests(theta, records):
 
 
 def run(optimizer, name, seed, iterations, width):
-    prob = problems.make_problem(name, hidden_width=width, hidden_depth=2)
-    quad = prob.sample_quadrature(400, 160, seed=seed)
-    theta0 = model.init(prob.topology, seed).values
-    config = optim.NystromNgdConfig(iterations=iterations, seed=seed)
+    config = ExperimentConfig(
+        problem=name, optimizer=optimizer, hidden_width=width, iterations=iterations, seed=seed
+    )
+    prob, quad, theta0 = set_up(config)
     try:
         theta, records = optim.run_optimizer(
             optimizer, prob, theta0, config, quad, quad_eval=quad
@@ -98,13 +98,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     saved = read_digests(args.against) if args.against else None
     mismatches = []
+    compared = 0
     for optimizer in args.optimizers:
         for name in args.problems:
             for seed in range(args.seeds):
                 got = run(optimizer, name, seed, args.iterations, args.width)
                 print(f"{optimizer} {name} {seed} {got[0]} {got[1]}", flush=True)
                 if saved is not None:
-                    kind = compare(got, saved.get((optimizer, name, str(seed))))
+                    expected = saved.get((optimizer, name, str(seed)))
+                    compared += expected is not None
+                    kind = compare(got, expected)
                     if kind:
                         mismatches.append((kind, f"{optimizer} {name} {seed}"))
     if saved is None:
@@ -116,7 +119,7 @@ def main(argv=None):
     )
     print(
         f"{len(mismatches)} run(s) differ from or are missing in {args.against}"
-        f" ({per_column})",
+        f" ({per_column}); compared {compared} of {len(saved)} saved runs",
         file=sys.stderr,
     )
     return 1 if mismatches else 0

@@ -28,8 +28,6 @@ def main():
         hidden_width=args.width,
         iterations=args.iterations,
         repetitions=args.seeds,
-        n_interior=400,
-        n_boundary=160,
     )
     print(f"{'optimizer':<14} {'median H1 err':>14} {'q25':>10} {'q75':>10} {'sec':>8}")
     for name in OPTIMIZER_NAMES:

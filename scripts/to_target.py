@@ -4,14 +4,14 @@
     PYTHONPATH=src python scripts/to_target.py [optimizer]
 
 The optimizer is any of ``optim.OPTIMIZER_NAMES``; the default is
-``nystrom_ngd``.  Each run is the criterion-10 setup: a 16x2 tanh MLP,
-400 interior and 160 boundary points, quadrature, initialization and
-optimizer seeded by the seed, up to 300 iterations, and the H1 error
-recorded on the training points.  The script runs poisson2d, heat1p1d and
-nlpoisson2d at seeds 0-7, prints each run's iterations, matvecs and final
-H1 error, then each problem's medians.  It exits 1 if any run misses the
-target.  It uses only the package's public API, so it also runs against
-an older checkout's ``src``.
+``nystrom_ngd``.  Each run is ``harness.set_up`` of the default
+``ExperimentConfig`` for the problem and seed (the criterion-10 setup: a
+16x2 tanh MLP, 400 interior and 160 boundary points, quadrature,
+initialization and optimizer seeded by the seed), up to 300 iterations,
+with the H1 error recorded on the training points.  The script runs
+poisson2d, heat1p1d and nlpoisson2d at seeds 0-7, prints each run's
+iterations, matvecs and final H1 error, then each problem's medians.  It
+exits 1 if any run misses the target; older checkouts run their own copy.
 
 Run as a script, it pins OpenBLAS, OpenMP and MKL to one thread before
 numpy is imported, so the counts do not depend on how a BLAS splits its
@@ -28,22 +28,19 @@ if __name__ == "__main__":
 
 import numpy as np
 
-from nystromngd import model, optim, problems
+from nystromngd import optim
+from nystromngd.harness import ExperimentConfig, set_up
 
 PROBLEMS = ("poisson2d", "heat1p1d", "nlpoisson2d")
 SEEDS = range(8)
 TARGET = 1e-3
 
 
-def run(
-    name, seed, width=16, n_interior=400, n_boundary=160, iterations=300, optimizer="nystrom_ngd"
-):
+def run(name, seed, optimizer="nystrom_ngd", **overrides):
     """(iterations, matvecs, final H1 error) of one run of ``optimizer``
     that stops at the first iterate with H1 error <= TARGET."""
-    prob = problems.make_problem(name, hidden_width=width, hidden_depth=2)
-    quad = prob.sample_quadrature(n_interior, n_boundary, seed=seed)
-    theta0 = model.init(prob.topology, seed).values
-    config = optim.NystromNgdConfig(iterations=iterations, seed=seed)
+    config = ExperimentConfig(problem=name, optimizer=optimizer, seed=seed, **overrides)
+    prob, quad, theta0 = set_up(config)
     _, records = optim.run_optimizer(
         optimizer, prob, theta0, config, quad, quad_eval=quad, h1_stop=TARGET
     )

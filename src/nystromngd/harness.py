@@ -25,32 +25,31 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "load_config",
+    "set_up",
+    "heldout_quadrature",
     "run_experiment",
     "dump_spectrum",
     "CSV_COLUMNS",
 ]
 
 
-# smallest accepted value of each count, size and seed that ExperimentConfig
-# adds (NystromNgdConfig checks its own iterations and seed)
-_LOWER_BOUNDS = {
-    "hidden_width": 1, "n_interior": 1, "n_boundary": 1, "repetitions": 1,
-    "hidden_depth": 0, "quad_seed": 0,
-}
+# smallest accepted value of each count and size that ExperimentConfig adds
+# (NystromNgdConfig checks its own iterations and seed)
+_LOWER_BOUNDS = dict(hidden_width=1, hidden_depth=0, n_interior=1, n_boundary=1, repetitions=1)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig(NystromNgdConfig):
     """Everything needed to reproduce one experiment: the optimizer's
-    hyperparameters plus the problem, network, quadrature and outputs."""
+    hyperparameters plus the problem, network, quadrature and outputs.
+    The defaults are the criterion-10 setup (16x2 net, 400 + 160 points)."""
 
     problem: str = "poisson2d"
     optimizer: str = "nystrom_ngd"
-    hidden_width: int = 32
+    hidden_width: int = 16
     hidden_depth: int = 2
     n_interior: int = 400
     n_boundary: int = 160
-    quad_seed: int = 0
     repetitions: int = 1
     out_dir: str = "results"
 
@@ -104,17 +103,22 @@ def load_config(path):
     return parse_config(Path(path).read_text())
 
 
-def _build(config, seed):
+def set_up(config):
+    """(problem, training quadrature, theta0) of the run ``config``
+    describes; the quadrature and theta0 are both drawn from
+    ``config.seed``, which also seeds the optimizer."""
     problem = make_problem(
-        config.problem,
-        hidden_width=config.hidden_width,
-        hidden_depth=config.hidden_depth,
+        config.problem, hidden_width=config.hidden_width, hidden_depth=config.hidden_depth
     )
-    quad = problem.sample_quadrature(
-        config.n_interior, config.n_boundary, config.quad_seed
-    )
-    theta0 = model.init(problem.topology, seed).values
+    quad = problem.sample_quadrature(config.n_interior, config.n_boundary, seed=config.seed)
+    theta0 = model.init(problem.topology, config.seed).values
     return problem, quad, theta0
+
+
+def heldout_quadrature(problem, seed):
+    """1600 interior and 400 boundary points from the seed sequence
+    (seed, 1), which a run seeded by ``seed`` never trains on."""
+    return problem.sample_quadrature(1600, 400, seed=[seed, 1])
 
 
 def _write_trace(path, records):
@@ -128,26 +132,31 @@ def _write_trace(path, records):
 
 
 def run_experiment(config, out_dir=None):
-    """Run ``repetitions`` seeded trainings, write per-run CSV traces (one
-    row per iterate, theta0 first) and a summary JSON; returns the summary."""
+    """Run ``repetitions`` trainings, repetition r set up from seed + r,
+    write per-run CSV traces (one row per iterate, theta0 first) and a
+    summary JSON; returns the summary."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     final_errors = []
+    heldout_errors = []
     total_seconds = []
     for rep in range(config.repetitions):
-        seed = config.seed + rep
-        problem, quad, theta0 = _build(config, seed)
-        _, records = run_optimizer(
-            config.optimizer, problem, theta0, replace(config, seed=seed), quad,
-            quad_eval=quad,
+        run = replace(config, seed=config.seed + rep)
+        problem, quad, theta0 = set_up(run)
+        theta, records = run_optimizer(
+            run.optimizer, problem, theta0, run, quad, quad_eval=quad
         )
-        _write_trace(out / f"run_{seed}.csv", records)
+        _write_trace(out / f"run_{run.seed}.csv", records)
         final_errors.append(records[-1].h1_rel_error)
+        heldout_errors.append(
+            problem.h1_relative_error(theta, heldout_quadrature(problem, run.seed))
+        )
         total_seconds.append(sum(r.seconds for r in records))
     summary = {
         "problem": config.problem,
         "optimizer": config.optimizer,
         "median_final_error": float(np.median(final_errors)),
+        "median_heldout_error": float(np.median(heldout_errors)),
         "q25": float(np.quantile(final_errors, 0.25)),
         "q75": float(np.quantile(final_errors, 0.75)),
         "median_seconds": float(np.median(total_seconds)),
@@ -172,17 +181,12 @@ def normalized_spectrum(matrix, top=None):
     return ratios
 
 
-def gramian_spectrum(problem, theta, quad, top=None):
-    """Top normalized eigenvalues of the dense Gramian A^T A."""
-    gop = GramianOperator.from_problem(problem, theta, quad)
-    return normalized_spectrum(gop.dense(), top=top)
-
-
 def dump_spectrum(config, out_dir=None, top=None):
-    """Assemble the Gramian at the seeded initialization and write its
-    normalized spectrum, one value per line, descending."""
-    problem, quad, theta0 = _build(config, config.seed)
-    ratios = gramian_spectrum(problem, theta0, quad, top=top)
+    """Assemble the Gramian A^T A densely at the config's set-up and write
+    its normalized spectrum, one value per line, descending."""
+    problem, quad, theta0 = set_up(config)
+    gop = GramianOperator.from_problem(problem, theta0, quad)
+    ratios = normalized_spectrum(gop.dense(), top=top)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "spectrum.txt"

@@ -1,7 +1,7 @@
 import csv
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,11 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"line 2: unknown config key '{key}'"):
             harness.parse_config(f"seed = 1\n{key} = 1")
 
+    def test_quad_seed_is_not_a_config_key(self):
+        # set_up draws the quadrature from the run's own seed
+        with pytest.raises(ValueError, match="line 1: unknown config key 'quad_seed'"):
+            harness.parse_config("quad_seed = 0")
+
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_configs_parse(self, path):
         harness.load_config(path)  # raises on an unknown key or a bad value
@@ -96,7 +101,6 @@ class TestParseConfig:
             "hidden_width = 0",
             "hidden_depth = -1",
             "seed = -1",
-            "quad_seed = -1",
             "repetitions = 0",
             "iterations = -1",
         ],
@@ -145,17 +149,16 @@ class TestRunExperiment:
         drop_seconds = lambda rows: [r[:-1] for r in rows]
         assert drop_seconds(rows_a) == drop_seconds(rows_b)
 
+    @pytest.mark.parametrize("rep", [0, 1])
     @pytest.mark.parametrize("name", ["nystrom_ngd", "gd"])
-    def test_csv_round_trips_the_records_bitwise(self, tmp_path, name):
-        cfg = harness.parse_config(small_config_text(optimizer=name, seed=3))
+    def test_csv_round_trips_the_records_bitwise(self, tmp_path, name, rep):
+        # repetition r trains on the quadrature and theta0 of seed + r
+        cfg = harness.parse_config(small_config_text(optimizer=name, seed=3, repetitions=2))
         harness.run_experiment(cfg, out_dir=tmp_path)
-        prob = problems.make_problem(
-            cfg.problem, hidden_width=cfg.hidden_width, hidden_depth=cfg.hidden_depth
-        )
-        quad = prob.sample_quadrature(cfg.n_interior, cfg.n_boundary, cfg.quad_seed)
-        theta0 = model.init(prob.topology, cfg.seed).values
-        _, records = optim.run_optimizer(name, prob, theta0, cfg, quad, quad_eval=quad)
-        header, *rows = read_csv(tmp_path / "run_3.csv")
+        run = replace(cfg, seed=cfg.seed + rep)
+        prob, quad, theta0 = harness.set_up(run)
+        _, records = optim.run_optimizer(name, prob, theta0, run, quad, quad_eval=quad)
+        header, *rows = read_csv(tmp_path / f"run_{run.seed}.csv")
         assert len(rows) == len(records) == cfg.iterations + 1
         kinds = {f.name: f.type for f in fields(optim.RunRecord)}
         for row, rec in zip(rows, records):
@@ -173,9 +176,17 @@ class TestRunExperiment:
         with open(tmp_path / "summary.json") as fh:
             on_disk = json.load(fh)
         assert set(on_disk) == {
-            "problem", "optimizer", "median_final_error", "q25", "q75", "median_seconds",
+            "problem", "optimizer", "median_final_error", "median_heldout_error",
+            "q25", "q75", "median_seconds",
         }
-        assert on_disk["median_final_error"] == summary["median_final_error"]
+        assert on_disk == summary
+        heldout = []
+        for seed in (0, 1):
+            run = replace(cfg, seed=seed)
+            prob, quad, theta0 = harness.set_up(run)
+            theta, _ = optim.run_optimizer(run.optimizer, prob, theta0, run, quad)
+            heldout.append(prob.h1_relative_error(theta, harness.heldout_quadrature(prob, seed)))
+        assert summary["median_heldout_error"] == float(np.median(heldout))
         assert (tmp_path / "run_0.csv").exists()
         assert (tmp_path / "run_1.csv").exists()
 
@@ -184,6 +195,38 @@ class TestRunExperiment:
             cfg = harness.parse_config(small_config_text(optimizer=name, iterations=2))
             summary = harness.run_experiment(cfg, out_dir=tmp_path / name)
             assert np.isfinite(summary["median_final_error"])
+
+
+def quadrature_arrays(quad):
+    return [getattr(quad, f.name) for f in fields(quad) if getattr(quad, f.name) is not None]
+
+
+class TestSetUp:
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_draws_quadrature_and_theta0_from_the_seed(self, name):
+        cfg = harness.ExperimentConfig(problem=name, hidden_width=3, hidden_depth=1, seed=5)
+        prob, quad, theta0 = harness.set_up(cfg)
+        assert prob.topology.widths == (prob.input_dim, 3, 1)
+        expected = prob.sample_quadrature(cfg.n_interior, cfg.n_boundary, seed=5)
+        for got, want in zip(quadrature_arrays(quad), quadrature_arrays(expected), strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(theta0, model.init(prob.topology, 5).values)
+
+    def test_defaults_are_the_criterion_10_setup(self):
+        prob, quad, theta0 = harness.set_up(harness.ExperimentConfig())
+        assert prob.name == "poisson2d" and theta0.size == 337  # 16x2 tanh MLP
+        assert (len(quad.interior_points), len(quad.boundary_points)) == (400, 160)
+
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_heldout_points_are_seed_stream_one_and_not_the_training_points(self, name):
+        cfg = harness.ExperimentConfig(problem=name, hidden_width=3, seed=2)
+        prob, quad, _ = harness.set_up(cfg)
+        heldout = harness.heldout_quadrature(prob, 2)
+        expected = prob.sample_quadrature(1600, 400, seed=[2, 1])
+        for got, want in zip(quadrature_arrays(heldout), quadrature_arrays(expected), strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert len(heldout.interior_points) == 1600
+        assert not np.isin(heldout.interior_points, quad.interior_points).any()
 
 
 class TestSpectrum:

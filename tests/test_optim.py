@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
-from nystromngd import gramian, model, optim, problems
+from nystromngd import gramian, harness, optim
 from nystromngd.gramian import GramianOperator, ShiftedOperator, assemble_dense
 from nystromngd.krylov import pcg
 from nystromngd.sketch import NystromPreconditioner, nystrom_approximate
@@ -236,10 +236,8 @@ def reach_runs():
     runs = {}
     for name in REACH_PROBLEMS:
         for seed in REACH_SEEDS:
-            prob = problems.make_problem(name, hidden_width=16, hidden_depth=2)
-            quad = prob.sample_quadrature(400, 160, seed=seed)
-            theta0 = model.init(prob.topology, seed).values
-            cfg = optim.NystromNgdConfig(iterations=45, seed=seed)
+            cfg = harness.ExperimentConfig(problem=name, iterations=45, seed=seed)
+            prob, quad, theta0 = harness.set_up(cfg)
             _, runs[name, seed] = optim.nystrom_ngd_run(
                 prob, theta0, cfg, quad, quad_eval=quad, h1_stop=1e-3
             )

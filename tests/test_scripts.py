@@ -17,7 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
     "script, args",
     [
         ("run_benchmark.py", ["poisson1d", "--iterations", "1", "--seeds", "1", "--width", "4"]),
-        ("spectral_decay.py", ["--top", "5", "--width", "4"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):
@@ -41,7 +40,7 @@ def load_to_target():
     return to_target
 
 
-TINY = dict(width=4, n_interior=20, n_boundary=2, iterations=2)
+TINY = dict(hidden_width=4, n_interior=20, n_boundary=2, iterations=2)
 
 
 def test_to_target_run_reports_its_last_record():
@@ -102,6 +101,16 @@ def test_parity_digest_against_its_own_output_passes(saved_digests):
     result = parity_digest("--against", str(saved_digests))
     assert result.returncode == 0, result.stderr
     assert result.stdout == saved_digests.read_text()
+    assert "0 run(s) differ" in result.stderr
+    assert result.stderr.rstrip().endswith("; compared 2 of 2 saved runs")
+
+
+def test_parity_digest_against_reports_the_saved_runs_it_did_not_rerun(saved_digests):
+    # one seed re-run against a two-seed file: nothing differs, half compared
+    result = parity_digest("--seeds", "1", "--against", str(saved_digests))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == saved_digests.read_text().splitlines(keepends=True)[0]
+    assert result.stderr.rstrip().endswith("; compared 1 of 2 saved runs")
 
 
 @pytest.mark.parametrize("column", ["theta", "records"])
@@ -118,4 +127,7 @@ def test_parity_digest_against_an_altered_digest_fails(saved_digests, tmp_path, 
     assert "poisson1d 0" not in result.stderr
     counts = {"theta": 0, "records": 0, column: 1}
     summary = f"({counts['theta']} in theta, {counts['records']} in records)"
-    assert f"1 run(s) differ from or are missing in {altered} {summary}" in result.stderr
+    assert (
+        f"1 run(s) differ from or are missing in {altered} {summary}; compared 2 of 2 saved runs"
+        in result.stderr
+    )
