@@ -478,7 +478,7 @@ _PROBLEMS = {
 PROBLEM_NAMES = tuple(sorted(_PROBLEMS))
 
 
-def make_problem(name, hidden_width=32, hidden_depth=2):
+def make_problem(name, hidden_width=16, hidden_depth=2):
     """Instantiate a problem by name on a tanh MLP of the given hidden shape."""
     if name not in _PROBLEMS:
         raise KeyError(f"unknown problem {name!r}; available: {PROBLEM_NAMES}")

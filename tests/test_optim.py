@@ -549,6 +549,30 @@ class TestDenseNgd:
 
 
 class TestCgNgd:
+    def test_nystrom_ngd_steps_stay_below_the_gramian_formation_switch(self):
+        # a Nystrom-NGD step makes at most CG_MAXIT + 1 single matvecs
+        assert gramian.FORM_AFTER > optim.CG_MAXIT + 1
+
+    @pytest.mark.parametrize("name, forms", [("nystrom_ngd", False), ("ngd_cg", True)])
+    def test_only_long_cg_solves_form_the_gramian(self, monkeypatch, name, forms):
+        formed = []
+
+        class Recording(GramianOperator):
+            def matvec(self, v):
+                out = super().matvec(v)
+                formed.append(self._gram is not None)
+                return out
+
+        monkeypatch.setattr(optim, "GramianOperator", Recording)
+        cfg = harness.ExperimentConfig(problem="poisson2d", optimizer=name, iterations=25)
+        prob, quad, theta0 = harness.set_up(cfg)
+        _, records = optim.run_optimizer(
+            name, prob, theta0, cfg, quad, quad_eval=quad, h1_stop=1e-3
+        )
+        assert formed and any(formed) == forms
+        if not forms:
+            assert records[-1].h1_rel_error <= 1e-3  # the whole run, to the target
+
     def test_matches_dense_step_when_well_conditioned(self):
         prob = toy(seed=9, n=50, p=6)
         theta = np.random.default_rng(10).standard_normal(6)

@@ -442,4 +442,4 @@ class TestRegistry:
 
     def test_default_topology(self):
         prob = problems.make_problem("poisson2d")
-        assert prob.topology.widths == (2, 32, 32, 1)
+        assert prob.topology.widths == (2, 16, 16, 1)
