@@ -2,18 +2,11 @@
 
 A = W^{1/2} J is the Jacobian of a problem's weighted residual
 s = W^{1/2} r in the parameters, one row per quadrature point, so
-G = J^T W J is the Gauss-Newton metric.  It is assembled once per
-iteration with the loss gradient A^T s (``PdeProblem.loss_grad``), into an
-array that each optimizer run allocates once: rows x p x 8 bytes, for 560
-rows 1.5 MB at p = 337 and 5.3 MB at p = 1185.  A block of matvecs is two
-GEMMs over A.  A single matvec is two matrix-vector products over A until
-the operator has served ``FORM_AFTER`` of them; the next one forms
-G = A^T A (one syrk) and every later one is one product with G.  Only a
-long unpreconditioned CG solve gets that far, and only when G is no larger
-than A (p <= rows) and p <= ``DENSE_GUARD``.  Forming G there is a cost
-inside the operator, not an application the algorithm asked for, so it
-adds nothing to ``matvec_count``; ``dense()``, whose caller wants G itself,
-forms a fresh G and counts p.
+G = J^T W J is the Gauss-Newton metric; ``run_optimizer`` assembles A with
+the loss gradient A^T s into one (rows, p) array per run.  The operator
+never forms G: a matvec is two products over A and a block two GEMMs, so
+its answer depends on A and v alone.  ``dense()`` forms G, counted as p
+matvecs, and so does a long NGD-CG solve (``optim._FormingShiftedOperator``).
 """
 
 from __future__ import annotations
@@ -21,10 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 DENSE_GUARD = 2000
-# Single matvecs served by two passes over A before G = A^T A is formed: the
-# syrk costs about 23 of them at 560 x 337, and the value must exceed the
-# CG_MAXIT + 1 = 21 that a Nystrom-NGD step can make, so that run never forms G.
-FORM_AFTER = 24
 
 
 class GramianOperator:
@@ -34,8 +23,6 @@ class GramianOperator:
         self.jacobian = np.asarray(jacobian, dtype=float)
         self.dim = self.jacobian.shape[1]
         self.matvec_count = 0
-        self._single_matvecs = 0
-        self._gram = None  # G = A^T A, once FORM_AFTER single matvecs are served
 
     @classmethod
     def from_problem(cls, problem, theta, quad):
@@ -47,13 +34,7 @@ class GramianOperator:
         if v.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}, got {v.shape}")
         self.matvec_count += 1
-        self._single_matvecs += 1
-        small = self.dim <= min(self.jacobian.shape[0], DENSE_GUARD)
-        if self._single_matvecs == FORM_AFTER + 1 and small:
-            self._gram = self.jacobian.T @ self.jacobian
-        if self._gram is None:
-            return self.jacobian.T @ (self.jacobian @ v)
-        return self._gram @ v
+        return self.jacobian.T @ (self.jacobian @ v)
 
     def matmat(self, vmat):
         """G V for a (p, k) block: one GEMM pair, counted as k matvecs."""

@@ -95,21 +95,35 @@ class TestGramianOperator:
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_dropped_operator_frees_its_tape_without_gc(self, name):
-        # the operator holds only ndarrays, counters and the unformed G (no
-        # Var or Tape), and its Jacobian is freed by refcount once the
-        # operator is dropped
+        # the operator holds only ndarrays and counters (no Var or Tape), and
+        # its Jacobian is freed by refcount once the operator is dropped
         prob, quad, theta = small_instance(name)
         gc.disable()
         try:
             gop = gramian.GramianOperator.from_problem(prob, theta, quad)
             gop.matvec(np.ones(gop.dim))
             for value in vars(gop).values():
-                assert type(value) in (np.ndarray, int, type(None))
+                assert type(value) in (np.ndarray, int)
             jacobian = weakref.ref(gop.jacobian)
             del gop
             assert jacobian() is None
         finally:
             gc.enable()
+
+    def test_answers_from_a_alone(self):
+        # criterion-10 set-up: every column of the dense assembly is two passes
+        # over A, and a matvec does not depend on how many the operator served
+        prob, quad, theta = harness.set_up(harness.ExperimentConfig())
+        gop = gramian.GramianOperator.from_problem(prob, theta, quad)
+        a = gop.jacobian
+        two_pass = np.column_stack([a.T @ (a @ e) for e in np.eye(gop.dim)])
+        np.testing.assert_array_equal(gramian.assemble_dense(gop), two_pass)
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(gop.dim)
+        first = gop.matvec(v)
+        for _ in range(30):
+            gop.matvec(rng.standard_normal(gop.dim))
+        np.testing.assert_array_equal(gop.matvec(v), first)
 
     @given(
         name=st.sampled_from(problems.PROBLEM_NAMES),
@@ -138,54 +152,6 @@ class TestGramianOperator:
 
         assert rel(gop.matvec(block[:, 0]), ref[:, 0]) <= 1e-12
         assert rel(gop.matmat(block), ref) <= 1e-12
-
-
-class TestFormedGramian:
-    """After FORM_AFTER single matvecs the operator applies a formed A^T A."""
-
-    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
-    def test_matvec_after_the_switch_matches_two_passes_over_a(self, name):
-        # the criterion-10 set-up (16x2 net, 400 + 160 points) has p <= rows
-        prob, quad, theta = harness.set_up(harness.ExperimentConfig(problem=name))
-        gop = gramian.GramianOperator.from_problem(prob, theta, quad)
-        a = gop.jacobian
-        assert gop.dim <= a.shape[0]
-        rng = np.random.default_rng(5)
-        for _ in range(gramian.FORM_AFTER):
-            gop.matvec(rng.standard_normal(gop.dim))
-        for _ in range(3):
-            v = rng.standard_normal(gop.dim)
-            slow = a.T @ (a @ v)
-            fast = gop.matvec(v)
-            assert gop._gram is not None
-            assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
-
-    def test_formed_on_the_single_matvec_after_form_after_and_not_counted(self):
-        a = np.random.default_rng(1).standard_normal((12, 5))
-        gop = gramian.GramianOperator(a)
-        v = np.arange(5.0)
-        for _ in range(3):  # blocks neither form G nor advance the switch
-            gop.matmat(np.ones((5, gramian.FORM_AFTER + 1)))
-        for _ in range(gramian.FORM_AFTER):
-            np.testing.assert_array_equal(gop.matvec(v), a.T @ (a @ v))
-            assert gop._gram is None
-        gop.matvec(v)
-        np.testing.assert_array_equal(gop._gram, a.T @ a)
-        gop.matmat(np.ones((5, 2)))
-        assert gop.matvec_count == 3 * (gramian.FORM_AFTER + 1) + gramian.FORM_AFTER + 1 + 2
-
-    @pytest.mark.parametrize("limit", ["rows", "guard"])
-    def test_never_formed_when_g_is_larger_than_a_or_over_the_guard(self, limit, monkeypatch):
-        shape = (4, 5) if limit == "rows" else (12, 5)
-        if limit == "guard":
-            monkeypatch.setattr(gramian, "DENSE_GUARD", 4)
-        a = np.random.default_rng(2).standard_normal(shape)
-        gop = gramian.GramianOperator(a)
-        v = np.arange(5.0)
-        for _ in range(gramian.FORM_AFTER + 5):
-            np.testing.assert_array_equal(gop.matvec(v), a.T @ (a @ v))
-        assert gop._gram is None
-        assert gop.matvec_count == gramian.FORM_AFTER + 5
 
 
 class TestDenseAssembly:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
-from nystromngd import gramian, harness, optim
+from nystromngd import gramian, harness, optim, problems
 from nystromngd.gramian import GramianOperator, ShiftedOperator, assemble_dense
 from nystromngd.krylov import pcg
 from nystromngd.sketch import NystromPreconditioner, nystrom_approximate
@@ -548,28 +548,100 @@ class TestDenseNgd:
         assert rel <= 1e-6
 
 
+def record_pcg_operators(monkeypatch):
+    """The operators that optim hands to pcg, in call order."""
+    ops = []
+
+    def recording(op, *args, **kwargs):
+        ops.append(op)
+        return pcg(op, *args, **kwargs)
+
+    monkeypatch.setattr(optim, "pcg", recording)
+    return ops
+
+
+class TestFormedGramian:
+    """NGD-CG's solve operator applies a formed A^T A after FORM_AFTER matvecs."""
+
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_matvec_after_the_switch_matches_two_passes_over_a(self, name):
+        # the criterion-10 set-up (16x2 net, 400 + 160 points) has p <= rows
+        prob, quad, theta = harness.set_up(harness.ExperimentConfig(problem=name))
+        gop = GramianOperator.from_problem(prob, theta, quad)
+        a, mu = gop.jacobian, 1e-5
+        assert gop.dim <= a.shape[0]
+        op = optim._FormingShiftedOperator(gop, mu)
+        rng = np.random.default_rng(5)
+        for _ in range(optim.FORM_AFTER):
+            op.matvec(rng.standard_normal(gop.dim))
+        for _ in range(3):
+            v = rng.standard_normal(gop.dim)
+            slow = a.T @ (a @ v) + mu * v
+            fast = op.matvec(v)
+            assert op.gram is not None
+            assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
+
+    def test_shifted_gramian_until_the_switch_then_g_formed_uncounted(self):
+        a = np.random.default_rng(1).standard_normal((12, 5))
+        gop = GramianOperator(a)
+        op = optim._FormingShiftedOperator(gop, 0.3)
+        plain = ShiftedOperator(GramianOperator(a), 0.3)
+        v = np.arange(5.0)
+        for _ in range(optim.FORM_AFTER):
+            np.testing.assert_array_equal(op.matvec(v), plain.matvec(v))
+            assert op.gram is None
+        out = op.matvec(v)
+        np.testing.assert_array_equal(op.gram, a.T @ a)
+        np.testing.assert_array_equal(out, op.gram @ v + 0.3 * v)  # mu is not folded into G
+        assert gop.matvec_count == optim.FORM_AFTER + 1
+        with pytest.raises(ValueError, match="length 5"):
+            op.matvec(np.ones(4))
+        assert gop.matvec_count == optim.FORM_AFTER + 1
+
+    @pytest.mark.parametrize("limit", ["rows", "guard"])
+    def test_never_formed_when_g_is_larger_than_a_or_over_the_guard(self, limit, monkeypatch):
+        shape = (4, 5) if limit == "rows" else (12, 5)
+        if limit == "guard":
+            monkeypatch.setattr(gramian, "DENSE_GUARD", 4)
+        a = np.random.default_rng(2).standard_normal(shape)
+        gop = GramianOperator(a)
+        op = optim._FormingShiftedOperator(gop, 0.3)
+        v = np.arange(5.0)
+        for _ in range(optim.FORM_AFTER + 5):
+            np.testing.assert_array_equal(op.matvec(v), a.T @ (a @ v) + 0.3 * v)
+        assert op.gram is None
+        assert gop.matvec_count == optim.FORM_AFTER + 5
+
+
 class TestCgNgd:
-    def test_nystrom_ngd_steps_stay_below_the_gramian_formation_switch(self):
-        # a Nystrom-NGD step makes at most CG_MAXIT + 1 single matvecs
-        assert gramian.FORM_AFTER > optim.CG_MAXIT + 1
+    @pytest.mark.parametrize(
+        "name, cg_maxit, kind",
+        [
+            ("nystrom_ngd", None, ShiftedOperator),
+            ("nystrom_ngd", 60, ShiftedOperator),
+            ("ngd_cg", None, optim._FormingShiftedOperator),
+        ],
+    )
+    def test_only_ngd_cg_solves_get_the_forming_operator(self, monkeypatch, name, cg_maxit, kind):
+        ops = record_pcg_operators(monkeypatch)
+        if cg_maxit is not None:
+            monkeypatch.setattr(optim, "CG_MAXIT", cg_maxit)
+        cfg = harness.ExperimentConfig(problem="poisson2d", optimizer=name, iterations=3)
+        prob, quad, theta0 = harness.set_up(cfg)
+        optim.run_optimizer(name, prob, theta0, cfg, quad)
+        assert ops and all(type(op) is kind for op in ops)
 
     @pytest.mark.parametrize("name, forms", [("nystrom_ngd", False), ("ngd_cg", True)])
     def test_only_long_cg_solves_form_the_gramian(self, monkeypatch, name, forms):
-        formed = []
-
-        class Recording(GramianOperator):
-            def matvec(self, v):
-                out = super().matvec(v)
-                formed.append(self._gram is not None)
-                return out
-
-        monkeypatch.setattr(optim, "GramianOperator", Recording)
+        ops = record_pcg_operators(monkeypatch)
         cfg = harness.ExperimentConfig(problem="poisson2d", optimizer=name, iterations=25)
         prob, quad, theta0 = harness.set_up(cfg)
         _, records = optim.run_optimizer(
             name, prob, theta0, cfg, quad, quad_eval=quad, h1_stop=1e-3
         )
-        assert formed and any(formed) == forms
+        formed = [getattr(op, "gram", None) is not None for op in ops]
+        assert ops and any(formed) == forms
+        assert formed == [getattr(op, "matvecs", 0) > optim.FORM_AFTER for op in ops]
         if not forms:
             assert records[-1].h1_rel_error <= 1e-3  # the whole run, to the target
 
