@@ -12,9 +12,9 @@ with the H1 error recorded on the training points.  The script runs
 poisson2d, heat1p1d and nlpoisson2d at seeds 0-7, prints each run's
 iterations, matvecs, final H1 error and wall seconds, then each problem's
 medians.  It exits 1 if any run misses the target; older checkouts run
-their own copy.  ``ngd_cg`` exits 1: heat1p1d seed 5 ends at H1 1.13e-3
-after 300 iterations.  It missed the target before long CG solves applied a
-formed A^T A as well, at H1 1.29e-3.
+their own copy.  ``ngd_cg`` exits 1: heat1p1d seed 5 ends at H1 1.14e-3
+after 300 iterations, damped by ``adapt_mu`` like Nystrom-NGD.  It missed the
+target under the baselines' former damping rule too, at H1 1.13e-3.
 
 Run as a script, it pins OpenBLAS, OpenMP and MKL to one thread before
 numpy is imported, so the counts do not depend on how a BLAS splits its

@@ -9,7 +9,8 @@ theta, and records the new iterate; a line search that finds no decrease
 ends the run.  Each optimizer is a factory
 ``(problem, theta0, config, quad) -> direction`` whose closure holds only
 its own state; ``direction(theta, loss, g, gop)`` returns ``(d, StepReport)``.
-The NGD directions solve the damped system by (P)CG, ``ngd_dense`` directly.
+Every NGD direction damps by mu = adapt_mu(lam1, L), lam1 the sketch's top eigenvalue or, in
+the baselines, g's Rayleigh quotient (one counted matvec), and solves by (P)CG or directly.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class StepReport:
 
 
 def adapt_mu(lam1, loss):
-    """Damping: mu = max(GAMMA * eps_mach * lam1, MU_FLOOR_COEFF * L^2).
+    """Every NGD variant's damping: mu = max(GAMMA * eps_mach * lam1, MU_FLOOR_COEFF * L^2).
 
     The first term scales the top eigenvalue estimate; the numerical-rank
     cutoff p*eps*lam1 sits at the rounding floor of the Gramian, so
@@ -176,12 +177,11 @@ def _cg_rel_tol(grad_norm):
 def _nystrom_ngd(problem, theta0, config, quad):
     """Natural gradient descent with a randomized Nystrom preconditioner.
 
-    Per step: sketch the Gramian at the current rank, adapt the damping
-    from the top eigenvalue estimate, run PCG on the damped system, then
+    Per step: sketch the Gramian at the current rank, damp by adapt_mu of
+    the top eigenvalue estimate, run PCG on the damped system, then
     adapt the rank from the estimated spectrum.  Each sketch's test matrix
     is the previous step's Nystrom basis (a fresh Gaussian one on the
-    first step), topped up with Gaussian columns when the rank grows.  The
-    damping floor is ``MU_FLOOR_COEFF * L^2``.
+    first step), topped up with Gaussian columns when the rank grows.
     """
     ell_max = _resolve_ell_max(config, theta0.shape[0])
     ell = min(config.ell0, ell_max)
@@ -207,9 +207,9 @@ def _nystrom_ngd(problem, theta0, config, quad):
     return direction
 
 
-def _baseline_mu(loss, cap=1e-5):
-    """Damping rule used for the unpreconditioned/dense NGD baselines."""
-    return max(min(cap, loss), 1e-14)
+def _rayleigh_lam1(gop, g):
+    """The baselines' lam1 estimate g^T G g / g^T g <= lam1: one counted matvec; 0 at g = 0."""
+    return float(g @ gop.matvec(g)) / (float(g @ g) or 1.0)
 
 
 class _FormingShiftedOperator(ShiftedOperator):
@@ -231,12 +231,12 @@ class _FormingShiftedOperator(ShiftedOperator):
 
 
 def _ngd_cg(problem, theta0, config, quad):
-    """Unpreconditioned NGD-CG baseline: same tolerance rule, CG capped at
-    CG_MAXIT + ell_max iterations; a long solve forms G (_FormingShiftedOperator)."""
+    """Unpreconditioned NGD-CG: adapt_mu of g's Rayleigh quotient (one matvec), CG to the same
+    tolerance in <= CG_MAXIT + ell_max steps; long solves form G (_FormingShiftedOperator)."""
     maxit_total = CG_MAXIT + _resolve_ell_max(config, theta0.shape[0])
 
     def direction(theta, loss, g, gop):
-        mu = _baseline_mu(loss)
+        mu = adapt_mu(_rayleigh_lam1(gop, g), loss)
         tol = _cg_rel_tol(float(np.linalg.norm(g)))
         report = pcg(_FormingShiftedOperator(gop, mu), g, tol, maxit_total)
         return report.solution, StepReport(mu, 0, report.iterations)
@@ -255,13 +255,13 @@ def ngd_dense_direction(gop, g, mu):
 
 
 def _ngd_dense(problem, theta0, config, quad):
-    """Oracle NGD baseline: dense Gramian and a damped direct solve (p <= 2000)."""
+    """Oracle NGD: adapt_mu of g's Rayleigh quotient (one matvec), solve with G (p <= 2000)."""
     p = theta0.shape[0]
     if p > gramian.DENSE_GUARD:
         raise ValueError(f"dense NGD guard: p={p} exceeds {gramian.DENSE_GUARD}")
 
     def direction(theta, loss, g, gop):
-        d, mu = ngd_dense_direction(gop, g, _baseline_mu(loss))
+        d, mu = ngd_dense_direction(gop, g, adapt_mu(_rayleigh_lam1(gop, g), loss))
         return d, StepReport(mu)
 
     return direction

@@ -90,6 +90,9 @@ def duplicated_columns(scale):
     return LinearLeastSquares(np.hstack([b, b]), rng.standard_normal(20), np.ones(20))
 
 
+NGD_NAMES = ("nystrom_ngd", "ngd_cg", "ngd_dense")
+
+
 class TestConfig:
     @pytest.mark.parametrize("name", ["iterations", "seed"])
     def test_negative_count_raises(self, name):
@@ -122,6 +125,28 @@ class TestAdaptMu:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             optim.adapt_mu(-1.0, 0.0)
+
+    @pytest.mark.parametrize("name", NGD_NAMES)
+    def test_every_ngd_variant_damps_by_adapt_mu(self, name, monkeypatch):
+        # the criterion-10 set-up; step 1's lam1 estimate is recomputed here.
+        # At theta0 the loss floor binds, so a second run drops it to check lam1.
+        cfg = harness.ExperimentConfig(optimizer=name, iterations=1)
+        prob, quad, theta0 = harness.set_up(cfg)
+        a = np.empty((prob.metric_weights(quad).shape[0], theta0.size))
+        g = prob.loss_grad(theta0, quad, out=a)
+        if name == "nystrom_ngd":
+            seed = int(np.random.default_rng(cfg.seed).integers(2**63))
+            ell = min(cfg.ell0, optim._resolve_ell_max(cfg, theta0.size))
+            lam1 = nystrom_approximate(GramianOperator(a), ell, seed=seed).eigenvalues[0]
+        else:
+            lam1 = (g @ (a.T @ (a @ g))) / (g @ g)  # the Rayleigh quotient of g
+        for floor_coeff in (optim.MU_FLOOR_COEFF, 0.0):
+            monkeypatch.setattr(optim, "MU_FLOOR_COEFF", floor_coeff)
+            _, records = optim.run_optimizer(name, prob, theta0, cfg, quad)
+            mu = optim.adapt_mu(lam1, records[0].loss)
+            if name == "ngd_dense":
+                mu = max(mu, theta0.size * EPS * np.trace(a.T @ a))
+            assert records[1].mu == mu
 
 
 class TestAdaptRank:
@@ -414,6 +439,24 @@ class TestRunOptimizer:
         assert calls["loss"] == 1 + optim.LS_MAX_BACKTRACKS + 1
         assert updates == []
 
+    @pytest.mark.parametrize("name", NGD_NAMES)
+    def test_zero_gradient_leaves_theta_and_finite_records(self, name):
+        # theta0 is an exact zero-residual minimizer: L = 0 and g = 0
+        rng = np.random.default_rng(3)
+        phi, theta0 = rng.standard_normal((40, 8)), rng.standard_normal(8)
+        prob = LinearLeastSquares(phi, phi @ theta0, np.ones(40))
+        assert prob.loss_value(theta0, None) == 0.0
+        assert not prob.loss_grad(theta0, None).any()
+        cfg = optim.NystromNgdConfig(ell0=4, iterations=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            theta, records = optim.run_optimizer(name, prob, theta0.copy(), cfg, None, "eval")
+        assert theta.tobytes() == theta0.tobytes()
+        assert len(records) == 4
+        assert all(np.isfinite(astuple(r)).all() for r in records)
+        assert all(r.loss == 0.0 for r in records)
+        assert optim._rayleigh_lam1(GramianOperator(prob.a), np.zeros(8)) == 0.0
+
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_run_stalled_after_m_steps_repeats_the_m_step_run(self, name):
         # steps 1..m are accepted as usual; every trial of step m + 1 is walled
@@ -511,13 +554,20 @@ class TestDenseNgd:
             assert gop.matvec_count == 8 * calls
 
     def test_run_records_the_floored_damping(self):
-        prob = duplicated_columns(scale=1e4)
+        # A = [B, B], G's nonzero eigenvalues 2e8 ... 2e-4, and g along the
+        # smallest one's eigenvector: adapt_mu of its Rayleigh quotient lies
+        # far below the floor p*eps*tr G
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 4)))[0]
+        b = q * np.array([1e4, 1e2, 1.0, 1e-2])
+        prob = LinearLeastSquares(np.hstack([b, b]), 1e-3 * q[:, 3], np.ones(20))
         cfg = optim.NystromNgdConfig(iterations=1)
         _, records = optim.run_optimizer("ngd_dense", prob, np.zeros(8), cfg, quad=None)
+        g = prob.loss_grad(np.zeros(8), None)
+        lam1 = (g @ (prob.a.T @ (prob.a @ g))) / (g @ g)
         floor = 8 * EPS * np.trace(GramianOperator(prob.a).matmat(np.eye(8)))
-        assert floor > 1e-5  # above any damping the loss rule gives
+        assert floor > 1e3 * optim.adapt_mu(lam1, records[0].loss)
         assert records[1].mu == pytest.approx(floor, rel=1e-14)
-        assert records[1].matvecs == 8
+        assert records[1].matvecs == 8 + 1  # G, and the Rayleigh quotient's matvec
 
     def test_guard(self):
         class NoEvaluation(LinearLeastSquares):

@@ -49,12 +49,12 @@ def test_to_target_run_reports_its_last_record():
 
 
 def test_to_target_runs_the_named_optimizer():
-    # ngd_dense forms G with p matvecs per step
+    # ngd_dense forms G with p matvecs per step, plus one for its damping's lam1
     to_target = load_to_target()
     prob = problems.make_problem("poisson1d", hidden_width=4, hidden_depth=2)
     p = model.init(prob.topology, 0).values.size
     its, matvecs, h1 = to_target.run("poisson1d", 0, optimizer="ngd_dense", **TINY)
-    assert (its, matvecs) == (2, 2 * p)
+    assert (its, matvecs) == (2, 2 * (p + 1))
     assert 1e-3 < h1 < float("inf")
 
 
