@@ -170,7 +170,7 @@ def _resolve_ell_max(config, p):
 
 
 def _cg_rel_tol(grad_norm):
-    # CG_TOL_CAP < 1 keeps the tolerance below 1; the floor keeps it positive at g = 0
+    # CG_TOL_CAP < 1 keeps the tolerance below 1; the floor keeps it positive if |g| underflows
     return max(min(CG_TOL_CAP, grad_norm), 1e-300)
 
 
@@ -314,7 +314,9 @@ def run_optimizer(
     theta0's included, the loop stops once its H1 error is at most
     ``h1_stop`` or the matvecs reach ``matvec_budget``.  A line search
     that finds no decrease ends the run: its step's record keeps theta and
-    the previous loss.  A non-finite loss raises ``NonFiniteError``.
+    the previous loss.  At an exactly zero gradient no direction is asked
+    for: the step's record repeats theta_k with no mu, ell or matvecs.  A
+    non-finite loss raises ``NonFiniteError``.
     Returns (theta_final, [RunRecord, ...]).
     """
     if name not in _OPTIMIZERS:
@@ -351,6 +353,9 @@ def run_optimizer(
         if stalled or reached or spent or k == config.iterations:
             break
         g = problem.loss_grad(theta, quad, out=jac)
+        if not g.any():  # a stationary point: no direction, and theta_k's row repeats
+            report = StepReport()
+            continue
         gop = GramianOperator(jac)
         d, report = direction(theta, loss, g, gop)
         alpha, loss = backtracking_linesearch(

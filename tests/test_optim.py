@@ -458,6 +458,21 @@ class TestRunOptimizer:
         assert optim._rayleigh_lam1(GramianOperator(prob.a), np.zeros(8)) == 0.0
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    def test_zero_jacobian_asks_for_no_direction(self, name):
+        # A = 0 and s = 0: g = 0 at every theta, and G has no spectrum to damp by
+        prob = LinearLeastSquares(np.zeros((10, 4)), np.zeros(10), np.ones(10))
+        theta0 = np.ones(4)
+        cfg = optim.NystromNgdConfig(ell0=2, iterations=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, records = optim.run_optimizer(name, prob, theta0.copy(), cfg, None)
+        assert theta.tobytes() == theta0.tobytes()
+        assert [r.iteration for r in records] == [0, 1, 2, 3]
+        for r in records:  # no H1 without quad_eval; no step reported mu, ell or matvecs
+            assert (r.loss, r.mu, r.ell, r.pcg_iters, r.matvecs) == (0.0, 0.0, 0, 0, 0)
+            assert np.isfinite(r.seconds)
+
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_run_stalled_after_m_steps_repeats_the_m_step_run(self, name):
         # steps 1..m are accepted as usual; every trial of step m + 1 is walled
         m = 3
@@ -706,12 +721,16 @@ class TestCgNgd:
         np.testing.assert_allclose(report.solution, d_dense, rtol=1e-6, atol=1e-8)
 
     def test_matvec_budget_per_step(self, monkeypatch):
-        monkeypatch.setattr(optim, "CG_MAXIT", 5)
-        prob = toy(seed=11)
-        cfg = optim.NystromNgdConfig(iterations=2, ell0=8, ell_max=8, seed=0)
+        # columns over two decades: CG runs into its cap CG_MAXIT + ell_max = 3 iterations
+        monkeypatch.setattr(optim, "CG_MAXIT", 1)
+        base = toy(seed=11)
+        prob = LinearLeastSquares(base.phi * np.logspace(0, -2, 8), base.y, base.w)
+        cfg = optim.NystromNgdConfig(iterations=3, ell0=2, ell_max=2, seed=0)
         _, records = optim.ngd_cg_run(prob, np.zeros(8), cfg, quad=None)
+        assert max(r.pcg_iters for r in records) == 1 + 2
         per_step = np.diff([r.matvecs for r in records])  # row 0 has 0
-        assert all(m <= 5 + 8 + 1 for m in per_step)
+        # the Rayleigh quotient, the iterations and the closing true residual
+        assert max(per_step) == optim.CG_MAXIT + 2 + 2
 
     def test_matvec_budget_ends_at_first_record_reaching_it(self, monkeypatch):
         monkeypatch.setattr(optim, "CG_MAXIT", 5)
