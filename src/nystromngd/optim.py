@@ -7,7 +7,7 @@ gradient A^T s, wraps A as the matrix-free Gramian A^T A, asks the
 optimizer for a search direction, runs the Armijo line search, moves
 theta, and records the new iterate; a line search that finds no decrease
 ends the run.  Each optimizer is a factory
-``(problem, theta0, config, quad) -> direction`` whose closure holds only
+``(theta0, config) -> direction`` whose closure holds only
 its own state; ``direction(theta, loss, g, gop)`` returns ``(d, StepReport)``.
 Every NGD direction damps by mu = adapt_mu(lam1, L), lam1 the sketch's top eigenvalue or, in
 the baselines, g's Rayleigh quotient (one counted matvec), and solves by (P)CG or directly.
@@ -174,7 +174,7 @@ def _cg_rel_tol(grad_norm):
     return max(min(CG_TOL_CAP, grad_norm), 1e-300)
 
 
-def _nystrom_ngd(problem, theta0, config, quad):
+def _nystrom_ngd(theta0, config):
     """Natural gradient descent with a randomized Nystrom preconditioner.
 
     Per step: sketch the Gramian at the current rank, damp by adapt_mu of
@@ -230,7 +230,7 @@ class _FormingShiftedOperator(ShiftedOperator):
         return self.gram @ v + self.mu * v
 
 
-def _ngd_cg(problem, theta0, config, quad):
+def _ngd_cg(theta0, config):
     """Unpreconditioned NGD-CG: adapt_mu of g's Rayleigh quotient (one matvec), CG to the same
     tolerance in <= CG_MAXIT + ell_max steps; long solves form G (_FormingShiftedOperator)."""
     maxit_total = CG_MAXIT + _resolve_ell_max(config, theta0.shape[0])
@@ -254,7 +254,7 @@ def ngd_dense_direction(gop, g, mu):
     return np.linalg.solve(matrix, g), mu
 
 
-def _ngd_dense(problem, theta0, config, quad):
+def _ngd_dense(theta0, config):
     """Oracle NGD: adapt_mu of g's Rayleigh quotient (one matvec), solve with G (p <= 2000)."""
     p = theta0.shape[0]
     if p > gramian.DENSE_GUARD:
@@ -267,12 +267,12 @@ def _ngd_dense(problem, theta0, config, quad):
     return direction
 
 
-def _gradient_descent(problem, theta0, config, quad):
+def _gradient_descent(theta0, config):
     """Plain gradient descent: the direction is the gradient itself."""
     return lambda theta, loss, g, gop: (g, StepReport())
 
 
-def _bfgs(problem, theta0, config, quad):
+def _bfgs(theta0, config):
     """Dense BFGS baseline using the rank-one-structured inverse update."""
     p = theta0.shape[0]
     if p > BFGS_GUARD:
@@ -322,7 +322,7 @@ def run_optimizer(
     if name not in _OPTIMIZERS:
         raise KeyError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
     theta = np.asarray(theta0, dtype=float)
-    direction = _OPTIMIZERS[name](problem, theta, config, quad)
+    direction = _OPTIMIZERS[name](theta, config)
     jac = np.empty((problem.metric_weights(quad).shape[0], theta.shape[0]))  # each step's A
     records = []
     total_matvecs = 0

@@ -16,13 +16,13 @@ def vjp(f, theta, w):
 
 
 def grad(f, theta):
-    """Gradient of a scalar map: the tape's reverse sweep from cotangent 1."""
+    """Gradient of a scalar map: its vector-Jacobian product with cotangent 1."""
     return vjp(f, theta, 1.0)
 
 
 def quad_map(theta):
     # f(theta) = (theta_1^2, theta_1 * theta_2)
-    return ad.concat([(theta[0] ** 2).reshape(1), (theta[0] * theta[1]).reshape(1)])
+    return np.concatenate([(theta[0] ** 2).reshape(1), (theta[0] * theta[1]).reshape(1)])
 
 
 def two_layer_net(theta, x):
@@ -30,7 +30,7 @@ def two_layer_net(theta, x):
     b1 = theta[6:9]
     w2 = theta[9:12].reshape(1, 3)
     b2 = theta[12:13]
-    h = ad.tanh(w1 @ x + b1)
+    h = np.tanh(w1 @ x + b1)
     return w2 @ h + b2
 
 
@@ -88,7 +88,7 @@ class TestGrad:
         np.testing.assert_allclose(out, theta, rtol=1e-14)
 
     def test_hand_product(self):
-        out = grad(lambda th: ad.tanh(th[0]) * th[1], np.array([0.0, 3.0]))
+        out = grad(lambda th: np.tanh(th[0]) * th[1], np.array([0.0, 3.0]))
         np.testing.assert_allclose(out, [3.0, 0.0], atol=1e-15)
 
     def test_matches_finite_difference(self):
@@ -119,27 +119,67 @@ class TestFreeze:
         # d/dtheta [ sg(theta) * theta ] = sg(theta) = theta, not 2 theta
         out = grad(lambda th: (ad.freeze(th) * th).sum(), np.array([2.0]))
         np.testing.assert_allclose(out, [2.0], rtol=1e-15)
+        unfrozen = grad(lambda th: (th * th).sum(), np.array([2.0]))
+        np.testing.assert_allclose(unfrozen, [4.0], rtol=1e-15)
 
     def test_jvp_through_freeze_is_zero(self):
-        out = jvp(
-            lambda th: ad.freeze(ad.tanh(th)), np.array([0.4, 0.5]), np.array([1.0, -1.0])
-        )
+        theta, v = np.array([0.4, 0.5]), np.array([1.0, -1.0])
+        out = jvp(lambda th: ad.freeze(np.tanh(th)), theta, v)
         np.testing.assert_array_equal(out, np.zeros(2))
+        unfrozen = jvp(np.tanh, theta, v)
+        np.testing.assert_allclose(unfrozen, (1.0 - np.tanh(theta) ** 2) * v, rtol=1e-15)
 
-    def test_freeze_primal_bit_exact(self):
+    def test_value_is_bitwise_f_of_real_theta(self):
+        # the real part of complex tanh is not bit for bit real tanh, so the
+        # map's value must come from f on the real theta
         theta = np.array([0.123456789, -2.5])
-        f = lambda th: ad.tanh(th) * th
-        direct = ad.primal_value(f(theta))
-        tape = ad.Tape()
-        leaf = tape.leaf(theta)
-        assert np.array_equal(ad.freeze(f(leaf)), direct)
+        f = lambda th: np.tanh(th) * th
+        assert ad.linearize(f, theta).value.tobytes() == f(theta).tobytes()
+        assert ad.freeze(theta) is theta
+
+
+MIX = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 4.0, -1.0, 2.0], [-3.0, 1.0, 2.0, 0.25]])
+
+
+def closed_form_map(theta):
+    # tanh, a product, a power, @, indexing, reshape and concatenate
+    return np.concatenate(
+        [np.tanh(theta[:2]) * theta[2:], theta[3:] ** 3, MIX @ theta, theta.reshape(2, 2)[1]]
+    )
+
+
+def closed_form_jacobian(theta):
+    t = np.tanh(theta[:2])
+    jac = np.zeros((8, 4))
+    jac[[0, 1], [0, 1]] = (1.0 - t * t) * theta[2:]
+    jac[[0, 1], [2, 3]] = t
+    jac[2, 3] = 3.0 * theta[3] ** 2
+    jac[3:6] = MIX
+    jac[[6, 7], [2, 3]] = 1.0
+    return jac
+
+
+class TestClosedForm:
+    # positive control: a reference that lost the imaginary part would give
+    # zero derivatives, and every oracle comparison against it could pass
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_jvp_and_vjp_match_the_closed_form_jacobian(self, seed):
+        rng = np.random.default_rng(seed)
+        theta, v = rng.standard_normal((2, 4))
+        w = rng.standard_normal(8)
+        jac = closed_form_jacobian(theta)
+        lin = ad.linearize(closed_form_map, theta)
+        assert rel_err(lin.jvp(v), jac @ v) <= 1e-14
+        assert rel_err(lin.vjp(w), jac.T @ w) <= 1e-14
 
 
 def oracle_jet(topology, theta, x):
-    """Reference jet built from generic per-op tape nodes, one input
-    coordinate at a time: (value, [du/dx_i], [d^2u/dx_i^2]) as (q,) columns.
+    """Reference jet written with plain numpy ops, one input coordinate at
+    a time: (value, [du/dx_i], [d^2u/dx_i^2]) as (q,) columns.
 
-    ``theta`` is an ndarray or a Var; tanh on hidden layers.
+    ``theta`` is real, or complex for a complex-step linearization; tanh on
+    hidden layers.
     """
     q, d = x.shape
     value = x
@@ -148,11 +188,11 @@ def oracle_jet(topology, theta, x):
     layers = topology.layer_slices()
     for k, (ws, bs, n_out, n_in) in enumerate(layers):
         w, b = theta[ws].reshape((n_out, n_in)), theta[bs]
-        value = ad.matmul(value, w.T) + b
-        grads = [ad.matmul(g, w.T) for g in grads]
-        seconds = [ad.matmul(h, w.T) for h in seconds]
+        value = value @ w.T + b
+        grads = [g @ w.T for g in grads]
+        seconds = [h @ w.T for h in seconds]
         if k < len(layers) - 1:
-            t = ad.tanh(value)
+            t = np.tanh(value)
             d1 = 1.0 - t * t
             d2 = -2.0 * t * d1
             seconds = [d2 * g * g + d1 * h for g, h in zip(grads, seconds)]
@@ -250,7 +290,7 @@ class TestLaplacianJets:
             for h in sec[1:]:
                 total = total + h
             ub, _, _ = oracle_jet(top, th, quad.boundary_points)
-            return ad.concat([total, ub])
+            return np.concatenate([total, ub])
 
         # the problem's Jacobian is A = W^{1/2} J of the oracle's stack
         ref = ad.linearize(oracle_stack, theta)

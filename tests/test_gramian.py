@@ -14,8 +14,8 @@ from test_problems import HAND_METRIC_STACKS
 
 def gramian_from_stack(stack_fn, theta, weights):
     """Gramian A^T A of an arbitrary stack function under row weights w,
-    A = W^{1/2} J with J taken column by column from tape JVPs on the unit
-    vectors (the generic slow path)."""
+    A = W^{1/2} J with J taken column by column from complex-step JVPs on
+    the unit vectors (the generic slow path)."""
     lin = ad.linearize(stack_fn, np.asarray(theta, dtype=float))
     jac = np.column_stack([lin.jvp(e) for e in np.eye(np.size(theta))])
     return gramian.GramianOperator(np.sqrt(weights)[:, None] * jac)
@@ -55,7 +55,7 @@ class TestGramianOperator:
         phi = np.stack([np.sin(np.pi * xs), xs * (1 - xs)], axis=1)  # (3, 2)
 
         def stack(theta):
-            return ad.matmul(phi, theta)
+            return phi @ theta
 
         theta = np.array([0.7, -1.3])
         gop = gramian_from_stack(stack, theta, w)
@@ -94,9 +94,9 @@ class TestGramianOperator:
         assert gop.matvec_count == 0
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
-    def test_dropped_operator_frees_its_tape_without_gc(self, name):
-        # the operator holds only ndarrays and counters (no Var or Tape), and
-        # its Jacobian is freed by refcount once the operator is dropped
+    def test_dropped_operator_frees_its_jacobian_without_gc(self, name):
+        # the operator holds only ndarrays and counters, and its Jacobian
+        # is freed by refcount once the operator is dropped
         prob, quad, theta = small_instance(name)
         gc.disable()
         try:
@@ -133,9 +133,9 @@ class TestGramianOperator:
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_tape_matvec(self, name, depth, width, q, seed):
+    def test_matches_complex_step_matvec(self, name, depth, width, q, seed):
         # fast path (row Jacobian from the per-point reverse pass) against
-        # the slow path (tape JVP and VJP through the hand-written metric stack)
+        # the slow path (complex-step JVP and VJP through the hand-written metric stack)
         prob = problems.make_problem(name, hidden_width=width, hidden_depth=depth)
         quad = prob.sample_quadrature(q, 1 + seed % 7, seed)
         theta = model.init(prob.topology, seed).values
@@ -160,7 +160,7 @@ class TestDenseAssembly:
         w = np.array([1.0, 2.0, 3.0])
         # orthogonal indicator features: phi_i supported on point i only
         phi = np.eye(3)
-        gop = gramian_from_stack(lambda th: ad.matmul(phi, th), np.zeros(3), w)
+        gop = gramian_from_stack(lambda th: phi @ th, np.zeros(3), w)
         np.testing.assert_allclose(gramian.assemble_dense(gop), np.diag(w), atol=1e-15)
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)

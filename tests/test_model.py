@@ -160,7 +160,7 @@ class TestJetOrders:
     @settings(max_examples=25, deadline=None)
     def test_every_order_matches_the_per_op_oracle(self, seed, depth, width, d):
         # one tanh rule serves orders 0, 1 and 2: each order's channels, and
-        # their per-point pullback, against the generic per-op tape oracle
+        # their per-point pullback, against the generic per-op oracle
         top = model.MlpTopology((d,) + (width,) * depth + (1,))
         rng = np.random.default_rng(seed)
         theta = 0.8 * rng.standard_normal(top.param_count)

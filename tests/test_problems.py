@@ -7,10 +7,10 @@ from nystromngd import autodiff as ad
 from nystromngd import model, problems
 from test_autodiff import oracle_jet
 
-# Tape oracles: each problem's residual and metric stacks written out by
-# hand on the generic per-op jet oracle, so they can be linearized on the
-# tape and compared with the stacks the problems derive from their
-# residual blocks.
+# Hand-written oracles: each problem's residual and metric stacks written
+# out by hand on the generic per-op jet oracle, so they can be linearized
+# by complex step and compared with the stacks the problems derive from
+# their residual blocks.
 
 
 def laplacian(seconds):
@@ -25,7 +25,7 @@ def poisson_residual_stack(prob, theta, quad):
     _, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
     interior = laplacian(sec) + prob.source(quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    return ad.concat([interior, ub - prob.dirichlet(quad.boundary_points)])
+    return np.concatenate([interior, ub - prob.dirichlet(quad.boundary_points)])
 
 
 def heat_residual_stack(prob, theta, quad):
@@ -36,7 +36,7 @@ def heat_residual_stack(prob, theta, quad):
     boundary = ub - prob.dirichlet(quad.boundary_points)
     ui, _, _ = oracle_jet(prob.topology, theta, quad.initial_points)
     initial = ui - prob.initial_value(quad.initial_points)
-    return ad.concat([interior, boundary, initial])
+    return np.concatenate([interior, boundary, initial])
 
 
 def nlpoisson_residual_stack(prob, theta, quad):
@@ -44,7 +44,7 @@ def nlpoisson_residual_stack(prob, theta, quad):
     u, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
     interior = laplacian(sec) - u**3 + prob.source(quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    return ad.concat([interior, ub - prob.dirichlet(quad.boundary_points)])
+    return np.concatenate([interior, ub - prob.dirichlet(quad.boundary_points)])
 
 
 def residual_weights(quad):
@@ -65,7 +65,7 @@ def poisson_metric_stack(prob, theta, theta_bar, quad):
     """Poisson (1D and 2D) metric as written by hand: Laplacian rows, then boundary values."""
     _, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    return ad.concat([laplacian(sec), ub])
+    return np.concatenate([laplacian(sec), ub])
 
 
 def heat_metric_stack(prob, theta, theta_bar, quad):
@@ -74,7 +74,7 @@ def heat_metric_stack(prob, theta, theta_bar, quad):
     _, du, d2u = oracle_jet(prob.topology, theta, quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
     ui, _, _ = oracle_jet(prob.topology, theta, quad.initial_points)
-    return ad.concat([du[0] - d2u[1], ub, ui])
+    return np.concatenate([du[0] - d2u[1], ub, ui])
 
 
 def nlpoisson_metric_stack(prob, theta, theta_bar, quad):
@@ -84,14 +84,14 @@ def nlpoisson_metric_stack(prob, theta, theta_bar, quad):
     )
     u, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    return ad.concat([laplacian(sec) - 3.0 * ubar**2 * u, ub])
+    return np.concatenate([laplacian(sec) - 3.0 * ubar**2 * u, ub])
 
 
 def nlpoisson_metric_stack_unfrozen(prob, theta, quad):
     """Negative control: the linearization coefficient is not frozen."""
     u, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    return ad.concat([laplacian(sec) - 3.0 * u * u * u, ub])
+    return np.concatenate([laplacian(sec) - 3.0 * u * u * u, ub])
 
 
 HAND_METRIC_STACKS = {
@@ -289,10 +289,10 @@ class TestResidualJacobian:
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_tape_oracle(self, name, depth, width, q, seed):
+    def test_matches_complex_step_oracle(self, name, depth, width, q, seed):
         # weighted residual s = W^{1/2} r, A @ v = W^{1/2} J v and the loss
-        # gradient J^T W r against the tape linearization of the hand-written
-        # residual stack
+        # gradient J^T W r against the complex-step linearization of the
+        # hand-written residual stack
         prob = problems.make_problem(name, hidden_width=width, hidden_depth=depth)
         quad = prob.sample_quadrature(q, 1 + seed % 7, seed)
         theta = model.init(prob.topology, seed).values

@@ -1,11 +1,14 @@
 """Smoke tests: each script in scripts/ answers --help and runs on a tiny setting."""
 
 import importlib.util
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nystromngd import model, problems
@@ -36,8 +39,10 @@ TINY = dict(hidden_width=4, n_interior=20, n_boundary=2, iterations=2)
 
 
 def test_to_target_run_reports_its_last_record():
-    its, matvecs, h1 = load_to_target().run("poisson1d", 0, **TINY)
-    assert its == 2 and matvecs > 0 and 1e-3 < h1 < float("inf")  # no early stop
+    r = load_to_target().run("poisson1d", 0, **TINY)
+    assert r["iterations"] == 2 and r["matvecs"] > 0  # no early stop
+    assert 1e-3 < r["h1"] < float("inf") and 0.0 < r["heldout_h1"] < float("inf")
+    assert r["heldout_h1"] != r["h1"]  # measured on other points
 
 
 def test_to_target_runs_the_named_optimizer():
@@ -45,9 +50,9 @@ def test_to_target_runs_the_named_optimizer():
     to_target = load_to_target()
     prob = problems.make_problem("poisson1d", hidden_width=4, hidden_depth=2)
     p = model.init(prob.topology, 0).values.size
-    its, matvecs, h1 = to_target.run("poisson1d", 0, optimizer="ngd_dense", **TINY)
-    assert (its, matvecs) == (2, 2 * (p + 1))
-    assert 1e-3 < h1 < float("inf")
+    r = to_target.run("poisson1d", 0, optimizer="ngd_dense", **TINY)
+    assert (r["iterations"], r["matvecs"]) == (2, 2 * (p + 1))
+    assert 1e-3 < r["h1"] < float("inf")
 
 
 def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
@@ -55,18 +60,32 @@ def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
     monkeypatch.setattr(to_target, "PROBLEMS", ("poisson1d",))
     monkeypatch.setattr(to_target, "SEEDS", range(2))
     assert to_target.main(["nystrom_ngd", "ngd_dense"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    *lines, last = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         f"{opt} poisson1d {what}"
         for opt in ("nystrom_ngd", "ngd_dense")
         for what in ("seed 0", "seed 1", "median")
     ]
     assert all("missed" not in line for line in lines)
+    # the last line is the JSON record of every run, in the order printed
+    record = json.loads(last)
+    runs = [line for line in lines if "median" not in line]
+    assert [(r["optimizer"], r["problem"], r["seed"]) for r in record["runs"]] == [
+        (opt, "poisson1d", seed) for opt in ("nystrom_ngd", "ngd_dense") for seed in (0, 1)
+    ]
+    for line, r in zip(runs, record["runs"]):
+        assert f"{r['iterations']} iterations, {r['matvecs']} matvecs, H1 {r['h1']:.3e}" in line
+        assert r["h1"] <= to_target.TARGET and 0.0 < r["heldout_h1"] < 1.0 and r["seconds"] > 0
+    src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
+    assert record["src_lines"] == src_lines
+    assert record["numpy"] == np.__version__ and record["python"] == platform.python_version()
+    assert set(record["blas_threads"]) == set(to_target.BLAS_ENV)
     # one optimizer, the default, prints its lines unlabelled
     monkeypatch.setattr(to_target, "SEEDS", range(1))
     assert to_target.main([]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    *lines, last = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["poisson1d seed 0", "poisson1d median"]
+    assert len(json.loads(last)["runs"]) == 1
     with pytest.raises(SystemExit) as exit_info:
         to_target.main(["nystrom_ngd", "newton"])
     assert exit_info.value.code == 2  # before any run
