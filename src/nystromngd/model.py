@@ -202,9 +202,3 @@ def propagate(topology, theta, z, pullback=False):
 
     return z, back
 
-
-def value_and_gradient(topology, theta, z):
-    """Value (q,) and input gradient (q, d) of a scalar network from the
-    order-1 input jet z of the points (:func:`input_jet`)."""
-    z = propagate(topology, theta, z)
-    return z[0, :, 0], z[1:, :, 0].T

@@ -316,7 +316,8 @@ def run_optimizer(
     that finds no decrease ends the run: its step's record keeps theta and
     the previous loss.  At an exactly zero gradient no direction is asked
     for: the step's record repeats theta_k with no mu, ell or matvecs.  A
-    non-finite loss raises ``NonFiniteError``.
+    non-finite theta0 loss raises ``NonFiniteError``; the line search
+    rejects a NaN or +inf trial loss like any other.
     Returns (theta_final, [RunRecord, ...]).
     """
     if name not in _OPTIMIZERS:

@@ -9,12 +9,16 @@ Shipped problems (selected by name):
 * ``nlpoisson2d`` -- -Laplace(u) + u^3 = f on the unit square, with a
   Gauss-Newton metric linearized at a frozen point.
 
-Each problem declares its residual once, as blocks of rows
-(``residual_blocks``): points, weights, coefficients on the jet channels
-and target values.  From them the base class derives the weighted
-residual s = W^{1/2} r, its Jacobian A = W^{1/2} J (``residual_jacobian``),
-the loss 0.5 s^T s, its gradient A^T s and so the Gauss-Newton metric
-A^T A, and no caller applies W itself.  What does not depend on theta
+A problem supplies four things: ``exact_jet``, its manufactured solution
+u* with each du*/dx_i and d^2u*/dx_i^2 in the network's jet layout;
+``source``, the PDE's right-hand side; ``_boundary``, the boundary points
+of its quadrature (every domain is (0,1)^d, so the base class draws the
+interior); and ``residual_blocks``, its residual declared once as blocks
+of rows: points, weights, coefficients on the jet channels and target
+values.  From the blocks the base class derives the weighted residual
+s = W^{1/2} r, its Jacobian A = W^{1/2} J (``residual_jacobian``), the
+loss 0.5 s^T s, its gradient A^T s and so the Gauss-Newton metric A^T A,
+and no caller applies W itself.  What does not depend on theta
 (the blocks, their input jets and sqrt(w), and the exact solution on the
 H1 points) is built once per quadrature set.
 """
@@ -109,9 +113,10 @@ class ResidualBlock(NamedTuple):
 class PdeProblem:
     """Base class: a least-squares loss 0.5 * sum_r w_r r_r^2 over residual blocks.
 
-    A problem declares its residual once (``residual_blocks``); the loss
-    0.5 s^T s, its gradient A^T s and the Gauss-Newton metric A^T A all
-    come from the weighted residual s = W^{1/2} r and its Jacobian A.
+    A subclass supplies ``exact_jet``, ``source``, ``_boundary`` and
+    ``residual_blocks``; the loss 0.5 s^T s, its gradient A^T s and the
+    Gauss-Newton metric A^T A all come from the weighted residual
+    s = W^{1/2} r and its Jacobian A.
     """
 
     name = "abstract"
@@ -128,24 +133,34 @@ class PdeProblem:
 
     input_dim = None
 
-    def exact(self, x):
+    def exact_jet(self, x):
+        """The exact solution's jet channels (1 + 2d, q) at x (q, d), laid
+        out as ``model.propagate``'s: u*, each du*/dx_i, each d^2u*/dx_i^2."""
         raise NotImplementedError
 
-    def exact_grad(self, x):
+    def source(self, x):
+        """The PDE's right-hand side f at x (q, d)."""
         raise NotImplementedError
 
-    def exact_second(self, x):
-        """Pure second derivatives d^2u*/dx_i^2 of the exact solution, (q, d)."""
+    def _boundary(self, rng, n):
+        """The QuadratureSet fields past the interior, from ``n`` boundary
+        points drawn from ``rng`` after the interior ones."""
         raise NotImplementedError
 
     def residual_blocks(self, quad):
         """The residual as a list of :class:`ResidualBlock`."""
         raise NotImplementedError
 
-    def sample_quadrature(self, n_interior, n_boundary, seed):
-        raise NotImplementedError
-
     # -- shared machinery ------------------------------------------------------
+
+    def sample_quadrature(self, n_interior, n_boundary, seed):
+        """Monte Carlo quadrature on (0,1)^d: ``n_interior`` uniform points
+        with weights 1/n_interior, then the boundary (``_boundary``), all
+        from one stream seeded by ``seed``."""
+        rng = np.random.default_rng(seed)
+        x = rng.random((n_interior, self.input_dim))
+        weights = np.full(n_interior, 1.0 / n_interior)
+        return QuadratureSet(x, weights, **self._boundary(rng, n_boundary))
 
     def _cached(self, kind, quad, build):
         """``build(quad)``, rebuilt only when ``quad`` is not the last
@@ -173,7 +188,7 @@ class PdeProblem:
         )
 
     def _jet(self, theta, inputs):
-        """Jet channels (c, q) at theta for a block's input jet."""
+        """Jet channels (c, q) at theta for an input jet (``model.input_jet``)."""
         return model.propagate(self.topology, theta, inputs)[:, :, 0]
 
     def residual_stack(self, theta, quad):
@@ -220,12 +235,8 @@ class PdeProblem:
     def residual_of_exact(self, quad):
         """Unweighted residual rows on the exact solution (annihilation
         check): the blocks applied to its exact jet channels."""
-        rows = []
-        for b in self._blocks(quad).blocks:
-            x = b.points
-            z = [self.exact(x)[None], self.exact_grad(x).T, self.exact_second(x).T]
-            rows.append(b.rows(np.concatenate(z)))
-        return np.concatenate(rows)
+        blocks = self._blocks(quad).blocks
+        return np.concatenate([b.rows(self.exact_jet(b.points)) for b in blocks])
 
     def loss_value(self, theta, quad):
         """0.5 * s^T s = 0.5 * sum_r w_r * residual_r^2."""
@@ -240,11 +251,11 @@ class PdeProblem:
 
     def _build_h1(self, quad):
         x, w = quad.interior_points, quad.interior_weights
-        ue, ge = self.exact(x), self.exact_grad(x)
-        norm = np.sum(w * ue**2) + np.sum(w * np.sum(ge**2, axis=1))
+        exact = self.exact_jet(x)[: 1 + self.input_dim]
+        norm = np.sum(w * exact[0] ** 2) + np.sum(w * np.sum(exact[1:] ** 2, axis=0))
         if norm == 0.0:
             raise ZeroDivisionError("exact solution has zero H1 norm")
-        return _H1Reference(model.input_jet(self.topology, x, 1), w, ue, ge, norm)
+        return _H1Reference(model.input_jet(self.topology, x, 1), w, exact, norm)
 
     def h1_relative_error(self, theta, quad):
         """Relative H1 error against the exact solution, via quadrature.
@@ -254,11 +265,8 @@ class PdeProblem:
         over all input coordinates (space-time H1 seminorm).
         """
         ref = self._cached("h1", quad, self._build_h1)
-        u, gu = model.value_and_gradient(self.topology, theta, ref.inputs)
-        w = ref.weights
-        num = np.sum(w * (u - ref.exact) ** 2) + np.sum(
-            w * np.sum((gu - ref.exact_grad) ** 2, axis=1)
-        )
+        z, e, w = self._jet(theta, ref.inputs), ref.exact, ref.weights
+        num = np.sum(w * (z[0] - e[0]) ** 2) + np.sum(w * np.sum((z[1:] - e[1:]) ** 2, axis=0))
         return float(np.sqrt(num / ref.norm))
 
 
@@ -276,8 +284,7 @@ class _H1Reference(NamedTuple):
 
     inputs: np.ndarray  # the order-1 input jet of the interior points
     weights: np.ndarray
-    exact: np.ndarray
-    exact_grad: np.ndarray
+    exact: np.ndarray  # the exact solution's value and gradient channels (1 + d, q)
     norm: float  # the squared H1 norm of the exact solution
 
 
@@ -288,55 +295,30 @@ def _channels(d, value=0.0, first=0.0, second=0.0):
     return np.concatenate(parts)
 
 
-def _uniform_box(rng, n, lo, hi):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return lo + (hi - lo) * rng.random((n, lo.shape[0]))
-
-
 class Poisson1D(PdeProblem):
     """-u'' = f on (0,1), u = 0 at the endpoints; u* = sin(pi x)."""
 
     name = "poisson1d"
     input_dim = 1
 
-    def exact(self, x):
-        return np.sin(np.pi * x[:, 0])
-
-    def exact_grad(self, x):
-        return np.pi * np.cos(np.pi * x[:, 0])[:, None]
-
-    def exact_second(self, x):
-        return -np.pi**2 * np.sin(np.pi * x)
+    def exact_jet(self, x):
+        s, c = np.sin(np.pi * x.T), np.cos(np.pi * x.T)
+        return np.concatenate([s, np.pi * c, -np.pi**2 * s])
 
     def source(self, x):
         return np.pi**2 * np.sin(np.pi * x[:, 0])
 
-    def dirichlet(self, x):
-        return self.exact(x)
-
-    def sample_quadrature(self, n_interior, n_boundary, seed):
-        rng = np.random.default_rng(seed)
-        pts = _uniform_box(rng, n_interior, [0.0], [1.0])
-        # 1D boundary is the two endpoints with unit counting weights
-        bnd = np.array([[0.0], [1.0]])
-        return QuadratureSet(
-            interior_points=pts,
-            interior_weights=np.full(n_interior, 1.0 / n_interior),
-            boundary_points=bnd,
-            boundary_weights=np.ones(2),
-        )
+    def _boundary(self, rng, n):
+        # the two endpoints with unit counting weights; nothing is drawn
+        return dict(boundary_points=np.array([[0.0], [1.0]]), boundary_weights=np.ones(2))
 
     def residual_blocks(self, quad):
-        # Laplace(u) + f on the interior, u - g on the boundary
+        # Laplace(u) + f on the interior, u - u* on the boundary
         x, xb, d = quad.interior_points, quad.boundary_points, self.input_dim
+        laplace, value = _channels(d, second=1.0), _channels(d, value=1.0)
         return [
-            ResidualBlock(
-                x, quad.interior_weights, _channels(d, second=1.0), -self.source(x)
-            ),
-            ResidualBlock(
-                xb, quad.boundary_weights, _channels(d, value=1.0), self.dirichlet(xb)
-            ),
+            ResidualBlock(x, quad.interior_weights, laplace, -self.source(x)),
+            ResidualBlock(xb, quad.boundary_weights, value, self.exact_jet(xb)[0]),
         ]
 
 
@@ -346,43 +328,25 @@ class Poisson2D(Poisson1D):
     name = "poisson2d"
     input_dim = 2
 
-    def exact(self, x):
-        return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-
-    def exact_grad(self, x):
-        sx, cx = np.sin(np.pi * x[:, 0]), np.cos(np.pi * x[:, 0])
-        sy, cy = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
-        return np.pi * np.stack([cx * sy, sx * cy], axis=1)
-
-    def exact_second(self, x):
-        return -np.pi**2 * np.repeat(self.exact(x)[:, None], 2, axis=1)
+    def exact_jet(self, x):
+        (sx, sy), (cx, cy) = np.sin(np.pi * x.T), np.cos(np.pi * x.T)
+        u = sx * sy
+        u_ii = -np.pi**2 * u  # each d^2u*/dx_i^2
+        return np.stack([u, np.pi * (cx * sy), np.pi * (sx * cy), u_ii, u_ii])
 
     def source(self, x):
-        return 2.0 * np.pi**2 * self.exact(x)
+        return 2.0 * np.pi**2 * self.exact_jet(x)[0]
 
-    def sample_quadrature(self, n_interior, n_boundary, seed):
-        rng = np.random.default_rng(seed)
-        pts = _uniform_box(rng, n_interior, [0.0, 0.0], [1.0, 1.0])
-        bnd = _unit_square_boundary(rng, n_boundary)
-        return QuadratureSet(
-            interior_points=pts,
-            interior_weights=np.full(n_interior, 1.0 / n_interior),
-            boundary_points=bnd,
-            boundary_weights=np.full(n_boundary, 4.0 / n_boundary),
-        )
-
-
-def _unit_square_boundary(rng, n):
-    """Uniform points on the perimeter of (0,1)^2."""
-    s = 4.0 * rng.random(n)
-    pts = np.empty((n, 2))
-    side = np.minimum(s.astype(int), 3)
-    t = s - side
-    pts[side == 0] = np.stack([t[side == 0], np.zeros(np.sum(side == 0))], axis=1)
-    pts[side == 1] = np.stack([np.ones(np.sum(side == 1)), t[side == 1]], axis=1)
-    pts[side == 2] = np.stack([1.0 - t[side == 2], np.ones(np.sum(side == 2))], axis=1)
-    pts[side == 3] = np.stack([np.zeros(np.sum(side == 3)), 1.0 - t[side == 3]], axis=1)
-    return pts
+    def _boundary(self, rng, n):
+        # n uniform points on the perimeter, walked counter-clockwise from
+        # the origin: side k holds the arc lengths in [k, k + 1)
+        s = 4.0 * rng.random(n)
+        side = np.minimum(s.astype(int), 3)
+        t = s - side
+        x = np.choose(side, [t, 1.0, 1.0 - t, 0.0])
+        y = np.choose(side, [0.0, t, 1.0, 1.0 - t])
+        pts = np.stack([x, y], axis=1)
+        return dict(boundary_points=pts, boundary_weights=np.full(n, 4.0 / n))
 
 
 class Heat1p1D(PdeProblem):
@@ -396,47 +360,27 @@ class Heat1p1D(PdeProblem):
     name = "heat1p1d"
     input_dim = 2  # coordinates (t, x)
 
-    def exact(self, x):
-        return np.cos(np.pi * x[:, 1]) * np.exp(-np.pi**2 * x[:, 0] / 4.0)
-
-    def exact_grad(self, x):
-        u = self.exact(x)
-        dt = -np.pi**2 / 4.0 * u
-        dx = -np.pi * np.sin(np.pi * x[:, 1]) * np.exp(-np.pi**2 * x[:, 0] / 4.0)
-        return np.stack([dt, dx], axis=1)
-
-    def exact_second(self, x):
-        u = self.exact(x)
-        return np.stack([np.pi**4 / 16.0 * u, -np.pi**2 * u], axis=1)
+    def exact_jet(self, x):
+        decay = np.exp(-np.pi**2 * x[:, 0] / 4.0)
+        u = np.cos(np.pi * x[:, 1]) * decay
+        u_x = -np.pi * np.sin(np.pi * x[:, 1]) * decay
+        return np.stack([u, -np.pi**2 / 4.0 * u, u_x, np.pi**4 / 16.0 * u, -np.pi**2 * u])
 
     def source(self, x):
         # u_t - u_xx = (-pi^2/4 + pi^2) u
-        return 0.75 * np.pi**2 * self.exact(x)
+        return 0.75 * np.pi**2 * self.exact_jet(x)[0]
 
-    def dirichlet(self, x):
-        return self.exact(x)
-
-    def initial_value(self, x):
-        return np.cos(np.pi * x[:, 1])
-
-    def sample_quadrature(self, n_interior, n_boundary, seed):
-        rng = np.random.default_rng(seed)
-        pts = _uniform_box(rng, n_interior, [0.0, 0.0], [1.0, 1.0])
+    def _boundary(self, rng, n):
         # lateral boundary: x in {0,1}, t uniform; measure 2
-        n_lat = n_boundary
-        t = rng.random(n_lat)
-        side = rng.integers(0, 2, n_lat).astype(float)
-        bnd = np.stack([t, side], axis=1)
+        t = rng.random(n)
+        side = rng.integers(0, 2, n).astype(float)
         # initial slice: t = 0, x uniform; measure 1
-        n_init = max(n_boundary // 2, 1)
+        n_init = max(n // 2, 1)
         xi = rng.random(n_init)
-        init = np.stack([np.zeros(n_init), xi], axis=1)
-        return QuadratureSet(
-            interior_points=pts,
-            interior_weights=np.full(n_interior, 1.0 / n_interior),
-            boundary_points=bnd,
-            boundary_weights=np.full(n_lat, 2.0 / n_lat),
-            initial_points=init,
+        return dict(
+            boundary_points=np.stack([t, side], axis=1),
+            boundary_weights=np.full(n, 2.0 / n),
+            initial_points=np.stack([np.zeros(n_init), xi], axis=1),
             initial_weights=np.full(n_init, 1.0 / n_init),
         )
 
@@ -446,8 +390,8 @@ class Heat1p1D(PdeProblem):
         heat = _channels(2, first=(1.0, 0.0), second=(0.0, -1.0))  # u_t - u_xx
         return [
             ResidualBlock(x, quad.interior_weights, heat, self.source(x)),
-            ResidualBlock(xb, quad.boundary_weights, value, self.dirichlet(xb)),
-            ResidualBlock(xi, quad.initial_weights, value, self.initial_value(xi)),
+            ResidualBlock(xb, quad.boundary_weights, value, self.exact_jet(xb)[0]),
+            ResidualBlock(xi, quad.initial_weights, value, self.exact_jet(xi)[0]),
         ]
 
 
@@ -463,7 +407,7 @@ class NonlinearPoisson2D(Poisson2D):
     name = "nlpoisson2d"
 
     def source(self, x):
-        u = self.exact(x)
+        u = self.exact_jet(x)[0]
         return 2.0 * np.pi**2 * u + u**3
 
     def residual_blocks(self, quad):

@@ -187,11 +187,12 @@ class TestLinesearch:
         assert alpha > 0.0
         assert new_loss < loss_fn(theta)
 
-    def test_nan_trial_backtracks(self):
-        # a NaN loss at alpha = 1 fails the Armijo test; alpha = 1/2 is taken
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_trial_backtracks(self, bad):
+        # a NaN or +inf loss at alpha = 1 fails the Armijo test; alpha = 1/2 is taken
         theta = np.array([2.0, -1.0])
         quadratic = lambda th: 0.5 * float(th @ th)
-        loss_fn = lambda th: np.nan if np.array_equal(th, np.zeros(2)) else quadratic(th)
+        loss_fn = lambda th: bad if np.array_equal(th, np.zeros(2)) else quadratic(th)
         alpha, new_loss = optim.backtracking_linesearch(
             theta, theta, loss_fn, float(theta @ theta), loss_fn(theta)
         )
@@ -438,6 +439,28 @@ class TestRunOptimizer:
         assert records[1].h1_rel_error == records[0].h1_rel_error
         assert calls["loss"] == 1 + optim.LS_MAX_BACKTRACKS + 1
         assert updates == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    def test_nonfinite_trial_losses_stall_the_run(self, name, bad):
+        # the loss is finite at theta0 only: the Armijo test rejects every
+        # trial, so the run ends stalled at theta0 instead of raising
+        theta0 = np.random.default_rng(1).standard_normal(8)
+
+        class Cliff(LinearLeastSquares):
+            def loss_value(self, theta, quad):
+                if np.array_equal(theta, theta0):
+                    return super().loss_value(theta, quad)
+                return bad
+
+        base = toy(seed=4)
+        cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=5, seed=0)
+        prob = Cliff(base.phi, base.y, base.w)
+        theta, records = optim.run_optimizer(name, prob, theta0.copy(), cfg, None, "eval")
+        assert theta.tobytes() == theta0.tobytes()
+        assert [r.iteration for r in records] == [0, 1]
+        assert all(np.isfinite(astuple(r)).all() for r in records)
+        assert records[1].loss == records[0].loss == base.loss_value(theta0, None)
 
     @pytest.mark.parametrize("name", NGD_NAMES)
     def test_zero_gradient_leaves_theta_and_finite_records(self, name):

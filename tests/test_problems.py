@@ -25,7 +25,7 @@ def poisson_residual_stack(prob, theta, quad):
     _, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
     interior = laplacian(sec) + prob.source(quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    return np.concatenate([interior, ub - prob.dirichlet(quad.boundary_points)])
+    return np.concatenate([interior, ub - prob.exact_jet(quad.boundary_points)[0]])
 
 
 def heat_residual_stack(prob, theta, quad):
@@ -33,9 +33,9 @@ def heat_residual_stack(prob, theta, quad):
     _, du, d2u = oracle_jet(prob.topology, theta, quad.interior_points)
     interior = du[0] - d2u[1] - prob.source(quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    boundary = ub - prob.dirichlet(quad.boundary_points)
+    boundary = ub - prob.exact_jet(quad.boundary_points)[0]
     ui, _, _ = oracle_jet(prob.topology, theta, quad.initial_points)
-    initial = ui - prob.initial_value(quad.initial_points)
+    initial = ui - np.cos(np.pi * quad.initial_points[:, 1])  # u*(0, x)
     return np.concatenate([interior, boundary, initial])
 
 
@@ -44,7 +44,7 @@ def nlpoisson_residual_stack(prob, theta, quad):
     u, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
     interior = laplacian(sec) - u**3 + prob.source(quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    return np.concatenate([interior, ub - prob.dirichlet(quad.boundary_points)])
+    return np.concatenate([interior, ub - prob.exact_jet(quad.boundary_points)[0]])
 
 
 def residual_weights(quad):
@@ -188,6 +188,62 @@ class TestQuadrature:
             problems.QuadratureSet(**self._parts(**initial))
 
 
+class TestSamplerReplay:
+    """``sample_quadrature`` against the same draws made by hand from
+    ``np.random.default_rng(seed)``: the interior, then each problem's
+    boundary in its own order."""
+
+    @staticmethod
+    def perimeter(s):
+        """Points at arc lengths s in [0, 4) on the unit square's perimeter,
+        walked counter-clockwise from the origin."""
+        pts = []
+        for arc in s:
+            side = min(int(arc), 3)
+            t = arc - side
+            pts.append([(t, 0.0), (1.0, t), (1.0 - t, 1.0), (0.0, 1.0 - t)][side])
+        return np.array(pts, dtype=float).reshape(len(s), 2)
+
+    def replay(self, name, n_int, n_bnd, seed):
+        rng = np.random.default_rng(seed)
+        d = 1 if name == "poisson1d" else 2
+        parts = dict(
+            interior_points=rng.random((n_int, d)), interior_weights=np.full(n_int, 1.0 / n_int)
+        )
+        if name == "poisson1d":
+            parts.update(boundary_points=np.array([[0.0], [1.0]]), boundary_weights=np.ones(2))
+        elif name == "heat1p1d":
+            t, side = rng.random(n_bnd), rng.integers(0, 2, n_bnd)
+            n_init = max(n_bnd // 2, 1)
+            x0 = rng.random(n_init)
+            parts.update(
+                boundary_points=np.column_stack([t, side.astype(float)]),
+                boundary_weights=np.full(n_bnd, 2.0 / n_bnd),
+                initial_points=np.column_stack([np.zeros(n_init), x0]),
+                initial_weights=np.full(n_init, 1.0 / n_init),
+            )
+        else:
+            parts.update(
+                boundary_points=self.perimeter(4.0 * rng.random(n_bnd)),
+                boundary_weights=np.full(n_bnd, 4.0 / n_bnd),
+            )
+        return parts
+
+    @pytest.mark.parametrize("seed", [3, [3, 1]])
+    @pytest.mark.parametrize("n_bnd", [1, 160])
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_draws_replay_bitwise(self, name, n_bnd, seed):
+        quad = problems.make_problem(name).sample_quadrature(7, n_bnd, seed)
+        expected = self.replay(name, 7, n_bnd, seed)
+        for field in ("interior", "boundary", "initial"):
+            for kind in ("points", "weights"):
+                got, ref = getattr(quad, f"{field}_{kind}"), expected.get(f"{field}_{kind}")
+                assert (got is None) == (ref is None), f"{field}_{kind}"
+                if ref is not None:
+                    assert got.dtype == ref.dtype and got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes(), f"{field}_{kind}"
+
+
 class TestResidualStack:
     def test_zero_net_zero_data_zero_stack(self):
         # with theta = 0 the net is identically zero; strip sources by hand
@@ -195,7 +251,7 @@ class TestResidualStack:
         theta = np.zeros(prob.topology.param_count)
         s = prob.residual_stack(theta, quad)
         offsets = np.concatenate(
-            [prob.source(quad.interior_points), -prob.dirichlet(quad.boundary_points)]
+            [prob.source(quad.interior_points), -prob.exact_jet(quad.boundary_points)[0]]
         )
         np.testing.assert_allclose(
             s, np.sqrt(residual_weights(quad)) * offsets, rtol=0, atol=1e-15
@@ -208,18 +264,17 @@ class TestResidualStack:
         assert np.abs(r).max() <= 1e-12
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
-    def test_exact_second_derivatives_match_finite_difference(self, name):
-        # residual_of_exact reads them as the exact solution's jet channels
+    def test_exact_jet_channels_match_finite_differences(self, name):
+        # each derivative channel against a central difference of the channel
+        # below it: the H1 error reads du*/dx_i, residual_of_exact d^2u*/dx_i^2
         prob, quad, _ = small_problem(name)
-        x, h = quad.interior_points, 1e-6
-        fd = np.stack(
-            [
-                (prob.exact_grad(x + h * e)[:, i] - prob.exact_grad(x - h * e)[:, i]) / (2 * h)
-                for i, e in enumerate(np.eye(prob.input_dim))
-            ],
-            axis=1,
-        )
-        np.testing.assert_allclose(prob.exact_second(x), fd, rtol=0, atol=1e-7)
+        x, h, d = quad.interior_points, 1e-6, prob.input_dim
+        jet = prob.exact_jet(x)
+        assert jet.shape == (1 + 2 * d, len(x))
+        for i, e in enumerate(np.eye(d)):
+            fd = (prob.exact_jet(x + h * e) - prob.exact_jet(x - h * e)) / (2 * h)
+            np.testing.assert_allclose(jet[1 + i], fd[0], rtol=0, atol=1e-7)
+            np.testing.assert_allclose(jet[1 + d + i], fd[1 + i], rtol=0, atol=1e-7)
 
     def test_loss_equals_direct_quadrature(self):
         prob, quad, theta = small_problem("poisson2d")
@@ -236,7 +291,7 @@ class TestMetricStack:
         s = prob.residual_stack(theta, quad)
         m = prob.metric_stack(theta, theta, quad)
         offsets = np.concatenate(
-            [prob.source(quad.interior_points), -prob.dirichlet(quad.boundary_points)]
+            [prob.source(quad.interior_points), -prob.exact_jet(quad.boundary_points)[0]]
         )
         np.testing.assert_allclose(s - root * offsets, root * m, rtol=1e-13, atol=1e-13)
 
@@ -249,15 +304,20 @@ class TestMetricStack:
         np.testing.assert_allclose(m_nl, m_lin, atol=1e-15)
 
     def test_frozen_coefficient_changes_the_jacobian(self):
-        # negative control: differentiating through the coefficient moves
-        # the Jacobian, so the stop-gradient is load-bearing
+        # negative control: differentiating through the coefficient 3 u^2 of
+        # the interior rows adds -6 u^2 J_u v to their JVP and nothing to the
+        # boundary rows', so the stop-gradient is load-bearing; A v is the
+        # frozen JVP, scaled by sqrt(w)
         prob, quad, theta = small_problem("nlpoisson2d", width=4, depth=1)
         v = np.random.default_rng(0).standard_normal(theta.size)
-        frozen = prob.residual_jacobian(theta, quad)[1] @ v
-        unfrozen = ad.linearize(
-            lambda th: nlpoisson_metric_stack_unfrozen(prob, th, quad), theta
-        ).jvp(v)
-        assert not np.allclose(frozen, unfrozen, rtol=1e-6)
+        frozen = ad.linearize(lambda th: nlpoisson_metric_stack(prob, th, theta, quad), theta)
+        unfrozen = ad.linearize(lambda th: nlpoisson_metric_stack_unfrozen(prob, th, quad), theta)
+        u = ad.linearize(lambda th: oracle_jet(prob.topology, th, quad.interior_points)[0], theta)
+        moved = np.concatenate([-6.0 * u.value**2 * u.jvp(v), np.zeros(len(quad.boundary_points))])
+        assert np.linalg.norm(moved) >= 1e-2 * np.linalg.norm(frozen.jvp(v))
+        assert rel_err(unfrozen.jvp(v) - frozen.jvp(v), moved) <= 1e-12
+        a_v = prob.residual_jacobian(theta, quad)[1] @ v
+        assert rel_err(a_v, np.sqrt(residual_weights(quad)) * frozen.jvp(v)) <= 1e-12
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_block_metric_matches_hand_written_stack(self, name):
@@ -391,8 +451,8 @@ class TestH1Error:
         prob, quad, _ = small_problem("poisson2d", n_int=4000)
         x = quad.interior_points
         w = quad.interior_weights
-        ue = prob.exact(x)
-        ge = prob.exact_grad(x)
+        exact = prob.exact_jet(x)
+        ue, ge = exact[0], exact[1:3].T
         u = scale * ue
         gu = scale * ge
         num = np.sum(w * (u - ue) ** 2) + np.sum(w * np.sum((gu - ge) ** 2, axis=1))
@@ -421,10 +481,11 @@ class TestH1Error:
             theta = scale * np.random.default_rng(seed).standard_normal(
                 prob.topology.param_count
             )
-            x, w = quad.interior_points, quad.interior_weights
+            x, w, d = quad.interior_points, quad.interior_weights, prob.input_dim
             z = model.propagate(prob.topology, theta, model.input_jet(prob.topology, x))
-            u, gu = z[0, :, 0], z[1 : 1 + prob.input_dim, :, 0].T
-            ue, ge = prob.exact(x), prob.exact_grad(x)
+            u, gu = z[0, :, 0], z[1 : 1 + d, :, 0].T
+            exact = prob.exact_jet(x)
+            ue, ge = exact[0], exact[1 : 1 + d].T
             num = np.sum(w * (u - ue) ** 2) + np.sum(w * np.sum((gu - ge) ** 2, axis=1))
             den = np.sum(w * ue**2) + np.sum(w * np.sum(ge**2, axis=1))
             assert prob.h1_relative_error(theta, quad) == float(np.sqrt(num / den))
