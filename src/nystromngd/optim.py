@@ -312,16 +312,20 @@ def run_optimizer(
     ``quad_eval``), and the cumulative matvecs, so n steps give n + 1
     records and the last describes the returned theta.  After any record,
     theta0's included, the loop stops once its H1 error is at most
-    ``h1_stop`` or the matvecs reach ``matvec_budget``.  A line search
-    that finds no decrease ends the run: its step's record keeps theta and
-    the previous loss.  At an exactly zero gradient no direction is asked
-    for: the step's record repeats theta_k with no mu, ell or matvecs.  A
-    non-finite theta0 loss raises ``NonFiniteError``; the line search
-    rejects a NaN or +inf trial loss like any other.
+    ``h1_stop`` or the matvecs reach ``matvec_budget``; ``h1_stop``
+    without ``quad_eval``, which no H1 error could reach, raises
+    ``ValueError``.  A line search that finds no decrease ends the run:
+    its step's record keeps theta and the previous loss.  At an exactly
+    zero gradient no direction is asked for: the step's record repeats
+    theta_k with no mu, ell or matvecs.  A non-finite theta0 loss raises
+    ``NonFiniteError``; the line search rejects a NaN or +inf trial loss
+    like any other.
     Returns (theta_final, [RunRecord, ...]).
     """
     if name not in _OPTIMIZERS:
         raise KeyError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
+    if h1_stop is not None and quad_eval is None:
+        raise ValueError("h1_stop needs quad_eval: without it every H1 error is NaN")
     theta = np.asarray(theta0, dtype=float)
     direction = _OPTIMIZERS[name](theta, config)
     jac = np.empty((problem.metric_weights(quad).shape[0], theta.shape[0]))  # each step's A

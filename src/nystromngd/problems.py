@@ -4,23 +4,25 @@ Shipped problems (selected by name):
 
 * ``poisson1d``  -- -u'' = f on (0,1), strong form.
 * ``poisson2d``  -- -Laplace(u) = f on the unit square, strong form.
-* ``heat1p1d``   -- u_t - u_xx = f on (0,1) x (0,1), strong form with
-  initial and boundary residuals.
+* ``heat1p1d``   -- u_t - u_xx = f on (0,1) x (0,1), strong form; its
+  boundary is the lateral sides and the initial slice.
 * ``nlpoisson2d`` -- -Laplace(u) + u^3 = f on the unit square, with a
   Gauss-Newton metric linearized at a frozen point.
 
-A problem supplies four things: ``exact_jet``, its manufactured solution
-u* with each du*/dx_i and d^2u*/dx_i^2 in the network's jet layout;
-``source``, the PDE's right-hand side; ``_boundary``, the boundary points
-of its quadrature (every domain is (0,1)^d, so the base class draws the
-interior); and ``residual_blocks``, its residual declared once as blocks
-of rows: points, weights, coefficients on the jet channels and target
-values.  From the blocks the base class derives the weighted residual
-s = W^{1/2} r, its Jacobian A = W^{1/2} J (``residual_jacobian``), the
-loss 0.5 s^T s, its gradient A^T s and so the Gauss-Newton metric A^T A,
-and no caller applies W itself.  What does not depend on theta
-(the blocks, their input jets and sqrt(w), and the exact solution on the
-H1 points) is built once per quadrature set.
+A problem is its PDE L[u] = f with Dirichlet data u = u*: ``operator``,
+the coefficients of L on the jet channels, and ``value_term``, an
+optional pointwise term of L in u; ``exact_jet``, its manufactured
+solution u* with each du*/dx_i and d^2u*/dx_i^2 in the network's jet
+layout; ``source``, the right-hand side f; and ``_boundary``, the
+boundary points and weights of its quadrature (every domain is (0,1)^d,
+so the base class draws the interior).  The base class writes the
+residual once, as two blocks of rows: L[u] - f on the interior and
+u - u* on the boundary.  From the blocks it derives the weighted
+residual s = W^{1/2} r, its Jacobian A = W^{1/2} J
+(``residual_jacobian``), the loss 0.5 s^T s, its gradient A^T s and so
+the Gauss-Newton metric A^T A, and no caller applies W itself.  What
+does not depend on theta (the blocks, their input jets and sqrt(w), and
+the exact solution on the H1 points) is built once per quadrature set.
 """
 
 from __future__ import annotations
@@ -44,22 +46,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSet:
-    """Fixed Monte Carlo quadrature: interior, boundary, optional initial."""
+    """Fixed Monte Carlo quadrature: interior and boundary points and weights."""
 
     interior_points: np.ndarray
     interior_weights: np.ndarray
     boundary_points: np.ndarray
     boundary_weights: np.ndarray
-    initial_points: np.ndarray | None = None
-    initial_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if (self.initial_points is None) != (self.initial_weights is None):
-            raise ValueError("initial points and weights must be given together")
-        for part in ("interior", "boundary", "initial"):
+        for part in ("interior", "boundary"):
             x, w = getattr(self, f"{part}_points"), getattr(self, f"{part}_weights")
-            if x is None:
-                continue
             x, w = np.asarray(x), np.asarray(w)
             if x.ndim != 2:
                 raise ValueError(f"{part} points must have shape (q, d), got {x.shape}")
@@ -113,10 +109,10 @@ class ResidualBlock(NamedTuple):
 class PdeProblem:
     """Base class: a least-squares loss 0.5 * sum_r w_r r_r^2 over residual blocks.
 
-    A subclass supplies ``exact_jet``, ``source``, ``_boundary`` and
-    ``residual_blocks``; the loss 0.5 s^T s, its gradient A^T s and the
-    Gauss-Newton metric A^T A all come from the weighted residual
-    s = W^{1/2} r and its Jacobian A.
+    A subclass declares its PDE (``operator`` and ``value_term``) and
+    supplies ``exact_jet``, ``source`` and ``_boundary``; the residual
+    blocks L[u] - f and u - u*, the loss 0.5 s^T s, its gradient A^T s
+    and the Gauss-Newton metric A^T A all follow from these.
     """
 
     name = "abstract"
@@ -132,6 +128,8 @@ class PdeProblem:
     # -- to be provided by subclasses ----------------------------------------
 
     input_dim = None
+    operator = None  # L's coefficients on the jet channels, as _channels keywords
+    value_term = None  # L's pointwise term in u: u -> (term, d term / du)
 
     def exact_jet(self, x):
         """The exact solution's jet channels (1 + 2d, q) at x (q, d), laid
@@ -143,15 +141,21 @@ class PdeProblem:
         raise NotImplementedError
 
     def _boundary(self, rng, n):
-        """The QuadratureSet fields past the interior, from ``n`` boundary
-        points drawn from ``rng`` after the interior ones."""
-        raise NotImplementedError
-
-    def residual_blocks(self, quad):
-        """The residual as a list of :class:`ResidualBlock`."""
+        """The boundary points and weights, a (points, weights) pair, from
+        ``n`` points drawn from ``rng`` after the interior ones."""
         raise NotImplementedError
 
     # -- shared machinery ------------------------------------------------------
+
+    def residual_blocks(self, quad):
+        """The residual as two :class:`ResidualBlock`: L[u] - f on the
+        interior, u - u* on the boundary."""
+        x, xb, d = quad.interior_points, quad.boundary_points, self.input_dim
+        pde, value = _channels(d, **self.operator), _channels(d, value=1.0)
+        return [
+            ResidualBlock(x, quad.interior_weights, pde, self.source(x), self.value_term),
+            ResidualBlock(xb, quad.boundary_weights, value, self.exact_jet(xb)[0]),
+        ]
 
     def sample_quadrature(self, n_interior, n_boundary, seed):
         """Monte Carlo quadrature on (0,1)^d: ``n_interior`` uniform points
@@ -160,7 +164,7 @@ class PdeProblem:
         rng = np.random.default_rng(seed)
         x = rng.random((n_interior, self.input_dim))
         weights = np.full(n_interior, 1.0 / n_interior)
-        return QuadratureSet(x, weights, **self._boundary(rng, n_boundary))
+        return QuadratureSet(x, weights, *self._boundary(rng, n_boundary))
 
     def _cached(self, kind, quad, build):
         """``build(quad)``, rebuilt only when ``quad`` is not the last
@@ -300,6 +304,7 @@ class Poisson1D(PdeProblem):
 
     name = "poisson1d"
     input_dim = 1
+    operator = dict(second=-1.0)  # -Laplace(u)
 
     def exact_jet(self, x):
         s, c = np.sin(np.pi * x.T), np.cos(np.pi * x.T)
@@ -310,16 +315,7 @@ class Poisson1D(PdeProblem):
 
     def _boundary(self, rng, n):
         # the two endpoints with unit counting weights; nothing is drawn
-        return dict(boundary_points=np.array([[0.0], [1.0]]), boundary_weights=np.ones(2))
-
-    def residual_blocks(self, quad):
-        # Laplace(u) + f on the interior, u - u* on the boundary
-        x, xb, d = quad.interior_points, quad.boundary_points, self.input_dim
-        laplace, value = _channels(d, second=1.0), _channels(d, value=1.0)
-        return [
-            ResidualBlock(x, quad.interior_weights, laplace, -self.source(x)),
-            ResidualBlock(xb, quad.boundary_weights, value, self.exact_jet(xb)[0]),
-        ]
+        return np.array([[0.0], [1.0]]), np.ones(2)
 
 
 class Poisson2D(Poisson1D):
@@ -346,19 +342,21 @@ class Poisson2D(Poisson1D):
         x = np.choose(side, [t, 1.0, 1.0 - t, 0.0])
         y = np.choose(side, [0.0, t, 1.0, 1.0 - t])
         pts = np.stack([x, y], axis=1)
-        return dict(boundary_points=pts, boundary_weights=np.full(n, 4.0 / n))
+        return pts, np.full(n, 4.0 / n)
 
 
 class Heat1p1D(PdeProblem):
     """u_t - u_xx = f on (t,x) in (0,1)^2; u* = cos(pi x) exp(-pi^2 t / 4).
 
-    Residual blocks: interior PDE residual, lateral-boundary misfit,
-    initial-time misfit.  The metric is the Gauss-Newton metric of these
-    three blocks, like every other problem's.
+    The boundary holds the lateral sides x in {0, 1} and the initial
+    slice t = 0, so its block u - u* carries both the boundary and the
+    initial condition, and the metric is the Gauss-Newton metric of the
+    two blocks, like every other problem's.
     """
 
     name = "heat1p1d"
     input_dim = 2  # coordinates (t, x)
+    operator = dict(first=(1.0, 0.0), second=(0.0, -1.0))  # u_t - u_xx
 
     def exact_jet(self, x):
         decay = np.exp(-np.pi**2 * x[:, 0] / 4.0)
@@ -371,48 +369,35 @@ class Heat1p1D(PdeProblem):
         return 0.75 * np.pi**2 * self.exact_jet(x)[0]
 
     def _boundary(self, rng, n):
-        # lateral boundary: x in {0,1}, t uniform; measure 2
+        # n lateral points (x in {0,1}, t uniform; measure 2), then
+        # max(n // 2, 1) on the initial slice (t = 0, x uniform; measure 1)
         t = rng.random(n)
         side = rng.integers(0, 2, n).astype(float)
-        # initial slice: t = 0, x uniform; measure 1
         n_init = max(n // 2, 1)
         xi = rng.random(n_init)
-        return dict(
-            boundary_points=np.stack([t, side], axis=1),
-            boundary_weights=np.full(n, 2.0 / n),
-            initial_points=np.stack([np.zeros(n_init), xi], axis=1),
-            initial_weights=np.full(n_init, 1.0 / n_init),
-        )
-
-    def residual_blocks(self, quad):
-        x, xb, xi = quad.interior_points, quad.boundary_points, quad.initial_points
-        value = _channels(2, value=1.0)
-        heat = _channels(2, first=(1.0, 0.0), second=(0.0, -1.0))  # u_t - u_xx
-        return [
-            ResidualBlock(x, quad.interior_weights, heat, self.source(x)),
-            ResidualBlock(xb, quad.boundary_weights, value, self.exact_jet(xb)[0]),
-            ResidualBlock(xi, quad.initial_weights, value, self.exact_jet(xi)[0]),
-        ]
+        lateral, initial = np.stack([t, side], axis=1), np.stack([np.zeros(n_init), xi], axis=1)
+        weights = np.concatenate([np.full(n, 2.0 / n), np.full(n_init, 1.0 / n_init)])
+        return np.concatenate([lateral, initial]), weights
 
 
 class NonlinearPoisson2D(Poisson2D):
     """-Laplace(u) + u^3 = f on (0,1)^2 with a Gauss-Newton metric.
 
-    The interior residual carries the pointwise term -u^3, so its metric
-    rows are the residual linearization Delta(v) - 3 ubar^2 v at a frozen
+    The interior residual carries the pointwise term u^3, so its metric
+    rows are the residual linearization -Delta(v) + 3 ubar^2 v at a frozen
     linearization point ubar: differentiating the coefficient instead
     would change the assembled operator.
     """
 
     name = "nlpoisson2d"
 
+    @staticmethod
+    def value_term(u):
+        return u**3, 3.0 * u**2
+
     def source(self, x):
         u = self.exact_jet(x)[0]
         return 2.0 * np.pi**2 * u + u**3
-
-    def residual_blocks(self, quad):
-        interior, boundary = super().residual_blocks(quad)
-        return [interior._replace(value_term=lambda u: (-(u**3), -3.0 * u**2)), boundary]
 
 
 _PROBLEMS = {

@@ -122,7 +122,6 @@ class NystromPreconditioner:
         if factor.eigenvalues[-1] + mu <= 0:
             raise ValueError("need smallest eigenvalue estimate + mu > 0")
         self.factor = factor
-        self.mu = float(mu)
         self._scale = factor.eigenvalues[-1] + mu
         self._inv = 1.0 / (factor.eigenvalues + mu)
 
@@ -164,8 +163,6 @@ def pivoted_cholesky(op, rank, strategy, seed=None):
     rng = np.random.default_rng(seed)
     matrix = op.matrix if isinstance(op, DenseOperator) else assemble_dense(op)
     diag = matrix.diagonal().copy()
-    column = lambda i: matrix[:, i].copy()
-
     tol = PIVOT_TOL * max(diag.max(initial=0.0), 1.0)
     factor = np.zeros((p, rank))
     pivots = []
@@ -183,7 +180,7 @@ def pivoted_cholesky(op, rank, strategy, seed=None):
             i = int(rng.choice(p, p=probs))
             if not active[i]:  # numerically exhausted pivot; fall back
                 i = int(np.argmax(diag))
-        col = column(i) - factor[:, :t] @ factor[i, :t]
+        col = matrix[:, i] - factor[:, :t] @ factor[i, :t]
         factor[:, t] = col / np.sqrt(diag[i])
         diag -= factor[:, t] ** 2
         diag[i] = 0.0

@@ -290,7 +290,7 @@ class TestLaplacianJets:
             for h in sec[1:]:
                 total = total + h
             ub, _, _ = oracle_jet(top, th, quad.boundary_points)
-            return np.concatenate([total, ub])
+            return np.concatenate([-total, ub])
 
         # the problem's Jacobian is A = W^{1/2} J of the oracle's stack
         ref = ad.linearize(oracle_stack, theta)

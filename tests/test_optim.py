@@ -376,6 +376,25 @@ class TestRunOptimizer:
         assert records[-1].loss.hex() == prob.loss_value(theta, None).hex()
         assert records[-1].h1_rel_error.hex() == prob.h1_relative_error(theta, "eval").hex()
 
+    @pytest.mark.parametrize("run", ["run_optimizer", "nystrom_ngd_run"])
+    def test_h1_stop_without_quad_eval_raises_before_any_loss(self, run):
+        # without quad_eval every H1 error is NaN and NaN <= h1_stop is
+        # False, so the run would spend its whole budget
+        calls = []
+
+        class Counting(LinearLeastSquares):
+            def loss_value(self, theta, quad):
+                calls.append(theta)
+                return super().loss_value(theta, quad)
+
+        base = toy(seed=4)
+        prob = Counting(base.phi, base.y, base.w)
+        cfg = optim.NystromNgdConfig(iterations=4)
+        args = ("nystrom_ngd",) if run == "run_optimizer" else ()
+        with pytest.raises(ValueError, match="h1_stop needs quad_eval"):
+            getattr(optim, run)(*args, prob, np.zeros(8), cfg, None, h1_stop=1e-3)
+        assert calls == []
+
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_nonfinite_loss_raises(self, name):
         class NanLoss(LinearLeastSquares):

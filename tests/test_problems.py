@@ -21,36 +21,37 @@ def laplacian(seconds):
 
 
 def poisson_residual_stack(prob, theta, quad):
-    """Poisson residual by hand: Laplacian + f on the interior, u - g on the boundary."""
+    """Poisson residual by hand: -Laplacian - f on the interior, u - g on the boundary."""
     _, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
-    interior = laplacian(sec) + prob.source(quad.interior_points)
+    interior = -laplacian(sec) - prob.source(quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
     return np.concatenate([interior, ub - prob.exact_jet(quad.boundary_points)[0]])
 
 
 def heat_residual_stack(prob, theta, quad):
-    """Heat residual by hand: u_t - u_xx - f, lateral-boundary and initial misfits."""
+    """Heat residual by hand: u_t - u_xx - f, then the misfit on the lateral
+    sides and the initial slice, whose target is written out as cos(pi x)."""
     _, du, d2u = oracle_jet(prob.topology, theta, quad.interior_points)
     interior = du[0] - d2u[1] - prob.source(quad.interior_points)
-    ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    boundary = ub - prob.exact_jet(quad.boundary_points)[0]
-    ui, _, _ = oracle_jet(prob.topology, theta, quad.initial_points)
-    initial = ui - np.cos(np.pi * quad.initial_points[:, 1])  # u*(0, x)
-    return np.concatenate([interior, boundary, initial])
+    xb = quad.boundary_points
+    initial = xb[:, 0] == 0.0  # the rows on the slice t = 0
+    assert initial.any()
+    target = np.where(initial, np.cos(np.pi * xb[:, 1]), prob.exact_jet(xb)[0])  # u*(0, x)
+    ub, _, _ = oracle_jet(prob.topology, theta, xb)
+    return np.concatenate([interior, ub - target])
 
 
 def nlpoisson_residual_stack(prob, theta, quad):
-    """Nonlinear Poisson residual by hand: Laplacian - u^3 + f, then u - g."""
+    """Nonlinear Poisson residual by hand: -Laplacian + u^3 - f, then u - g."""
     u, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
-    interior = laplacian(sec) - u**3 + prob.source(quad.interior_points)
+    interior = -laplacian(sec) + u**3 - prob.source(quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
     return np.concatenate([interior, ub - prob.exact_jet(quad.boundary_points)[0]])
 
 
 def residual_weights(quad):
     """Quadrature weights of the residual rows, block by block."""
-    blocks = [quad.interior_weights, quad.boundary_weights, quad.initial_weights]
-    return np.concatenate([w for w in blocks if w is not None])
+    return np.concatenate([quad.interior_weights, quad.boundary_weights])
 
 
 HAND_RESIDUAL_STACKS = {
@@ -62,36 +63,35 @@ HAND_RESIDUAL_STACKS = {
 
 
 def poisson_metric_stack(prob, theta, theta_bar, quad):
-    """Poisson (1D and 2D) metric as written by hand: Laplacian rows, then boundary values."""
+    """Poisson (1D and 2D) metric as written by hand: -Laplacian rows, then boundary values."""
     _, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    return np.concatenate([laplacian(sec), ub])
+    return np.concatenate([-laplacian(sec), ub])
 
 
 def heat_metric_stack(prob, theta, theta_bar, quad):
     """Heat metric by hand: u_t - u_xx on the interior, u on the lateral
-    boundary and on the initial slice."""
+    sides and the initial slice."""
     _, du, d2u = oracle_jet(prob.topology, theta, quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    ui, _, _ = oracle_jet(prob.topology, theta, quad.initial_points)
-    return np.concatenate([du[0] - d2u[1], ub, ui])
+    return np.concatenate([du[0] - d2u[1], ub])
 
 
 def nlpoisson_metric_stack(prob, theta, theta_bar, quad):
-    """Gauss-Newton metric by hand: Laplacian - 3 ubar^2 u with ubar frozen at theta_bar."""
+    """Gauss-Newton metric by hand: -Laplacian + 3 ubar^2 u with ubar frozen at theta_bar."""
     ubar = ad.primal_value(
         oracle_jet(prob.topology, ad.freeze(theta_bar), quad.interior_points)[0]
     )
     u, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    return np.concatenate([laplacian(sec) - 3.0 * ubar**2 * u, ub])
+    return np.concatenate([-laplacian(sec) + 3.0 * ubar**2 * u, ub])
 
 
 def nlpoisson_metric_stack_unfrozen(prob, theta, quad):
     """Negative control: the linearization coefficient is not frozen."""
     u, _, sec = oracle_jet(prob.topology, theta, quad.interior_points)
     ub, _, _ = oracle_jet(prob.topology, theta, quad.boundary_points)
-    return np.concatenate([laplacian(sec) - 3.0 * u * u * u, ub])
+    return np.concatenate([-laplacian(sec) + 3.0 * u * u * u, ub])
 
 
 HAND_METRIC_STACKS = {
@@ -133,10 +133,17 @@ class TestQuadrature:
         quad = prob.sample_quadrature(17, 6, seed=0)
         assert quad.interior_weights.sum() == pytest.approx(1.0, rel=1e-15)
 
-    def test_boundary_weights_integrate_perimeter(self):
-        prob = problems.make_problem("poisson2d", hidden_width=4, hidden_depth=1)
+    # two unit endpoints; the unit square's perimeter; heat's lateral sides
+    # (measure 2) and its initial slice (measure 1)
+    BOUNDARY_MEASURE = dict(poisson1d=2.0, poisson2d=4.0, nlpoisson2d=4.0, heat1p1d=3.0)
+
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_boundary_weights_integrate_perimeter(self, name):
+        prob = problems.make_problem(name, hidden_width=4, hidden_depth=1)
         quad = prob.sample_quadrature(10, 13, seed=0)
-        assert quad.boundary_weights.sum() == pytest.approx(4.0, rel=1e-15)
+        assert quad.boundary_weights.sum() == pytest.approx(
+            self.BOUNDARY_MEASURE[name], rel=1e-15
+        )
 
     @staticmethod
     def _parts(**changes):
@@ -150,9 +157,6 @@ class TestQuadrature:
 
     def test_valid_parts_build(self):
         problems.QuadratureSet(**self._parts())
-        problems.QuadratureSet(
-            **self._parts(initial_points=np.zeros((1, 2)), initial_weights=np.ones(1))
-        )
 
     # a NaN weight passes a `w <= 0` test and turns the loss into NaN
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
@@ -178,14 +182,6 @@ class TestQuadrature:
     def test_one_weight_per_point(self):
         with pytest.raises(ValueError, match="interior weights must have shape"):
             problems.QuadratureSet(**self._parts(interior_weights=np.ones(4)))
-
-    @pytest.mark.parametrize(
-        "initial",
-        [{"initial_points": np.zeros((1, 2))}, {"initial_weights": np.ones(1)}],
-    )
-    def test_initial_points_and_weights_come_together(self, initial):
-        with pytest.raises(ValueError, match="given together"):
-            problems.QuadratureSet(**self._parts(**initial))
 
 
 class TestSamplerReplay:
@@ -213,14 +209,17 @@ class TestSamplerReplay:
         if name == "poisson1d":
             parts.update(boundary_points=np.array([[0.0], [1.0]]), boundary_weights=np.ones(2))
         elif name == "heat1p1d":
+            # the lateral sides, then the initial slice t = 0
             t, side = rng.random(n_bnd), rng.integers(0, 2, n_bnd)
             n_init = max(n_bnd // 2, 1)
             x0 = rng.random(n_init)
+            lateral = np.column_stack([t, side.astype(float)])
+            initial = np.column_stack([np.zeros(n_init), x0])
             parts.update(
-                boundary_points=np.column_stack([t, side.astype(float)]),
-                boundary_weights=np.full(n_bnd, 2.0 / n_bnd),
-                initial_points=np.column_stack([np.zeros(n_init), x0]),
-                initial_weights=np.full(n_init, 1.0 / n_init),
+                boundary_points=np.concatenate([lateral, initial]),
+                boundary_weights=np.concatenate(
+                    [np.full(n_bnd, 2.0 / n_bnd), np.full(n_init, 1.0 / n_init)]
+                ),
             )
         else:
             parts.update(
@@ -235,27 +234,24 @@ class TestSamplerReplay:
     def test_draws_replay_bitwise(self, name, n_bnd, seed):
         quad = problems.make_problem(name).sample_quadrature(7, n_bnd, seed)
         expected = self.replay(name, 7, n_bnd, seed)
-        for field in ("interior", "boundary", "initial"):
-            for kind in ("points", "weights"):
-                got, ref = getattr(quad, f"{field}_{kind}"), expected.get(f"{field}_{kind}")
-                assert (got is None) == (ref is None), f"{field}_{kind}"
-                if ref is not None:
-                    assert got.dtype == ref.dtype and got.shape == ref.shape
-                    assert got.tobytes() == ref.tobytes(), f"{field}_{kind}"
+        for field, ref in expected.items():
+            got = getattr(quad, field)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, field
+            assert got.tobytes() == ref.tobytes(), field
 
 
 class TestResidualStack:
-    def test_zero_net_zero_data_zero_stack(self):
-        # with theta = 0 the net is identically zero; strip sources by hand
-        prob, quad, _ = small_problem("poisson1d")
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_zero_net_zero_data_zero_stack(self, name):
+        # with theta = 0 the net is identically zero, so L[u] - f and u - u*
+        # leave -sqrt(w) f on the interior rows and -sqrt(w) u* on the boundary's
+        prob, quad, _ = small_problem(name)
         theta = np.zeros(prob.topology.param_count)
         s = prob.residual_stack(theta, quad)
-        offsets = np.concatenate(
-            [prob.source(quad.interior_points), -prob.exact_jet(quad.boundary_points)[0]]
+        data = np.concatenate(
+            [prob.source(quad.interior_points), prob.exact_jet(quad.boundary_points)[0]]
         )
-        np.testing.assert_allclose(
-            s, np.sqrt(residual_weights(quad)) * offsets, rtol=0, atol=1e-15
-        )
+        np.testing.assert_allclose(s, -np.sqrt(residual_weights(quad)) * data, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_exact_solution_annihilates_residual(self, name):
@@ -290,10 +286,10 @@ class TestMetricStack:
         root = np.sqrt(residual_weights(quad))
         s = prob.residual_stack(theta, quad)
         m = prob.metric_stack(theta, theta, quad)
-        offsets = np.concatenate(
-            [prob.source(quad.interior_points), -prob.exact_jet(quad.boundary_points)[0]]
+        data = np.concatenate(
+            [prob.source(quad.interior_points), prob.exact_jet(quad.boundary_points)[0]]
         )
-        np.testing.assert_allclose(s - root * offsets, root * m, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(s + root * data, root * m, rtol=1e-13, atol=1e-13)
 
     def test_nonlinear_metric_at_zero_net_is_laplacian(self):
         prob, quad, _ = small_problem("nlpoisson2d")
@@ -305,7 +301,7 @@ class TestMetricStack:
 
     def test_frozen_coefficient_changes_the_jacobian(self):
         # negative control: differentiating through the coefficient 3 u^2 of
-        # the interior rows adds -6 u^2 J_u v to their JVP and nothing to the
+        # the interior rows adds 6 u^2 J_u v to their JVP and nothing to the
         # boundary rows', so the stop-gradient is load-bearing; A v is the
         # frozen JVP, scaled by sqrt(w)
         prob, quad, theta = small_problem("nlpoisson2d", width=4, depth=1)
@@ -313,7 +309,7 @@ class TestMetricStack:
         frozen = ad.linearize(lambda th: nlpoisson_metric_stack(prob, th, theta, quad), theta)
         unfrozen = ad.linearize(lambda th: nlpoisson_metric_stack_unfrozen(prob, th, quad), theta)
         u = ad.linearize(lambda th: oracle_jet(prob.topology, th, quad.interior_points)[0], theta)
-        moved = np.concatenate([-6.0 * u.value**2 * u.jvp(v), np.zeros(len(quad.boundary_points))])
+        moved = np.concatenate([6.0 * u.value**2 * u.jvp(v), np.zeros(len(quad.boundary_points))])
         assert np.linalg.norm(moved) >= 1e-2 * np.linalg.norm(frozen.jvp(v))
         assert rel_err(unfrozen.jvp(v) - frozen.jvp(v), moved) <= 1e-12
         a_v = prob.residual_jacobian(theta, quad)[1] @ v
