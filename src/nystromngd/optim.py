@@ -2,11 +2,10 @@
 
 One loop, :func:`run_optimizer`, runs every optimizer and owns every phase
 they share.  Per iteration it assembles the weighted residual Jacobian
-A = W^{1/2} J into the run's one (rows, p) array together with the loss
-gradient A^T s, wraps A as the matrix-free Gramian A^T A, asks the
-optimizer for a search direction, runs the Armijo line search, moves
-theta, and records the new iterate; a line search that finds no decrease
-ends the run.  Each optimizer is a factory
+A = W^{1/2} J, together with the loss gradient A^T s, into the run's one
+matrix-free Gramian A^T A, asks the optimizer for a search direction,
+runs the Armijo line search, moves theta, and records the new iterate; a
+step that cannot decrease the loss ends the run.  Each optimizer is a factory
 ``(theta0, config) -> direction`` whose closure holds only
 its own state; ``direction(theta, loss, g, gop)`` returns ``(d, StepReport)``.
 Every NGD direction damps by mu = adapt_mu(lam1, L), lam1 the sketch's top eigenvalue or, in
@@ -35,7 +34,7 @@ LS_MAX_BACKTRACKS = 30
 LS_SUFFICIENT_DECREASE = 1e-4
 MU_FLOOR_COEFF = 1e-4  # c in the damping floor c * L^2
 GAMMA = 1e6  # mu >= GAMMA*eps*lam1 stays above G's rounding floor; 1e7 gave outlier seeds
-RANK_RATIO = 10.0  # the rank grows while lam_ell > RANK_RATIO*mu (arXiv:2110.02820)
+RANK_RATIO = 10.0  # the rank grows while lam_ell >= RANK_RATIO*mu (arXiv:2110.02820)
 CG_TOL_CAP = 0.1  # PCG's relative tolerance is min(CG_TOL_CAP, |g|); 0.01 did no better
 CG_MAXIT = 20  # PCG iteration cap; PCG needs about 1 iteration in most steps
 FORM_AFTER = 24  # NGD-CG matvecs before G is formed; the syrk costs ~23 of them at 560 x 337
@@ -116,15 +115,14 @@ def adapt_mu(lam1, loss):
 def adapt_rank(eigenvalues, mu, ell, ell_max):
     """Next sketch rank from the estimated spectrum.
 
-    If the smallest estimate still exceeds RANK_RATIO * mu the rank
-    doubles (capped); otherwise it shrinks to the first index below that
-    threshold plus an offset of one.
+    If no estimate lies below RANK_RATIO * mu the rank doubles (capped);
+    otherwise it shrinks to the first index below that threshold plus an
+    offset of one.
     """
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    threshold = RANK_RATIO * mu
-    if eigenvalues[-1] > threshold:
+    below = np.asarray(eigenvalues, dtype=float) < RANK_RATIO * mu
+    if not below.any():
         return min(2 * ell, ell_max)
-    first_below = int(np.argmax(eigenvalues < threshold)) + 1  # 1-based index
+    first_below = int(np.argmax(below)) + 1  # 1-based index
     return min(first_below + 1, ell_max)
 
 
@@ -196,7 +194,7 @@ def _nystrom_ngd(theta0, config):
         basis = factor.basis
         mu = adapt_mu(factor.eigenvalues[0], loss)
         if mu <= 0.0:
-            mu = GAMMA * EPS_MACH  # all-zero spectrum with zero floor
+            mu = GAMMA * EPS_MACH  # adapt_mu underflowed to 0 (g = 0 never gets here)
         tol = _cg_rel_tol(float(np.linalg.norm(g)))
         precond = NystromPreconditioner(factor, mu)
         report = pcg(ShiftedOperator(gop, mu), g, tol, CG_MAXIT, precond=precond)
@@ -305,21 +303,21 @@ def run_optimizer(
 ):
     """Run optimizer ``name`` for up to ``config.iterations`` steps.
 
-    Each step assembles A into the run's one array with the gradient,
-    takes the optimizer's direction, and backtracks along it.  Record k
-    holds theta_k's loss (theta0's is evaluated here, each step's is the
-    one its line search accepted), its relative H1 error (NaN without
-    ``quad_eval``), and the cumulative matvecs, so n steps give n + 1
-    records and the last describes the returned theta.  After any record,
-    theta0's included, the loop stops once its H1 error is at most
-    ``h1_stop`` or the matvecs reach ``matvec_budget``; ``h1_stop``
+    Each step assembles A into the run's one Gramian operator with the
+    gradient, takes the optimizer's direction, and backtracks along it.
+    Record k holds theta_k's loss (theta0's is evaluated here, each step's
+    is the one its line search accepted), its relative H1 error (NaN
+    without ``quad_eval``), and the Gramian's matvecs so far, so n steps
+    give n + 1 records and the last describes the returned theta.  After
+    any record, theta0's included, the loop stops once its H1 error is at
+    most ``h1_stop`` or the matvecs reach ``matvec_budget``; ``h1_stop``
     without ``quad_eval``, which no H1 error could reach, raises
-    ``ValueError``.  A line search that finds no decrease ends the run:
-    its step's record keeps theta and the previous loss.  At an exactly
-    zero gradient no direction is asked for: the step's record repeats
-    theta_k with no mu, ell or matvecs.  A non-finite theta0 loss raises
-    ``NonFiniteError``; the line search rejects a NaN or +inf trial loss
-    like any other.
+    ``ValueError``.  A step that cannot decrease the loss ends the run:
+    its record keeps theta and the previous loss.  That is a line search
+    that finds no decrease, or an exactly zero gradient, where every
+    direction is 0 and none is asked for (the record has no mu, ell or
+    new matvecs).  A non-finite theta0 loss raises ``NonFiniteError``;
+    every later loss passed the Armijo test, which rejects NaN and +inf.
     Returns (theta_final, [RunRecord, ...]).
     """
     if name not in _OPTIMIZERS:
@@ -328,16 +326,15 @@ def run_optimizer(
         raise ValueError("h1_stop needs quad_eval: without it every H1 error is NaN")
     theta = np.asarray(theta0, dtype=float)
     direction = _OPTIMIZERS[name](theta, config)
-    jac = np.empty((problem.metric_weights(quad).shape[0], theta.shape[0]))  # each step's A
+    gop = GramianOperator(np.empty((problem.metric_weights(quad).shape[0], theta.shape[0])))
     records = []
-    total_matvecs = 0
-    stalled = False  # the last line search found no decrease
+    stalled = False  # the last step found no decrease
     report = StepReport()  # row 0, the initialization, took no step
     tic = time.perf_counter()
     loss = problem.loss_value(theta, quad)
+    if not np.isfinite(loss):
+        raise ad.NonFiniteError("non-finite loss at iteration 0")
     for k in range(config.iterations + 1):
-        if not np.isfinite(loss):
-            raise ad.NonFiniteError(f"non-finite loss at iteration {k}")
         h1 = float("nan") if quad_eval is None else problem.h1_relative_error(theta, quad_eval)
         toc = time.perf_counter()
         records.append(
@@ -348,28 +345,25 @@ def run_optimizer(
                 mu=report.mu,
                 ell=report.ell,
                 pcg_iters=report.pcg_iters,
-                matvecs=total_matvecs,
+                matvecs=gop.matvec_count,
                 seconds=toc - tic,
             )
         )
         tic = toc
         reached = h1_stop is not None and h1 <= h1_stop
-        spent = matvec_budget is not None and total_matvecs >= matvec_budget
+        spent = matvec_budget is not None and gop.matvec_count >= matvec_budget
         if stalled or reached or spent or k == config.iterations:
             break
-        g = problem.loss_grad(theta, quad, out=jac)
-        if not g.any():  # a stationary point: no direction, and theta_k's row repeats
-            report = StepReport()
-            continue
-        gop = GramianOperator(jac)
-        d, report = direction(theta, loss, g, gop)
-        alpha, loss = backtracking_linesearch(
-            theta, d, lambda th: problem.loss_value(th, quad), float(g @ d), loss
-        )
+        g = problem.loss_grad(theta, quad, out=gop.jacobian)
+        alpha, report = 0.0, StepReport()  # at g = 0 every direction is 0: no step
+        if g.any():
+            d, report = direction(theta, loss, g, gop)
+            alpha, loss = backtracking_linesearch(
+                theta, d, lambda th: problem.loss_value(th, quad), float(g @ d), loss
+            )
         stalled = alpha == 0.0
         if not stalled:
             theta = theta - alpha * d
-        total_matvecs += gop.matvec_count
     return theta, records
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gramian import DenseOperator, assemble_dense
+from .gramian import DenseOperator
 
 __all__ = [
     "NystromFactor",
@@ -147,21 +147,19 @@ def effective_dimension(eigs, mu):
     return float(np.sum(eigs / (eigs + mu)))
 
 
-def pivoted_cholesky(op, rank, strategy, seed=None):
-    """Rank-``rank`` partial Cholesky factor of an SPSD operator.
+def pivoted_cholesky(matrix, rank, strategy, seed=None):
+    """Rank-``rank`` partial Cholesky factor of an SPSD matrix G.
 
     Pivot strategies: ``greedy`` (largest residual diagonal) and ``rp``
     (random, proportional to the residual diagonal).  Returns (F, pivots)
     with F F^T ~= G; equals the column Nystrom approximation on the pivot
-    set.  Needs G itself: a matrix-free operator is assembled by p matvecs
-    (``assemble_dense``, which refuses p > ``DENSE_GUARD``).
+    set.
     """
-    op = _as_operator(op)
-    p = op.dim
+    matrix = DenseOperator(matrix).matrix  # float64, and square or ValueError
+    p = matrix.shape[0]
     if strategy not in ("greedy", "rp"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     rng = np.random.default_rng(seed)
-    matrix = op.matrix if isinstance(op, DenseOperator) else assemble_dense(op)
     diag = matrix.diagonal().copy()
     tol = PIVOT_TOL * max(diag.max(initial=0.0), 1.0)
     factor = np.zeros((p, rank))

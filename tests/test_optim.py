@@ -166,6 +166,16 @@ class TestAdaptRank:
         nxt = optim.adapt_rank(np.full(10, 1.0), mu=1e-6, ell=10, ell_max=10)
         assert nxt == 10
 
+    @pytest.mark.parametrize(
+        "eigenvalues, expected",
+        [([5.0, 5.0, 5.0, 5.0], 8), ([9.0, 6.0, 5.1, 5.0], 8), ([9.0, 6.0, 5.0, 4.0], 5)],
+    )
+    def test_estimate_at_the_threshold_is_not_below_it(self, eigenvalues, expected):
+        # threshold 10 * mu = 5: an estimate equal to it counts as unresolved in both
+        # branches, so with none below it the rank doubles instead of collapsing to 2
+        nxt = optim.adapt_rank(np.array(eigenvalues), mu=0.5, ell=4, ell_max=8)
+        assert nxt == expected
+
 
 class TestLinesearch:
     def test_quadratic_full_step(self):
@@ -494,7 +504,7 @@ class TestRunOptimizer:
             warnings.simplefilter("error", RuntimeWarning)
             theta, records = optim.run_optimizer(name, prob, theta0.copy(), cfg, None, "eval")
         assert theta.tobytes() == theta0.tobytes()
-        assert len(records) == 4
+        assert [r.iteration for r in records] == [0, 1]
         assert all(np.isfinite(astuple(r)).all() for r in records)
         assert all(r.loss == 0.0 for r in records)
         assert optim._rayleigh_lam1(GramianOperator(prob.a), np.zeros(8)) == 0.0
@@ -509,10 +519,26 @@ class TestRunOptimizer:
             warnings.simplefilter("error")
             theta, records = optim.run_optimizer(name, prob, theta0.copy(), cfg, None)
         assert theta.tobytes() == theta0.tobytes()
-        assert [r.iteration for r in records] == [0, 1, 2, 3]
+        assert [r.iteration for r in records] == [0, 1]
         for r in records:  # no H1 without quad_eval; no step reported mu, ell or matvecs
             assert (r.loss, r.mu, r.ell, r.pcg_iters, r.matvecs) == (0.0, 0.0, 0, 0, 0)
             assert np.isfinite(r.seconds)
+
+    @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
+    def test_stationary_run_takes_one_gradient(self, name):
+        # g = 0 at theta0 ends the run: no later step could move theta
+        class Stationary(LinearLeastSquares):
+            grads = 0
+
+            def loss_grad(self, theta, quad, out=None):
+                self.grads += 1
+                return super().loss_grad(theta, quad, out)
+
+        prob = Stationary(np.zeros((10, 4)), np.zeros(10), np.ones(10))
+        cfg = optim.NystromNgdConfig(ell0=2, iterations=300, seed=0)
+        _, records = optim.run_optimizer(name, prob, np.ones(4), cfg, None)
+        assert prob.grads == 1
+        assert len(records) == 2
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_run_stalled_after_m_steps_repeats_the_m_step_run(self, name):
