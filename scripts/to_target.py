@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print iterations and Gramian matvecs to reach H1 <= 1e-3, per optimizer.
+"""Iterations, Gramian matvecs and seconds to H1 <= 1e-3, 1e-4 and 1e-5, per optimizer.
 
     PYTHONPATH=src python scripts/to_target.py [optimizer ...]
 
@@ -7,21 +7,28 @@ Each optimizer is any of ``optim.OPTIMIZER_NAMES``; the default is
 ``nystrom_ngd``.  Each run is ``harness.set_up`` of the default
 ``ExperimentConfig`` for the problem and seed (the criterion-10 setup: a
 16x2 tanh MLP, 400 interior and 160 boundary points, quadrature,
-initialization and optimizer seeded by the seed), up to 300 iterations,
-with the H1 error recorded on the training points.  For each optimizer in
-turn the script runs poisson2d, heat1p1d and nlpoisson2d at seeds 0-7,
-prints each run's iterations, matvecs, final H1 error and wall seconds,
-then each problem's medians; with more than one optimizer, each line
-starts with the optimizer's name.  The last line is one JSON object: per
-run the optimizer, problem, seed, iterations, matvecs, training H1,
-held-out H1 (on ``harness.heldout_quadrature``) and seconds, then the
-line count of ``src/`` (as ``bench/run.py`` counts it), the Python and
-numpy versions and the BLAS thread settings.  A run that misses the
-target prints the H1 error of its last iterate, within the 300-iteration
-budget.  The script exits 1 if any run misses the target; older checkouts
-run their own copy.  ``ngd_cg`` exits 1: heat1p1d seed 5 ends at H1 1.14e-3
-after 300 iterations, damped by ``adapt_mu`` like Nystrom-NGD.  It missed the
-target under the baselines' former damping rule too, at H1 1.13e-3.
+initialization and optimizer seeded by the seed), with the H1 error
+recorded on the training points.  A seed runs once, until its H1 error is
+at most the deepest of ``DEPTHS`` or 300 iterations.  For each depth the
+run records its first iterate at or below it: the iteration, the matvecs
+and the cumulative seconds (the sum of the trace rows' ``seconds``, so
+set-up and held-out evaluation are left out); a depth the run never
+crosses records ``null``.
+
+For each optimizer in turn the script runs poisson2d, heat1p1d and
+nlpoisson2d at seeds 0-7 and prints, at 1e-3, each run's iterations,
+matvecs and seconds, then each problem's medians; with more than one
+optimizer, each line starts with the optimizer's name.  A run that misses
+1e-3 prints its last iterate within the 300-iteration budget instead, with
+that iterate's H1 error, and enters the medians with it.  The last line is
+one JSON object: the depths; per run the optimizer, problem, seed, final
+iterations, matvecs and training H1, held-out H1 of the final theta (on
+``harness.heldout_quadrature``), seconds summed over all its rows and the
+crossings, one per depth; then the line count of ``src/`` (as ``bench/run.py`` counts it),
+the Python and numpy versions and the BLAS thread settings.  The script
+exits 1 if any run misses 1e-3; older checkouts run their own copy.  A
+committed ``BENCH_<n>.json`` is that JSON line for ``nystrom_ngd ngd_dense
+ngd_cg``; a ``null`` crossing marks each run that misses a depth.
 
 Run as a script, it pins OpenBLAS, OpenMP and MKL to one thread before
 numpy is imported, so the counts do not depend on how a BLAS splits its
@@ -33,7 +40,6 @@ import json
 import os
 import platform
 import sys
-import time
 from pathlib import Path
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -49,20 +55,29 @@ from nystromngd.harness import ExperimentConfig, heldout_quadrature, set_up
 SRC = Path(__file__).resolve().parents[1] / "src"
 PROBLEMS = ("poisson2d", "heat1p1d", "nlpoisson2d")
 SEEDS = range(8)
-TARGET = 1e-3
+DEPTHS = (1e-3, 1e-4, 1e-5)  # H1 errors; the first is the target the script reports
 
 
 def run(name, seed, optimizer="nystrom_ngd", **overrides):
     """One run of ``optimizer`` that stops at the first iterate with H1
-    error <= TARGET: its last record's iteration, matvecs and training H1,
-    the held-out H1 of its final theta, and its wall seconds."""
-    tic = time.perf_counter()
+    error <= min(DEPTHS): its last record's iteration, matvecs, training H1
+    and cumulative seconds, the held-out H1 of its final theta, and per
+    depth the first record at or below it (iteration, matvecs, cumulative
+    seconds) or None."""
     config = ExperimentConfig(problem=name, optimizer=optimizer, seed=seed, **overrides)
     prob, quad, theta0 = set_up(config)
     theta, records = optim.run_optimizer(
-        optimizer, prob, theta0, config, quad, quad_eval=quad, h1_stop=TARGET
+        optimizer, prob, theta0, config, quad, quad_eval=quad, h1_stop=min(DEPTHS)
     )
-    seconds = time.perf_counter() - tic
+    elapsed = np.cumsum([r.seconds for r in records])
+    crossings = []
+    for depth in DEPTHS:
+        k = next((k for k, r in enumerate(records) if r.h1_rel_error <= depth), None)
+        crossings.append(None if k is None else {
+            "iteration": records[k].iteration,
+            "matvecs": int(records[k].matvecs),
+            "seconds": float(elapsed[k]),
+        })
     last = records[-1]
     return {
         "optimizer": optimizer,
@@ -72,8 +87,18 @@ def run(name, seed, optimizer="nystrom_ngd", **overrides):
         "matvecs": int(last.matvecs),
         "h1": float(last.h1_rel_error),
         "heldout_h1": float(prob.h1_relative_error(theta, heldout_quadrature(prob, seed))),
-        "seconds": seconds,
+        "seconds": float(elapsed[-1]),
+        "crossings": crossings,
     }
+
+
+def at_target(r):
+    """(iteration, matvecs, seconds) at the run's crossing of DEPTHS[0], or
+    at its last iterate when it misses."""
+    c = r["crossings"][0]
+    if c is None:  # the run went to its last iterate
+        return r["iterations"], r["matvecs"], r["seconds"]
+    return c["iteration"], c["matvecs"], c["seconds"]
 
 
 def environment():
@@ -103,22 +128,21 @@ def main(argv=None):
             for seed in SEEDS:
                 r = run(name, seed, optimizer=optimizer)
                 block.append(r)
-                mark = "" if r["h1"] <= TARGET else "  missed the target"
+                its, matvecs, seconds = at_target(r)
+                mark = "" if r["crossings"][0] else f", H1 {r['h1']:.3e}  missed the target"
                 print(
-                    f"{label}{name} seed {seed}: {r['iterations']} iterations, "
-                    f"{r['matvecs']} matvecs, H1 {r['h1']:.3e}, {r['seconds']:.3f} s{mark}"
+                    f"{label}{name} seed {seed}: {its} iterations, {matvecs} matvecs, "
+                    f"{seconds:.3f} s{mark}"
                 )
-            its, matvecs, seconds = np.median(
-                [(r["iterations"], r["matvecs"], r["seconds"]) for r in block], axis=0
-            )
+            its, matvecs, seconds = np.median([at_target(r) for r in block], axis=0)
             print(
                 f"{label}{name} median: {its:g} iterations, {matvecs:g} matvecs, "
                 f"{seconds:.3f} s",
                 flush=True,
             )
             runs += block
-    print(json.dumps({"target": TARGET, "runs": runs, **environment()}))
-    return 1 if any(not r["h1"] <= TARGET for r in runs) else 0
+    print(json.dumps({"depths": DEPTHS, "runs": runs, **environment()}))
+    return 1 if any(r["crossings"][0] is None for r in runs) else 0
 
 
 if __name__ == "__main__":

@@ -33,11 +33,6 @@ __all__ = [
 ]
 
 
-# smallest accepted value of each count and size that ExperimentConfig adds
-# (NystromNgdConfig checks its own iterations and seed)
-_LOWER_BOUNDS = dict(hidden_width=1, hidden_depth=0, n_interior=1, n_boundary=1, repetitions=1)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig(NystromNgdConfig):
     """Everything needed to reproduce one experiment: the optimizer's
@@ -53,6 +48,11 @@ class ExperimentConfig(NystromNgdConfig):
     repetitions: int = 1
     out_dir: str = "results"
 
+    _LOWER_BOUNDS = dict(
+        NystromNgdConfig._LOWER_BOUNDS,
+        hidden_width=1, hidden_depth=0, n_interior=1, n_boundary=1, repetitions=1,
+    )
+
     def __post_init__(self):
         super().__post_init__()
         if self.problem not in PROBLEM_NAMES:
@@ -63,9 +63,6 @@ class ExperimentConfig(NystromNgdConfig):
             raise ValueError(
                 f"unknown optimizer {self.optimizer!r}; available: {OPTIMIZER_NAMES}"
             )
-        for name, low in _LOWER_BOUNDS.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
 
 
 # annotation strings such as "int | None" (postponed evaluation)

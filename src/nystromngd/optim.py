@@ -64,15 +64,16 @@ class NystromNgdConfig:
     iterations: int = 300
     seed: int = 0
 
+    # smallest accepted value of each count (unannotated, so not a field);
+    # ExperimentConfig extends it with its own counts and sizes
+    _LOWER_BOUNDS = dict(ell0=1, iterations=0, seed=0)
+
     def __post_init__(self):
-        if self.ell0 < 1:
-            raise ValueError("need ell0 >= 1")
+        for name, low in self._LOWER_BOUNDS.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.ell_max is not None and self.ell0 > self.ell_max:
             raise ValueError("need 1 <= ell0 <= ell_max")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,11 @@ def adapt_mu(lam1, loss):
 
     The first term scales the top eigenvalue estimate; the numerical-rank
     cutoff p*eps*lam1 sits at the rounding floor of the Gramian, so
-    GAMMA = 1e6 damps above that floor.  The floor, in the loss L,
-    enforces stronger damping early on.
+    GAMMA = 1e6 damps above that floor.  The floor, in the loss L, keeps
+    the first steps damped while the loss is large: without it, mu on
+    poisson2d (seed 0) falls from 0.22 to 1.2e-8 at step 1, the rank
+    doubles each step, and Nystrom-NGD's median matvecs to H1 <= 1e-3 rise
+    by 19-31% per problem, in about as many iterations.
     """
     if lam1 < 0:
         raise ValueError("need lam1 >= 0")

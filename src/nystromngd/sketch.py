@@ -53,20 +53,17 @@ def _as_operator(op):
 
 
 def _test_matrix(rng, p, rank, basis):
-    """Orthonormal (p, rank) test matrix: Gaussian + QR without ``basis``;
-    otherwise ``basis`` (orthonormal columns) itself, truncated to ``rank``
-    or topped up with Gaussian columns projected off it (twice) and QR'd."""
+    """Orthonormal (p, rank) test matrix: the first ``rank`` columns of
+    ``basis`` (orthonormal columns) when it has that many; otherwise the Q
+    of [basis, fresh Gaussian columns], a cold sketch being the empty-basis
+    case.  Householder QR orthogonalises the new columns against the basis."""
     if basis is None:
-        omega, _ = np.linalg.qr(rng.standard_normal((p, rank)), mode="reduced")
-        return omega
+        basis = np.empty((p, 0))
     k = basis.shape[1]
     if k >= rank:
         return basis[:, :rank]
-    extra = rng.standard_normal((p, rank - k))
-    for _ in range(2):
-        extra -= basis @ (basis.T @ extra)
-    extra, _ = np.linalg.qr(extra, mode="reduced")
-    return np.hstack([basis, extra])
+    omega, _ = np.linalg.qr(np.hstack([basis, rng.standard_normal((p, rank - k))]), mode="reduced")
+    return omega
 
 
 def nystrom_approximate(op, rank, seed, basis=None):
@@ -77,11 +74,12 @@ def nystrom_approximate(op, rank, seed, basis=None):
     stability, Y_nu = Y + nu Omega, the core C = Omega^T Y_nu = V Lam V^T
     by a symmetric eigendecomposition with Lam floored at
     rank * eps * max(Lam), the thin SVD of B = Y_nu V Lam^{-1/2}, and
-    shift removal.  All ``rank`` columns are kept.  The test matrix is a
-    QR'd Gaussian matrix, or, given ``basis`` (p x k, orthonormal columns,
-    e.g. the previous factor's basis of a slowly changing operator), its
-    first ``rank`` columns, topped up with fresh Gaussian columns when
-    ``rank`` exceeds k: one step of subspace iteration.
+    shift removal.  All ``rank`` columns are kept.  Given ``basis`` (p x k,
+    orthonormal columns, e.g. the previous factor's basis of a slowly
+    changing operator), the test matrix is its first ``rank`` columns, or,
+    when ``rank`` exceeds k, the Q of [basis, rank - k Gaussian columns]:
+    one step of subspace iteration.  Without ``basis`` (k = 0) it is the Q
+    of a Gaussian matrix.
 
     Raises ``ValueError`` when the core shows that the operator is not
     PSD: it has no positive eigenvalue, or a negative one larger in

@@ -102,6 +102,10 @@ class TestConfig:
             optim.NystromNgdConfig(**{name: -1})
         assert getattr(optim.NystromNgdConfig(**{name: 0}), name) == 0
 
+    def test_ell0_below_one_raises(self):
+        with pytest.raises(ValueError, match="ell0 must be >= 1"):
+            optim.NystromNgdConfig(ell0=0)
+
     def test_fields_are_rank_bounds_budget_and_seed(self):
         # the damping, rank and PCG rules are module constants, not options
         names = [f.name for f in fields(optim.NystromNgdConfig)]

@@ -40,7 +40,8 @@ TINY = dict(hidden_width=4, n_interior=20, n_boundary=2, iterations=2)
 
 def test_to_target_run_reports_its_last_record():
     r = load_to_target().run("poisson1d", 0, **TINY)
-    assert r["iterations"] == 2 and r["matvecs"] > 0  # no early stop
+    assert r["iterations"] == 2 and r["matvecs"] > 0 and r["seconds"] > 0  # no early stop
+    assert r["crossings"] == [None, None, None]  # no depth reached
     assert 1e-3 < r["h1"] < float("inf") and 0.0 < r["heldout_h1"] < float("inf")
     assert r["heldout_h1"] != r["h1"]  # measured on other points
 
@@ -53,6 +54,26 @@ def test_to_target_runs_the_named_optimizer():
     r = to_target.run("poisson1d", 0, optimizer="ngd_dense", **TINY)
     assert (r["iterations"], r["matvecs"]) == (2, 2 * (p + 1))
     assert 1e-3 < r["h1"] < float("inf")
+
+
+def test_to_target_crossing_is_the_run_stopped_at_its_depth(monkeypatch):
+    # one run to the deepest depth gives, per depth it crosses, the last
+    # record of the same seed stopped there: the runs agree up to that row
+    to_target = load_to_target()
+    small = dict(hidden_width=8, n_interior=60, n_boundary=2, iterations=26)
+    depths = to_target.DEPTHS
+    deep = to_target.run("poisson1d", 0, **small)
+    *crossed, deepest = deep["crossings"]
+    assert deepest is None and deep["iterations"] == 26  # 1e-5 is not reached
+    assert 0 < crossed[0]["iteration"] < crossed[1]["iteration"]
+    assert 0 < crossed[0]["seconds"] < crossed[1]["seconds"] <= deep["seconds"]
+    for depth, crossing in zip(depths, crossed):
+        monkeypatch.setattr(to_target, "DEPTHS", (depth,))
+        stopped = to_target.run("poisson1d", 0, **small)
+        assert stopped["h1"] <= depth
+        assert (crossing["iteration"], crossing["matvecs"]) == (
+            stopped["iterations"], stopped["matvecs"]
+        )
 
 
 def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
@@ -73,9 +94,17 @@ def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
     assert [(r["optimizer"], r["problem"], r["seed"]) for r in record["runs"]] == [
         (opt, "poisson1d", seed) for opt in ("nystrom_ngd", "ngd_dense") for seed in (0, 1)
     ]
+    assert record["depths"] == list(to_target.DEPTHS)
     for line, r in zip(runs, record["runs"]):
-        assert f"{r['iterations']} iterations, {r['matvecs']} matvecs, H1 {r['h1']:.3e}" in line
-        assert r["h1"] <= to_target.TARGET and 0.0 < r["heldout_h1"] < 1.0 and r["seconds"] > 0
+        # the lines read the first depth; each run goes on to the last
+        first = r["crossings"][0]
+        assert line.endswith(
+            f": {first['iteration']} iterations, {first['matvecs']} matvecs, "
+            f"{first['seconds']:.3f} s"
+        )
+        iterations = [c["iteration"] for c in r["crossings"]]
+        assert iterations == sorted(iterations) and iterations[-1] == r["iterations"]
+        assert r["h1"] <= min(to_target.DEPTHS) and 0.0 < r["heldout_h1"] < 1.0
     src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
     assert record["src_lines"] == src_lines
     assert record["numpy"] == np.__version__ and record["python"] == platform.python_version()

@@ -132,8 +132,20 @@ class TestWarmTestMatrix:
         assert np.array_equal(op.blocks[0], basis[:, :rank])
         assert op.matvec_count == rank
 
+    @pytest.mark.parametrize("p, rank, seed", [(12, 12, 0), (40, 8, 5)])
+    def test_cold_test_matrix_is_the_q_of_a_gaussian(self, p, rank, seed):
+        # the empty-basis top-up draws and factors exactly what a plain
+        # Gaussian sketch does
+        op = RecordingOperator(random_psd(np.random.default_rng(1), p))
+        sketch.nystrom_approximate(op, rank=rank, seed=seed, basis=None)
+        expected, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, rank)))
+        assert len(op.blocks) == 1
+        assert np.array_equal(op.blocks[0], expected)
+
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_topped_up_test_matrix_is_orthonormal_and_starts_with_basis(self, k):
+        # one QR of [basis, Gaussian]: the block is orthonormal, contains
+        # range(basis), and its first k columns are the basis up to sign
         rng = np.random.default_rng(12)
         p, rank = 40, 8
         basis = orthonormal(rng, p, k)
@@ -141,8 +153,9 @@ class TestWarmTestMatrix:
         sketch.nystrom_approximate(op, rank=rank, seed=5, basis=basis)
         omega = op.blocks[0]
         assert omega.shape == (p, rank)
-        assert np.array_equal(omega[:, :k], basis)
         assert np.linalg.norm(omega.T @ omega - np.eye(rank)) <= 1e-12
+        assert np.linalg.norm(omega @ (omega.T @ basis) - basis) <= 1e-12
+        assert np.linalg.norm(np.abs(omega[:, :k].T @ basis) - np.eye(k)) <= 1e-12
         assert op.matvec_count == rank
 
     @pytest.mark.parametrize("extra", [-2, 0, 4])
