@@ -6,7 +6,7 @@ G = J^T W J is the Gauss-Newton metric; ``run_optimizer`` assembles A with
 the loss gradient A^T s into one (rows, p) array per run.  The operator
 never forms G: a matvec is two products over A and a block two GEMMs, so
 its answer depends on A and v alone.  ``dense()`` forms G, counted as p
-matvecs, and so does a long NGD-CG solve (``optim._FormingShiftedOperator``).
+matvecs; each NGD-CG step forms it uncounted, as a ``DenseOperator``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class GramianOperator:
 
 
 class DenseOperator:
-    """Matvec wrapper around an explicit SPSD matrix (tests, synthetic runs)."""
+    """Matvec wrapper around an explicit SPSD matrix (NGD-CG's formed G, tests, synthetic runs)."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)

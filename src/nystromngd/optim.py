@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gramian
-from .gramian import GramianOperator, ShiftedOperator
+from .gramian import DenseOperator, GramianOperator, ShiftedOperator
 from .krylov import pcg
 from .sketch import NystromPreconditioner, nystrom_approximate
 
@@ -37,7 +37,6 @@ GAMMA = 1e6  # mu >= GAMMA*eps*lam1 stays above G's rounding floor; 1e7 gave out
 RANK_RATIO = 10.0  # the rank grows while lam_ell >= RANK_RATIO*mu (arXiv:2110.02820)
 CG_TOL_CAP = 0.1  # PCG's relative tolerance is min(CG_TOL_CAP, |g|); 0.01 did no better
 CG_MAXIT = 20  # PCG iteration cap; PCG needs about 1 iteration in most steps
-FORM_AFTER = 24  # NGD-CG matvecs before G is formed; the syrk costs ~23 of them at 560 x 337
 
 __all__ = [
     "NystromNgdConfig",
@@ -214,33 +213,20 @@ def _rayleigh_lam1(gop, g):
     return float(g @ gop.matvec(g)) / (float(g @ g) or 1.0)
 
 
-class _FormingShiftedOperator(ShiftedOperator):
-    """G + mu I for one NGD-CG solve.  Matvec FORM_AFTER + 1 forms G = A^T A, uncounted,
-    if p <= min(rows, DENSE_GUARD); from then on a matvec is G v + mu v, one Gramian matvec."""
-
-    matvecs = 0  # served by this solve
-    gram = None
-
-    def matvec(self, v):
-        self.matvecs += 1
-        a = self.base.jacobian
-        if self.matvecs == FORM_AFTER + 1 and self.dim <= min(a.shape[0], gramian.DENSE_GUARD):
-            self.gram = a.T @ a
-        if self.gram is None or np.shape(v) != (self.dim,):
-            return super().matvec(v)  # two passes over A, or the Gramian's ValueError
-        self.base.matvec_count += 1
-        return self.gram @ v + self.mu * v
-
-
 def _ngd_cg(theta0, config):
-    """Unpreconditioned NGD-CG: adapt_mu of g's Rayleigh quotient (one matvec), CG to the same
-    tolerance in <= CG_MAXIT + ell_max steps; long solves form G (_FormingShiftedOperator)."""
+    """Unpreconditioned NGD-CG: adapt_mu of g's Rayleigh quotient, CG in <= CG_MAXIT + ell_max
+    steps on G + mu I; G = A^T A is formed, uncounted, if p <= min(rows, DENSE_GUARD)."""
     maxit_total = CG_MAXIT + _resolve_ell_max(config, theta0.shape[0])
 
     def direction(theta, loss, g, gop):
-        mu = adapt_mu(_rayleigh_lam1(gop, g), loss)
+        a = gop.jacobian
+        formed = gop.dim <= min(a.shape[0], gramian.DENSE_GUARD)
+        base = DenseOperator(a.T @ a) if formed else gop
+        mu = adapt_mu(_rayleigh_lam1(base, g), loss)
         tol = _cg_rel_tol(float(np.linalg.norm(g)))
-        report = pcg(_FormingShiftedOperator(gop, mu), g, tol, maxit_total)
+        report = pcg(ShiftedOperator(base, mu), g, tol, maxit_total)
+        if formed:
+            gop.matvec_count += base.matvec_count
         return report.solution, StepReport(mu, 0, report.iterations)
 
     return direction

@@ -46,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSet:
-    """Fixed Monte Carlo quadrature: interior and boundary points and weights."""
+    """Fixed Monte Carlo quadrature: interior and boundary points and weights, as float64 arrays."""
 
     interior_points: np.ndarray
     interior_weights: np.ndarray
@@ -56,7 +56,7 @@ class QuadratureSet:
     def __post_init__(self):
         for part in ("interior", "boundary"):
             x, w = getattr(self, f"{part}_points"), getattr(self, f"{part}_weights")
-            x, w = np.asarray(x), np.asarray(w)
+            x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
             if x.ndim != 2:
                 raise ValueError(f"{part} points must have shape (q, d), got {x.shape}")
             if w.shape != (x.shape[0],):
@@ -68,6 +68,8 @@ class QuadratureSet:
                 raise ValueError(f"{part} points must be finite")
             if not np.all((w > 0) & np.isfinite(w)):
                 raise ValueError("quadrature weights must be positive and finite")
+            object.__setattr__(self, f"{part}_points", x)
+            object.__setattr__(self, f"{part}_weights", w)
 
 
 class ResidualBlock(NamedTuple):

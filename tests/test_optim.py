@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
 from nystromngd import gramian, harness, optim, problems
-from nystromngd.gramian import GramianOperator, ShiftedOperator, assemble_dense
-from nystromngd.krylov import pcg
+from nystromngd.gramian import DenseOperator, GramianOperator, ShiftedOperator, assemble_dense
+from nystromngd.krylov import RECOMPUTE_EVERY, pcg
 from nystromngd.sketch import NystromPreconditioner, nystrom_approximate
 
 EPS = np.finfo(float).eps
@@ -697,69 +697,82 @@ def record_pcg_operators(monkeypatch):
     return ops
 
 
+def ngd_cg_step(prob, theta, quad, cfg):
+    """(d, report, g, gop): one ngd_cg direction at theta, asked for as
+    run_optimizer asks, on a fresh run Gramian gop."""
+    gop = GramianOperator(np.empty((prob.metric_weights(quad).shape[0], theta.shape[0])))
+    g = prob.loss_grad(theta, quad, out=gop.jacobian)
+    direction = optim._OPTIMIZERS["ngd_cg"](theta, cfg)
+    d, report = direction(theta, prob.loss_value(theta, quad), g, gop)
+    return d, report, g, gop
+
+
+def reference_cg_solve(base, g, loss, cfg):
+    """(mu, SolveReport): NGD-CG's damping from g's Rayleigh quotient on
+    ``base`` and its CG solve on base + mu I, written out."""
+    mu = optim.adapt_mu(float(g @ base.matvec(g)) / float(g @ g), loss)
+    maxit = optim.CG_MAXIT + optim._resolve_ell_max(cfg, base.dim)
+    tol = optim._cg_rel_tol(float(np.linalg.norm(g)))
+    return mu, pcg(ShiftedOperator(base, mu), g, tol, maxit)
+
+
 class TestFormedGramian:
-    """NGD-CG's solve operator applies a formed A^T A after FORM_AFTER matvecs."""
+    """Each NGD-CG step forms G = A^T A when p <= min(rows, DENSE_GUARD)."""
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
-    def test_matvec_after_the_switch_matches_two_passes_over_a(self, name):
+    def test_step_solves_on_the_formed_gramian(self, name):
         # the criterion-10 set-up (16x2 net, 400 + 160 points) has p <= rows
-        prob, quad, theta = harness.set_up(harness.ExperimentConfig(problem=name))
-        gop = GramianOperator.from_problem(prob, theta, quad)
-        a, mu = gop.jacobian, 1e-5
+        cfg = harness.ExperimentConfig(problem=name, optimizer="ngd_cg", iterations=1)
+        prob, quad, theta = harness.set_up(cfg)
+        d, report, g, gop = ngd_cg_step(prob, theta, quad, cfg)
+        a = gop.jacobian
         assert gop.dim <= a.shape[0]
-        op = optim._FormingShiftedOperator(gop, mu)
-        rng = np.random.default_rng(5)
-        for _ in range(optim.FORM_AFTER):
-            op.matvec(rng.standard_normal(gop.dim))
-        for _ in range(3):
-            v = rng.standard_normal(gop.dim)
-            slow = a.T @ (a @ v) + mu * v
-            fast = op.matvec(v)
-            assert op.gram is not None
-            assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
-
-    def test_shifted_gramian_until_the_switch_then_g_formed_uncounted(self):
-        a = np.random.default_rng(1).standard_normal((12, 5))
-        gop = GramianOperator(a)
-        op = optim._FormingShiftedOperator(gop, 0.3)
-        plain = ShiftedOperator(GramianOperator(a), 0.3)
-        v = np.arange(5.0)
-        for _ in range(optim.FORM_AFTER):
-            np.testing.assert_array_equal(op.matvec(v), plain.matvec(v))
-            assert op.gram is None
-        out = op.matvec(v)
-        np.testing.assert_array_equal(op.gram, a.T @ a)
-        np.testing.assert_array_equal(out, op.gram @ v + 0.3 * v)  # mu is not folded into G
-        assert gop.matvec_count == optim.FORM_AFTER + 1
-        with pytest.raises(ValueError, match="length 5"):
-            op.matvec(np.ones(4))
-        assert gop.matvec_count == optim.FORM_AFTER + 1
+        mu, ref = reference_cg_solve(DenseOperator(a.T @ a), g, prob.loss_value(theta, quad), cfg)
+        assert report.mu == mu and report.pcg_iters == ref.iterations
+        np.testing.assert_array_equal(d, ref.solution)
+        # the Rayleigh quotient, the iterations and the true-residual recomputes; forming is free
+        recomputes = ref.iterations // RECOMPUTE_EVERY + 1
+        assert gop.matvec_count == 1 + ref.iterations + recomputes
+        _, records = optim.run_optimizer("ngd_cg", prob, theta, cfg, quad)
+        assert records[1].matvecs - records[0].matvecs == gop.matvec_count
 
     @pytest.mark.parametrize("limit", ["rows", "guard"])
-    def test_never_formed_when_g_is_larger_than_a_or_over_the_guard(self, limit, monkeypatch):
+    def test_two_pass_solve_when_p_exceeds_rows_or_the_guard(self, limit, monkeypatch):
         shape = (4, 5) if limit == "rows" else (12, 5)
         if limit == "guard":
             monkeypatch.setattr(gramian, "DENSE_GUARD", 4)
-        a = np.random.default_rng(2).standard_normal(shape)
-        gop = GramianOperator(a)
-        op = optim._FormingShiftedOperator(gop, 0.3)
-        v = np.arange(5.0)
-        for _ in range(optim.FORM_AFTER + 5):
-            np.testing.assert_array_equal(op.matvec(v), a.T @ (a @ v) + 0.3 * v)
-        assert op.gram is None
-        assert gop.matvec_count == optim.FORM_AFTER + 5
+        rng = np.random.default_rng(2)
+        prob = LinearLeastSquares(
+            rng.standard_normal(shape), rng.standard_normal(shape[0]), np.ones(shape[0])
+        )
+        cfg = optim.NystromNgdConfig(iterations=1)
+        theta = np.zeros(5)
+        ops = record_pcg_operators(monkeypatch)
+        d, report, g, gop = ngd_cg_step(prob, theta, None, cfg)
+        assert len(ops) == 1 and ops[0].base is gop
+        two_pass = GramianOperator(prob.a)
+        mu, ref = reference_cg_solve(two_pass, g, prob.loss_value(theta, None), cfg)
+        assert report.mu == mu
+        np.testing.assert_array_equal(d, ref.solution)
+        assert gop.matvec_count == two_pass.matvec_count
+
+    def test_formed_solve_matches_the_two_pass_solve(self):
+        prob = toy(seed=9, n=50, p=6)
+        theta = np.random.default_rng(10).standard_normal(6)
+        cfg = optim.NystromNgdConfig(iterations=1)
+        d, report, g, _ = ngd_cg_step(prob, theta, None, cfg)
+        _, ref = reference_cg_solve(GramianOperator(prob.a), g, prob.loss_value(theta, None), cfg)
+        assert report.pcg_iters == ref.iterations
+        assert np.linalg.norm(d - ref.solution) <= 1e-10 * np.linalg.norm(ref.solution)
 
 
 class TestCgNgd:
     @pytest.mark.parametrize(
         "name, cg_maxit, kind",
-        [
-            ("nystrom_ngd", None, ShiftedOperator),
-            ("nystrom_ngd", 60, ShiftedOperator),
-            ("ngd_cg", None, optim._FormingShiftedOperator),
-        ],
+        [("nystrom_ngd", None, ShiftedOperator), ("nystrom_ngd", 60, ShiftedOperator)],
     )
     def test_only_ngd_cg_solves_get_the_forming_operator(self, monkeypatch, name, cg_maxit, kind):
+        # Nystrom-NGD's solves, short or long, apply the run's Gramian in two passes
         ops = record_pcg_operators(monkeypatch)
         if cg_maxit is not None:
             monkeypatch.setattr(optim, "CG_MAXIT", cg_maxit)
@@ -767,18 +780,17 @@ class TestCgNgd:
         prob, quad, theta0 = harness.set_up(cfg)
         optim.run_optimizer(name, prob, theta0, cfg, quad)
         assert ops and all(type(op) is kind for op in ops)
+        assert all(type(op.base) is GramianOperator for op in ops)
 
     @pytest.mark.parametrize("name, forms", [("nystrom_ngd", False), ("ngd_cg", True)])
-    def test_only_long_cg_solves_form_the_gramian(self, monkeypatch, name, forms):
+    def test_only_ngd_cg_solves_form_the_gramian(self, monkeypatch, name, forms):
         ops = record_pcg_operators(monkeypatch)
         cfg = harness.ExperimentConfig(problem="poisson2d", optimizer=name, iterations=25)
         prob, quad, theta0 = harness.set_up(cfg)
         _, records = optim.run_optimizer(
             name, prob, theta0, cfg, quad, quad_eval=quad, h1_stop=1e-3
         )
-        formed = [getattr(op, "gram", None) is not None for op in ops]
-        assert ops and any(formed) == forms
-        assert formed == [getattr(op, "matvecs", 0) > optim.FORM_AFTER for op in ops]
+        assert ops and all((type(op.base) is DenseOperator) == forms for op in ops)
         if not forms:
             assert records[-1].h1_rel_error <= 1e-3  # the whole run, to the target
 

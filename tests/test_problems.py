@@ -158,6 +158,21 @@ class TestQuadrature:
     def test_valid_parts_build(self):
         problems.QuadratureSet(**self._parts())
 
+    def test_list_built_set_gives_the_array_built_loss_and_h1(self):
+        # validation converts the parts; the set must keep what it checked
+        prob = problems.make_problem("poisson2d", hidden_width=4, hidden_depth=1)
+        theta = model.init(prob.topology, seed=0).values
+        parts = [[[0.2, 0.3], [0.5, 0.5]], [0.5, 0.5], [[0.0, 0.1]], [4.0]]
+        from_lists = problems.QuadratureSet(*parts)
+        from_arrays = problems.QuadratureSet(*map(np.array, parts))
+        for evaluate in (prob.loss_value, prob.h1_relative_error):
+            assert evaluate(theta, from_lists) == evaluate(theta, from_arrays)
+
+    def test_float64_parts_are_kept_as_given(self):
+        parts = self._parts()
+        quad = problems.QuadratureSet(**parts)
+        assert all(getattr(quad, name) is part for name, part in parts.items())
+
     # a NaN weight passes a `w <= 0` test and turns the loss into NaN
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_bad_weight_raises(self, bad):
