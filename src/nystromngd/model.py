@@ -197,7 +197,7 @@ def propagate(topology, theta, z, pullback=False):
             np.matmul(g.transpose(1, 2, 0), inputs[k].transpose(1, 0, 2), out=outer)
             out[:, bs] = g[0]
             if k:
-                g = g @ theta[ws].reshape(n_out, n_in)
+                g = _channel_matmul(g, theta[ws].reshape(n_out, n_in))
         return out
 
     return z, back

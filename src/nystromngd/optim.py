@@ -196,8 +196,8 @@ def _nystrom_ngd(theta0, config):
         )
         basis = factor.basis
         mu = adapt_mu(factor.eigenvalues[0], loss)
-        if mu <= 0.0:
-            mu = GAMMA * EPS_MACH  # adapt_mu underflowed to 0 (g = 0 never gets here)
+        if mu <= 0.0:  # lam1 = s_1^2 > 0: both adapt_mu terms underflowed; g = 0 never gets here
+            mu = GAMMA * EPS_MACH
         tol = _cg_rel_tol(float(np.linalg.norm(g)))
         precond = NystromPreconditioner(factor, mu)
         report = pcg(ShiftedOperator(gop, mu), g, tol, CG_MAXIT, precond=precond)

@@ -1,5 +1,5 @@
-"""Randomized Nystrom approximation with a floored eigendecomposed core,
-the Nystrom preconditioner, and pivoted Cholesky."""
+"""Randomized Nystrom approximation, whose one regulariser is the floor on
+its eigendecomposed core, the Nystrom preconditioner, and pivoted Cholesky."""
 
 from __future__ import annotations
 
@@ -70,11 +70,12 @@ def nystrom_approximate(op, rank, seed, basis=None):
     """Stable randomized Nystrom approximation of an SPSD operator.
 
     One pass: an orthonormal test matrix Omega, the ``rank`` matvecs
-    Y = G Omega as one batched request, a Frobenius-norm shift nu for
-    stability, Y_nu = Y + nu Omega, the core C = Omega^T Y_nu = V Lam V^T
+    Y = G Omega as one batched request, the core C = Omega^T Y = V Lam V^T
     by a symmetric eigendecomposition with Lam floored at
-    rank * eps * max(Lam), the thin SVD of B = Y_nu V Lam^{-1/2}, and
-    shift removal.  All ``rank`` columns are kept.  Given ``basis`` (p x k,
+    rank * eps * max(Lam), and the thin SVD U S W^T of B = Y V Lam^{-1/2},
+    giving G_hat = U S^2 U^T.  The floor is the core's one regulariser: the
+    Frobenius-norm shift of Tropp et al.'s Alg. 3 only keeps a Cholesky of
+    the core from failing.  All ``rank`` columns are kept.  Given ``basis`` (p x k,
     orthonormal columns, e.g. the previous factor's basis of a slowly
     changing operator), the test matrix is its first ``rank`` columns, or,
     when ``rank`` exceeds k, the Q of [basis, rank - k Gaussian columns]:
@@ -94,18 +95,15 @@ def nystrom_approximate(op, rank, seed, basis=None):
     eps = np.finfo(float).eps
     omega = _test_matrix(np.random.default_rng(seed), p, rank, basis)
     y = op.matmat(omega)
-    shift = eps * np.linalg.norm(y, "fro")
-    y_shifted = y + shift * omega
-    lam, v = np.linalg.eigh(omega.T @ y_shifted)  # ascending
+    lam, v = np.linalg.eigh(omega.T @ y)  # ascending
     if not (lam[-1] > 0 and lam[0] >= -np.sqrt(eps) * lam[-1]):
         raise ValueError(
             f"sketch core eigenvalues span [{lam[0]:.3e}, {lam[-1]:.3e}]: "
             "the operator is zero or not positive semidefinite"
         )
     lam = np.maximum(lam, rank * eps * lam[-1])
-    u, s, _ = np.linalg.svd(y_shifted @ (v / np.sqrt(lam)), full_matrices=False)
-    eigs = np.maximum(s**2 - shift, 0.0)
-    return NystromFactor(u, eigs)
+    u, s, _ = np.linalg.svd(y @ (v / np.sqrt(lam)), full_matrices=False)
+    return NystromFactor(u, s**2)
 
 
 class NystromPreconditioner:

@@ -122,6 +122,19 @@ class TestWarmTestMatrix:
         err = np.linalg.norm(factor.dense() - oracle) / np.linalg.norm(oracle)
         assert err <= 1e-10
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("p, k, ell", [(60, 3, 30), (100, 10, 50), (40, 1, 40)])
+    def test_cold_start_on_exactly_rank_deficient_g(self, p, k, ell, seed):
+        # ell far above rank(G): most core eigenvalues sit at the floor,
+        # the one regulariser, and the factor is still finite and exact
+        f = np.random.default_rng(seed).standard_normal((p, k))
+        g = f @ f.T
+        factor = sketch.nystrom_approximate(g, rank=ell, seed=seed, basis=None)
+        assert np.all(np.isfinite(factor.basis))
+        assert np.all(factor.eigenvalues >= 0)
+        assert np.all(np.diff(factor.eigenvalues) <= 0)
+        assert np.linalg.norm(g - factor.dense(), 2) <= 1e-12 * np.linalg.norm(g, 2)
+
     def test_basis_wider_than_rank_is_the_test_matrix(self):
         rng = np.random.default_rng(11)
         p, k, rank = 30, 9, 6
