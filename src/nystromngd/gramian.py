@@ -3,10 +3,10 @@
 A = W^{1/2} J is the Jacobian of a problem's weighted residual
 s = W^{1/2} r in the parameters, one row per quadrature point, so
 G = J^T W J is the Gauss-Newton metric; ``run_optimizer`` assembles A with
-the loss gradient A^T s into one (rows, p) array per run.  The operator
-never forms G: a matvec is two products over A and a block two GEMMs, so
-its answer depends on A and v alone.  ``dense()`` forms G, counted as p
-matvecs; each NGD-CG step forms it uncounted, as a ``DenseOperator``.
+the loss gradient A^T s into one (rows, p) array per run.  A matvec is two
+passes over A and a block two GEMMs, so its answer depends on A and v
+alone.  ``dense()`` forms G uncounted; the step that solves with G states
+what forming it costs.
 """
 
 from __future__ import annotations
@@ -14,6 +14,17 @@ from __future__ import annotations
 import numpy as np
 
 DENSE_GUARD = 2000
+
+
+def _counted(op, x, ndim):
+    """x as float64, a vector (ndim 1) or (p, k) block (ndim 2), its 1 or k columns
+    added to op's matvec tally; any other shape raises ValueError, uncounted."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.shape[0] != op.dim:
+        expected = f"({op.dim},)" if ndim == 1 else f"({op.dim}, k)"
+        raise ValueError(f"expected shape {expected}, got {x.shape}")
+    op.matvec_count += 1 if ndim == 1 else x.shape[1]
+    return x
 
 
 class GramianOperator:
@@ -30,25 +41,16 @@ class GramianOperator:
         return cls(problem.residual_jacobian(theta, quad)[1])
 
     def matvec(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {v.shape}")
-        self.matvec_count += 1
-        return self.jacobian.T @ (self.jacobian @ v)
+        return self.jacobian.T @ (self.jacobian @ _counted(self, v, 1))
 
     def matmat(self, vmat):
         """G V for a (p, k) block: one GEMM pair, counted as k matvecs."""
-        vmat = np.asarray(vmat, dtype=float)
-        if vmat.ndim != 2 or vmat.shape[0] != self.dim:
-            raise ValueError(f"expected a block of shape ({self.dim}, k), got {vmat.shape}")
-        self.matvec_count += vmat.shape[1]
-        return self.jacobian.T @ (self.jacobian @ vmat)
+        return self.jacobian.T @ (self.jacobian @ _counted(self, vmat, 2))
 
     def dense(self):
-        """G = A^T A itself (one syrk), counted as p matvecs; guarded like assemble_dense."""
+        """G = A^T A itself (one syrk), uncounted; guarded like assemble_dense."""
         if self.dim > DENSE_GUARD:
             raise ValueError(f"dense assembly guard: p={self.dim} exceeds {DENSE_GUARD}")
-        self.matvec_count += self.dim
         return self.jacobian.T @ self.jacobian
 
 
@@ -63,18 +65,10 @@ class DenseOperator:
         self.matvec_count = 0
 
     def matvec(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {v.shape}")
-        self.matvec_count += 1
-        return self.matrix @ v
+        return self.matrix @ _counted(self, v, 1)
 
     def matmat(self, vmat):
-        vmat = np.asarray(vmat, dtype=float)
-        if vmat.ndim != 2 or vmat.shape[0] != self.dim:
-            raise ValueError(f"expected a block of shape ({self.dim}, k), got {vmat.shape}")
-        self.matvec_count += vmat.shape[1]
-        return self.matrix @ vmat
+        return self.matrix @ _counted(self, vmat, 2)
 
 
 class ShiftedOperator:

@@ -215,13 +215,12 @@ def _rayleigh_lam1(gop, g):
 
 def _ngd_cg(theta0, config):
     """Unpreconditioned NGD-CG: adapt_mu of g's Rayleigh quotient, CG in <= CG_MAXIT + ell_max
-    steps on G + mu I; G = A^T A is formed, uncounted, if p <= min(rows, DENSE_GUARD)."""
+    steps on G + mu I; G = gop.dense(), charged nothing, if p <= min(rows, DENSE_GUARD)."""
     maxit_total = CG_MAXIT + _resolve_ell_max(config, theta0.shape[0])
 
     def direction(theta, loss, g, gop):
-        a = gop.jacobian
-        formed = gop.dim <= min(a.shape[0], gramian.DENSE_GUARD)
-        base = DenseOperator(a.T @ a) if formed else gop
+        formed = gop.dim <= min(gop.jacobian.shape[0], gramian.DENSE_GUARD)
+        base = DenseOperator(gop.dense()) if formed else gop
         mu = adapt_mu(_rayleigh_lam1(base, g), loss)
         tol = _cg_rel_tol(float(np.linalg.norm(g)))
         report = pcg(ShiftedOperator(base, mu), g, tol, maxit_total)
@@ -233,10 +232,11 @@ def _ngd_cg(theta0, config):
 
 
 def ngd_dense_direction(gop, g, mu):
-    """(d, mu~) with (G + mu~ I) d = g: G = A^T A formed directly (p matvecs), and
-    mu~ = max(mu, p*eps*tr G) keeps the LU solve finite on a rank-deficient G."""
+    """(d, mu~) with (G + mu~ I) d = g: G = A^T A formed directly, charged as p matvecs
+    to gop, and mu~ = max(mu, p*eps*tr G) keeps the LU solve finite on a rank-deficient G."""
     p = gop.dim
     matrix = gop.dense()
+    gop.matvec_count += p
     mu = max(mu, p * EPS_MACH * float(np.trace(matrix)))
     matrix[np.diag_indices(p)] += mu
     return np.linalg.solve(matrix, g), mu

@@ -46,12 +46,6 @@ class NystromFactor:
         return (u * self.eigenvalues[:k]) @ u.T
 
 
-def _as_operator(op):
-    if isinstance(op, np.ndarray):
-        return DenseOperator(op)
-    return op
-
-
 def _test_matrix(rng, p, rank, basis):
     """Orthonormal (p, rank) test matrix: the first ``rank`` columns of
     ``basis`` (orthonormal columns) when it has that many; otherwise the Q
@@ -86,7 +80,8 @@ def nystrom_approximate(op, rank, seed, basis=None):
     PSD: it has no positive eigenvalue, or a negative one larger in
     magnitude than sqrt(eps) * max(Lam), which rounding cannot produce.
     """
-    op = _as_operator(op)
+    if isinstance(op, np.ndarray):
+        op = DenseOperator(op)
     p = op.dim
     if not 1 <= rank <= p:
         raise ValueError(f"rank must be in [1, {p}], got {rank}")
