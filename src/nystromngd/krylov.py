@@ -76,8 +76,9 @@ def pcg(op, b, rel_tol, maxit, precond=None):
         rz = rz_new
         d = z + beta * d
 
-    # one true-residual evaluation to report a trustworthy final residual
+    # one true-residual evaluation to report a trustworthy final residual; the
+    # report holds plain Python scalars, so it serialises whatever type rel_tol has
     r_true = b - op.matvec(x)
     rel_res = float(np.linalg.norm(r_true) / norm_b)
-    converged = (not breakdown) and rel_res <= rel_tol
+    converged = not breakdown and bool(rel_res <= rel_tol)
     return SolveReport(x, iterations, rel_res, converged, breakdown)

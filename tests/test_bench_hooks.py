@@ -5,13 +5,14 @@
 class, or when a wrapped function's signature changes under the attribute
 functions of ``bench/layers.py``.  These tests install the benchmark's
 wrappers on the library modules, run a tiny Gramian, a loss gradient and
-two Nystrom-NGD iterations, check that the spans were recorded, and check
-that the originals are back afterwards.  No run calls ``autodiff.linearize``
-(it is the tests' derivative reference), so its hooks are only checked to
-be removed again.
+two iterations each of Nystrom-NGD and NGD-CG, check that the spans were
+recorded and serialise to JSON, and check that the originals are back
+afterwards.  No run calls ``autodiff.linearize`` (it is the tests'
+derivative reference), so its hooks are only checked to be removed again.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +68,9 @@ def test_trace_hooks_record_gramian_spans():
     assert vars(autodiff.LinearizedMap)["vjp"] is originals["vjp"]
 
 
-def test_trace_hooks_record_optimizer_spans():
-    tracer = load("tracer").Tracer()
+def test_trace_hooks_record_optimizer_spans(monkeypatch):
+    # without the loss floor the GAMMA term sets mu, and with it PCG's tolerance
+    monkeypatch.setattr(optim, "MU_FLOOR_COEFF", 0.0)
     originals = {
         "nystrom_approximate": optim.nystrom_approximate,
         "pcg": optim.pcg,
@@ -80,21 +82,23 @@ def test_trace_hooks_record_optimizer_spans():
     quad = prob.sample_quadrature(6, 4, seed=0)
     theta = model.init(prob.topology, 0).values
     cfg = optim.NystromNgdConfig(ell0=2, iterations=2, seed=0)
-    try:
-        install(tracer)
-        _, records = optim.nystrom_ngd_run(prob, theta, cfg, quad, quad_eval=quad)
-    finally:
-        tracer.restore()
-    names = {s.name for s in tracer.spans}
-    for name in (
-        "sketch.nystrom", "krylov.pcg", "optim.linesearch",
-        "problems.loss_value", "problems.h1",
-    ):
-        assert name in names
-    ranks = [s.attrs["rank"] for s in tracer.spans if s.name == "sketch.nystrom"]
-    assert ranks == [r.ell for r in records[1:]]  # row 0 is theta0, before any sketch
-    assert optim.nystrom_approximate is originals["nystrom_approximate"]
-    assert optim.pcg is originals["pcg"]
-    assert optim.backtracking_linesearch is originals["backtracking_linesearch"]
-    assert vars(problems.PdeProblem)["loss_value"] is originals["loss_value"]
-    assert vars(problems.PdeProblem)["h1_relative_error"] is originals["h1_relative_error"]
+    for name in ("nystrom_ngd", "ngd_cg"):
+        tracer = load("tracer").Tracer()
+        try:
+            install(tracer)
+            _, records = optim.run_optimizer(name, prob, theta, cfg, quad, quad_eval=quad)
+        finally:
+            tracer.restore()
+        json.dumps(tracer.rows())  # what bench/run.py writes on a traced run
+        names = {s.name for s in tracer.spans}
+        for span in ("krylov.pcg", "optim.linesearch", "problems.loss_value", "problems.h1"):
+            assert span in names
+        assert ("sketch.nystrom" in names) == (name == "nystrom_ngd")  # NGD-CG sketches nothing
+        ranks = [s.attrs["rank"] for s in tracer.spans if s.name == "sketch.nystrom"]
+        if name == "nystrom_ngd":
+            assert ranks == [r.ell for r in records[1:]]  # row 0 is theta0, before any sketch
+        assert optim.nystrom_approximate is originals["nystrom_approximate"]
+        assert optim.pcg is originals["pcg"]
+        assert optim.backtracking_linesearch is originals["backtracking_linesearch"]
+        assert vars(problems.PdeProblem)["loss_value"] is originals["loss_value"]
+        assert vars(problems.PdeProblem)["h1_relative_error"] is originals["h1_relative_error"]

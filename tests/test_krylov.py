@@ -58,6 +58,20 @@ class TestPcg:
         assert report.converged
         assert report.iterations <= 2
 
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_report_holds_python_scalars_for_a_numpy_tolerance(self, preconditioned):
+        # a traced benchmark run writes the report's fields as JSON, which takes no numpy scalar
+        rng = np.random.default_rng(4)
+        f = rng.standard_normal((12, 12))
+        g, mu = f @ f.T, 1e-2
+        pre = None
+        if preconditioned:
+            pre = sketch.NystromPreconditioner(sketch.nystrom_approximate(g, rank=4, seed=0), mu)
+        op = ShiftedOperator(DenseOperator(g), mu)
+        report = pcg(op, rng.standard_normal(12), rel_tol=np.float64(0.1), maxit=20, precond=pre)
+        assert type(report.converged) is bool and type(report.breakdown) is bool
+        assert type(report.relative_residual) is float
+
     def test_breakdown_on_indefinite_operator(self):
         indef = np.diag([1.0, -1.0])
         report = pcg(DenseOperator(indef), np.array([0.0, 1.0]), 1e-10, 10)

@@ -130,6 +130,10 @@ class TestAdaptMu:
         with pytest.raises(ValueError):
             optim.adapt_mu(-1.0, 0.0)
 
+    def test_returns_a_python_float(self):
+        # mu reaches the trace rows and, through PCG's tolerance, the solve reports
+        assert type(optim.adapt_mu(np.float64(2.0), 0.0)) is float
+
     @pytest.mark.parametrize("name", NGD_NAMES)
     def test_every_ngd_variant_damps_by_adapt_mu(self, name, monkeypatch):
         # the criterion-10 set-up; step 1's lam1 estimate is recomputed here.
@@ -151,6 +155,17 @@ class TestAdaptMu:
             if name == "ngd_dense":
                 mu = max(mu, theta0.size * EPS * np.trace(a.T @ a))
             assert records[1].mu == mu
+
+
+class TestCgRelTol:
+    def test_cap_ratio_and_floor(self):
+        cap, ratio = optim.CG_TOL_CAP, optim.CG_TOL_RATIO
+        assert optim._cg_rel_tol(1.0, 0.0) == cap  # no top eigenvalue estimate
+        assert optim._cg_rel_tol(1.0, -1.0) == cap
+        assert optim._cg_rel_tol(1.0, 2.0) == cap  # mu large next to lam1
+        assert optim._cg_rel_tol(1e-6, 2.0) == ratio * 1e-6 / 2.0 < cap
+        tol = optim._cg_rel_tol(5e-324, 1e10)  # ratio * mu / lam1 underflows to 0
+        assert 0.0 < tol < cap and pcg(DenseOperator(np.eye(2)), np.ones(2), tol, 1).converged
 
 
 class TestAdaptRank:
@@ -710,9 +725,10 @@ def ngd_cg_step(prob, theta, quad, cfg):
 def reference_cg_solve(base, g, loss, cfg):
     """(mu, SolveReport): NGD-CG's damping from g's Rayleigh quotient on
     ``base`` and its CG solve on base + mu I, written out."""
-    mu = optim.adapt_mu(float(g @ base.matvec(g)) / float(g @ g), loss)
+    lam1 = float(g @ base.matvec(g)) / float(g @ g)
+    mu = optim.adapt_mu(lam1, loss)
     maxit = optim.CG_MAXIT + optim._resolve_ell_max(cfg, base.dim)
-    tol = optim._cg_rel_tol(float(np.linalg.norm(g)))
+    tol = optim._cg_rel_tol(mu, lam1)
     return mu, pcg(ShiftedOperator(base, mu), g, tol, maxit)
 
 

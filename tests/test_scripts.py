@@ -60,7 +60,7 @@ def test_to_target_crossing_is_the_run_stopped_at_its_depth(monkeypatch):
     # one run to the deepest depth gives, per depth it crosses, the last
     # record of the same seed stopped there: the runs agree up to that row
     to_target = load_to_target()
-    small = dict(hidden_width=8, n_interior=60, n_boundary=2, iterations=26)
+    small = dict(hidden_width=8, n_interior=30, n_boundary=2, iterations=26)
     depths = to_target.DEPTHS
     deep = to_target.run("poisson1d", 0, **small)
     *crossed, deepest = deep["crossings"]
