@@ -64,11 +64,12 @@ class TestPcg:
         rng = np.random.default_rng(4)
         f = rng.standard_normal((12, 12))
         g, mu = f @ f.T, 1e-2
-        pre = None
-        if preconditioned:
-            pre = sketch.NystromPreconditioner(sketch.nystrom_approximate(g, rank=4, seed=0), mu)
+        pre = sketch.NystromPreconditioner(sketch.nystrom_approximate(g, rank=4, seed=0), mu)
         op = ShiftedOperator(DenseOperator(g), mu)
-        report = pcg(op, rng.standard_normal(12), rel_tol=np.float64(0.1), maxit=20, precond=pre)
+        report = pcg(
+            op, rng.standard_normal(12), rel_tol=np.float64(0.1), maxit=20,
+            precond=pre if preconditioned else None,
+        )
         assert type(report.converged) is bool and type(report.breakdown) is bool
         assert type(report.relative_residual) is float
 
