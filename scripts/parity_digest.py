@@ -16,13 +16,13 @@ imported, so a digest does not depend on how a BLAS splits its sums.
 ``--against FILE`` compares this checkout's digests with a saved run: it
 prints to stderr each (optimizer, problem, seed) that FILE lacks or whose
 theta or records digest differs from FILE's, naming which of the two
-differs, then how many of FILE's runs it compared, and exits 1 if there
-is any difference.  A failed run prints its error in both columns.
+differs, then how many of FILE's runs it compared, and exits 1 if any
+differs or it compared none.  A failed run prints its error in both columns.
 
-Each run is ``harness.set_up`` of the default ``ExperimentConfig`` but
-for the width and iterations (the criterion-10 setup: 400 interior and
-160 boundary points, quadrature, initialization and optimizer seeded by
-the seed), with the H1 error recorded on the training points.
+Each run is ``harness.train`` of the default ``ExperimentConfig`` but for
+the optimizer, problem, seed, width and iterations (the criterion-10
+setup: 400 interior and 160 boundary points, quadrature, initialization
+and optimizer seeded by the seed).
 """
 
 import argparse
@@ -36,8 +36,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from nystromngd import autodiff, optim, problems
-from nystromngd.harness import ExperimentConfig, set_up
+from nystromngd import autodiff, cli, optim, problems
+from nystromngd.harness import ExperimentConfig, train
 
 
 COLUMNS = ("theta", "records")  # what each digest column covers
@@ -57,11 +57,8 @@ def run(optimizer, name, seed, iterations, width):
     config = ExperimentConfig(
         problem=name, optimizer=optimizer, hidden_width=width, iterations=iterations, seed=seed
     )
-    prob, quad, theta0 = set_up(config)
     try:
-        theta, records = optim.run_optimizer(
-            optimizer, prob, theta0, config, quad, quad_eval=quad
-        )
+        theta, records, _ = train(config)
     except autodiff.NonFiniteError as err:
         return (f"failed:{type(err).__name__}",) * 2  # how a run ends is compared too
     return digests(theta, records)
@@ -91,7 +88,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--optimizers", nargs="+", default=list(optim.OPTIMIZER_NAMES))
     parser.add_argument("--problems", nargs="+", default=list(problems.PROBLEM_NAMES))
-    parser.add_argument("--seeds", type=int, default=3, help="seeds 0 .. SEEDS-1")
+    parser.add_argument("--seeds", type=cli.int_at_least(1), default=3, help="seeds 0 .. SEEDS-1")
     parser.add_argument("--iterations", type=int, default=25)
     parser.add_argument("--width", type=int, default=16)
     parser.add_argument("--against", metavar="FILE", help="saved output to compare with")
@@ -122,7 +119,7 @@ def main(argv=None):
         f" ({per_column}); compared {compared} of {len(saved)} saved runs",
         file=sys.stderr,
     )
-    return 1 if mismatches else 0
+    return 1 if mismatches or not compared else 0
 
 
 if __name__ == "__main__":

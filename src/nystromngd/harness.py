@@ -1,4 +1,5 @@
-"""Experiment harness: config parsing, trace CSVs, summaries, spectra.
+"""Experiment harness: config parsing, ``train`` (the one run function of
+the CLI and the scripts), trace CSVs, summaries, spectra.
 
 Config files are flat ``key = value`` text: one option per line, ``#``
 starts a comment, blank lines ignored.  Unknown keys raise.  The full
@@ -27,6 +28,7 @@ __all__ = [
     "load_config",
     "set_up",
     "heldout_quadrature",
+    "train",
     "run_experiment",
     "dump_spectrum",
     "CSV_COLUMNS",
@@ -118,6 +120,18 @@ def heldout_quadrature(problem, seed):
     return problem.sample_quadrature(1600, 400, seed=[seed, 1])
 
 
+def train(config, h1_stop=None):
+    """(theta, records, heldout_h1) of ``config``'s run: ``set_up``, trained
+    with H1 recorded on the training points, stopped at the first record at
+    or below ``h1_stop`` if given, and scored on ``heldout_quadrature``."""
+    problem, quad, theta0 = set_up(config)
+    theta, records = run_optimizer(
+        config.optimizer, problem, theta0, config, quad, quad_eval=quad, h1_stop=h1_stop
+    )
+    heldout = heldout_quadrature(problem, config.seed)
+    return theta, records, problem.h1_relative_error(theta, heldout)
+
+
 def _write_trace(path, records):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -129,7 +143,7 @@ def _write_trace(path, records):
 
 
 def run_experiment(config, out_dir=None):
-    """Run ``repetitions`` trainings, repetition r set up from seed + r,
+    """Run ``repetitions`` trainings, repetition r ``train`` of seed + r,
     write per-run CSV traces (one row per iterate, theta0 first) and a
     summary JSON; returns the summary."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
@@ -138,16 +152,10 @@ def run_experiment(config, out_dir=None):
     heldout_errors = []
     total_seconds = []
     for rep in range(config.repetitions):
-        run = replace(config, seed=config.seed + rep)
-        problem, quad, theta0 = set_up(run)
-        theta, records = run_optimizer(
-            run.optimizer, problem, theta0, run, quad, quad_eval=quad
-        )
-        _write_trace(out / f"run_{run.seed}.csv", records)
+        _, records, heldout_h1 = train(replace(config, seed=config.seed + rep))
+        _write_trace(out / f"run_{config.seed + rep}.csv", records)
         final_errors.append(records[-1].h1_rel_error)
-        heldout_errors.append(
-            problem.h1_relative_error(theta, heldout_quadrature(problem, run.seed))
-        )
+        heldout_errors.append(heldout_h1)
         total_seconds.append(sum(r.seconds for r in records))
     summary = {
         "problem": config.problem,

@@ -1,7 +1,7 @@
 import csv
 import json
 import re
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -155,10 +155,8 @@ class TestRunExperiment:
         # repetition r trains on the quadrature and theta0 of seed + r
         cfg = harness.parse_config(small_config_text(optimizer=name, seed=3, repetitions=2))
         harness.run_experiment(cfg, out_dir=tmp_path)
-        run = replace(cfg, seed=cfg.seed + rep)
-        prob, quad, theta0 = harness.set_up(run)
-        _, records = optim.run_optimizer(name, prob, theta0, run, quad, quad_eval=quad)
-        header, *rows = read_csv(tmp_path / f"run_{run.seed}.csv")
+        _, records, _ = harness.train(replace(cfg, seed=cfg.seed + rep))
+        header, *rows = read_csv(tmp_path / f"run_{cfg.seed + rep}.csv")
         assert len(rows) == len(records) == cfg.iterations + 1
         kinds = {f.name: f.type for f in fields(optim.RunRecord)}
         for row, rec in zip(rows, records):
@@ -180,12 +178,7 @@ class TestRunExperiment:
             "q25", "q75", "median_seconds",
         }
         assert on_disk == summary
-        heldout = []
-        for seed in (0, 1):
-            run = replace(cfg, seed=seed)
-            prob, quad, theta0 = harness.set_up(run)
-            theta, _ = optim.run_optimizer(run.optimizer, prob, theta0, run, quad)
-            heldout.append(prob.h1_relative_error(theta, harness.heldout_quadrature(prob, seed)))
+        heldout = [harness.train(replace(cfg, seed=seed))[2] for seed in (0, 1)]
         assert summary["median_heldout_error"] == float(np.median(heldout))
         assert (tmp_path / "run_0.csv").exists()
         assert (tmp_path / "run_1.csv").exists()
@@ -195,6 +188,40 @@ class TestRunExperiment:
             cfg = harness.parse_config(small_config_text(optimizer=name, iterations=2))
             summary = harness.run_experiment(cfg, out_dir=tmp_path / name)
             assert np.isfinite(summary["median_final_error"])
+
+
+def record_bits(records):
+    """Every field but the seconds, floats as their exact hex."""
+    return [
+        [v.hex() if isinstance(v, float) else v for k, v in asdict(rec).items() if k != "seconds"]
+        for rec in records
+    ]
+
+
+class TestTrain:
+    @pytest.mark.parametrize("name", ["nystrom_ngd", "gd"])
+    def test_is_set_up_then_run_optimizer_then_heldout_h1_bitwise(self, name):
+        cfg = harness.parse_config(small_config_text(optimizer=name, seed=3))
+        theta, records, heldout_h1 = harness.train(cfg)
+        prob, quad, theta0 = harness.set_up(cfg)
+        want_theta, want_records = optim.run_optimizer(
+            name, prob, theta0, cfg, quad, quad_eval=quad
+        )
+        want_heldout = prob.h1_relative_error(want_theta, harness.heldout_quadrature(prob, 3))
+        assert theta.tobytes() == want_theta.tobytes()
+        assert record_bits(records) == record_bits(want_records)
+        assert len(records) == cfg.iterations + 1
+        assert heldout_h1.hex() == want_heldout.hex()
+
+    def test_h1_stop_ends_the_run_at_its_first_record_at_or_below_it(self):
+        cfg = harness.parse_config(small_config_text(iterations=12))
+        _, full, _ = harness.train(cfg)
+        h1 = [r.h1_rel_error for r in full]
+        stop = h1[len(h1) // 2]
+        k = next(k for k, e in enumerate(h1) if e <= stop)
+        assert 0 < k < len(full) - 1  # the stop ends the run early, after row 0
+        _, stopped, _ = harness.train(cfg, h1_stop=stop)
+        assert record_bits(stopped) == record_bits(full[: k + 1])
 
 
 def quadrature_arrays(quad):
@@ -255,6 +282,15 @@ class TestSpectrum:
         assert np.all(np.diff(ratios) <= 0)
         on_disk = np.loadtxt(tmp_path / "spectrum.txt")
         np.testing.assert_array_equal(on_disk, ratios)
+
+
+class TestReadme:
+    def test_python_example_runs(self, capsys):
+        # the README's one python block, run as written against the current API
+        (example,) = re.findall(r"```python\n(.*?)```", README, re.S)
+        exec(compile(example, "README.md", "exec"), {})
+        iteration, h1, heldout_h1 = capsys.readouterr().out.split()
+        assert int(iteration) > 0 and float(h1) <= 1e-3 and 0.0 < float(heldout_h1) < 1e-2
 
 
 class TestCli:

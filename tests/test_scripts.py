@@ -121,6 +121,37 @@ def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def missed_run(optimizer, crossed):
+    """A to_target run record that crosses only the first ``crossed`` DEPTHS."""
+    crossing = {"iteration": 1, "matvecs": 1, "seconds": 0.1}
+    return {
+        "optimizer": optimizer, "problem": "poisson1d", "seed": 0, "iterations": 1,
+        "matvecs": 1, "h1": 1e-3, "heldout_h1": 1e-3, "seconds": 0.1,
+        "crossings": [crossing] * crossed + [None] * (3 - crossed),
+    }
+
+
+@pytest.mark.parametrize(
+    "optimizer, crossed, status",
+    [
+        ("nystrom_ngd", 1, 1), ("ngd_dense", 1, 1), ("ngd_cg", 1, 0),
+        ("nystrom_ngd", 2, 0), ("ngd_dense", 2, 0), ("ngd_cg", 0, 1),
+    ],
+)
+def test_to_target_exits_1_when_a_run_misses_its_depths(
+    monkeypatch, capsys, optimizer, crossed, status
+):
+    # every run must reach 1e-3; Nystrom-NGD and exact NGD runs also 1e-4
+    to_target = load_to_target()
+    monkeypatch.setattr(to_target, "PROBLEMS", ("poisson1d",))
+    monkeypatch.setattr(to_target, "SEEDS", range(1))
+    monkeypatch.setattr(to_target, "run", lambda *_, optimizer: missed_run(optimizer, crossed))
+    assert to_target.main([optimizer]) == status
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["runs"] == [
+        missed_run(optimizer, crossed)
+    ]
+
+
 def test_parity_digest_is_deterministic():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     args = ["--optimizers", "nystrom_ngd", "gd", "--problems", "poisson1d",
@@ -194,3 +225,28 @@ def test_parity_digest_against_an_altered_digest_fails(saved_digests, tmp_path, 
         f"1 run(s) differ from or are missing in {altered} {summary}; compared 2 of 2 saved runs"
         in result.stderr
     )
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_parity_digest_rejects_fewer_than_one_seed(saved_digests, seeds):
+    # --against with no seed would compare no saved run and pass
+    result = parity_digest("--seeds", seeds, "--against", str(saved_digests))
+    assert result.returncode == 2
+    assert f"argument --seeds: must be >= 1, got {seeds}" in result.stderr
+    assert result.stdout == ""
+
+
+def test_parity_digest_against_fails_when_it_compared_no_saved_run(
+    monkeypatch, saved_digests, capsys
+):
+    # with the parse check lifted, --seeds 0 reruns nothing: no run differs, none is compared
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the import sets them; restored after the test
+    spec = importlib.util.spec_from_file_location(
+        "parity_digest", ROOT / "scripts" / "parity_digest.py"
+    )
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    monkeypatch.setattr(parity.cli, "int_at_least", lambda low: int)
+    assert parity.main(["--seeds", "0", "--against", str(saved_digests)]) == 1
+    assert capsys.readouterr().err.rstrip().endswith("; compared 0 of 2 saved runs")
