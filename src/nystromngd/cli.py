@@ -44,13 +44,13 @@ def main(argv=None):
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.command == "run":
-        summary = run_experiment(config, out_dir=args.out)
-        print(json.dumps(summary, indent=2))
-    else:
+    if args.command == "spectrum":
         ratios = dump_spectrum(config, out_dir=args.out, top=args.top)
         print(f"wrote {ratios.shape[0]} spectrum values")
-    return 0
+        return 0
+    summary = run_experiment(config, out_dir=args.out)
+    print(json.dumps(summary, indent=2))
+    return 1 if summary["nonfinite"] else 0  # some run's theta0 had no finite loss
 
 
 if __name__ == "__main__":

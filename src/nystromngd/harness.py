@@ -143,20 +143,22 @@ def _write_trace(path, records):
 
 
 def run_experiment(config, out_dir=None):
-    """Run ``repetitions`` trainings, repetition r ``train`` of seed + r,
-    write per-run CSV traces (one row per iterate, theta0 first) and a
-    summary JSON; returns the summary."""
+    """Run ``repetitions`` trainings, repetition r ``train`` of seed + r, write
+    per-run CSV traces (one row per iterate, theta0 first) and a summary JSON,
+    whose ``nonfinite`` counts the runs that ended at a non-finite loss; return it."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     final_errors = []
     heldout_errors = []
     total_seconds = []
+    nonfinite = 0  # only theta0's loss can be: every later one passed the Armijo test
     for rep in range(config.repetitions):
         _, records, heldout_h1 = train(replace(config, seed=config.seed + rep))
         _write_trace(out / f"run_{config.seed + rep}.csv", records)
         final_errors.append(records[-1].h1_rel_error)
         heldout_errors.append(heldout_h1)
         total_seconds.append(sum(r.seconds for r in records))
+        nonfinite += not np.isfinite(records[-1].loss)
     summary = {
         "problem": config.problem,
         "optimizer": config.optimizer,
@@ -165,6 +167,7 @@ def run_experiment(config, out_dir=None):
         "q25": float(np.quantile(final_errors, 0.25)),
         "q75": float(np.quantile(final_errors, 0.75)),
         "median_seconds": float(np.median(total_seconds)),
+        "nonfinite": nonfinite,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import gramian
 from .gramian import DenseOperator, GramianOperator, ShiftedOperator
 from .krylov import pcg
@@ -314,7 +313,7 @@ def run_optimizer(
     its record keeps theta and the previous loss.  That is a line search
     that finds no decrease, or an exactly zero gradient, where every
     direction is 0 and none is asked for (the record has no mu, ell or
-    new matvecs).  A non-finite theta0 loss raises ``NonFiniteError``;
+    new matvecs).  A non-finite theta0 loss ends the run at its record too;
     every later loss passed the Armijo test, which rejects NaN and +inf.
     Returns (theta_final, [RunRecord, ...]).
     """
@@ -326,12 +325,10 @@ def run_optimizer(
     direction = _OPTIMIZERS[name](theta, config)
     gop = GramianOperator(np.empty((problem.metric_weights(quad).shape[0], theta.shape[0])))
     records = []
-    stalled = False  # the last step found no decrease
     report = StepReport()  # row 0, the initialization, took no step
     tic = time.perf_counter()
     loss = problem.loss_value(theta, quad)
-    if not np.isfinite(loss):
-        raise ad.NonFiniteError("non-finite loss at iteration 0")
+    stalled = not np.isfinite(loss)  # no decrease at the last step, or a non-finite theta0 loss
     for k in range(config.iterations + 1):
         h1 = float("nan") if quad_eval is None else problem.h1_relative_error(theta, quad_eval)
         toc = time.perf_counter()

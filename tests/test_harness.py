@@ -175,9 +175,10 @@ class TestRunExperiment:
             on_disk = json.load(fh)
         assert set(on_disk) == {
             "problem", "optimizer", "median_final_error", "median_heldout_error",
-            "q25", "q75", "median_seconds",
+            "q25", "q75", "median_seconds", "nonfinite",
         }
         assert on_disk == summary
+        assert summary["nonfinite"] == 0
         heldout = [harness.train(replace(cfg, seed=seed))[2] for seed in (0, 1)]
         assert summary["median_heldout_error"] == float(np.median(heldout))
         assert (tmp_path / "run_0.csv").exists()
@@ -196,6 +197,39 @@ def record_bits(records):
         [v.hex() if isinstance(v, float) else v for k, v in asdict(rec).items() if k != "seconds"]
         for rec in records
     ]
+
+
+class TestNanSource:
+    """The injected fault: a NaN source term, so theta0 of every poisson2d run has a NaN loss."""
+
+    @pytest.fixture(autouse=True)
+    def nan_source(self, monkeypatch):
+        monkeypatch.setattr(problems.Poisson2D, "source", lambda self, x: np.full(len(x), np.nan))
+
+    def config_text(self):
+        return small_config_text(problem="poisson2d", repetitions=2, seed=3)
+
+    def check_traces(self, out):
+        for seed in (3, 4):  # each run ends at theta0's row, which records the NaN loss
+            header, *rows = read_csv(out / f"run_{seed}.csv")
+            (row,) = rows
+            cells = dict(zip(header, row))
+            assert (cells["iteration"], cells["loss"], cells["matvecs"]) == ("0", "nan", "0")
+            assert 0.0 < float(cells["h1_rel_error"]) < float("inf")
+
+    def test_run_experiment_writes_each_trace_and_counts_the_runs(self, tmp_path):
+        summary = harness.run_experiment(harness.parse_config(self.config_text()), tmp_path)
+        self.check_traces(tmp_path)
+        assert summary["nonfinite"] == 2
+
+    def test_cli_run_writes_the_traces_then_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(self.config_text())
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        self.check_traces(tmp_path / "out")
+        with open(tmp_path / "out" / "summary.json") as fh:
+            assert json.load(fh)["nonfinite"] == 2
+        assert json.loads(capsys.readouterr().out)["nonfinite"] == 2
 
 
 class TestTrain:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nystromngd import autodiff as ad
 from nystromngd import gramian, harness, optim, problems
 from nystromngd.gramian import DenseOperator, GramianOperator, ShiftedOperator, assemble_dense
 from nystromngd.krylov import RECOMPUTE_EVERY, pcg
@@ -425,15 +424,43 @@ class TestRunOptimizer:
         assert calls == []
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
-    def test_nonfinite_loss_raises(self, name):
-        class NanLoss(LinearLeastSquares):
-            def loss_value(self, theta, quad):
-                return float("nan")
+    def test_nonfinite_loss_raises(self, name, monkeypatch):
+        # nothing raises: a theta0 with no finite loss ends the run at its
+        # own record, as a failed line search does, with no step taken
+        theta0 = np.random.default_rng(5).standard_normal(8)
+        calls = {"direction": 0, "grad": 0}
+        make = optim._OPTIMIZERS[name]
 
-        prob = NanLoss(np.eye(3), np.ones(3), np.ones(3))
-        cfg = optim.NystromNgdConfig(iterations=2)
-        with pytest.raises(ad.NonFiniteError, match="iteration 0"):
-            optim.run_optimizer(name, prob, np.zeros(3), cfg, quad=None)
+        def counted(theta, config):
+            direction = make(theta, config)
+
+            def wrapped(*args):
+                calls["direction"] += 1
+                return direction(*args)
+
+            return wrapped
+
+        class Nowhere(LinearLeastSquares):
+            def loss_value(self, theta, quad):
+                return bad
+
+            def loss_grad(self, theta, quad, out=None):
+                calls["grad"] += 1
+                return super().loss_grad(theta, quad, out)
+
+        monkeypatch.setitem(optim._OPTIMIZERS, name, counted)
+        base = toy(seed=4)
+        cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=5, seed=0)
+        for bad in (np.nan, np.inf):
+            prob = Nowhere(base.phi, base.y, base.w)
+            theta, records = optim.run_optimizer(name, prob, theta0.copy(), cfg, None, "eval")
+            assert theta.tobytes() == theta0.tobytes()
+            (first,) = records
+            assert first.loss.hex() == float(bad).hex()
+            assert first.h1_rel_error == base.h1_relative_error(theta0, "eval")
+            assert (first.iteration, first.mu, first.ell, first.pcg_iters) == (0, 0.0, 0, 0)
+            assert first.matvecs == 0
+        assert calls == {"direction": 0, "grad": 0}
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_loss_grad_called_once_per_iteration_into_one_buffer(self, name):

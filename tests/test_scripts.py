@@ -236,10 +236,16 @@ def test_parity_digest_rejects_fewer_than_one_seed(saved_digests, seeds):
     assert result.stdout == ""
 
 
-def test_parity_digest_against_fails_when_it_compared_no_saved_run(
-    monkeypatch, saved_digests, capsys
-):
-    # with the parse check lifted, --seeds 0 reruns nothing: no run differs, none is compared
+@pytest.mark.parametrize("option, value, low", [("--width", "0", 1), ("--iterations", "-1", 0)])
+def test_parity_digest_rejects_a_size_below_its_bound(option, value, low):
+    # caught at parsing, before any run: not a traceback from ExperimentConfig
+    result = parity_digest(option, value)
+    assert result.returncode == 2
+    assert f"argument {option}: must be >= {low}, got {value}" in result.stderr
+    assert result.stdout == ""
+
+
+def load_parity_digest(monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # the import sets them; restored after the test
     spec = importlib.util.spec_from_file_location(
@@ -247,6 +253,29 @@ def test_parity_digest_against_fails_when_it_compared_no_saved_run(
     )
     parity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parity)
+    return parity
+
+
+def test_parity_digest_against_fails_when_it_compared_no_saved_run(
+    monkeypatch, saved_digests, capsys
+):
+    # with the parse check lifted, --seeds 0 reruns nothing: no run differs, none is compared
+    parity = load_parity_digest(monkeypatch)
     monkeypatch.setattr(parity.cli, "int_at_least", lambda low: int)
     assert parity.main(["--seeds", "0", "--against", str(saved_digests)]) == 1
     assert capsys.readouterr().err.rstrip().endswith("; compared 0 of 2 saved runs")
+
+
+def test_a_nan_source_gives_each_script_its_one_row_run(monkeypatch):
+    # theta0's loss is NaN: the run ends at theta0, and neither script raises
+    monkeypatch.setattr(problems.Poisson2D, "source", lambda self, x: np.full(len(x), np.nan))
+    parity = load_parity_digest(monkeypatch)
+    topology = problems.make_problem("poisson2d", hidden_width=4).topology
+    for seed in (0, 1):
+        got = parity.run("nystrom_ngd", "poisson2d", seed, iterations=2, width=4)
+        assert all(len(d) == 64 and int(d, 16) >= 0 for d in got)
+        assert got[0] == parity.digests(model.init(topology, seed).values, [])[0]
+    r = load_to_target().run("poisson2d", 0, **TINY)
+    assert r["crossings"] == [None, None, None]
+    assert (r["iterations"], r["matvecs"]) == (0, 0)
+    assert 0.0 < r["h1"] < float("inf") and 0.0 < r["heldout_h1"] < float("inf")
