@@ -14,15 +14,16 @@ and held-out evaluation are left out), or ``null`` if it never gets there.
 
 For each optimizer the script runs poisson2d, heat1p1d and nlpoisson2d at
 seeds 0-7 and prints, at 1e-3, each run's iterations, matvecs and seconds,
-then each problem's medians; with more than one optimizer, each line
-starts with the optimizer's name.  A run that misses 1e-3 prints its last
-iterate and its H1 error instead, and enters the medians with it.  The
-last line is one JSON object: the depths; per run the optimizer, problem,
-seed, final iterations, matvecs, training H1 and held-out H1, seconds
-summed over all its rows and the crossings; then the line count of
-``src/`` (as ``bench/run.py`` counts it), the Python and numpy versions
-and the BLAS thread settings.  A committed ``BENCH_<n>.json`` is that line
-for ``nystrom_ngd ngd_dense ngd_cg``.
+then per depth each problem's medians and how many of its runs miss that
+depth; with more than one optimizer, each line starts with the
+optimizer's name.  A run that misses 1e-3 prints its last iterate and its
+H1 error instead, and a run enters the medians of each depth it misses
+at its last iterate.  The last line is one JSON object: the depths; per
+run the optimizer, problem, seed, final iterations, matvecs, training H1
+and held-out H1, seconds summed over all its rows and the crossings; then
+the line count of ``src/`` (as ``bench/run.py`` counts it), the Python
+and numpy versions and the BLAS thread settings.  A committed
+``BENCH_<n>.json`` is that line for ``nystrom_ngd ngd_dense ngd_cg``.
 
 The script exits 1 if any run misses 1e-3, or any ``nystrom_ngd`` or
 ``ngd_dense`` run misses 1e-4; older checkouts run their own copy.  Every
@@ -87,10 +88,10 @@ def run(name, seed, optimizer="nystrom_ngd", **overrides):
     }
 
 
-def at_target(r):
-    """(iteration, matvecs, seconds) at the run's crossing of DEPTHS[0], or
+def at_target(r, i=0):
+    """(iteration, matvecs, seconds) at the run's crossing of DEPTHS[i], or
     at its last iterate when it misses."""
-    c = r["crossings"][0]
+    c = r["crossings"][i]
     if c is None:  # the run went to its last iterate
         return r["iterations"], r["matvecs"], r["seconds"]
     return c["iteration"], c["matvecs"], c["seconds"]
@@ -129,12 +130,14 @@ def main(argv=None):
                     f"{label}{name} seed {seed}: {its} iterations, {matvecs} matvecs, "
                     f"{seconds:.3f} s{mark}"
                 )
-            its, matvecs, seconds = np.median([at_target(r) for r in block], axis=0)
-            print(
-                f"{label}{name} median: {its:g} iterations, {matvecs:g} matvecs, "
-                f"{seconds:.3f} s",
-                flush=True,
-            )
+            for i, depth in enumerate(DEPTHS):
+                its, matvecs, seconds = np.median([at_target(r, i) for r in block], axis=0)
+                missed = sum(r["crossings"][i] is None for r in block)
+                print(
+                    f"{label}{name} median at {depth:.0e}: {its:g} iterations, "
+                    f"{matvecs:g} matvecs, {seconds:.3f} s, {missed} of {len(block)} missed",
+                    flush=True,
+                )
             runs += block
     print(json.dumps({"depths": DEPTHS, "runs": runs, **environment()}))
     # every run must reach 1e-3, and every Nystrom-NGD and exact NGD run 1e-4

@@ -40,8 +40,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    config = load_config(args.config)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = load_config(args.config)
+    except (OSError, ValueError) as err:  # a missing file, or a bad key, value or count
+        parser.error(f"{args.config}: {err}")
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.command == "spectrum":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -111,11 +112,13 @@ def adapt_mu(lam1, loss):
     the first steps damped while the loss is large: without it, mu on
     poisson2d (seed 0) falls from 0.22 to 1.2e-8 at step 1, the rank
     doubles each step, and Nystrom-NGD's median matvecs to H1 <= 1e-3 rise
-    by 19-31% per problem, in about as many iterations.
+    by 19-31% per problem, in about as many iterations.  Where both terms
+    underflow to 0, mu is GAMMA * eps_mach, so no solve runs undamped.
     """
     if lam1 < 0:
         raise ValueError("need lam1 >= 0")
-    return float(max(GAMMA * EPS_MACH * lam1, MU_FLOOR_COEFF * abs(loss) ** 2.0))
+    mu = float(max(GAMMA * EPS_MACH * lam1, MU_FLOOR_COEFF * abs(loss) ** 2.0))
+    return mu or GAMMA * EPS_MACH
 
 
 def adapt_rank(eigenvalues, mu, ell, ell_max):
@@ -203,8 +206,6 @@ def _nystrom_ngd(theta0, config):
         basis = factor.basis
         lam1 = factor.eigenvalues[0]
         mu = adapt_mu(lam1, loss)
-        if mu <= 0.0:  # lam1 = s_1^2 > 0: both adapt_mu terms underflowed; g = 0 never gets here
-            mu = GAMMA * EPS_MACH
         tol = _cg_rel_tol(mu, lam1)
         precond = NystromPreconditioner(factor, mu)
         report = pcg(ShiftedOperator(gop, mu), g, tol, CG_MAXIT, precond=precond)
@@ -362,17 +363,6 @@ def run_optimizer(
     return theta, records
 
 
-def nystrom_ngd_run(problem, theta0, config, quad, quad_eval=None, h1_stop=None):
-    """Nystrom-preconditioned NGD through :func:`run_optimizer`; stops at
-    the first iterate, theta0 included, with H1 error <= ``h1_stop``."""
-    return run_optimizer(
-        "nystrom_ngd", problem, theta0, config, quad, quad_eval, h1_stop=h1_stop
-    )
-
-
-def ngd_cg_run(problem, theta0, config, quad, quad_eval=None, matvec_budget=None):
-    """Plain NGD-CG through :func:`run_optimizer`; stops early once the
-    cumulative matvecs reach ``matvec_budget``."""
-    return run_optimizer(
-        "ngd_cg", problem, theta0, config, quad, quad_eval, matvec_budget=matvec_budget
-    )
+# the two shorthands the acceptance runs and the bench call: run_optimizer with its name bound
+nystrom_ngd_run = partial(run_optimizer, "nystrom_ngd")
+ngd_cg_run = partial(run_optimizer, "ngd_cg")

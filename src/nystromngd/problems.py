@@ -22,7 +22,8 @@ residual s = W^{1/2} r, its Jacobian A = W^{1/2} J
 (``residual_jacobian``), the loss 0.5 s^T s, its gradient A^T s and so
 the Gauss-Newton metric A^T A, and no caller applies W itself.  What
 does not depend on theta (the blocks, their input jets and sqrt(w), and
-the exact solution on the H1 points) is built once per quadrature set.
+the exact solution on the H1 points) is built in one step for a
+quadrature set and kept until the problem is next used on another set.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class PdeProblem:
             raise ValueError(
                 f"{self.name} needs input dim {self.input_dim}, topology has {topology.input_dim}"
             )
-        self._cache = {}  # per quadrature set, see _cached
+        self._last = (None, None)  # (quad, _Prepared) of the last quadrature set, see _prepare
 
     # -- to be provided by subclasses ----------------------------------------
 
@@ -149,16 +150,6 @@ class PdeProblem:
 
     # -- shared machinery ------------------------------------------------------
 
-    def residual_blocks(self, quad):
-        """The residual as two :class:`ResidualBlock`: L[u] - f on the
-        interior, u - u* on the boundary."""
-        x, xb, d = quad.interior_points, quad.boundary_points, self.input_dim
-        pde, value = _channels(d, **self.operator), _channels(d, value=1.0)
-        return [
-            ResidualBlock(x, quad.interior_weights, pde, self.source(x), self.value_term),
-            ResidualBlock(xb, quad.boundary_weights, value, self.exact_jet(xb)[0]),
-        ]
-
     def sample_quadrature(self, n_interior, n_boundary, seed):
         """Monte Carlo quadrature on (0,1)^d: ``n_interior`` uniform points
         with weights 1/n_interior, then the boundary (``_boundary``), all
@@ -168,30 +159,31 @@ class PdeProblem:
         weights = np.full(n_interior, 1.0 / n_interior)
         return QuadratureSet(x, weights, *self._boundary(rng, n_boundary))
 
-    def _cached(self, kind, quad, build):
-        """``build(quad)``, rebuilt only when ``quad`` is not the last
-        quadrature set seen for this ``kind``; nothing cached depends on
-        theta."""
-        hit = self._cache.get(kind)
-        if hit is None or hit[0] is not quad:
-            hit = self._cache[kind] = (quad, build(quad))
-        return hit[1]
-
-    def _blocks(self, quad):
-        """The blocks of ``residual_blocks(quad)`` with their input jets,
-        the stacked metric weights and each block's sqrt(w)."""
-        return self._cached("blocks", quad, self._build_blocks)
-
-    def _build_blocks(self, quad):
-        blocks = self.residual_blocks(quad)
+    def _prepare(self, quad):
+        """The :class:`_Prepared` theta-free part of the problem on ``quad``,
+        built only when ``quad`` is not the last quadrature set prepared."""
+        if self._last[0] is quad:
+            return self._last[1]
+        x, xb, d = quad.interior_points, quad.boundary_points, self.input_dim
+        pde, value = _channels(d, **self.operator), _channels(d, value=1.0)
+        blocks = [
+            ResidualBlock(x, quad.interior_weights, pde, self.source(x), self.value_term),
+            ResidualBlock(xb, quad.boundary_weights, value, self.exact_jet(xb)[0]),
+        ]
         weights = np.concatenate([b.weights for b in blocks])
         weights.flags.writeable = False  # metric_weights hands out this array
-        return _BlockSet(
+        w, exact = quad.interior_weights, self.exact_jet(x)[: 1 + d]
+        prepared = _Prepared(
             blocks,
             [model.input_jet(self.topology, b.points, b.order) for b in blocks],
             weights,
             [np.sqrt(b.weights) for b in blocks],
+            model.input_jet(self.topology, x, 1),
+            exact,
+            np.sum(w * exact[0] ** 2) + np.sum(w * np.sum(exact[1:] ** 2, axis=0)),
         )
+        self._last = (quad, prepared)
+        return prepared
 
     def _jet(self, theta, inputs):
         """Jet channels (c, q) at theta for an input jet (``model.input_jet``)."""
@@ -199,19 +191,19 @@ class PdeProblem:
 
     def residual_stack(self, theta, quad):
         """The weighted residual s = W^{1/2} r at theta."""
-        bs = self._blocks(quad)
-        parts = zip(bs.blocks, bs.inputs, bs.roots)
+        prep = self._prepare(quad)
+        parts = zip(prep.blocks, prep.inputs, prep.roots)
         return np.concatenate([root * b.rows(self._jet(theta, z0)) for b, z0, root in parts])
 
     def metric_weights(self, quad):
-        return self._blocks(quad).weights
+        return self._prepare(quad).weights
 
     def metric_stack(self, theta, theta_bar, quad):
         """Unweighted Gauss-Newton metric rows sum_c dr/dz_c(zbar) z_c: the
         residual linearized at theta_bar (zbar = z(theta_bar)), applied at theta."""
         rows = []
-        bs = self._blocks(quad)
-        for b, z0 in zip(bs.blocks, bs.inputs):
+        prep = self._prepare(quad)
+        for b, z0 in zip(prep.blocks, prep.inputs):
             z = self._jet(theta, z0)
             zbar = z if b.value_term is None else self._jet(theta_bar, z0)
             rows.append(np.sum(b.slope(zbar) * z, axis=0))
@@ -223,15 +215,15 @@ class PdeProblem:
         pass per block, seeded with sqrt(w) dr/dz, each writing its rows of
         A in place.  A is ``out`` when given, else a new array.
         """
-        bs = self._blocks(quad)
-        shape = (bs.weights.shape[0], self.topology.param_count)
+        prep = self._prepare(quad)
+        shape = (prep.weights.shape[0], self.topology.param_count)
         if out is None:
             out = np.empty(shape)
         elif out.shape != shape or out.dtype != np.float64:
             raise ValueError(f"out must be a float64 array of shape {shape}")
         s = np.empty(shape[0])
         rows = slice(0, 0)
-        for b, z0, root in zip(bs.blocks, bs.inputs, bs.roots):
+        for b, z0, root in zip(prep.blocks, prep.inputs, prep.roots):
             rows = slice(rows.stop, rows.stop + len(root))
             z, pullback = model.propagate(self.topology, theta, z0, pullback=True)
             s[rows] = root * b.rows(z[:, :, 0])
@@ -241,7 +233,7 @@ class PdeProblem:
     def residual_of_exact(self, quad):
         """Unweighted residual rows on the exact solution (annihilation
         check): the blocks applied to its exact jet channels."""
-        blocks = self._blocks(quad).blocks
+        blocks = self._prepare(quad).blocks
         return np.concatenate([b.rows(self.exact_jet(b.points)) for b in blocks])
 
     def loss_value(self, theta, quad):
@@ -255,14 +247,6 @@ class PdeProblem:
         s, a = self.residual_jacobian(theta, quad, out=out)
         return a.T @ s
 
-    def _build_h1(self, quad):
-        x, w = quad.interior_points, quad.interior_weights
-        exact = self.exact_jet(x)[: 1 + self.input_dim]
-        norm = np.sum(w * exact[0] ** 2) + np.sum(w * np.sum(exact[1:] ** 2, axis=0))
-        if norm == 0.0:
-            raise ZeroDivisionError("exact solution has zero H1 norm")
-        return _H1Reference(model.input_jet(self.topology, x, 1), w, exact, norm)
-
     def h1_relative_error(self, theta, quad):
         """Relative H1 error against the exact solution, via quadrature.
 
@@ -270,28 +254,24 @@ class PdeProblem:
         order-1 jet).  For the space-time heat problem the gradient runs
         over all input coordinates (space-time H1 seminorm).
         """
-        ref = self._cached("h1", quad, self._build_h1)
-        z, e, w = self._jet(theta, ref.inputs), ref.exact, ref.weights
+        prep = self._prepare(quad)
+        if prep.h1_norm == 0.0:
+            raise ZeroDivisionError("exact solution has zero H1 norm")
+        z, e, w = self._jet(theta, prep.h1_inputs), prep.exact, quad.interior_weights
         num = np.sum(w * (z[0] - e[0]) ** 2) + np.sum(w * np.sum((z[1:] - e[1:]) ** 2, axis=0))
-        return float(np.sqrt(num / ref.norm))
+        return float(np.sqrt(num / prep.h1_norm))
 
 
-class _BlockSet(NamedTuple):
-    """A quadrature set's residual blocks and what follows from them alone."""
+class _Prepared(NamedTuple):
+    """What a problem evaluates on one quadrature set and that theta does not change."""
 
-    blocks: list
+    blocks: list  # the residual blocks: L[u] - f on the interior, u - u* on the boundary
     inputs: list  # each block's input jet (model.input_jet)
-    weights: np.ndarray  # the stacked metric weights w
+    weights: np.ndarray  # the stacked metric weights w, read-only
     roots: list  # each block's sqrt(w), the row scaling of s and A
-
-
-class _H1Reference(NamedTuple):
-    """The exact solution on a quadrature set's interior, for the H1 error."""
-
-    inputs: np.ndarray  # the order-1 input jet of the interior points
-    weights: np.ndarray
-    exact: np.ndarray  # the exact solution's value and gradient channels (1 + d, q)
-    norm: float  # the squared H1 norm of the exact solution
+    h1_inputs: np.ndarray  # the order-1 input jet of the interior points
+    exact: np.ndarray  # the exact solution's value and gradient channels (1 + d, q) there
+    h1_norm: float  # the squared H1 norm of the exact solution
 
 
 def _channels(d, value=0.0, first=0.0, second=0.0):

@@ -34,14 +34,8 @@ class NystromFactor:
         if np.any(np.diff(self.eigenvalues) > 0):
             raise ValueError("eigenvalue estimates must be sorted descending")
 
-    @property
-    def rank(self):
-        return self.basis.shape[1]
-
     def dense(self, k=None):
         """Dense reconstruction, optionally truncated to rank k."""
-        if k is None:
-            k = self.rank
         u = self.basis[:, :k]
         return (u * self.eigenvalues[:k]) @ u.T
 

@@ -370,3 +370,28 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"argument {option}: must be >= {low}, got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "No such file or directory"),
+            (small_config_text() + "\nbogus = 1", "unknown config key 'bogus'"),
+            (small_config_text(iterations=-1), "iterations must be >= 0"),
+            (small_config_text(optimizer="newton"), "unknown optimizer 'newton'"),
+        ],
+        ids=["missing", "unknown-key", "negative-count", "bad-value"],
+    )
+    def test_bad_config_file_fails_like_a_bad_argument(
+        self, tmp_path, capsys, command, text, message
+    ):
+        cfg_path = tmp_path / "exp.cfg"
+        if text is not None:
+            cfg_path.write_text(text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg_path}: " in err and message in err
+        assert not out.exists()

@@ -133,6 +133,11 @@ class TestAdaptMu:
         # mu reaches the trace rows and, through PCG's tolerance, the solve reports
         assert type(optim.adapt_mu(np.float64(2.0), 0.0)) is float
 
+    def test_zero_when_both_terms_vanish_falls_back_to_gamma_eps(self):
+        # no NGD variant solves undamped: where lam1 and L both give 0, mu is GAMMA * eps
+        mu = optim.adapt_mu(0.0, 0.0)
+        assert mu == optim.GAMMA * optim.EPS_MACH and type(mu) is float
+
     @pytest.mark.parametrize("name", NGD_NAMES)
     def test_every_ngd_variant_damps_by_adapt_mu(self, name, monkeypatch):
         # the criterion-10 set-up; step 1's lam1 estimate is recomputed here.

@@ -436,19 +436,28 @@ class TestThetaLength:
 class TestPerQuadratureCaches:
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_switching_quadrature_sets_matches_fresh_instances(self, name):
-        # training quad A, held-out quad B, then A again: the identity-keyed
-        # caches must not serve one set's inputs for the other
+        # every evaluation on training quad A, held-out quad B, then A again,
+        # and then the H1 error on one set between losses on the other: the
+        # identity-keyed slot must not serve one set's parts for the other
         prob, quad_a, theta = small_problem(name)
         quad_b = prob.sample_quadrature(41, 9, seed=7)
 
-        def values(p, quad):
-            r, jac = p.residual_jacobian(theta, quad)
-            return [p.loss_value(theta, quad), r, jac, p.h1_relative_error(theta, quad)]
+        def gradient_with_jacobian(p, quad):
+            a = np.empty((quad.interior_weights.size + quad.boundary_weights.size, theta.size))
+            g = p.loss_grad(theta, quad, out=a)
+            return np.concatenate([g, a.ravel(), p.residual_stack(theta, quad)])
 
-        for quad in (quad_a, quad_b, quad_a, quad_b):
-            fresh = type(prob)(prob.topology)
-            for got, ref in zip(values(prob, quad), values(fresh, quad)):
-                np.testing.assert_array_equal(got, ref)
+        def loss(p, quad):
+            return p.loss_value(theta, quad)
+
+        def h1(p, quad):
+            return p.h1_relative_error(theta, quad)
+
+        evaluations = (loss, gradient_with_jacobian, lambda p, quad: p.metric_weights(quad), h1)
+        steps = [(f, quad) for quad in (quad_a, quad_b, quad_a) for f in evaluations]
+        steps += [(h1, quad_b), (loss, quad_a), (h1, quad_a), (loss, quad_b)]
+        for f, quad in steps:
+            np.testing.assert_array_equal(f(prob, quad), f(type(prob)(prob.topology), quad))
 
     def test_cached_metric_weights_are_read_only(self):
         prob, quad, _ = small_problem("heat1p1d")
@@ -500,6 +509,23 @@ class TestH1Error:
             num = np.sum(w * (u - ue) ** 2) + np.sum(w * np.sum((gu - ge) ** 2, axis=1))
             den = np.sum(w * ue**2) + np.sum(w * np.sum(ge**2, axis=1))
             assert prob.h1_relative_error(theta, quad) == float(np.sqrt(num / den))
+
+    def test_zero_exact_solution_has_a_loss_but_no_h1_error(self):
+        # the zero H1 norm is an error of the H1 error alone: the loss of the
+        # problem u* = 0, f = 0 is still defined
+        class Zero(problems.Poisson2D):
+            def exact_jet(self, x):
+                return np.zeros((5, len(x)))
+
+            def source(self, x):
+                return np.zeros(len(x))
+
+        prob = Zero(model.MlpTopology((2, 5, 1)))
+        quad = prob.sample_quadrature(30, 12, seed=0)
+        theta = model.init(prob.topology, 1).values
+        assert np.isfinite(prob.loss_value(theta, quad))
+        with pytest.raises(ZeroDivisionError, match="zero H1 norm"):
+            prob.h1_relative_error(theta, quad)
 
     def test_heat_error_uses_space_time_gradient(self):
         prob, quad, theta = small_problem("heat1p1d")

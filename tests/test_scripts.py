@@ -82,15 +82,27 @@ def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
     monkeypatch.setattr(to_target, "SEEDS", range(2))
     assert to_target.main(["nystrom_ngd", "ngd_dense"]) == 0
     *lines, last = capsys.readouterr().out.splitlines()
+    medians = [f"median at {depth:.0e}" for depth in to_target.DEPTHS]
     assert [line.split(":")[0] for line in lines] == [
         f"{opt} poisson1d {what}"
         for opt in ("nystrom_ngd", "ngd_dense")
-        for what in ("seed 0", "seed 1", "median")
+        for what in ("seed 0", "seed 1", *medians)
     ]
-    assert all("missed" not in line for line in lines)
     # the last line is the JSON record of every run, in the order printed
     record = json.loads(last)
     runs = [line for line in lines if "median" not in line]
+    assert all("missed" not in line for line in runs)
+    for opt, block in (("nystrom_ngd", record["runs"][:2]), ("ngd_dense", record["runs"][2:])):
+        # one median line per depth, over each run's crossing of it; none missed
+        for i, depth in enumerate(to_target.DEPTHS):
+            c = [r["crossings"][i] for r in block]
+            its, matvecs, seconds = np.median(
+                [[x["iteration"], x["matvecs"], x["seconds"]] for x in c], axis=0
+            )
+            assert (
+                f"{opt} poisson1d median at {depth:.0e}: {its:g} iterations, "
+                f"{matvecs:g} matvecs, {seconds:.3f} s, 0 of 2 missed"
+            ) in lines
     assert [(r["optimizer"], r["problem"], r["seed"]) for r in record["runs"]] == [
         (opt, "poisson1d", seed) for opt in ("nystrom_ngd", "ngd_dense") for seed in (0, 1)
     ]
@@ -113,7 +125,9 @@ def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
     monkeypatch.setattr(to_target, "SEEDS", range(1))
     assert to_target.main([]) == 0
     *lines, last = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["poisson1d seed 0", "poisson1d median"]
+    assert [line.split(":")[0] for line in lines] == ["poisson1d seed 0"] + [
+        f"poisson1d median at {depth:.0e}" for depth in to_target.DEPTHS
+    ]
     assert len(json.loads(last)["runs"]) == 1
     with pytest.raises(SystemExit) as exit_info:
         to_target.main(["nystrom_ngd", "newton"])
@@ -147,8 +161,11 @@ def test_to_target_exits_1_when_a_run_misses_its_depths(
     monkeypatch.setattr(to_target, "SEEDS", range(1))
     monkeypatch.setattr(to_target, "run", lambda *_, optimizer: missed_run(optimizer, crossed))
     assert to_target.main([optimizer]) == status
-    assert json.loads(capsys.readouterr().out.splitlines()[-1])["runs"] == [
-        missed_run(optimizer, crossed)
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert json.loads(last)["runs"] == [missed_run(optimizer, crossed)]
+    # a depth's median line counts the run as missed from its first missed depth on
+    assert [line.endswith(", 1 of 1 missed") for line in lines[1:]] == [
+        i >= crossed for i in range(3)
     ]
 
 
