@@ -6,6 +6,7 @@ import argparse
 import json
 from dataclasses import replace
 
+from .gramian import DENSE_GUARD
 from .harness import dump_spectrum, load_config, run_experiment
 
 
@@ -46,6 +47,8 @@ def main(argv=None):
         config = load_config(args.config)
     except (OSError, ValueError) as err:  # a missing file, or a bad key, value or count
         parser.error(f"{args.config}: {err}")
+    if args.command == "spectrum" and config.param_count > DENSE_GUARD:
+        parser.error(f"{args.config}: spectrum guard: p={config.param_count} exceeds {DENSE_GUARD}")
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.command == "spectrum":

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model
+from . import gramian, model, optim
 from .gramian import GramianOperator
 from .optim import OPTIMIZER_NAMES, NystromNgdConfig, RunRecord, run_optimizer
 from .problems import make_problem, PROBLEM_NAMES
@@ -65,6 +65,14 @@ class ExperimentConfig(NystromNgdConfig):
             raise ValueError(
                 f"unknown optimizer {self.optimizer!r}; available: {OPTIMIZER_NAMES}"
             )
+        guard = {"ngd_dense": gramian.DENSE_GUARD, "bfgs": optim.BFGS_GUARD}.get(self.optimizer)
+        if guard is not None and self.param_count > guard:
+            raise ValueError(f"{self.optimizer} guard: p={self.param_count} exceeds {guard}")
+
+    @property
+    def param_count(self):
+        """p, the parameter count of the network ``set_up`` builds."""
+        return make_problem(self.problem, self.hidden_width, self.hidden_depth).topology.param_count
 
 
 # annotation strings such as "int | None" (postponed evaluation)

@@ -14,6 +14,7 @@ Jacobian is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,20 +57,10 @@ class MlpTopology:
         return out
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    """Flat parameter vector tied to its network topology."""
+class ParamVector(NamedTuple):
+    """A network's flat parameter vector, as :func:`init` draws it."""
 
     values: np.ndarray
-    topology: MlpTopology
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.topology.param_count,):
-            raise ValueError(
-                f"expected {self.topology.param_count} parameters, got {values.shape}"
-            )
-        object.__setattr__(self, "values", values)
 
 
 def init(topology, seed):
@@ -78,7 +69,7 @@ def init(topology, seed):
     theta = np.zeros(topology.param_count)
     for ws, bs, n_out, n_in in topology.layer_slices():
         theta[ws] = rng.standard_normal(n_out * n_in) / np.sqrt(n_in)
-    return ParamVector(theta, topology)
+    return ParamVector(theta)
 
 
 def input_jet(topology, x, order=2):

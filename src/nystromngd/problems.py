@@ -21,9 +21,11 @@ u - u* on the boundary.  From the blocks it derives the weighted
 residual s = W^{1/2} r, its Jacobian A = W^{1/2} J
 (``residual_jacobian``), the loss 0.5 s^T s, its gradient A^T s and so
 the Gauss-Newton metric A^T A, and no caller applies W itself.  What
-does not depend on theta (the blocks, their input jets and sqrt(w), and
-the exact solution on the H1 points) is built in one step for a
-quadrature set and kept until the problem is next used on another set.
+does not depend on theta is built by its one reader and kept, per
+quadrature set, until that reader is next used on another set: the
+blocks, each with its input jet and sqrt(w), by the residual
+evaluations, and the exact solution on the H1 points by
+``h1_relative_error`` alone.
 """
 
 from __future__ import annotations
@@ -80,19 +82,17 @@ class ResidualBlock(NamedTuple):
     the jet channels (1 + 2d, q) of the network at the points
     (``model.propagate``): the value, each du/dx_i and each d^2u/dx_i^2.
     ``value_term``, if given, is a pointwise function of the value channel
-    that returns the term and its derivative.
+    that returns the term and its derivative.  ``inputs`` is the input jet
+    of the points (``model.input_jet``, whose channel 0 holds them) at
+    order 0 when only the value channel enters, else 2; ``root`` is each
+    point's sqrt(w), the scaling of its row of s and A.
     """
 
-    points: np.ndarray
-    weights: np.ndarray
+    inputs: np.ndarray
+    root: np.ndarray
     coeffs: np.ndarray
     target: np.ndarray
     value_term: Callable | None = None
-
-    @property
-    def order(self):
-        """Jet order the rows need: 0 when only the value channel enters."""
-        return 2 if np.any(self.coeffs[1:]) else 0
 
     def rows(self, z):
         """The residual rows from the block's jet channels z."""
@@ -126,7 +126,8 @@ class PdeProblem:
             raise ValueError(
                 f"{self.name} needs input dim {self.input_dim}, topology has {topology.input_dim}"
             )
-        self._last = (None, None)  # (quad, _Prepared) of the last quadrature set, see _prepare
+        # (quad, what was built for it) of the last set each builder saw
+        self._last_blocks = self._last_h1 = (None, None)
 
     # -- to be provided by subclasses ----------------------------------------
 
@@ -159,31 +160,33 @@ class PdeProblem:
         weights = np.full(n_interior, 1.0 / n_interior)
         return QuadratureSet(x, weights, *self._boundary(rng, n_boundary))
 
-    def _prepare(self, quad):
-        """The :class:`_Prepared` theta-free part of the problem on ``quad``,
-        built only when ``quad`` is not the last quadrature set prepared."""
-        if self._last[0] is quad:
-            return self._last[1]
-        x, xb, d = quad.interior_points, quad.boundary_points, self.input_dim
-        pde, value = _channels(d, **self.operator), _channels(d, value=1.0)
-        blocks = [
-            ResidualBlock(x, quad.interior_weights, pde, self.source(x), self.value_term),
-            ResidualBlock(xb, quad.boundary_weights, value, self.exact_jet(xb)[0]),
-        ]
-        weights = np.concatenate([b.weights for b in blocks])
-        weights.flags.writeable = False  # metric_weights hands out this array
-        w, exact = quad.interior_weights, self.exact_jet(x)[: 1 + d]
-        prepared = _Prepared(
-            blocks,
-            [model.input_jet(self.topology, b.points, b.order) for b in blocks],
-            weights,
-            [np.sqrt(b.weights) for b in blocks],
-            model.input_jet(self.topology, x, 1),
-            exact,
-            np.sum(w * exact[0] ** 2) + np.sum(w * np.sum(exact[1:] ** 2, axis=0)),
-        )
-        self._last = (quad, prepared)
-        return prepared
+    def _blocks(self, quad):
+        """The residual blocks on ``quad``, L[u] - f on the interior and
+        u - u* on the boundary, built unless ``quad`` was the last set."""
+        if self._last_blocks[0] is not quad:
+            x, xb, d = quad.interior_points, quad.boundary_points, self.input_dim
+            parts = [
+                (x, quad.interior_weights, _channels(d, **self.operator), self.source(x)),
+                (xb, quad.boundary_weights, _channels(d, value=1.0), self.exact_jet(xb)[0]),
+            ]
+            blocks = []
+            for (x, w, coeffs, target), term in zip(parts, (self.value_term, None)):
+                order = 2 if np.any(coeffs[1:]) else 0  # 0 when only the value channel enters
+                z0 = model.input_jet(self.topology, x, order)
+                blocks.append(ResidualBlock(z0, np.sqrt(w), coeffs, target, term))
+            self._last_blocks = (quad, blocks)
+        return self._last_blocks[1]
+
+    def _h1_reference(self, quad):
+        """(order-1 input jet, exact value and gradient channels (1 + d, q),
+        squared H1 norm) of u* on ``quad``'s interior, built unless ``quad``
+        was the last set."""
+        if self._last_h1[0] is not quad:
+            x, w = quad.interior_points, quad.interior_weights
+            exact = self.exact_jet(x)[: 1 + self.input_dim]
+            norm = np.sum(w * exact[0] ** 2) + np.sum(w * np.sum(exact[1:] ** 2, axis=0))
+            self._last_h1 = (quad, (model.input_jet(self.topology, x, 1), exact, norm))
+        return self._last_h1[1]
 
     def _jet(self, theta, inputs):
         """Jet channels (c, q) at theta for an input jet (``model.input_jet``)."""
@@ -191,21 +194,20 @@ class PdeProblem:
 
     def residual_stack(self, theta, quad):
         """The weighted residual s = W^{1/2} r at theta."""
-        prep = self._prepare(quad)
-        parts = zip(prep.blocks, prep.inputs, prep.roots)
-        return np.concatenate([root * b.rows(self._jet(theta, z0)) for b, z0, root in parts])
+        blocks = self._blocks(quad)
+        return np.concatenate([b.root * b.rows(self._jet(theta, b.inputs)) for b in blocks])
 
     def metric_weights(self, quad):
-        return self._prepare(quad).weights
+        """The weights w of the stacked rows, interior then boundary."""
+        return np.concatenate([quad.interior_weights, quad.boundary_weights])
 
     def metric_stack(self, theta, theta_bar, quad):
         """Unweighted Gauss-Newton metric rows sum_c dr/dz_c(zbar) z_c: the
         residual linearized at theta_bar (zbar = z(theta_bar)), applied at theta."""
         rows = []
-        prep = self._prepare(quad)
-        for b, z0 in zip(prep.blocks, prep.inputs):
-            z = self._jet(theta, z0)
-            zbar = z if b.value_term is None else self._jet(theta_bar, z0)
+        for b in self._blocks(quad):
+            z = self._jet(theta, b.inputs)
+            zbar = z if b.value_term is None else self._jet(theta_bar, b.inputs)
             rows.append(np.sum(b.slope(zbar) * z, axis=0))
         return np.concatenate(rows)
 
@@ -215,26 +217,26 @@ class PdeProblem:
         pass per block, seeded with sqrt(w) dr/dz, each writing its rows of
         A in place.  A is ``out`` when given, else a new array.
         """
-        prep = self._prepare(quad)
-        shape = (prep.weights.shape[0], self.topology.param_count)
+        blocks = self._blocks(quad)
+        shape = (sum(len(b.root) for b in blocks), self.topology.param_count)
         if out is None:
             out = np.empty(shape)
         elif out.shape != shape or out.dtype != np.float64:
             raise ValueError(f"out must be a float64 array of shape {shape}")
         s = np.empty(shape[0])
         rows = slice(0, 0)
-        for b, z0, root in zip(prep.blocks, prep.inputs, prep.roots):
-            rows = slice(rows.stop, rows.stop + len(root))
-            z, pullback = model.propagate(self.topology, theta, z0, pullback=True)
-            s[rows] = root * b.rows(z[:, :, 0])
-            pullback((root * b.slope(z[:, :, 0]))[:, :, None], out[rows])
+        for b in blocks:
+            rows = slice(rows.stop, rows.stop + len(b.root))
+            z, pullback = model.propagate(self.topology, theta, b.inputs, pullback=True)
+            s[rows] = b.root * b.rows(z[:, :, 0])
+            pullback((b.root * b.slope(z[:, :, 0]))[:, :, None], out[rows])
         return s, out
 
     def residual_of_exact(self, quad):
         """Unweighted residual rows on the exact solution (annihilation
         check): the blocks applied to its exact jet channels."""
-        blocks = self._prepare(quad).blocks
-        return np.concatenate([b.rows(self.exact_jet(b.points)) for b in blocks])
+        blocks = self._blocks(quad)
+        return np.concatenate([b.rows(self.exact_jet(b.inputs[0])) for b in blocks])
 
     def loss_value(self, theta, quad):
         """0.5 * s^T s = 0.5 * sum_r w_r * residual_r^2."""
@@ -254,24 +256,12 @@ class PdeProblem:
         order-1 jet).  For the space-time heat problem the gradient runs
         over all input coordinates (space-time H1 seminorm).
         """
-        prep = self._prepare(quad)
-        if prep.h1_norm == 0.0:
+        inputs, e, norm = self._h1_reference(quad)
+        if norm == 0.0:
             raise ZeroDivisionError("exact solution has zero H1 norm")
-        z, e, w = self._jet(theta, prep.h1_inputs), prep.exact, quad.interior_weights
+        z, w = self._jet(theta, inputs), quad.interior_weights
         num = np.sum(w * (z[0] - e[0]) ** 2) + np.sum(w * np.sum((z[1:] - e[1:]) ** 2, axis=0))
-        return float(np.sqrt(num / prep.h1_norm))
-
-
-class _Prepared(NamedTuple):
-    """What a problem evaluates on one quadrature set and that theta does not change."""
-
-    blocks: list  # the residual blocks: L[u] - f on the interior, u - u* on the boundary
-    inputs: list  # each block's input jet (model.input_jet)
-    weights: np.ndarray  # the stacked metric weights w, read-only
-    roots: list  # each block's sqrt(w), the row scaling of s and A
-    h1_inputs: np.ndarray  # the order-1 input jet of the interior points
-    exact: np.ndarray  # the exact solution's value and gradient channels (1 + d, q) there
-    h1_norm: float  # the squared H1 norm of the exact solution
+        return float(np.sqrt(num / norm))
 
 
 def _channels(d, value=0.0, first=0.0, second=0.0):

@@ -72,7 +72,10 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         ("text", "where"),
-        [("seed = 1\nell0 = p", "line 2: .*'ell0'"), ("iterations = 2.5", "line 1: .*'iterations'")],
+        [
+            ("seed = 1\nell0 = p", "line 2: .*'ell0'"),
+            ("iterations = 2.5", "line 1: .*'iterations'"),
+        ],
     )
     def test_unconvertible_value_names_line_and_key(self, text, where):
         with pytest.raises(ValueError, match=where) as info:
@@ -108,6 +111,20 @@ class TestParseConfig:
     def test_invalid_optimizer_values_raise_at_parse_time(self, text):
         with pytest.raises(ValueError):
             harness.parse_config(text)
+
+    @pytest.mark.parametrize(
+        "optimizer, width, p, wider_p, guard",
+        [("ngd_dense", 42, 1975, 2065, 2000), ("bfgs", 68, 4965, 5107, 5000)],
+    )
+    def test_dense_optimizer_guards_are_checked_on_the_config(
+        self, optimizer, width, p, wider_p, guard
+    ):
+        # p follows from the problem and the hidden shape: the widest net under
+        # the optimizer's guard parses, one unit wider raises
+        config = harness.ExperimentConfig(optimizer=optimizer, hidden_width=width)
+        assert config.param_count == harness.set_up(config)[0].topology.param_count == p
+        with pytest.raises(ValueError, match=f"{optimizer} guard: p={wider_p} exceeds {guard}"):
+            replace(config, hidden_width=width + 1)
 
     def test_key_set_is_the_documented_schema(self):
         keys = {f.name for f in fields(harness.ExperimentConfig)}
@@ -394,4 +411,32 @@ class TestCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"error: {cfg_path}: " in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, optimizer, width, message",
+        [
+            ("run", "ngd_dense", 64, "ngd_dense guard: p=4417 exceeds 2000"),
+            ("run", "bfgs", 72, "bfgs guard: p=5545 exceeds 5000"),
+            ("spectrum", "nystrom_ngd", 64, "spectrum guard: p=4417 exceeds 2000"),
+        ],
+        ids=["run-ngd_dense", "run-bfgs", "spectrum"],
+    )
+    def test_config_past_a_size_guard_fails_like_a_bad_argument(
+        self, tmp_path, capsys, command, optimizer, width, message
+    ):
+        # p follows from the config, so a run past a guard fails at parsing:
+        # exit 1 is the status of a run whose theta0 loss is not finite
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            small_config_text(
+                problem="poisson2d", optimizer=optimizer, hidden_width=width, hidden_depth=2
+            )
+        )
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"error: {cfg_path}: {message}\n" in err
         assert not out.exists()

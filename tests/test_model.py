@@ -111,7 +111,8 @@ class TestJetOrders:
             assert z.shape == (channels, 3, 2)
             np.testing.assert_array_equal(z[0], x)
             if order:
-                np.testing.assert_array_equal(z[1:3], np.broadcast_to(np.eye(2)[:, None], (2, 3, 2)))
+                unit = np.broadcast_to(np.eye(2)[:, None], (2, 3, 2))
+                np.testing.assert_array_equal(z[1:3], unit)
         with pytest.raises(ValueError, match="order"):
             model.input_jet(top, x, 3)
         with pytest.raises(ValueError, match="input dim"):

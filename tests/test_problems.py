@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nystromngd import autodiff as ad
-from nystromngd import model, problems
+from nystromngd import model, optim, problems
 from test_autodiff import oracle_jet
 
 # Hand-written oracles: each problem's residual and metric stacks written
@@ -459,10 +459,53 @@ class TestPerQuadratureCaches:
         for f, quad in steps:
             np.testing.assert_array_equal(f(prob, quad), f(type(prob)(prob.topology), quad))
 
-    def test_cached_metric_weights_are_read_only(self):
-        prob, quad, _ = small_problem("heat1p1d")
-        with pytest.raises(ValueError):
-            prob.metric_weights(quad)[0] = 1.0
+    def test_writing_into_metric_weights_leaves_the_problem_unchanged(self):
+        # metric_weights hands out a fresh array: a write into it reaches
+        # neither a later metric_weights nor the loss
+        prob, quad, theta = small_problem("heat1p1d")
+        prob.loss_value(theta, quad)
+        prob.metric_weights(quad)[:] = 1.0
+        fresh = type(prob)(prob.topology)
+        np.testing.assert_array_equal(prob.metric_weights(quad), fresh.metric_weights(quad))
+        assert prob.loss_value(theta, quad) == fresh.loss_value(theta, quad)
+
+    def test_h1_error_on_a_new_set_builds_only_its_reference(self):
+        # the H1 error reads u* on the interior once, and builds no residual
+        # block: no source, no boundary u*
+        prob = CountingPoisson2D(model.MlpTopology((2, 5, 5, 1)))
+        quad, heldout = prob.sample_quadrature(30, 12, 0), prob.sample_quadrature(50, 20, 1)
+        theta = model.init(prob.topology, 1).values
+        prob.loss_value(theta, quad)
+        prob.calls.clear()
+        prob.h1_relative_error(theta, heldout)
+        prob.h1_relative_error(theta, heldout)
+        assert prob.calls == [("exact_jet", 50)]
+
+    def test_a_run_without_quad_eval_builds_no_h1_reference(self):
+        # the residual blocks are built once, from f on the interior and u*
+        # on the boundary; nothing reads u* on the interior points
+        prob = CountingPoisson2D(model.MlpTopology((2, 5, 5, 1)))
+        quad = prob.sample_quadrature(30, 12, seed=0)
+        theta0 = model.init(prob.topology, 1).values
+        optim.run_optimizer("ngd_cg", prob, theta0, optim.NystromNgdConfig(iterations=3), quad)
+        assert sorted(prob.calls) == [("exact_jet", 12), ("source", 30)]
+
+
+class CountingPoisson2D(problems.Poisson2D):
+    """Poisson2D that logs each exact_jet and source call with its number of
+    points; its source does not call exact_jet."""
+
+    def __init__(self, topology):
+        super().__init__(topology)
+        self.calls = []
+
+    def exact_jet(self, x):
+        self.calls.append(("exact_jet", len(x)))
+        return super().exact_jet(x)
+
+    def source(self, x):
+        self.calls.append(("source", len(x)))
+        return 2.0 * np.pi**2 * np.prod(np.sin(np.pi * x), axis=1)
 
 
 class TestH1Error:
