@@ -17,13 +17,9 @@ take ``abs``, compare or branch on its values, or cast them to float.
 
 import numpy as np
 
-__all__ = ["NonFiniteError", "LinearizedMap", "freeze", "linearize", "primal_value"]
+__all__ = ["LinearizedMap", "freeze", "linearize", "primal_value"]
 
 STEP = 1e-30  # the complex step h
-
-
-class NonFiniteError(ArithmeticError):
-    """A map produced a NaN or Inf value."""
 
 
 def freeze(x):
@@ -48,9 +44,6 @@ class LinearizedMap:
         self.f = f
         self.theta = np.asarray(theta, dtype=float)
         self.value = np.asarray(f(self.theta), dtype=float)
-        if not np.all(np.isfinite(self.value)):
-            bad = np.argwhere(~np.isfinite(np.atleast_1d(self.value)))
-            raise NonFiniteError(f"non-finite value at index {tuple(bad[0])}")
         self.jacobian = None  # value.shape + (p,), assembled by the first vjp
 
     def jvp(self, v):

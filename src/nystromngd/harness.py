@@ -183,30 +183,18 @@ def run_experiment(config, out_dir=None):
     return summary
 
 
-def normalized_spectrum(matrix, top=None):
-    """Descending eigenvalues of an SPSD matrix, normalized by the largest."""
+def dump_spectrum(config, out_dir=None, top=None):
+    """Assemble the Gramian G = A^T A densely at the config's set-up and
+    write its ``top`` (default all) largest eigenvalues normalized by the
+    largest, clipped at 0, one value per line, descending; return them."""
     if top is not None and top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
-    eigs = np.linalg.eigvalsh(np.asarray(matrix, dtype=float))[::-1]
-    eigs = np.clip(eigs, 0.0, None)
-    if eigs[0] == 0.0:
-        raise ZeroDivisionError("matrix is identically zero; cannot normalize")
-    ratios = eigs / eigs[0]
-    if top is not None:
-        ratios = ratios[:top]
-    return ratios
-
-
-def dump_spectrum(config, out_dir=None, top=None):
-    """Assemble the Gramian A^T A densely at the config's set-up and write
-    its normalized spectrum, one value per line, descending."""
     problem, quad, theta0 = set_up(config)
-    gop = GramianOperator.from_problem(problem, theta0, quad)
-    ratios = normalized_spectrum(gop.dense(), top=top)
+    eigs = np.linalg.eigvalsh(GramianOperator.from_problem(problem, theta0, quad).dense())[::-1]
+    ratios = np.clip(eigs, 0.0, None)[:top] / eigs[0]
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "spectrum.txt"
-    with open(path, "w") as fh:
+    with open(out / "spectrum.txt", "w") as fh:
         for value in ratios:
             fh.write(format(value, ".17g") + "\n")
     return ratios

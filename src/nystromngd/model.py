@@ -99,18 +99,17 @@ def _channel_matmul(z, m):
     return out.reshape(z.shape[:-1] + (m.shape[1],))
 
 
-def tanh_jet_rule(z, d, linearize=False, out=None):
-    """Elementwise tanh of a jet z over d input coordinates, at any order.
+def tanh_jet_rule(z, d, linearize=False):
+    """Elementwise tanh of a jet z over d input coordinates, written over z.
 
     With t = tanh(z), d1 = 1 - t^2 and d2 = -2 t d1, the output channels
     are t, d1 g and d2 g^2 + d1 h for input channels z, g (first
     derivatives, from order 1) and h (second derivatives, at order 2).
-    Returns (out, pull), pull being the pullback of the rule at ``z``, or
-    None unless ``linearize``: for output cotangents (dt, dg, dh) it gives
+    Returns the pullback of the rule at the input z, or None unless
+    ``linearize``: for output cotangents (dt, dg, dh) it gives
     d1 dt + sum(C dg + A dh), d1 dg + B dh and d1 dh, with C = d2 g,
     A = d3 g^2 + d2 h and B = 2 d2 g, point by point on any stack of
-    cotangents shaped like ``z``.  The output is written into ``out`` when
-    given, which may be ``z`` itself if the caller owns it.
+    cotangents shaped like ``z``.
     """
     order = (z.shape[0] - 1) // d
     t = np.tanh(z[0])
@@ -118,7 +117,7 @@ def tanh_jet_rule(z, d, linearize=False, out=None):
     g, h = z[1 : 1 + d], z[1 + d :]
     if order:
         d2 = -2.0 * t * d1
-        if linearize:  # before out, which may be z, overwrites g and h
+        if linearize:  # before the writes below overwrite g and h
             ca = np.empty_like(z[1:])  # C, then A at order 2
             c = np.multiply(d2, g, out=ca[:d])
             if order == 2:
@@ -126,16 +125,14 @@ def tanh_jet_rule(z, d, linearize=False, out=None):
                 a *= g
                 a += d2 * h
                 b = 2.0 * c
-    if out is None:
-        out = np.empty_like(z)
-    out[0] = t
+    z[0] = t
     if order == 2:
         second = c * g if linearize else d2 * g * g
-        np.multiply(d1, h, out=out[1 + d :])
-        out[1 + d :] += second
-    np.multiply(d1, g, out=out[1 : 1 + d])
+        np.multiply(d1, h, out=h)
+        h += second
+    np.multiply(d1, g, out=g)
     if not linearize:
-        return out, None
+        return None
 
     def pull(gz):
         dz = d1 * gz
@@ -145,20 +142,21 @@ def tanh_jet_rule(z, d, linearize=False, out=None):
             dz[1 : 1 + d] += b * gz[1 + d :]
         return dz
 
-    return out, pull
+    return pull
 
 
 def propagate(topology, theta, z, pullback=False):
     """Push an input jet z (:func:`input_jet`) through the network.
 
-    Returns the output jet, shape (c, q, n_out) for the c channels of z.
-    With ``pullback`` it returns (jet, pullback) instead.  For a cotangent
-    g shaped like the output jet, pullback(g, out) writes into ``out`` the
-    (q, p) matrix whose row r is the gradient in theta of
-    sum(g[:, r] * jet[:, r]) and returns it: one reverse pass in which
-    each affine layer writes its parameter cotangents per point (a batched
-    outer product) straight into the columns of ``out`` that hold that
-    layer's parameters, instead of summing them over points.
+    Returns the output jet, shape (c, q, n_out) for the c channels of z,
+    and leaves z as it is: the tanh rule overwrites each layer's own new
+    array, never a caller's.  With ``pullback`` it returns (jet, pullback)
+    instead.  For a cotangent g shaped like the output jet, pullback(g,
+    out) writes into ``out`` the (q, p) matrix whose row r is the gradient
+    in theta of sum(g[:, r] * jet[:, r]) and returns it: one reverse pass
+    in which each affine layer writes its parameter cotangents per point
+    (a batched outer product) straight into the columns of ``out`` that hold
+    that layer's parameters, instead of summing them over points.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (topology.param_count,):
@@ -171,9 +169,8 @@ def propagate(topology, theta, z, pullback=False):
             inputs.append(z)
         z = _channel_matmul(z, theta[ws].reshape(n_out, n_in).T)
         z[0] += theta[bs]  # the derivative channels get no bias
-        if k < len(layers) - 1:  # z is this layer's new array: overwrite it
-            z, pull = tanh_jet_rule(z, d, pullback, out=z)
-            pulls.append(pull)
+        if k < len(layers) - 1:  # z is this layer's new array: the rule overwrites it
+            pulls.append(tanh_jet_rule(z, d, pullback))
     if not pullback:
         return z
 

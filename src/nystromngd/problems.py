@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: a set equals only itself
 class QuadratureSet:
     """Fixed Monte Carlo quadrature: interior and boundary points and weights, as float64 arrays."""
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nystromngd import harness, model, optim, problems
+from nystromngd import gramian, harness, model, optim, problems
 from nystromngd.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -308,21 +308,21 @@ class TestSetUp:
 
 
 class TestSpectrum:
-    def test_identity_all_ones(self):
-        np.testing.assert_array_equal(harness.normalized_spectrum(np.eye(6)), np.ones(6))
-
-    def test_orthogonal_features_hand_ratios(self):
-        # linear model with two orthonormal features and weights (1, 1/4):
-        # G = diag(1, 1/4), normalized spectrum (1, 0.25)
-        phi = np.eye(2)
-        w = np.array([1.0, 0.25])
-        g = phi.T @ (w[:, None] * phi)
-        np.testing.assert_allclose(harness.normalized_spectrum(g), [1.0, 0.25], rtol=1e-15)
-
     @pytest.mark.parametrize("top", [0, -3])
-    def test_top_below_one_raises(self, top):
+    def test_top_below_one_raises(self, tmp_path, top):
+        cfg = harness.parse_config(small_config_text())
         with pytest.raises(ValueError, match=f"top must be >= 1, got {top}"):
-            harness.normalized_spectrum(np.eye(6), top=top)
+            harness.dump_spectrum(cfg, out_dir=tmp_path / "out", top=top)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_values_are_the_normalized_gramian_eigenvalues(self, tmp_path, name):
+        cfg = harness.parse_config(small_config_text(problem=name, n_boundary=8))
+        problem, quad, theta0 = harness.set_up(cfg)
+        gram = gramian.GramianOperator.from_problem(problem, theta0, quad).dense()
+        eigs = np.linalg.eigvalsh(gram)
+        want = np.clip(np.sort(eigs)[::-1], 0.0, None) / eigs.max()
+        np.testing.assert_array_equal(harness.dump_spectrum(cfg, out_dir=tmp_path), want)
 
     def test_values_in_unit_interval_descending(self, tmp_path):
         cfg = harness.parse_config(small_config_text())

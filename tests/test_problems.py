@@ -127,6 +127,14 @@ class TestQuadrature:
         assert np.array_equal(a.interior_points, b.interior_points)
         assert np.array_equal(a.boundary_points, b.boundary_points)
 
+    def test_sets_compare_and_hash_by_identity(self):
+        # ndarray fields: a field-wise == would raise on an ambiguous truth value
+        prob = problems.make_problem("poisson2d", hidden_width=4, hidden_depth=1)
+        q0, q1 = prob.sample_quadrature(10, 6, seed=0), prob.sample_quadrature(10, 6, seed=1)
+        assert q0 != q1 and not q0 == q1
+        assert q0 == q0 and q0 != prob.sample_quadrature(10, 6, seed=0)
+        assert {q0: "a", q1: "b"}[q1] == "b"
+
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_interior_weights_integrate_volume(self, name):
         prob = problems.make_problem(name, hidden_width=4, hidden_depth=1)
