@@ -5,10 +5,12 @@ The first digest covers the final theta's bytes, the second every numeric
 RunRecord field but the wall-clock seconds.  Two checkouts do the same
 arithmetic on these runs exactly when their outputs do not differ; a
 change that keeps the iterates but changes what the trace rows hold
-differs in the second column only.  Each checkout runs its own copy:
+differs in the second column only.  Each checkout runs its own copy, which
+imports the package from its own ``src/`` (and exits if ``nystromngd``
+resolves anywhere else), so no ``PYTHONPATH`` is needed:
 
-    PYTHONPATH=src python scripts/parity_digest.py > a.txt  # the other checkout
-    PYTHONPATH=src python scripts/parity_digest.py --against a.txt
+    python <other checkout>/scripts/parity_digest.py > a.txt
+    python scripts/parity_digest.py --against a.txt
 
 The script pins OpenBLAS, OpenMP and MKL to one thread before numpy is
 imported, so a digest does not depend on how a BLAS splits its sums.
@@ -20,10 +22,12 @@ differs, then how many of FILE's runs it compared, and exits 1 if any
 differs or it compared none.  A run whose theta0 loss is not finite ends
 there, and its digests are those of its one-row trace.
 
-Each run is ``harness.train`` of the default ``ExperimentConfig`` but for
-the optimizer, problem, seed, width and iterations (the criterion-10
-setup: 400 interior and 160 boundary points, quadrature, initialization
-and optimizer seeded by the seed).
+The grid is every optimizer in ``OPTIMIZERS`` on every problem in
+``PROBLEMS`` at each seed in ``SEEDS``: 60 runs.  Each run is
+``harness.train`` of the default ``ExperimentConfig`` but for the
+optimizer, problem and seed, at ``WIDTH`` and ``ITERATIONS`` (the
+criterion-10 setup: 400 interior and 160 boundary points, quadrature,
+initialization and optimizer seeded by the seed).
 """
 
 import argparse
@@ -31,16 +35,29 @@ import hashlib
 import os
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"  # before numpy is imported
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))  # this checkout's package, whatever PYTHONPATH names
+
+import nystromngd
+
+if not Path(nystromngd.__file__).resolve().is_relative_to(SRC):
+    sys.exit(f"nystromngd was imported from {nystromngd.__file__}, not {SRC}")
+
 import numpy as np
 
-from nystromngd import cli, optim, problems
+from nystromngd import optim, problems
 from nystromngd.harness import ExperimentConfig, train
 
-
+OPTIMIZERS = optim.OPTIMIZER_NAMES
+PROBLEMS = problems.PROBLEM_NAMES
+SEEDS = range(3)
+ITERATIONS = 25
+WIDTH = 16
 COLUMNS = ("theta", "records")  # what each digest column covers
 
 
@@ -54,9 +71,9 @@ def digests(theta, records):
     return theta_hash.hexdigest(), records_hash.hexdigest()
 
 
-def run(optimizer, name, seed, iterations, width):
+def run(optimizer, name, seed):
     config = ExperimentConfig(
-        problem=name, optimizer=optimizer, hidden_width=width, iterations=iterations, seed=seed
+        problem=name, optimizer=optimizer, hidden_width=WIDTH, iterations=ITERATIONS, seed=seed
     )
     theta, records, _ = train(config)
     return digests(theta, records)
@@ -84,20 +101,15 @@ def read_digests(path):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--optimizers", nargs="+", default=list(optim.OPTIMIZER_NAMES))
-    parser.add_argument("--problems", nargs="+", default=list(problems.PROBLEM_NAMES))
-    parser.add_argument("--seeds", type=cli.int_at_least(1), default=3, help="seeds 0 .. SEEDS-1")
-    parser.add_argument("--iterations", type=cli.int_at_least(0), default=25)
-    parser.add_argument("--width", type=cli.int_at_least(1), default=16)
     parser.add_argument("--against", metavar="FILE", help="saved output to compare with")
     args = parser.parse_args(argv)
     saved = read_digests(args.against) if args.against else None
     mismatches = []
     compared = 0
-    for optimizer in args.optimizers:
-        for name in args.problems:
-            for seed in range(args.seeds):
-                got = run(optimizer, name, seed, args.iterations, args.width)
+    for optimizer in OPTIMIZERS:
+        for name in PROBLEMS:
+            for seed in SEEDS:
+                got = run(optimizer, name, seed)
                 print(f"{optimizer} {name} {seed} {got[0]} {got[1]}", flush=True)
                 if saved is not None:
                     expected = saved.get((optimizer, name, str(seed)))

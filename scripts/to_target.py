@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Iterations, Gramian matvecs and seconds to H1 <= 1e-3, 1e-4 and 1e-5, per optimizer.
 
-    PYTHONPATH=src python scripts/to_target.py [optimizer ...]
+    python scripts/to_target.py [optimizer ...]
 
 Each optimizer is any of ``optim.OPTIMIZER_NAMES`` (default
 ``nystrom_ngd``).  Each run is ``harness.train`` of the default
@@ -32,7 +32,9 @@ run of those three reaches 1e-3, and every ``nystrom_ngd`` and
 
 Run as a script, it pins OpenBLAS, OpenMP and MKL to one thread before
 numpy is imported, so the counts do not depend on how a BLAS splits its
-sums.
+sums.  It imports the package from its own checkout's ``src/``, and exits
+if ``nystromngd`` resolves anywhere else, so ``src_lines`` counts the tree
+that ran; no ``PYTHONPATH`` is needed.
 """
 
 import argparse
@@ -47,12 +49,19 @@ if __name__ == "__main__":
     for var in BLAS_ENV:
         os.environ[var] = "1"  # before numpy is imported
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))  # this checkout's package, whatever PYTHONPATH names
+
+import nystromngd
+
+if not Path(nystromngd.__file__).resolve().is_relative_to(SRC):
+    sys.exit(f"nystromngd was imported from {nystromngd.__file__}, not {SRC}")
+
 import numpy as np
 
 from nystromngd import optim
 from nystromngd.harness import ExperimentConfig, train
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 PROBLEMS = ("poisson2d", "heat1p1d", "nlpoisson2d")
 SEEDS = range(8)
 DEPTHS = (1e-3, 1e-4, 1e-5)  # H1 errors; the first is the target the script reports

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 from dataclasses import replace
+from pathlib import Path
 
 from .gramian import DENSE_GUARD
 from .harness import dump_spectrum, load_config, run_experiment
@@ -43,19 +44,20 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    try:  # a missing or bad config or override, a size guard, an unusable output path
         config = load_config(args.config)
-    except (OSError, ValueError) as err:  # a missing file, or a bad key, value or count
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+        if args.command == "spectrum" and config.param_count > DENSE_GUARD:
+            raise ValueError(f"spectrum guard: p={config.param_count} exceeds {DENSE_GUARD}")
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as err:
         parser.error(f"{args.config}: {err}")
-    if args.command == "spectrum" and config.param_count > DENSE_GUARD:
-        parser.error(f"{args.config}: spectrum guard: p={config.param_count} exceeds {DENSE_GUARD}")
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     if args.command == "spectrum":
-        ratios = dump_spectrum(config, out_dir=args.out, top=args.top)
+        ratios = dump_spectrum(config, top=args.top)
         print(f"wrote {ratios.shape[0]} spectrum values")
         return 0
-    summary = run_experiment(config, out_dir=args.out)
+    summary = run_experiment(config)
     print(json.dumps(summary, indent=2))
     return 1 if summary["nonfinite"] else 0  # some run's theta0 had no finite loss
 

@@ -65,6 +65,8 @@ class ExperimentConfig(NystromNgdConfig):
             raise ValueError(
                 f"unknown optimizer {self.optimizer!r}; available: {OPTIMIZER_NAMES}"
             )
+        if not self.out_dir:  # Path("") is the working directory
+            raise ValueError("out_dir must not be empty")
         guard = {"ngd_dense": gramian.DENSE_GUARD, "bfgs": optim.BFGS_GUARD}.get(self.optimizer)
         if guard is not None and self.param_count > guard:
             raise ValueError(f"{self.optimizer} guard: p={self.param_count} exceeds {guard}")
@@ -183,16 +185,17 @@ def run_experiment(config, out_dir=None):
     return summary
 
 
-def dump_spectrum(config, out_dir=None, top=None):
+def dump_spectrum(config, top=None):
     """Assemble the Gramian G = A^T A densely at the config's set-up and
     write its ``top`` (default all) largest eigenvalues normalized by the
-    largest, clipped at 0, one value per line, descending; return them."""
+    largest, clipped at 0, one value per line, descending, to
+    ``spectrum.txt`` in ``config.out_dir``; return them."""
     if top is not None and top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
     problem, quad, theta0 = set_up(config)
     eigs = np.linalg.eigvalsh(GramianOperator.from_problem(problem, theta0, quad).dense())[::-1]
     ratios = np.clip(eigs, 0.0, None)[:top] / eigs[0]
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "spectrum.txt", "w") as fh:
         for value in ratios:

@@ -63,7 +63,7 @@ class NystromNgdConfig:
     """Hyperparameters of the preconditioned natural-gradient loop."""
 
     ell0: int = 10
-    ell_max: int | None = None  # None -> min(500, p // 2) at run time
+    ell_max: int | None = None  # None -> max(min(500, p // 2), ell0) at run time
     iterations: int = 300
     seed: int = 0
 
@@ -168,14 +168,6 @@ def bfgs_update(h, s, y):
     return h + coeff * np.outer(s, s) - rho * (np.outer(hy, s) + np.outer(s, hy))
 
 
-def _resolve_ell_max(config, p):
-    """Explicit caps are honored (clamped to p); the default is the
-    desk-scale rule min(500, p/2)."""
-    if config.ell_max is not None:
-        return min(config.ell_max, p)
-    return max(min(500, p // 2), min(config.ell0, p))
-
-
 def _cg_rel_tol(mu, lam1):
     """Both CG variants' relative tolerance min(CG_TOL_CAP, CG_TOL_RATIO * mu / lam1), lam1 the
     top eigenvalue estimate; the cap if lam1 <= 0, and at least 1e-300 if mu / lam1 underflows."""
@@ -193,7 +185,8 @@ def _nystrom_ngd(theta0, config):
     is the previous step's Nystrom basis (a fresh Gaussian one on the
     first step), topped up with Gaussian columns when the rank grows.
     """
-    ell_max = _resolve_ell_max(config, theta0.shape[0])
+    p = theta0.shape[0]
+    ell_max = min(config.ell_max or max(min(500, p // 2), config.ell0), p)
     ell = min(config.ell0, ell_max)
     rng = np.random.default_rng(config.seed)
     basis = None  # the previous step's Nystrom basis
@@ -222,9 +215,10 @@ def _rayleigh_lam1(gop, g):
 
 
 def _ngd_cg(theta0, config):
-    """Unpreconditioned NGD-CG: adapt_mu of g's Rayleigh quotient, CG in <= CG_MAXIT + ell_max
-    steps on G + mu I; G = gop.dense(), charged nothing, if p <= min(rows, DENSE_GUARD)."""
-    maxit_total = CG_MAXIT + _resolve_ell_max(config, theta0.shape[0])
+    """Unpreconditioned NGD-CG: adapt_mu of g's Rayleigh quotient, CG in <= CG_MAXIT +
+    min(500, p // 2) steps on G + mu I (Nystrom-NGD's default rank cap; no config field is
+    read); G = gop.dense(), charged nothing, if p <= min(rows, DENSE_GUARD)."""
+    maxit_total = CG_MAXIT + min(500, theta0.shape[0] // 2)
 
     def direction(theta, loss, g, gop):
         formed = gop.dim <= min(gop.jacobian.shape[0], gramian.DENSE_GUARD)

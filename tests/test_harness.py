@@ -310,23 +310,25 @@ class TestSetUp:
 class TestSpectrum:
     @pytest.mark.parametrize("top", [0, -3])
     def test_top_below_one_raises(self, tmp_path, top):
-        cfg = harness.parse_config(small_config_text())
+        cfg = harness.parse_config(small_config_text(out_dir=tmp_path / "out"))
         with pytest.raises(ValueError, match=f"top must be >= 1, got {top}"):
-            harness.dump_spectrum(cfg, out_dir=tmp_path / "out", top=top)
+            harness.dump_spectrum(cfg, top=top)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_values_are_the_normalized_gramian_eigenvalues(self, tmp_path, name):
-        cfg = harness.parse_config(small_config_text(problem=name, n_boundary=8))
+        cfg = harness.parse_config(
+            small_config_text(problem=name, n_boundary=8, out_dir=tmp_path)
+        )
         problem, quad, theta0 = harness.set_up(cfg)
         gram = gramian.GramianOperator.from_problem(problem, theta0, quad).dense()
         eigs = np.linalg.eigvalsh(gram)
         want = np.clip(np.sort(eigs)[::-1], 0.0, None) / eigs.max()
-        np.testing.assert_array_equal(harness.dump_spectrum(cfg, out_dir=tmp_path), want)
+        np.testing.assert_array_equal(harness.dump_spectrum(cfg), want)
 
     def test_values_in_unit_interval_descending(self, tmp_path):
-        cfg = harness.parse_config(small_config_text())
-        ratios = harness.dump_spectrum(cfg, out_dir=tmp_path, top=10)
+        cfg = harness.parse_config(small_config_text(out_dir=tmp_path))
+        ratios = harness.dump_spectrum(cfg, top=10)
         assert ratios[0] == 1.0
         assert np.all(ratios > 0)
         assert np.all(ratios <= 1.0)
@@ -440,3 +442,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and f"error: {cfg_path}: {message}\n" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    def test_output_path_that_is_a_file_fails_like_a_bad_argument(
+        self, tmp_path, capsys, command
+    ):
+        # not exit 1, the status of a run whose theta0 loss is not finite
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text())
+        out = tmp_path / "afile"
+        out.write_text("kept")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"error: {cfg_path}: " in err and "File exists" in err
+        assert out.read_text() == "kept" and sorted(tmp_path.iterdir()) == [out, cfg_path]
+
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    @pytest.mark.parametrize("where", ["config", "option"])
+    def test_empty_output_directory_fails_like_a_bad_argument(
+        self, tmp_path, capsys, monkeypatch, command, where
+    ):
+        # Path("") is the working directory, where the outputs would land
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "exp.cfg"
+        if where == "config":
+            cfg_path.write_text(small_config_text() + "\nout_dir =")
+            args = [command, str(cfg_path)]
+        else:
+            cfg_path.write_text(small_config_text())
+            args = [command, str(cfg_path), "--out", ""]
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(args)
+        assert exit_info.value.code == 2
+        assert f"error: {cfg_path}: out_dir must not be empty\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]

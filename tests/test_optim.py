@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -148,8 +148,8 @@ class TestAdaptMu:
         g = prob.loss_grad(theta0, quad, out=a)
         if name == "nystrom_ngd":
             seed = int(np.random.default_rng(cfg.seed).integers(2**63))
-            ell = min(cfg.ell0, optim._resolve_ell_max(cfg, theta0.size))
-            lam1 = nystrom_approximate(GramianOperator(a), ell, seed=seed).eigenvalues[0]
+            assert cfg.ell0 <= theta0.size // 2  # the first rank is ell0, under the default cap
+            lam1 = nystrom_approximate(GramianOperator(a), cfg.ell0, seed=seed).eigenvalues[0]
         else:
             lam1 = (g @ (a.T @ (a @ g))) / (g @ g)  # the Rayleigh quotient of g
         for floor_coeff in (optim.MU_FLOOR_COEFF, 0.0):
@@ -304,6 +304,18 @@ def reach_runs():
 
 
 class TestNystromNgdRun:
+    @pytest.mark.parametrize(
+        "ell0, ell_max, first",
+        [(10, 12, 8), (3, None, 3), (6, None, 6), (11, None, 8)],
+        ids=["explicit-clamped-to-p", "unset", "ell0-above-p/2", "ell0-above-p"],
+    )
+    def test_first_rank_is_ell0_under_the_resolved_cap(self, ell0, ell_max, first):
+        # p = 8: an explicit ell_max is clamped to p; unset, the cap is
+        # min(500, p // 2) = 4 raised to ell0, then clamped to p
+        cfg = optim.NystromNgdConfig(ell0=ell0, ell_max=ell_max, iterations=1)
+        _, records = optim.nystrom_ngd_run(toy(), np.zeros(8), cfg, quad=None)
+        assert records[1].ell == first
+
     def test_linear_least_squares_converges_fast(self, monkeypatch):
         monkeypatch.setattr(optim, "MU_FLOOR_COEFF", 0.0)
         monkeypatch.setattr(optim, "CG_MAXIT", 50)
@@ -754,12 +766,13 @@ def ngd_cg_step(prob, theta, quad, cfg):
     return d, report, g, gop
 
 
-def reference_cg_solve(base, g, loss, cfg):
+def reference_cg_solve(base, g, loss):
     """(mu, SolveReport): NGD-CG's damping from g's Rayleigh quotient on
-    ``base`` and its CG solve on base + mu I, written out."""
+    ``base`` and its CG solve on base + mu I in at most CG_MAXIT + min(500, p // 2)
+    iterations, written out."""
     lam1 = float(g @ base.matvec(g)) / float(g @ g)
     mu = optim.adapt_mu(lam1, loss)
-    maxit = optim.CG_MAXIT + optim._resolve_ell_max(cfg, base.dim)
+    maxit = optim.CG_MAXIT + min(500, base.dim // 2)
     tol = optim._cg_rel_tol(mu, lam1)
     return mu, pcg(ShiftedOperator(base, mu), g, tol, maxit)
 
@@ -775,7 +788,7 @@ class TestFormedGramian:
         d, report, g, gop = ngd_cg_step(prob, theta, quad, cfg)
         a = gop.jacobian
         assert gop.dim <= a.shape[0]
-        mu, ref = reference_cg_solve(DenseOperator(a.T @ a), g, prob.loss_value(theta, quad), cfg)
+        mu, ref = reference_cg_solve(DenseOperator(a.T @ a), g, prob.loss_value(theta, quad))
         assert report.mu == mu and report.pcg_iters == ref.iterations
         np.testing.assert_array_equal(d, ref.solution)
         # the Rayleigh quotient, the iterations and the true-residual recomputes; forming is free
@@ -799,7 +812,7 @@ class TestFormedGramian:
         d, report, g, gop = ngd_cg_step(prob, theta, None, cfg)
         assert len(ops) == 1 and ops[0].base is gop
         two_pass = GramianOperator(prob.a)
-        mu, ref = reference_cg_solve(two_pass, g, prob.loss_value(theta, None), cfg)
+        mu, ref = reference_cg_solve(two_pass, g, prob.loss_value(theta, None))
         assert report.mu == mu
         np.testing.assert_array_equal(d, ref.solution)
         assert gop.matvec_count == two_pass.matvec_count
@@ -809,7 +822,7 @@ class TestFormedGramian:
         theta = np.random.default_rng(10).standard_normal(6)
         cfg = optim.NystromNgdConfig(iterations=1)
         d, report, g, _ = ngd_cg_step(prob, theta, None, cfg)
-        _, ref = reference_cg_solve(GramianOperator(prob.a), g, prob.loss_value(theta, None), cfg)
+        _, ref = reference_cg_solve(GramianOperator(prob.a), g, prob.loss_value(theta, None))
         assert report.pcg_iters == ref.iterations
         assert np.linalg.norm(d - ref.solution) <= 1e-10 * np.linalg.norm(ref.solution)
 
@@ -840,16 +853,28 @@ class TestCgNgd:
         np.testing.assert_allclose(report.solution, d_dense, rtol=1e-6, atol=1e-8)
 
     def test_matvec_budget_per_step(self, monkeypatch):
-        # columns over two decades: CG runs into its cap CG_MAXIT + ell_max = 3 iterations
+        # columns over two decades: CG runs into its cap CG_MAXIT + min(500, p // 2) = 5
+        # iterations at p = 8; Nystrom-NGD's ell0 and ell_max do not enter it
         monkeypatch.setattr(optim, "CG_MAXIT", 1)
         base = toy(seed=11)
         prob = LinearLeastSquares(base.phi * np.logspace(0, -2, 8), base.y, base.w)
         cfg = optim.NystromNgdConfig(iterations=3, ell0=2, ell_max=2, seed=0)
         _, records = optim.ngd_cg_run(prob, np.zeros(8), cfg, quad=None)
-        assert max(r.pcg_iters for r in records) == 1 + 2
+        assert max(r.pcg_iters for r in records) == 1 + 4
         per_step = np.diff([r.matvecs for r in records])  # row 0 has 0
         # the Rayleigh quotient, the iterations and the closing true residual
-        assert max(per_step) == optim.CG_MAXIT + 2 + 2
+        assert max(per_step) == optim.CG_MAXIT + 4 + 2
+
+    @pytest.mark.parametrize("ell0, ell_max", [(2, 2), (40, 60)])
+    def test_reads_no_rank_setting(self, ell0, ell_max):
+        # the criterion-10 set-up at seed 0: a rank setting could only reach NGD-CG
+        # through its CG cap, which binds on this run (228 iterations at p = 337)
+        default = harness.ExperimentConfig(optimizer="ngd_cg", iterations=30)
+        theta, records, _ = harness.train(default)
+        assert max(r.pcg_iters for r in records) == optim.CG_MAXIT + 337 // 2
+        other_theta, other, _ = harness.train(replace(default, ell0=ell0, ell_max=ell_max))
+        np.testing.assert_array_equal(other_theta, theta)
+        assert numeric(other) == numeric(records)
 
     def test_matvec_budget_ends_at_first_record_reaching_it(self, monkeypatch):
         monkeypatch.setattr(optim, "CG_MAXIT", 5)

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 import platform
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,8 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
 def test_script_answers_help(script):
-    # a script broken by a rename in src/ fails here
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # a script broken by a rename in src/ fails here; it finds src/ without PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     result = subprocess.run(
         [sys.executable, str(script), "--help"], env=env, capture_output=True, text=True, timeout=60
     )
@@ -169,99 +171,6 @@ def test_to_target_exits_1_when_a_run_misses_its_depths(
     ]
 
 
-def test_parity_digest_is_deterministic():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    args = ["--optimizers", "nystrom_ngd", "gd", "--problems", "poisson1d",
-            "--seeds", "2", "--iterations", "2", "--width", "4"]
-    outputs = [
-        subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "parity_digest.py"), *args],
-            env=env, capture_output=True, text=True, timeout=300, check=True,
-        ).stdout
-        for _ in range(2)
-    ]
-    assert outputs[0] == outputs[1]
-    lines = [line.split() for line in outputs[0].splitlines()]
-    assert [line[:3] for line in lines] == [
-        [opt, "poisson1d", seed] for opt in ("nystrom_ngd", "gd") for seed in ("0", "1")
-    ]
-    assert all(len(line) == 5 for line in lines)  # theta and records digests
-    digests = [d for line in lines for d in line[3:]]
-    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
-    assert len(set(digests)) == 8
-
-
-def parity_digest(*args):
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "parity_digest.py"),
-         "--optimizers", "gd", "--problems", "poisson1d", "--seeds", "2",
-         "--iterations", "2", "--width", "4", *args],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=300,
-    )
-
-
-@pytest.fixture(scope="module")
-def saved_digests(tmp_path_factory):
-    path = tmp_path_factory.mktemp("parity") / "saved.txt"
-    path.write_text(parity_digest().stdout)
-    return path
-
-
-def test_parity_digest_against_its_own_output_passes(saved_digests):
-    result = parity_digest("--against", str(saved_digests))
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == saved_digests.read_text()
-    assert "0 run(s) differ" in result.stderr
-    assert result.stderr.rstrip().endswith("; compared 2 of 2 saved runs")
-
-
-def test_parity_digest_against_reports_the_saved_runs_it_did_not_rerun(saved_digests):
-    # one seed re-run against a two-seed file: nothing differs, half compared
-    result = parity_digest("--seeds", "1", "--against", str(saved_digests))
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == saved_digests.read_text().splitlines(keepends=True)[0]
-    assert result.stderr.rstrip().endswith("; compared 1 of 2 saved runs")
-
-
-@pytest.mark.parametrize("column", ["theta", "records"])
-def test_parity_digest_against_an_altered_digest_fails(saved_digests, tmp_path, column):
-    # --against names which of the two digests differs
-    lines = [line.split() for line in saved_digests.read_text().splitlines()]
-    assert len(lines) == 2
-    lines[1][3 if column == "theta" else 4] = "0" * 64
-    altered = tmp_path / "altered.txt"
-    altered.write_text("".join(" ".join(line) + "\n" for line in lines))
-    result = parity_digest("--against", str(altered))
-    assert result.returncode == 1
-    assert f"differs in {column}: gd poisson1d 1" in result.stderr
-    assert "poisson1d 0" not in result.stderr
-    counts = {"theta": 0, "records": 0, column: 1}
-    summary = f"({counts['theta']} in theta, {counts['records']} in records)"
-    assert (
-        f"1 run(s) differ from or are missing in {altered} {summary}; compared 2 of 2 saved runs"
-        in result.stderr
-    )
-
-
-@pytest.mark.parametrize("seeds", ["0", "-1"])
-def test_parity_digest_rejects_fewer_than_one_seed(saved_digests, seeds):
-    # --against with no seed would compare no saved run and pass
-    result = parity_digest("--seeds", seeds, "--against", str(saved_digests))
-    assert result.returncode == 2
-    assert f"argument --seeds: must be >= 1, got {seeds}" in result.stderr
-    assert result.stdout == ""
-
-
-@pytest.mark.parametrize("option, value, low", [("--width", "0", 1), ("--iterations", "-1", 0)])
-def test_parity_digest_rejects_a_size_below_its_bound(option, value, low):
-    # caught at parsing, before any run: not a traceback from ExperimentConfig
-    result = parity_digest(option, value)
-    assert result.returncode == 2
-    assert f"argument {option}: must be >= {low}, got {value}" in result.stderr
-    assert result.stdout == ""
-
-
 def load_parity_digest(monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # the import sets them; restored after the test
@@ -273,23 +182,132 @@ def load_parity_digest(monkeypatch):
     return parity
 
 
-def test_parity_digest_against_fails_when_it_compared_no_saved_run(
-    monkeypatch, saved_digests, capsys
-):
-    # with the parse check lifted, --seeds 0 reruns nothing: no run differs, none is compared
+@pytest.fixture
+def parity(monkeypatch):
+    """The parity script on a tiny grid: gd on poisson1d, seeds 0 and 1, width 4, 2 steps."""
     parity = load_parity_digest(monkeypatch)
-    monkeypatch.setattr(parity.cli, "int_at_least", lambda low: int)
-    assert parity.main(["--seeds", "0", "--against", str(saved_digests)]) == 1
+    for name, value in [("OPTIMIZERS", ("gd",)), ("PROBLEMS", ("poisson1d",)),
+                        ("SEEDS", range(2)), ("ITERATIONS", 2), ("WIDTH", 4)]:
+        monkeypatch.setattr(parity, name, value)
+    return parity
+
+
+@pytest.fixture
+def saved_digests(parity, tmp_path, capsys):
+    path = tmp_path / "saved.txt"
+    assert parity.main([]) == 0
+    path.write_text(capsys.readouterr().out)
+    return path
+
+
+def test_parity_digest_is_deterministic(parity, monkeypatch, capsys):
+    monkeypatch.setattr(parity, "OPTIMIZERS", ("nystrom_ngd", "gd"))
+    outputs = []
+    for _ in range(2):
+        assert parity.main([]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = [line.split() for line in outputs[0].splitlines()]
+    assert [line[:3] for line in lines] == [
+        [opt, "poisson1d", seed] for opt in ("nystrom_ngd", "gd") for seed in ("0", "1")
+    ]
+    assert all(len(line) == 5 for line in lines)  # theta and records digests
+    digests = [d for line in lines for d in line[3:]]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
+    assert len(set(digests)) == 8
+
+
+def test_parity_digest_has_one_option(parity, capsys):
+    # the grid is the module's constants; only the saved file to compare with is an option
+    with pytest.raises(SystemExit) as exit_info:
+        parity.main(["--help"])
+    assert exit_info.value.code == 0
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", "--against"}
+
+
+def test_parity_digest_against_its_own_output_passes(parity, saved_digests, capsys):
+    assert parity.main(["--against", str(saved_digests)]) == 0
+    out, err = capsys.readouterr()
+    assert out == saved_digests.read_text()
+    assert "0 run(s) differ" in err
+    assert err.rstrip().endswith("; compared 2 of 2 saved runs")
+
+
+def test_parity_digest_against_reports_the_saved_runs_it_did_not_rerun(
+    parity, saved_digests, monkeypatch, capsys
+):
+    # one seed re-run against a two-seed file: nothing differs, half compared
+    monkeypatch.setattr(parity, "SEEDS", range(1))
+    assert parity.main(["--against", str(saved_digests)]) == 0
+    out, err = capsys.readouterr()
+    assert out == saved_digests.read_text().splitlines(keepends=True)[0]
+    assert err.rstrip().endswith("; compared 1 of 2 saved runs")
+
+
+@pytest.mark.parametrize("column", ["theta", "records"])
+def test_parity_digest_against_an_altered_digest_fails(
+    parity, saved_digests, tmp_path, capsys, column
+):
+    # --against names which of the two digests differs
+    lines = [line.split() for line in saved_digests.read_text().splitlines()]
+    assert len(lines) == 2
+    lines[1][3 if column == "theta" else 4] = "0" * 64
+    altered = tmp_path / "altered.txt"
+    altered.write_text("".join(" ".join(line) + "\n" for line in lines))
+    assert parity.main(["--against", str(altered)]) == 1
+    err = capsys.readouterr().err
+    assert f"differs in {column}: gd poisson1d 1" in err
+    assert "poisson1d 0" not in err
+    counts = {"theta": 0, "records": 0, column: 1}
+    summary = f"({counts['theta']} in theta, {counts['records']} in records)"
+    assert (
+        f"1 run(s) differ from or are missing in {altered} {summary}; compared 2 of 2 saved runs"
+        in err
+    )
+
+
+def test_parity_digest_against_fails_when_it_compared_no_saved_run(
+    parity, saved_digests, monkeypatch, capsys
+):
+    # a grid with no seed reruns nothing: no run differs, none is compared
+    monkeypatch.setattr(parity, "SEEDS", range(0))
+    assert parity.main(["--against", str(saved_digests)]) == 1
     assert capsys.readouterr().err.rstrip().endswith("; compared 0 of 2 saved runs")
+
+
+@pytest.mark.parametrize("script", ["parity_digest.py", "to_target.py"])
+@pytest.mark.parametrize("planted", [True, False], ids=["planted", "absent"])
+def test_script_imports_its_own_checkouts_package(tmp_path, script, planted):
+    # a copy beside another src/ runs that package, not the one PYTHONPATH names;
+    # with no package there, it exits rather than digest or count another tree
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / script, tmp_path / "scripts" / script)
+    if planted:
+        (tmp_path / "src" / "nystromngd").mkdir(parents=True)
+        init = tmp_path / "src" / "nystromngd" / "__init__.py"
+        init.write_text('raise SystemExit("planted package imported")\n')
+    result = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / script), "--help"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    if planted:
+        assert result.stderr == "planted package imported\n"
+    else:
+        assert result.stderr.startswith("nystromngd was imported from ")
+        assert result.stderr.rstrip().endswith(f", not {tmp_path / 'src'}")
 
 
 def test_a_nan_source_gives_each_script_its_one_row_run(monkeypatch):
     # theta0's loss is NaN: the run ends at theta0, and neither script raises
     monkeypatch.setattr(problems.Poisson2D, "source", lambda self, x: np.full(len(x), np.nan))
     parity = load_parity_digest(monkeypatch)
+    monkeypatch.setattr(parity, "ITERATIONS", 2)
+    monkeypatch.setattr(parity, "WIDTH", 4)
     topology = problems.make_problem("poisson2d", hidden_width=4).topology
     for seed in (0, 1):
-        got = parity.run("nystrom_ngd", "poisson2d", seed, iterations=2, width=4)
+        got = parity.run("nystrom_ngd", "poisson2d", seed)
         assert all(len(d) == 64 and int(d, 16) >= 0 for d in got)
         assert got[0] == parity.digests(model.init(topology, seed).values, [])[0]
     r = load_to_target().run("poisson2d", 0, **TINY)
