@@ -25,7 +25,6 @@ CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 __all__ = [
     "ExperimentConfig",
     "parse_config",
-    "load_config",
     "set_up",
     "heldout_quadrature",
     "train",
@@ -108,10 +107,6 @@ def parse_config(text):
     return ExperimentConfig(**options)
 
 
-def load_config(path):
-    return parse_config(Path(path).read_text())
-
-
 def set_up(config):
     """(problem, training quadrature, theta0) of the run ``config``
     describes; the quadrature and theta0 are both drawn from
@@ -155,8 +150,11 @@ def _write_trace(path, records):
 def run_experiment(config, out_dir=None):
     """Run ``repetitions`` trainings, repetition r ``train`` of seed + r, write
     per-run CSV traces (one row per iterate, theta0 first) and a summary JSON,
-    whose ``nonfinite`` counts the runs that ended at a non-finite loss; return it."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    whose ``nonfinite`` counts the runs that ended at a non-finite loss; return it.
+    A given ``out_dir`` replaces ``config.out_dir`` and is checked like it."""
+    if out_dir is not None:
+        config = replace(config, out_dir=str(out_dir))
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     final_errors = []
     heldout_errors = []
@@ -189,9 +187,12 @@ def dump_spectrum(config, top=None):
     """Assemble the Gramian G = A^T A densely at the config's set-up and
     write its ``top`` (default all) largest eigenvalues normalized by the
     largest, clipped at 0, one value per line, descending, to
-    ``spectrum.txt`` in ``config.out_dir``; return them."""
+    ``spectrum.txt`` in ``config.out_dir``; return them.  A ``top`` below 1
+    or a p past ``gramian.DENSE_GUARD`` raises before any set-up."""
     if top is not None and top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
+    if config.param_count > gramian.DENSE_GUARD:
+        raise ValueError(f"spectrum guard: p={config.param_count} exceeds {gramian.DENSE_GUARD}")
     problem, quad, theta0 = set_up(config)
     eigs = np.linalg.eigvalsh(GramianOperator.from_problem(problem, theta0, quad).dense())[::-1]
     ratios = np.clip(eigs, 0.0, None)[:top] / eigs[0]

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -68,7 +71,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_configs_parse(self, path):
-        harness.load_config(path)  # raises on an unknown key or a bad value
+        harness.parse_config(path.read_text())  # raises on an unknown key or a bad value
 
     @pytest.mark.parametrize(
         ("text", "where"),
@@ -201,6 +204,14 @@ class TestRunExperiment:
         assert (tmp_path / "run_0.csv").exists()
         assert (tmp_path / "run_1.csv").exists()
 
+    def test_empty_out_dir_raises_and_writes_nothing(self, tmp_path, monkeypatch):
+        # Path("") is the working directory: the given out_dir is checked like the config's
+        monkeypatch.chdir(tmp_path)
+        cfg = harness.parse_config(small_config_text())
+        with pytest.raises(ValueError, match="out_dir must not be empty"):
+            harness.run_experiment(cfg, out_dir="")
+        assert list(tmp_path.iterdir()) == []
+
     def test_all_optimizers_run(self, tmp_path):
         for name in ("ngd_cg", "ngd_dense", "gd", "bfgs"):
             cfg = harness.parse_config(small_config_text(optimizer=name, iterations=2))
@@ -315,6 +326,20 @@ class TestSpectrum:
             harness.dump_spectrum(cfg, top=top)
         assert not (tmp_path / "out").exists()
 
+    def test_config_past_the_guard_raises_before_any_set_up(self, tmp_path, monkeypatch):
+        def no_set_up(config):
+            raise AssertionError("set_up called")
+
+        monkeypatch.setattr(harness, "set_up", no_set_up)
+        cfg = harness.parse_config(
+            small_config_text(
+                problem="poisson2d", hidden_width=64, hidden_depth=2, out_dir=tmp_path / "out"
+            )
+        )
+        with pytest.raises(ValueError, match="spectrum guard: p=4417 exceeds 2000"):
+            harness.dump_spectrum(cfg)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_values_are_the_normalized_gramian_eigenvalues(self, tmp_path, name):
         cfg = harness.parse_config(
@@ -354,6 +379,21 @@ class TestCli:
         assert (tmp_path / "out" / "summary.json").exists()
         assert "median_final_error" in capsys.readouterr().out
 
+    def test_module_entry_point_runs(self, tmp_path):
+        # python -m nystromngd.cli, the package's command line, in its own process
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(small_config_text(iterations=2))
+        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        args = ["run", str(cfg_path), "--out", str(tmp_path / "out")]
+        result = subprocess.run(
+            [sys.executable, "-m", "nystromngd.cli", *args],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **blas),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        with open(tmp_path / "out" / "summary.json") as fh:
+            assert json.load(fh) == json.loads(result.stdout)
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text(iterations=1))
@@ -370,24 +410,27 @@ class TestCli:
         assert vals.shape == (5,)
 
     @pytest.mark.parametrize(
-        "command, option, value, low",
+        "command, option, value, message",
         [
-            ("spectrum", "--top", "0", 1),
-            ("spectrum", "--top", "-3", 1),
-            ("run", "--seed", "-1", 0),
-            ("spectrum", "--seed", "-1", 0),
+            ("spectrum", "--top", "0", "top must be >= 1, got 0"),
+            ("spectrum", "--top", "-3", "top must be >= 1, got -3"),
+            ("run", "--seed", "-1", "seed must be >= 0"),
+            ("spectrum", "--seed", "-1", "seed must be >= 0"),
         ],
+        ids=["spectrum-top-0", "spectrum-top-neg", "run-seed-neg", "spectrum-seed-neg"],
     )
-    def test_int_option_below_its_bound_fails_at_parsing(
-        self, tmp_path, capsys, command, option, value, low
+    def test_int_option_below_its_bound_fails_like_a_bad_argument(
+        self, tmp_path, capsys, command, option, value, message
     ):
+        # the config checks the seed and dump_spectrum the top, each once
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text())
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exit_info:
             cli_main([command, str(cfg_path), option, value, "--out", str(out)])
         assert exit_info.value.code == 2
-        assert f"argument {option}: must be >= {low}, got {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"error: {cfg_path}: {message}\n" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "spectrum"])
@@ -427,7 +470,8 @@ class TestCli:
     def test_config_past_a_size_guard_fails_like_a_bad_argument(
         self, tmp_path, capsys, command, optimizer, width, message
     ):
-        # p follows from the config, so a run past a guard fails at parsing:
+        # p follows from the config, so a run past a guard fails at parsing and
+        # spectrum past its guard fails in dump_spectrum before any set-up:
         # exit 1 is the status of a run whose theta0 loss is not finite
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(
