@@ -1,4 +1,4 @@
-"""Command line interface: ``nystromngd run|spectrum <config> [options]``."""
+"""Command line interface: ``nystromngd run <config> [--out DIR] [--seed N]``."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import dump_spectrum, parse_config, run_experiment
+from .harness import parse_config, run_experiment
 
 
 def build_parser():
@@ -17,18 +17,10 @@ def build_parser():
         "natural gradient descent and baselines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("config", help="path to a flat key = value config file")
-    common.add_argument("--out", metavar="DIR", help="override the output directory")
-    common.add_argument("--seed", type=int, help="override the base seed (>= 0)")
-
-    sub.add_parser("run", parents=[common], help="run an experiment from a config file")
-    spect = sub.add_parser(
-        "spectrum",
-        parents=[common],
-        help="dump the normalized Gramian spectrum at initialization",
-    )
-    spect.add_argument("--top", type=int, help="keep only the top K >= 1 values")
+    run = sub.add_parser("run", help="run an experiment from a config file")
+    run.add_argument("config", help="path to a flat key = value config file")
+    run.add_argument("--out", metavar="DIR", help="override the output directory")
+    run.add_argument("--seed", type=int, help="override the base seed (>= 0)")
     return parser
 
 
@@ -39,15 +31,9 @@ def main(argv=None):
     try:  # a missing or bad config or override, a size guard, an unusable output path
         config = parse_config(Path(args.config).read_text())
         config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-        if args.command == "spectrum":
-            ratios = dump_spectrum(config, top=args.top)
-        else:
-            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as err:
         parser.error(f"{args.config}: {err}")
-    if args.command == "spectrum":
-        print(f"wrote {ratios.shape[0]} spectrum values")
-        return 0
     summary = run_experiment(config)
     print(json.dumps(summary, indent=2))
     return 1 if summary["nonfinite"] else 0  # some run's theta0 had no finite loss

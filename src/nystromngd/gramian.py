@@ -48,9 +48,7 @@ class GramianOperator:
         return self.jacobian.T @ (self.jacobian @ _counted(self, vmat, 2))
 
     def dense(self):
-        """G = A^T A itself (one syrk), uncounted; guarded like assemble_dense."""
-        if self.dim > DENSE_GUARD:
-            raise ValueError(f"dense assembly guard: p={self.dim} exceeds {DENSE_GUARD}")
+        """G = A^T A itself (one syrk), uncounted; its callers hold p <= DENSE_GUARD."""
         return self.jacobian.T @ self.jacobian
 
 

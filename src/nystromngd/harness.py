@@ -1,5 +1,5 @@
 """Experiment harness: config parsing, ``train`` (the one run function of
-the CLI and the scripts), trace CSVs, summaries, spectra.
+the CLI and the scripts), trace CSVs and summaries.
 
 Config files are flat ``key = value`` text: one option per line, ``#``
 starts a comment, blank lines ignored.  Unknown keys raise.  The full
@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import gramian, model, optim
-from .gramian import GramianOperator
 from .optim import OPTIMIZER_NAMES, NystromNgdConfig, RunRecord, run_optimizer
 from .problems import make_problem, PROBLEM_NAMES
 
@@ -29,7 +28,6 @@ __all__ = [
     "heldout_quadrature",
     "train",
     "run_experiment",
-    "dump_spectrum",
     "CSV_COLUMNS",
 ]
 
@@ -181,24 +179,3 @@ def run_experiment(config, out_dir=None):
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return summary
-
-
-def dump_spectrum(config, top=None):
-    """Assemble the Gramian G = A^T A densely at the config's set-up and
-    write its ``top`` (default all) largest eigenvalues normalized by the
-    largest, clipped at 0, one value per line, descending, to
-    ``spectrum.txt`` in ``config.out_dir``; return them.  A ``top`` below 1
-    or a p past ``gramian.DENSE_GUARD`` raises before any set-up."""
-    if top is not None and top < 1:
-        raise ValueError(f"top must be >= 1, got {top}")
-    if config.param_count > gramian.DENSE_GUARD:
-        raise ValueError(f"spectrum guard: p={config.param_count} exceeds {gramian.DENSE_GUARD}")
-    problem, quad, theta0 = set_up(config)
-    eigs = np.linalg.eigvalsh(GramianOperator.from_problem(problem, theta0, quad).dense())[::-1]
-    ratios = np.clip(eigs, 0.0, None)[:top] / eigs[0]
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "spectrum.txt", "w") as fh:
-        for value in ratios:
-            fh.write(format(value, ".17g") + "\n")
-    return ratios

@@ -198,15 +198,6 @@ class TestDenseAssembly:
         assert np.linalg.norm(dense - reference) <= 1e-14 * np.linalg.norm(reference)
         assert gop.matvec_count == 0
 
-    def test_gramian_dense_guard(self, monkeypatch):
-        gop = gramian.GramianOperator(np.ones((3, 10)))
-        monkeypatch.setattr(gramian, "DENSE_GUARD", 9)
-        with pytest.raises(ValueError, match="guard: p=10 exceeds 9"):
-            gop.dense()
-        assert gop.matvec_count == 0
-        monkeypatch.setattr(gramian, "DENSE_GUARD", 10)
-        np.testing.assert_array_equal(gop.dense(), np.full((10, 10), 3.0))
-
     def test_shifted_operator(self):
         gop = gramian.DenseOperator(np.diag([1.0, 2.0]))
         shifted = gramian.ShiftedOperator(gop, 0.5)

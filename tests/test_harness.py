@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nystromngd import gramian, harness, model, optim, problems
+from nystromngd import harness, model, optim, problems
 from nystromngd.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -318,50 +318,6 @@ class TestSetUp:
         assert not np.isin(heldout.interior_points, quad.interior_points).any()
 
 
-class TestSpectrum:
-    @pytest.mark.parametrize("top", [0, -3])
-    def test_top_below_one_raises(self, tmp_path, top):
-        cfg = harness.parse_config(small_config_text(out_dir=tmp_path / "out"))
-        with pytest.raises(ValueError, match=f"top must be >= 1, got {top}"):
-            harness.dump_spectrum(cfg, top=top)
-        assert not (tmp_path / "out").exists()
-
-    def test_config_past_the_guard_raises_before_any_set_up(self, tmp_path, monkeypatch):
-        def no_set_up(config):
-            raise AssertionError("set_up called")
-
-        monkeypatch.setattr(harness, "set_up", no_set_up)
-        cfg = harness.parse_config(
-            small_config_text(
-                problem="poisson2d", hidden_width=64, hidden_depth=2, out_dir=tmp_path / "out"
-            )
-        )
-        with pytest.raises(ValueError, match="spectrum guard: p=4417 exceeds 2000"):
-            harness.dump_spectrum(cfg)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
-    def test_values_are_the_normalized_gramian_eigenvalues(self, tmp_path, name):
-        cfg = harness.parse_config(
-            small_config_text(problem=name, n_boundary=8, out_dir=tmp_path)
-        )
-        problem, quad, theta0 = harness.set_up(cfg)
-        gram = gramian.GramianOperator.from_problem(problem, theta0, quad).dense()
-        eigs = np.linalg.eigvalsh(gram)
-        want = np.clip(np.sort(eigs)[::-1], 0.0, None) / eigs.max()
-        np.testing.assert_array_equal(harness.dump_spectrum(cfg), want)
-
-    def test_values_in_unit_interval_descending(self, tmp_path):
-        cfg = harness.parse_config(small_config_text(out_dir=tmp_path))
-        ratios = harness.dump_spectrum(cfg, top=10)
-        assert ratios[0] == 1.0
-        assert np.all(ratios > 0)
-        assert np.all(ratios <= 1.0)
-        assert np.all(np.diff(ratios) <= 0)
-        on_disk = np.loadtxt(tmp_path / "spectrum.txt")
-        np.testing.assert_array_equal(on_disk, ratios)
-
-
 class TestReadme:
     def test_python_example_runs(self, capsys):
         # the README's one python block, run as written against the current API
@@ -400,29 +356,26 @@ class TestCli:
         cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o1"), "--seed", "7"])
         assert (tmp_path / "o1" / "run_7.csv").exists()
 
-    def test_spectrum_subcommand(self, tmp_path):
+    def test_spectrum_is_not_a_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text())
-        assert cli_main(
-            ["spectrum", str(cfg_path), "--top", "5", "--out", str(tmp_path / "sp")]
-        ) == 0
-        vals = np.loadtxt(tmp_path / "sp" / "spectrum.txt")
-        assert vals.shape == (5,)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["spectrum", str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "invalid choice: 'spectrum'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, option, value, message",
-        [
-            ("spectrum", "--top", "0", "top must be >= 1, got 0"),
-            ("spectrum", "--top", "-3", "top must be >= 1, got -3"),
-            ("run", "--seed", "-1", "seed must be >= 0"),
-            ("spectrum", "--seed", "-1", "seed must be >= 0"),
-        ],
-        ids=["spectrum-top-0", "spectrum-top-neg", "run-seed-neg", "spectrum-seed-neg"],
+        [("run", "--seed", "-1", "seed must be >= 0")],
+        ids=["run-seed-neg"],
     )
     def test_int_option_below_its_bound_fails_like_a_bad_argument(
         self, tmp_path, capsys, command, option, value, message
     ):
-        # the config checks the seed and dump_spectrum the top, each once
+        # the config checks the seed, once
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(small_config_text())
         out = tmp_path / "out"
@@ -433,7 +386,7 @@ class TestCli:
         assert err.count("error:") == 1 and f"error: {cfg_path}: {message}\n" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    @pytest.mark.parametrize("command", ["run"])
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -463,15 +416,13 @@ class TestCli:
         [
             ("run", "ngd_dense", 64, "ngd_dense guard: p=4417 exceeds 2000"),
             ("run", "bfgs", 72, "bfgs guard: p=5545 exceeds 5000"),
-            ("spectrum", "nystrom_ngd", 64, "spectrum guard: p=4417 exceeds 2000"),
         ],
-        ids=["run-ngd_dense", "run-bfgs", "spectrum"],
+        ids=["run-ngd_dense", "run-bfgs"],
     )
     def test_config_past_a_size_guard_fails_like_a_bad_argument(
         self, tmp_path, capsys, command, optimizer, width, message
     ):
-        # p follows from the config, so a run past a guard fails at parsing and
-        # spectrum past its guard fails in dump_spectrum before any set-up:
+        # p follows from the config, so a run past a guard fails at parsing:
         # exit 1 is the status of a run whose theta0 loss is not finite
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(
@@ -487,7 +438,7 @@ class TestCli:
         assert err.count("error:") == 1 and f"error: {cfg_path}: {message}\n" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    @pytest.mark.parametrize("command", ["run"])
     def test_output_path_that_is_a_file_fails_like_a_bad_argument(
         self, tmp_path, capsys, command
     ):
@@ -503,7 +454,7 @@ class TestCli:
         assert err.count("error:") == 1 and f"error: {cfg_path}: " in err and "File exists" in err
         assert out.read_text() == "kept" and sorted(tmp_path.iterdir()) == [out, cfg_path]
 
-    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    @pytest.mark.parametrize("command", ["run"])
     @pytest.mark.parametrize("where", ["config", "option"])
     def test_empty_output_directory_fails_like_a_bad_argument(
         self, tmp_path, capsys, monkeypatch, command, where
