@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gramian, model, optim
+from . import model, optim
 from .optim import OPTIMIZER_NAMES, NystromNgdConfig, RunRecord, run_optimizer
 from .problems import make_problem, PROBLEM_NAMES
 
@@ -64,9 +64,7 @@ class ExperimentConfig(NystromNgdConfig):
             )
         if not self.out_dir:  # Path("") is the working directory
             raise ValueError("out_dir must not be empty")
-        guard = {"ngd_dense": gramian.DENSE_GUARD, "bfgs": optim.BFGS_GUARD}.get(self.optimizer)
-        if guard is not None and self.param_count > guard:
-            raise ValueError(f"{self.optimizer} guard: p={self.param_count} exceeds {guard}")
+        optim.check_size_guard(self.optimizer, self.param_count)
 
     @property
     def param_count(self):

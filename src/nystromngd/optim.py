@@ -50,6 +50,7 @@ __all__ = [
     "adapt_rank",
     "backtracking_linesearch",
     "bfgs_update",
+    "check_size_guard",
     "run_optimizer",
     "nystrom_ngd_run",
     "ngd_cg_run",
@@ -246,10 +247,6 @@ def ngd_dense_direction(gop, g, mu):
 
 def _ngd_dense(theta0, config):
     """Oracle NGD: adapt_mu of g's Rayleigh quotient (one matvec), solve with G (p <= 2000)."""
-    p = theta0.shape[0]
-    if p > gramian.DENSE_GUARD:
-        raise ValueError(f"dense NGD guard: p={p} exceeds {gramian.DENSE_GUARD}")
-
     def direction(theta, loss, g, gop):
         d, mu = ngd_dense_direction(gop, g, adapt_mu(_rayleigh_lam1(gop, g), loss))
         return d, StepReport(mu)
@@ -264,10 +261,7 @@ def _gradient_descent(theta0, config):
 
 def _bfgs(theta0, config):
     """Dense BFGS baseline using the rank-one-structured inverse update."""
-    p = theta0.shape[0]
-    if p > BFGS_GUARD:
-        raise ValueError(f"dense BFGS guard: p={p} exceeds {BFGS_GUARD}")
-    h = np.eye(p)
+    h = np.eye(theta0.shape[0])
     previous = None  # (theta, g) at the previous step, which was accepted
 
     def direction(theta, loss, g, gop):
@@ -290,6 +284,13 @@ _OPTIMIZERS = {
 OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
 
 
+def check_size_guard(name, p):
+    """Raise ValueError if optimizer ``name`` forms a dense p x p matrix past its guard."""
+    limit = {"ngd_dense": gramian.DENSE_GUARD, "bfgs": BFGS_GUARD}.get(name)
+    if limit is not None and p > limit:
+        raise ValueError(f"{name} guard: p={p} exceeds {limit}")
+
+
 def run_optimizer(
     name, problem, theta0, config, quad, quad_eval=None, h1_stop=None, matvec_budget=None
 ):
@@ -310,6 +311,7 @@ def run_optimizer(
     direction is 0 and none is asked for (the record has no mu, ell or
     new matvecs).  A non-finite theta0 loss ends the run at its record too;
     every later loss passed the Armijo test, which rejects NaN and +inf.
+    ``check_size_guard`` runs before anything is evaluated.
     Returns (theta_final, [RunRecord, ...]).
     """
     if name not in _OPTIMIZERS:
@@ -317,6 +319,7 @@ def run_optimizer(
     if h1_stop is not None and quad_eval is None:
         raise ValueError("h1_stop needs quad_eval: without it every H1 error is NaN")
     theta = np.asarray(theta0, dtype=float)
+    check_size_guard(name, theta.shape[0])
     direction = _OPTIMIZERS[name](theta, config)
     gop = GramianOperator(np.empty((problem.metric_weights(quad).shape[0], theta.shape[0])))
     records = []

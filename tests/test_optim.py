@@ -726,7 +726,8 @@ class TestDenseNgd:
         p = gramian.DENSE_GUARD + 1
         prob = NoEvaluation(np.zeros((2, p)), np.ones(2), np.ones(2))
         cfg = optim.NystromNgdConfig(iterations=1)
-        with pytest.raises(ValueError, match=f"guard: p={p} exceeds"):
+        message = f"^ngd_dense guard: p={p} exceeds {gramian.DENSE_GUARD}$"
+        with pytest.raises(ValueError, match=message):
             optim.run_optimizer("ngd_dense", prob, np.zeros(p), cfg, quad=None)
 
     def test_agrees_with_nystrom_ngd_direction(self):
@@ -915,11 +916,14 @@ class TestBfgsRun:
 
     def test_guard(self, monkeypatch):
         class NoEvaluation(LinearLeastSquares):
-            def loss_grad(self, theta, quad):
-                raise AssertionError("evaluated before the guard")
+            def loss_value(self, theta, quad):
+                raise AssertionError("loss evaluated before the guard")
+
+            def loss_grad(self, theta, quad, out=None):
+                raise AssertionError("gradient evaluated before the guard")
 
         prob = NoEvaluation(np.eye(8), np.ones(8), np.ones(8))
-        monkeypatch.setattr(optim, "BFGS_GUARD", 4)
+        monkeypatch.setattr(optim, "BFGS_GUARD", 4)  # read when the run starts
         cfg = optim.NystromNgdConfig(iterations=1)
-        with pytest.raises(ValueError, match="guard"):
+        with pytest.raises(ValueError, match="^bfgs guard: p=8 exceeds 4$"):
             optim.run_optimizer("bfgs", prob, np.zeros(8), cfg, quad=None)

@@ -1,4 +1,4 @@
-"""Smoke tests: each script in scripts/ answers --help and runs on a tiny setting."""
+"""Smoke tests: scripts/grid.py answers --help in each mode and runs each mode on a tiny grid."""
 
 import importlib.util
 import json
@@ -16,32 +16,49 @@ import pytest
 from nystromngd import model, problems
 
 ROOT = Path(__file__).resolve().parents[1]
+GRID = ROOT / "scripts" / "grid.py"
 
 
-@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
-def test_script_answers_help(script):
+@pytest.mark.parametrize("mode", [[], ["digest"], ["target"]], ids=["grid.py", "digest", "target"])
+def test_script_answers_help(mode):
     # a script broken by a rename in src/ fails here; it finds src/ without PYTHONPATH
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     result = subprocess.run(
-        [sys.executable, str(script), "--help"], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, str(GRID), *mode, "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage:")
 
 
-def load_to_target():
-    # imported, the script leaves the BLAS thread settings alone
-    spec = importlib.util.spec_from_file_location("to_target", ROOT / "scripts" / "to_target.py")
-    to_target = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(to_target)
-    return to_target
+def test_script_without_a_mode_exits_2():
+    result = subprocess.run(
+        [sys.executable, str(GRID)], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("usage: grid.py")
+
+
+def load_grid():
+    spec = importlib.util.spec_from_file_location("grid", GRID)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return grid
+
+
+def test_importing_the_script_leaves_the_blas_settings_alone(monkeypatch):
+    # only a run as a script pins the thread counts, before numpy is imported
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "2")
+    grid = load_grid()
+    assert {var: os.environ[var] for var in grid.BLAS_ENV} == dict.fromkeys(grid.BLAS_ENV, "2")
 
 
 TINY = dict(hidden_width=4, n_interior=20, n_boundary=2, iterations=2)
 
 
 def test_to_target_run_reports_its_last_record():
-    r = load_to_target().run("poisson1d", 0, **TINY)
+    r = load_grid().target_run("poisson1d", 0, **TINY)
     assert r["iterations"] == 2 and r["matvecs"] > 0 and r["seconds"] > 0  # no early stop
     assert r["crossings"] == [None, None, None]  # no depth reached
     assert 1e-3 < r["h1"] < float("inf") and 0.0 < r["heldout_h1"] < float("inf")
@@ -50,10 +67,10 @@ def test_to_target_run_reports_its_last_record():
 
 def test_to_target_runs_the_named_optimizer():
     # ngd_dense forms G with p matvecs per step, plus one for its damping's lam1
-    to_target = load_to_target()
+    grid = load_grid()
     prob = problems.make_problem("poisson1d", hidden_width=4, hidden_depth=2)
     p = model.init(prob.topology, 0).values.size
-    r = to_target.run("poisson1d", 0, optimizer="ngd_dense", **TINY)
+    r = grid.target_run("poisson1d", 0, optimizer="ngd_dense", **TINY)
     assert (r["iterations"], r["matvecs"]) == (2, 2 * (p + 1))
     assert 1e-3 < r["h1"] < float("inf")
 
@@ -61,17 +78,17 @@ def test_to_target_runs_the_named_optimizer():
 def test_to_target_crossing_is_the_run_stopped_at_its_depth(monkeypatch):
     # one run to the deepest depth gives, per depth it crosses, the last
     # record of the same seed stopped there: the runs agree up to that row
-    to_target = load_to_target()
+    grid = load_grid()
     small = dict(hidden_width=8, n_interior=30, n_boundary=2, iterations=26)
-    depths = to_target.DEPTHS
-    deep = to_target.run("poisson1d", 0, **small)
+    depths = grid.DEPTHS
+    deep = grid.target_run("poisson1d", 0, **small)
     *crossed, deepest = deep["crossings"]
     assert deepest is None and deep["iterations"] == 26  # 1e-5 is not reached
     assert 0 < crossed[0]["iteration"] < crossed[1]["iteration"]
     assert 0 < crossed[0]["seconds"] < crossed[1]["seconds"] <= deep["seconds"]
     for depth, crossing in zip(depths, crossed):
-        monkeypatch.setattr(to_target, "DEPTHS", (depth,))
-        stopped = to_target.run("poisson1d", 0, **small)
+        monkeypatch.setattr(grid, "DEPTHS", (depth,))
+        stopped = grid.target_run("poisson1d", 0, **small)
         assert stopped["h1"] <= depth
         assert (crossing["iteration"], crossing["matvecs"]) == (
             stopped["iterations"], stopped["matvecs"]
@@ -79,12 +96,12 @@ def test_to_target_crossing_is_the_run_stopped_at_its_depth(monkeypatch):
 
 
 def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
-    to_target = load_to_target()
-    monkeypatch.setattr(to_target, "PROBLEMS", ("poisson1d",))
-    monkeypatch.setattr(to_target, "SEEDS", range(2))
-    assert to_target.main(["nystrom_ngd", "ngd_dense"]) == 0
+    grid = load_grid()
+    monkeypatch.setattr(grid, "TARGET_PROBLEMS", ("poisson1d",))
+    monkeypatch.setattr(grid, "TARGET_SEEDS", range(2))
+    assert grid.main(["target", "nystrom_ngd", "ngd_dense"]) == 0
     *lines, last = capsys.readouterr().out.splitlines()
-    medians = [f"median at {depth:.0e}" for depth in to_target.DEPTHS]
+    medians = [f"median at {depth:.0e}" for depth in grid.DEPTHS]
     assert [line.split(":")[0] for line in lines] == [
         f"{opt} poisson1d {what}"
         for opt in ("nystrom_ngd", "ngd_dense")
@@ -96,7 +113,7 @@ def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
     assert all("missed" not in line for line in runs)
     for opt, block in (("nystrom_ngd", record["runs"][:2]), ("ngd_dense", record["runs"][2:])):
         # one median line per depth, over each run's crossing of it; none missed
-        for i, depth in enumerate(to_target.DEPTHS):
+        for i, depth in enumerate(grid.DEPTHS):
             c = [r["crossings"][i] for r in block]
             its, matvecs, seconds = np.median(
                 [[x["iteration"], x["matvecs"], x["seconds"]] for x in c], axis=0
@@ -108,7 +125,7 @@ def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
     assert [(r["optimizer"], r["problem"], r["seed"]) for r in record["runs"]] == [
         (opt, "poisson1d", seed) for opt in ("nystrom_ngd", "ngd_dense") for seed in (0, 1)
     ]
-    assert record["depths"] == list(to_target.DEPTHS)
+    assert record["depths"] == list(grid.DEPTHS)
     for line, r in zip(runs, record["runs"]):
         # the lines read the first depth; each run goes on to the last
         first = r["crossings"][0]
@@ -118,27 +135,27 @@ def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
         )
         iterations = [c["iteration"] for c in r["crossings"]]
         assert iterations == sorted(iterations) and iterations[-1] == r["iterations"]
-        assert r["h1"] <= min(to_target.DEPTHS) and 0.0 < r["heldout_h1"] < 1.0
+        assert r["h1"] <= min(grid.DEPTHS) and 0.0 < r["heldout_h1"] < 1.0
     src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
     assert record["src_lines"] == src_lines
     assert record["numpy"] == np.__version__ and record["python"] == platform.python_version()
-    assert set(record["blas_threads"]) == set(to_target.BLAS_ENV)
+    assert set(record["blas_threads"]) == set(grid.BLAS_ENV)
     # one optimizer, the default, prints its lines unlabelled
-    monkeypatch.setattr(to_target, "SEEDS", range(1))
-    assert to_target.main([]) == 0
+    monkeypatch.setattr(grid, "TARGET_SEEDS", range(1))
+    assert grid.main(["target"]) == 0
     *lines, last = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["poisson1d seed 0"] + [
-        f"poisson1d median at {depth:.0e}" for depth in to_target.DEPTHS
+        f"poisson1d median at {depth:.0e}" for depth in grid.DEPTHS
     ]
     assert len(json.loads(last)["runs"]) == 1
     with pytest.raises(SystemExit) as exit_info:
-        to_target.main(["nystrom_ngd", "newton"])
+        grid.main(["target", "nystrom_ngd", "newton"])
     assert exit_info.value.code == 2  # before any run
     assert capsys.readouterr().out == ""
 
 
 def missed_run(optimizer, crossed):
-    """A to_target run record that crosses only the first ``crossed`` DEPTHS."""
+    """A target run record that crosses only the first ``crossed`` DEPTHS."""
     crossing = {"iteration": 1, "matvecs": 1, "seconds": 0.1}
     return {
         "optimizer": optimizer, "problem": "poisson1d", "seed": 0, "iterations": 1,
@@ -158,11 +175,11 @@ def test_to_target_exits_1_when_a_run_misses_its_depths(
     monkeypatch, capsys, optimizer, crossed, status
 ):
     # every run must reach 1e-3; Nystrom-NGD and exact NGD runs also 1e-4
-    to_target = load_to_target()
-    monkeypatch.setattr(to_target, "PROBLEMS", ("poisson1d",))
-    monkeypatch.setattr(to_target, "SEEDS", range(1))
-    monkeypatch.setattr(to_target, "run", lambda *_, optimizer: missed_run(optimizer, crossed))
-    assert to_target.main([optimizer]) == status
+    grid = load_grid()
+    monkeypatch.setattr(grid, "TARGET_PROBLEMS", ("poisson1d",))
+    monkeypatch.setattr(grid, "TARGET_SEEDS", range(1))
+    monkeypatch.setattr(grid, "target_run", lambda *_, optimizer: missed_run(optimizer, crossed))
+    assert grid.main(["target", optimizer]) == status
     *lines, last = capsys.readouterr().out.splitlines()
     assert json.loads(last)["runs"] == [missed_run(optimizer, crossed)]
     # a depth's median line counts the run as missed from its first missed depth on
@@ -171,40 +188,29 @@ def test_to_target_exits_1_when_a_run_misses_its_depths(
     ]
 
 
-def load_parity_digest(monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")  # the import sets them; restored after the test
-    spec = importlib.util.spec_from_file_location(
-        "parity_digest", ROOT / "scripts" / "parity_digest.py"
-    )
-    parity = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(parity)
-    return parity
-
-
 @pytest.fixture
 def parity(monkeypatch):
-    """The parity script on a tiny grid: gd on poisson1d, seeds 0 and 1, width 4, 2 steps."""
-    parity = load_parity_digest(monkeypatch)
-    for name, value in [("OPTIMIZERS", ("gd",)), ("PROBLEMS", ("poisson1d",)),
-                        ("SEEDS", range(2)), ("ITERATIONS", 2), ("WIDTH", 4)]:
-        monkeypatch.setattr(parity, name, value)
-    return parity
+    """grid.py on a tiny digest grid: gd on poisson1d, seeds 0 and 1, width 4, 2 steps."""
+    grid = load_grid()
+    for name, value in [("DIGEST_OPTIMIZERS", ("gd",)), ("DIGEST_PROBLEMS", ("poisson1d",)),
+                        ("DIGEST_SEEDS", range(2)), ("DIGEST_ITERATIONS", 2), ("DIGEST_WIDTH", 4)]:
+        monkeypatch.setattr(grid, name, value)
+    return grid
 
 
 @pytest.fixture
 def saved_digests(parity, tmp_path, capsys):
     path = tmp_path / "saved.txt"
-    assert parity.main([]) == 0
+    assert parity.main(["digest"]) == 0
     path.write_text(capsys.readouterr().out)
     return path
 
 
 def test_parity_digest_is_deterministic(parity, monkeypatch, capsys):
-    monkeypatch.setattr(parity, "OPTIMIZERS", ("nystrom_ngd", "gd"))
+    monkeypatch.setattr(parity, "DIGEST_OPTIMIZERS", ("nystrom_ngd", "gd"))
     outputs = []
     for _ in range(2):
-        assert parity.main([]) == 0
+        assert parity.main(["digest"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     lines = [line.split() for line in outputs[0].splitlines()]
@@ -217,16 +223,19 @@ def test_parity_digest_is_deterministic(parity, monkeypatch, capsys):
     assert len(set(digests)) == 8
 
 
-def test_parity_digest_has_one_option(parity, capsys):
-    # the grid is the module's constants; only the saved file to compare with is an option
-    with pytest.raises(SystemExit) as exit_info:
-        parity.main(["--help"])
-    assert exit_info.value.code == 0
-    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", "--against"}
+def test_parity_digest_has_one_option(capsys):
+    # each mode's grid is module constants: digest's one option is the saved file to
+    # compare with, and target takes only optimizer names
+    grid = load_grid()
+    for mode, options in [([], set()), (["digest"], {"--against"}), (["target"], set())]:
+        with pytest.raises(SystemExit) as exit_info:
+            grid.main([*mode, "--help"])
+        assert exit_info.value.code == 0
+        assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", *options}
 
 
 def test_parity_digest_against_its_own_output_passes(parity, saved_digests, capsys):
-    assert parity.main(["--against", str(saved_digests)]) == 0
+    assert parity.main(["digest", "--against", str(saved_digests)]) == 0
     out, err = capsys.readouterr()
     assert out == saved_digests.read_text()
     assert "0 run(s) differ" in err
@@ -237,8 +246,8 @@ def test_parity_digest_against_reports_the_saved_runs_it_did_not_rerun(
     parity, saved_digests, monkeypatch, capsys
 ):
     # one seed re-run against a two-seed file: nothing differs, half compared
-    monkeypatch.setattr(parity, "SEEDS", range(1))
-    assert parity.main(["--against", str(saved_digests)]) == 0
+    monkeypatch.setattr(parity, "DIGEST_SEEDS", range(1))
+    assert parity.main(["digest", "--against", str(saved_digests)]) == 0
     out, err = capsys.readouterr()
     assert out == saved_digests.read_text().splitlines(keepends=True)[0]
     assert err.rstrip().endswith("; compared 1 of 2 saved runs")
@@ -254,7 +263,7 @@ def test_parity_digest_against_an_altered_digest_fails(
     lines[1][3 if column == "theta" else 4] = "0" * 64
     altered = tmp_path / "altered.txt"
     altered.write_text("".join(" ".join(line) + "\n" for line in lines))
-    assert parity.main(["--against", str(altered)]) == 1
+    assert parity.main(["digest", "--against", str(altered)]) == 1
     err = capsys.readouterr().err
     assert f"differs in {column}: gd poisson1d 1" in err
     assert "poisson1d 0" not in err
@@ -270,24 +279,24 @@ def test_parity_digest_against_fails_when_it_compared_no_saved_run(
     parity, saved_digests, monkeypatch, capsys
 ):
     # a grid with no seed reruns nothing: no run differs, none is compared
-    monkeypatch.setattr(parity, "SEEDS", range(0))
-    assert parity.main(["--against", str(saved_digests)]) == 1
+    monkeypatch.setattr(parity, "DIGEST_SEEDS", range(0))
+    assert parity.main(["digest", "--against", str(saved_digests)]) == 1
     assert capsys.readouterr().err.rstrip().endswith("; compared 0 of 2 saved runs")
 
 
-@pytest.mark.parametrize("script", ["parity_digest.py", "to_target.py"])
+@pytest.mark.parametrize("mode", ["digest", "target"])
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "absent"])
-def test_script_imports_its_own_checkouts_package(tmp_path, script, planted):
+def test_script_imports_its_own_checkouts_package(tmp_path, planted, mode):
     # a copy beside another src/ runs that package, not the one PYTHONPATH names;
     # with no package there, it exits rather than digest or count another tree
     (tmp_path / "scripts").mkdir()
-    shutil.copy(ROOT / "scripts" / script, tmp_path / "scripts" / script)
+    shutil.copy(GRID, tmp_path / "scripts" / "grid.py")
     if planted:
         (tmp_path / "src" / "nystromngd").mkdir(parents=True)
         init = tmp_path / "src" / "nystromngd" / "__init__.py"
         init.write_text('raise SystemExit("planted package imported")\n')
     result = subprocess.run(
-        [sys.executable, str(tmp_path / "scripts" / script), "--help"],
+        [sys.executable, str(tmp_path / "scripts" / "grid.py"), mode, "--help"],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=60,
     )
@@ -300,17 +309,17 @@ def test_script_imports_its_own_checkouts_package(tmp_path, script, planted):
 
 
 def test_a_nan_source_gives_each_script_its_one_row_run(monkeypatch):
-    # theta0's loss is NaN: the run ends at theta0, and neither script raises
+    # theta0's loss is NaN: the run ends at theta0, and neither mode raises
     monkeypatch.setattr(problems.Poisson2D, "source", lambda self, x: np.full(len(x), np.nan))
-    parity = load_parity_digest(monkeypatch)
-    monkeypatch.setattr(parity, "ITERATIONS", 2)
-    monkeypatch.setattr(parity, "WIDTH", 4)
+    grid = load_grid()
+    monkeypatch.setattr(grid, "DIGEST_ITERATIONS", 2)
+    monkeypatch.setattr(grid, "DIGEST_WIDTH", 4)
     topology = problems.make_problem("poisson2d", hidden_width=4).topology
     for seed in (0, 1):
-        got = parity.run("nystrom_ngd", "poisson2d", seed)
+        got = grid.digest_run("nystrom_ngd", "poisson2d", seed)
         assert all(len(d) == 64 and int(d, 16) >= 0 for d in got)
-        assert got[0] == parity.digests(model.init(topology, seed).values, [])[0]
-    r = load_to_target().run("poisson2d", 0, **TINY)
+        assert got[0] == grid.digests(model.init(topology, seed).values, [])[0]
+    r = grid.target_run("poisson2d", 0, **TINY)
     assert r["crossings"] == [None, None, None]
     assert (r["iterations"], r["matvecs"]) == (0, 0)
     assert 0.0 < r["h1"] < float("inf") and 0.0 < r["heldout_h1"] < float("inf")
