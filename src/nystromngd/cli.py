@@ -1,10 +1,9 @@
-"""Command line interface: ``nystromngd run <config> [--out DIR] [--seed N]``."""
+"""Command line interface: ``nystromngd run <config>``."""
 
 from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import parse_config, run_experiment
@@ -19,18 +18,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment from a config file")
     run.add_argument("config", help="path to a flat key = value config file")
-    run.add_argument("--out", metavar="DIR", help="override the output directory")
-    run.add_argument("--seed", type=int, help="override the base seed (>= 0)")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    overrides = {"seed": args.seed, "out_dir": args.out}
-    try:  # a missing or bad config or override, a size guard, an unusable output path
+    try:  # a missing or bad config, a size guard, an unusable output path
         config = parse_config(Path(args.config).read_text())
-        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as err:
         parser.error(f"{args.config}: {err}")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nystromngd import harness, model, optim, problems
-from nystromngd.cli import main as cli_main
+from nystromngd.cli import build_parser, main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -234,8 +234,8 @@ class TestNanSource:
     def nan_source(self, monkeypatch):
         monkeypatch.setattr(problems.Poisson2D, "source", lambda self, x: np.full(len(x), np.nan))
 
-    def config_text(self):
-        return small_config_text(problem="poisson2d", repetitions=2, seed=3)
+    def config_text(self, **overrides):
+        return small_config_text(problem="poisson2d", repetitions=2, seed=3, **overrides)
 
     def check_traces(self, out):
         for seed in (3, 4):  # each run ends at theta0's row, which records the NaN loss
@@ -252,8 +252,8 @@ class TestNanSource:
 
     def test_cli_run_writes_the_traces_then_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(self.config_text())
-        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        cfg_path.write_text(self.config_text(out_dir=tmp_path / "out"))
+        assert cli_main(["run", str(cfg_path)]) == 1
         self.check_traces(tmp_path / "out")
         with open(tmp_path / "out" / "summary.json") as fh:
             assert json.load(fh)["nonfinite"] == 2
@@ -326,23 +326,33 @@ class TestReadme:
         iteration, h1, heldout_h1 = capsys.readouterr().out.split()
         assert int(iteration) > 0 and float(h1) <= 1e-3 and 0.0 < float(heldout_h1) < 1e-2
 
+    def test_command_lines_parse(self):
+        # each command line the README shows, in a fenced block or inline, is one the CLI takes
+        fenced = re.findall(r"```\w*\n(.*?)```", README, re.S)
+        prose = re.sub(r"```\w*\n.*?```", "", README, flags=re.S)
+        lines = [line for block in fenced for line in block.splitlines()]
+        commands = [c for c in lines if c.startswith("nystromngd ")]
+        commands += re.findall(r"`(nystromngd [^`]*)`", prose)
+        assert "nystromngd run configs/poisson2d_nystrom.cfg" in commands and len(commands) >= 2
+        for command in commands:
+            assert build_parser().parse_args(command.split()[1:]).command == "run", command
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(iterations=2))
-        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        cfg_path.write_text(small_config_text(iterations=2, out_dir=tmp_path / "out"))
+        assert cli_main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "summary.json").exists()
         assert "median_final_error" in capsys.readouterr().out
 
     def test_module_entry_point_runs(self, tmp_path):
         # python -m nystromngd.cli, the package's command line, in its own process
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(iterations=2))
+        cfg_path.write_text(small_config_text(iterations=2, out_dir=tmp_path / "out"))
         blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-        args = ["run", str(cfg_path), "--out", str(tmp_path / "out")]
         result = subprocess.run(
-            [sys.executable, "-m", "nystromngd.cli", *args],
+            [sys.executable, "-m", "nystromngd.cli", "run", str(cfg_path)],
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **blas),
             capture_output=True, text=True, timeout=120,
         )
@@ -350,126 +360,103 @@ class TestCli:
         with open(tmp_path / "out" / "summary.json") as fh:
             assert json.load(fh) == json.loads(result.stdout)
 
-    def test_seed_override(self, tmp_path):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text(iterations=1))
-        cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o1"), "--seed", "7"])
-        assert (tmp_path / "o1" / "run_7.csv").exists()
-
     def test_spectrum_is_not_a_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text())
         out = tmp_path / "out"
+        cfg_path.write_text(small_config_text(out_dir=out))
         with pytest.raises(SystemExit) as exit_info:
-            cli_main(["spectrum", str(cfg_path), "--out", str(out)])
+            cli_main(["spectrum", str(cfg_path)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "invalid choice: 'spectrum'" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command, option, value, message",
-        [("run", "--seed", "-1", "seed must be >= 0")],
-        ids=["run-seed-neg"],
-    )
-    def test_int_option_below_its_bound_fails_like_a_bad_argument(
-        self, tmp_path, capsys, command, option, value, message
-    ):
-        # the config checks the seed, once
+    @pytest.mark.parametrize("option", [["--seed", "3"], ["--out", "d"]], ids=["seed", "out"])
+    def test_option_is_not_an_argument(self, tmp_path, capsys, monkeypatch, option):
+        # the config file alone says what runs
+        monkeypatch.chdir(tmp_path)
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text())
-        out = tmp_path / "out"
+        cfg_path.write_text(small_config_text(out_dir=tmp_path / "out"))
         with pytest.raises(SystemExit) as exit_info:
-            cli_main([command, str(cfg_path), option, value, "--out", str(out)])
+            cli_main(["run", str(cfg_path), *option])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and f"error: {cfg_path}: {message}\n" in err
-        assert not out.exists()
+        assert err.count("error:") == 1 and "unrecognized arguments: " + " ".join(option) in err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
-    @pytest.mark.parametrize("command", ["run"])
     @pytest.mark.parametrize(
-        "text, message",
+        "keys, message",
         [
-            (None, "No such file or directory"),
-            (small_config_text() + "\nbogus = 1", "unknown config key 'bogus'"),
-            (small_config_text(iterations=-1), "iterations must be >= 0"),
-            (small_config_text(optimizer="newton"), "unknown optimizer 'newton'"),
+            (None, "[Errno 2] No such file or directory"),
+            ({"bogus": 1}, "line 12: unknown config key 'bogus'\n"),
+            ({"iterations": -1}, "iterations must be >= 0\n"),
+            ({"optimizer": "newton"}, "unknown optimizer 'newton'"),
+            ({"seed": -1}, "seed must be >= 0\n"),
         ],
-        ids=["missing", "unknown-key", "negative-count", "bad-value"],
+        ids=["missing", "unknown-key", "negative-count", "bad-value", "seed-neg"],
     )
-    def test_bad_config_file_fails_like_a_bad_argument(
-        self, tmp_path, capsys, command, text, message
-    ):
+    def test_bad_config_file_fails_like_a_bad_argument(self, tmp_path, capsys, keys, message):
         cfg_path = tmp_path / "exp.cfg"
-        if text is not None:
-            cfg_path.write_text(text)
         out = tmp_path / "out"
+        if keys is not None:
+            cfg_path.write_text(small_config_text(**keys, out_dir=out))
         with pytest.raises(SystemExit) as exit_info:
-            cli_main([command, str(cfg_path), "--out", str(out)])
+            cli_main(["run", str(cfg_path)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert f"error: {cfg_path}: " in err and message in err
+        assert err.count("error:") == 1 and f"error: {cfg_path}: {message}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, optimizer, width, message",
+        "optimizer, width, message",
         [
-            ("run", "ngd_dense", 64, "ngd_dense guard: p=4417 exceeds 2000"),
-            ("run", "bfgs", 72, "bfgs guard: p=5545 exceeds 5000"),
+            ("ngd_dense", 64, "ngd_dense guard: p=4417 exceeds 2000"),
+            ("bfgs", 72, "bfgs guard: p=5545 exceeds 5000"),
         ],
-        ids=["run-ngd_dense", "run-bfgs"],
+        ids=["ngd_dense", "bfgs"],
     )
     def test_config_past_a_size_guard_fails_like_a_bad_argument(
-        self, tmp_path, capsys, command, optimizer, width, message
+        self, tmp_path, capsys, optimizer, width, message
     ):
         # p follows from the config, so a run past a guard fails at parsing:
         # exit 1 is the status of a run whose theta0 loss is not finite
         cfg_path = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
         cfg_path.write_text(
             small_config_text(
-                problem="poisson2d", optimizer=optimizer, hidden_width=width, hidden_depth=2
+                problem="poisson2d", optimizer=optimizer, hidden_width=width, hidden_depth=2,
+                out_dir=out,
             )
         )
-        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exit_info:
-            cli_main([command, str(cfg_path), "--out", str(out)])
+            cli_main(["run", str(cfg_path)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and f"error: {cfg_path}: {message}\n" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run"])
-    def test_output_path_that_is_a_file_fails_like_a_bad_argument(
-        self, tmp_path, capsys, command
-    ):
+    def test_output_path_that_is_a_file_fails_like_a_bad_argument(self, tmp_path, capsys):
         # not exit 1, the status of a run whose theta0 loss is not finite
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(small_config_text())
         out = tmp_path / "afile"
         out.write_text("kept")
+        cfg_path.write_text(small_config_text(out_dir=out))
         with pytest.raises(SystemExit) as exit_info:
-            cli_main([command, str(cfg_path), "--out", str(out)])
+            cli_main(["run", str(cfg_path)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and f"error: {cfg_path}: " in err and "File exists" in err
         assert out.read_text() == "kept" and sorted(tmp_path.iterdir()) == [out, cfg_path]
 
-    @pytest.mark.parametrize("command", ["run"])
-    @pytest.mark.parametrize("where", ["config", "option"])
     def test_empty_output_directory_fails_like_a_bad_argument(
-        self, tmp_path, capsys, monkeypatch, command, where
+        self, tmp_path, capsys, monkeypatch
     ):
         # Path("") is the working directory, where the outputs would land
         monkeypatch.chdir(tmp_path)
         cfg_path = tmp_path / "exp.cfg"
-        if where == "config":
-            cfg_path.write_text(small_config_text() + "\nout_dir =")
-            args = [command, str(cfg_path)]
-        else:
-            cfg_path.write_text(small_config_text())
-            args = [command, str(cfg_path), "--out", ""]
+        cfg_path.write_text(small_config_text() + "\nout_dir =")
         with pytest.raises(SystemExit) as exit_info:
-            cli_main(args)
+            cli_main(["run", str(cfg_path)])
         assert exit_info.value.code == 2
         assert f"error: {cfg_path}: out_dir must not be empty\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]

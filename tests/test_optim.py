@@ -441,7 +441,7 @@ class TestRunOptimizer:
         assert calls == []
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
-    def test_nonfinite_loss_raises(self, name, monkeypatch):
+    def test_nonfinite_theta0_loss_ends_the_run_at_row_0(self, name, monkeypatch):
         # nothing raises: a theta0 with no finite loss ends the run at its
         # own record, as a failed line search does, with no step taken
         theta0 = np.random.default_rng(5).standard_normal(8)
