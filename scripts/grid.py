@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Two grids of ``harness.train`` runs: parity digests, and the run to three depths.
 
-    python scripts/grid.py digest [--against FILE]
+    python scripts/grid.py digest
     python scripts/grid.py target [optimizer ...]
 
 Each run is ``harness.train`` of the default ``ExperimentConfig`` but for
@@ -15,23 +15,24 @@ package from its own checkout's ``src/``, and exits if ``nystromngd``
 resolves anywhere else, so a digest or ``src_lines`` belongs to the tree
 that ran; no ``PYTHONPATH`` is needed.
 
-``digest`` prints two SHA-256 digests per (optimizer, problem, seed) run:
-the first covers the final theta's bytes, the second every numeric
-RunRecord field but the wall-clock seconds.  Two checkouts do the same
-arithmetic on these runs exactly when their outputs do not differ; a
-change that keeps the iterates but changes what the trace rows hold
-differs in the second column only.  Each checkout runs its own copy:
+``digest`` prints one line per (optimizer, problem, seed) run: the three
+names, then two SHA-256 digests, the first of the final theta's bytes, the
+second of every numeric RunRecord field but the wall-clock seconds.  The
+grid is every optimizer in ``DIGEST_OPTIMIZERS`` on every problem in
+``DIGEST_PROBLEMS`` at each seed in ``DIGEST_SEEDS``, at ``DIGEST_WIDTH``
+and ``DIGEST_ITERATIONS``: 60 runs, in a fixed order.  Two checkouts do
+the same arithmetic on these runs exactly when their outputs are
+byte-identical, so each checkout runs its own copy and ``cmp`` compares:
 
     python <other checkout>/scripts/grid.py digest > a.txt
-    python scripts/grid.py digest --against a.txt
+    python scripts/grid.py digest > b.txt
+    cmp a.txt b.txt
 
-The grid is every optimizer in ``DIGEST_OPTIMIZERS`` on every problem in
-``DIGEST_PROBLEMS`` at each seed in ``DIGEST_SEEDS``, at ``DIGEST_WIDTH``
-and ``DIGEST_ITERATIONS``: 60 runs.  ``--against FILE`` compares the
-digests with a saved run: it prints to stderr each (optimizer, problem,
-seed) that FILE lacks or whose theta or records digest differs from
-FILE's, naming which of the two differs, then how many of FILE's runs it
-compared, and exits 1 if any differs or it compared none.
+A change that keeps the iterates but changes what the trace rows hold
+differs in the last field only; fields 1-4 (optimizer, problem, seed,
+theta digest) compare theta alone:
+
+    diff <(cut -d' ' -f1-4 a.txt) <(cut -d' ' -f1-4 b.txt)
 
 ``target`` gives the iterations, Gramian matvecs and seconds to H1 <= 1e-3,
 1e-4 and 1e-5 of each optimizer, any of ``optim.OPTIMIZER_NAMES`` (default
@@ -89,7 +90,6 @@ DIGEST_PROBLEMS = problems.PROBLEM_NAMES
 DIGEST_SEEDS = range(3)
 DIGEST_ITERATIONS = 25
 DIGEST_WIDTH = 16
-COLUMNS = ("theta", "records")  # what each digest column covers
 
 TARGET_PROBLEMS = ("poisson2d", "heat1p1d", "nlpoisson2d")
 TARGET_SEEDS = range(8)
@@ -115,55 +115,14 @@ def digest_run(optimizer, name, seed):
     return digests(theta, records)
 
 
-def compare(got, expected):
-    """'missing' when there is no saved run, else 'differs in ...' naming
-    the digest columns that differ, or '' when none does."""
-    if expected is None:
-        return "missing"
-    differ = [col for col, a, b in zip(COLUMNS, got, expected) if a != b]
-    return "differs in " + " and ".join(differ) if differ else ""
-
-
-def read_digests(path):
-    """{(optimizer, problem, seed): (theta digest, records digest)} from a
-    saved run's output."""
-    saved = {}
-    with open(path) as fh:
-        for line in filter(str.strip, fh):
-            optimizer, name, seed, theta, records = line.split()
-            saved[optimizer, name, seed] = theta, records
-    return saved
-
-
-def digest(against):
-    """Print the parity digests; against a saved file, report to stderr and exit 1 on a change."""
-    saved = read_digests(against) if against else None
-    mismatches = []
-    compared = 0
+def digest():
+    """Print the parity digests, one line per run."""
     for optimizer in DIGEST_OPTIMIZERS:
         for name in DIGEST_PROBLEMS:
             for seed in DIGEST_SEEDS:
-                got = digest_run(optimizer, name, seed)
-                print(f"{optimizer} {name} {seed} {got[0]} {got[1]}", flush=True)
-                if saved is not None:
-                    expected = saved.get((optimizer, name, str(seed)))
-                    compared += expected is not None
-                    kind = compare(got, expected)
-                    if kind:
-                        mismatches.append((kind, f"{optimizer} {name} {seed}"))
-    if saved is None:
-        return 0
-    for kind, run_id in mismatches:  # stderr, so stdout stays a digest file
-        print(f"{kind}: {run_id}", file=sys.stderr)
-    per_column = ", ".join(
-        f"{sum(col in kind for kind, _ in mismatches)} in {col}" for col in COLUMNS
-    )
-    print(
-        f"{len(mismatches)} run(s) differ from or are missing in {against}"
-        f" ({per_column}); compared {compared} of {len(saved)} saved runs",
-        file=sys.stderr,
-    )
-    return 1 if mismatches or not compared else 0
+                theta, records = digest_run(optimizer, name, seed)
+                print(f"{optimizer} {name} {seed} {theta} {records}", flush=True)
+    return 0
 
 
 def target_run(name, seed, optimizer="nystrom_ngd", **overrides):
@@ -249,8 +208,7 @@ def target(optimizers):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     modes = parser.add_subparsers(dest="mode", required=True)
-    digest_parser = modes.add_parser("digest", help=digest.__doc__, description=digest.__doc__)
-    digest_parser.add_argument("--against", metavar="FILE", help="saved output to compare with")
+    modes.add_parser("digest", help=digest.__doc__, description=digest.__doc__)
     target_parser = modes.add_parser("target", help=target.__doc__, description=target.__doc__)
     target_parser.add_argument(
         "optimizers", nargs="*", metavar="optimizer",
@@ -258,7 +216,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     if args.mode == "digest":
-        return digest(args.against)
+        return digest()
     for optimizer in args.optimizers:  # argparse's choices rejects an empty nargs="*" list
         if optimizer not in optim.OPTIMIZER_NAMES:
             target_parser.error(f"unknown optimizer {optimizer!r}")

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import model, optim
-from .optim import OPTIMIZER_NAMES, NystromNgdConfig, RunRecord, run_optimizer
-from .problems import make_problem, PROBLEM_NAMES
+from .optim import NystromNgdConfig, RunRecord, run_optimizer
+from .problems import make_problem
 
 CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
@@ -54,17 +54,9 @@ class ExperimentConfig(NystromNgdConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.problem not in PROBLEM_NAMES:
-            raise ValueError(
-                f"unknown problem {self.problem!r}; available: {PROBLEM_NAMES}"
-            )
-        if self.optimizer not in OPTIMIZER_NAMES:
-            raise ValueError(
-                f"unknown optimizer {self.optimizer!r}; available: {OPTIMIZER_NAMES}"
-            )
+        optim.check_optimizer(self.optimizer, self.param_count)  # param_count checks the problem
         if not self.out_dir:  # Path("") is the working directory
             raise ValueError("out_dir must not be empty")
-        optim.check_size_guard(self.optimizer, self.param_count)
 
     @property
     def param_count(self):

@@ -33,9 +33,9 @@ def pcg(op, b, rel_tol, maxit, precond=None):
     once more on exit; the operator's own ``matvec_count`` counts those
     recomputations along with the iterations' matvecs.
 
-    On a breakdown (p^T A p <= 0, signalling a non-SPD operator or
-    severe roundoff) the best iterate so far is returned with
-    ``converged=False`` and ``breakdown=True``.
+    On a breakdown (p^T A p not > 0, so NaN too, signalling a non-SPD or
+    non-finite operator or severe roundoff) the best iterate so far is
+    returned with ``converged=False`` and ``breakdown=True``.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -57,7 +57,7 @@ def pcg(op, b, rel_tol, maxit, precond=None):
     for it in range(1, maxit + 1):
         ad_ = op.matvec(d)
         dad = float(d @ ad_)
-        if dad <= 0.0:
+        if not dad > 0.0:
             breakdown = True
             break
         alpha = rz / dad

@@ -50,7 +50,7 @@ __all__ = [
     "adapt_rank",
     "backtracking_linesearch",
     "bfgs_update",
-    "check_size_guard",
+    "check_optimizer",
     "run_optimizer",
     "nystrom_ngd_run",
     "ngd_cg_run",
@@ -141,9 +141,13 @@ def backtracking_linesearch(theta, direction, loss_fn, grad_dot_dir, loss0):
 
     ``loss0`` is the caller's ``loss_fn(theta)``.  Returns (alpha,
     new_loss); alpha = 0.0 flags failure (no decrease found), in which
-    case new_loss is loss0.  A NaN trial loss fails the Armijo test, so it
-    backtracks like any other rejected step.
+    case new_loss is loss0.  A direction that is not a descent direction
+    (``grad_dot_dir`` zero, negative or NaN) fails before any trial.  A NaN
+    trial loss fails the Armijo test, so it backtracks like any other
+    rejected step.
     """
+    if not grad_dot_dir > 0.0:
+        return 0.0, loss0
     alpha = 1.0
     for _ in range(LS_MAX_BACKTRACKS + 1):
         loss_new = loss_fn(theta - alpha * direction)
@@ -284,8 +288,10 @@ _OPTIMIZERS = {
 OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
 
 
-def check_size_guard(name, p):
-    """Raise ValueError if optimizer ``name`` forms a dense p x p matrix past its guard."""
+def check_optimizer(name, p):
+    """Raise ValueError if ``name`` is no optimizer or forms a dense p x p matrix past its guard."""
+    if name not in _OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
     limit = {"ngd_dense": gramian.DENSE_GUARD, "bfgs": BFGS_GUARD}.get(name)
     if limit is not None and p > limit:
         raise ValueError(f"{name} guard: p={p} exceeds {limit}")
@@ -307,19 +313,19 @@ def run_optimizer(
     without ``quad_eval``, which no H1 error could reach, raises
     ``ValueError``.  A step that cannot decrease the loss ends the run:
     its record keeps theta and the previous loss.  That is a line search
-    that finds no decrease, or an exactly zero gradient, where every
-    direction is 0 and none is asked for (the record has no mu, ell or
-    new matvecs).  A non-finite theta0 loss ends the run at its record too;
-    every later loss passed the Armijo test, which rejects NaN and +inf.
-    ``check_size_guard`` runs before anything is evaluated.
+    that finds no decrease (none is sought along a d with g^T d not > 0,
+    such as a solve that broke down at d = 0), or an exactly zero
+    gradient, where every direction is 0 and none is asked for (the record
+    has no mu, ell or new matvecs).  A non-finite theta0 loss ends the run
+    at its record too; every later loss passed the Armijo test, which
+    rejects NaN and +inf.
+    ``check_optimizer`` runs before anything is evaluated.
     Returns (theta_final, [RunRecord, ...]).
     """
-    if name not in _OPTIMIZERS:
-        raise KeyError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
+    theta = np.asarray(theta0, dtype=float)
+    check_optimizer(name, theta.shape[0])
     if h1_stop is not None and quad_eval is None:
         raise ValueError("h1_stop needs quad_eval: without it every H1 error is NaN")
-    theta = np.asarray(theta0, dtype=float)
-    check_size_guard(name, theta.shape[0])
     direction = _OPTIMIZERS[name](theta, config)
     gop = GramianOperator(np.empty((problem.metric_weights(quad).shape[0], theta.shape[0])))
     records = []

@@ -382,7 +382,7 @@ PROBLEM_NAMES = tuple(sorted(_PROBLEMS))
 def make_problem(name, hidden_width=16, hidden_depth=2):
     """Instantiate a problem by name on a tanh MLP of the given hidden shape."""
     if name not in _PROBLEMS:
-        raise KeyError(f"unknown problem {name!r}; available: {PROBLEM_NAMES}")
+        raise ValueError(f"unknown problem {name!r}; available: {PROBLEM_NAMES}")
     cls = _PROBLEMS[name]
     widths = (cls.input_dim,) + (hidden_width,) * hidden_depth + (1,)
     return cls(MlpTopology(widths))

@@ -390,10 +390,17 @@ class TestCli:
             (None, "[Errno 2] No such file or directory"),
             ({"bogus": 1}, "line 12: unknown config key 'bogus'\n"),
             ({"iterations": -1}, "iterations must be >= 0\n"),
-            ({"optimizer": "newton"}, "unknown optimizer 'newton'"),
+            (
+                {"optimizer": "newton"},
+                f"unknown optimizer 'newton'; available: {optim.OPTIMIZER_NAMES}\n",
+            ),
             ({"seed": -1}, "seed must be >= 0\n"),
+            (
+                {"problem": "stokes3d"},
+                f"unknown problem 'stokes3d'; available: {problems.PROBLEM_NAMES}\n",
+            ),
         ],
-        ids=["missing", "unknown-key", "negative-count", "bad-value", "seed-neg"],
+        ids=["missing", "unknown-key", "negative-count", "bad-value", "seed-neg", "bad-problem"],
     )
     def test_bad_config_file_fails_like_a_bad_argument(self, tmp_path, capsys, keys, message):
         cfg_path = tmp_path / "exp.cfg"

@@ -78,6 +78,17 @@ class TestPcg:
         report = pcg(DenseOperator(indef), np.array([0.0, 1.0]), 1e-10, 10)
         assert report.breakdown and not report.converged
 
+    def test_nan_curvature_is_a_breakdown(self):
+        # a NaN p^T A p fails the curvature test like a non-positive one: the solve stops
+        # at its best iterate, x0 = 0, instead of iterating on NaNs to its cap
+        a = np.eye(4)
+        a[2, 2] = np.nan
+        op = DenseOperator(a)
+        report = pcg(op, np.ones(4), 1e-8, 200)
+        assert report.breakdown and not report.converged
+        assert report.iterations == 0 and op.matvec_count == 2  # one curvature, one residual
+        assert np.isfinite(report.solution).all()
+
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             pcg(DenseOperator(np.eye(2)), np.ones(2), rel_tol=0.0, maxit=5)

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import astuple, fields, replace
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from nystromngd import gramian, harness, optim, problems
 from nystromngd.gramian import DenseOperator, GramianOperator, ShiftedOperator, assemble_dense
-from nystromngd.krylov import RECOMPUTE_EVERY, pcg
+from nystromngd.krylov import RECOMPUTE_EVERY, SolveReport, pcg
 from nystromngd.sketch import NystromPreconditioner, nystrom_approximate
 
 EPS = np.finfo(float).eps
@@ -232,6 +233,17 @@ class TestLinesearch:
         assert alpha == 0.5
         assert new_loss == quadratic(0.5 * theta)
 
+    @pytest.mark.parametrize("slope", [0.0, np.nan, -1.0], ids=["zero", "nan", "uphill"])
+    def test_no_descent_direction_fails_before_any_trial(self, slope):
+        # g^T d not > 0: no trial is made, so d = 0 is not accepted at alpha = 1 with an
+        # equal loss, and a NaN slope does not backtrack through every trial
+        trials = []
+        loss_fn = lambda th: trials.append(th) or 1.0
+        alpha, new_loss = optim.backtracking_linesearch(
+            np.ones(2), np.zeros(2), loss_fn, slope, 1.0
+        )
+        assert (alpha, new_loss) == (0.0, 1.0) and trials == []
+
     def test_ascent_direction_fails(self):
         theta = np.array([1.0, 1.0])
         loss_fn = lambda th: 0.5 * float(th @ th)
@@ -377,9 +389,32 @@ class TestNystromNgdRun:
 
 class TestRunOptimizer:
     def test_unknown_name_raises(self):
-        cfg = optim.NystromNgdConfig(iterations=1)
-        with pytest.raises(KeyError, match="unknown optimizer"):
-            optim.run_optimizer("adam", toy(), np.zeros(8), cfg, quad=None)
+        # before any loss is evaluated
+        class NoLoss(LinearLeastSquares):
+            def loss_value(self, theta, quad):
+                raise AssertionError("a loss was evaluated")
+
+        prob, cfg = toy(), optim.NystromNgdConfig(iterations=1)
+        message = f"unknown optimizer 'adam'; available: {optim.OPTIMIZER_NAMES}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optim.run_optimizer(
+                "adam", NoLoss(prob.phi, prob.y, prob.w), np.zeros(8), cfg, quad=None
+            )
+
+    @pytest.mark.parametrize("name", ["nystrom_ngd", "ngd_cg"])
+    def test_a_solve_that_returns_zero_stalls_the_run(self, name, monkeypatch):
+        # a solve that breaks down at its first iteration returns x0 = 0; g^T d = 0 is no
+        # descent, so the run ends at row 1 as at a failed line search, not at its cap
+        def broken_pcg(op, b, rel_tol, maxit, precond=None):
+            return SolveReport(np.zeros_like(b), 0, 1.0, False, True)
+
+        monkeypatch.setattr(optim, "pcg", broken_pcg)
+        theta0 = np.random.default_rng(1).standard_normal(8)
+        cfg = optim.NystromNgdConfig(iterations=50)
+        theta, records = optim.run_optimizer(name, toy(), theta0, cfg, quad=None)
+        assert [r.iteration for r in records] == [0, 1]
+        assert records[1].loss == records[0].loss
+        np.testing.assert_array_equal(theta, theta0)
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_loss_evaluated_once_per_run_plus_line_search_trials(self, name, monkeypatch):

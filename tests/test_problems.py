@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -586,7 +588,8 @@ class TestH1Error:
 
 class TestRegistry:
     def test_unknown_problem_raises(self):
-        with pytest.raises(KeyError):
+        message = f"unknown problem 'stokes3d'; available: {problems.PROBLEM_NAMES}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             problems.make_problem("stokes3d")
 
     def test_default_topology(self):

@@ -198,14 +198,6 @@ def parity(monkeypatch):
     return grid
 
 
-@pytest.fixture
-def saved_digests(parity, tmp_path, capsys):
-    path = tmp_path / "saved.txt"
-    assert parity.main(["digest"]) == 0
-    path.write_text(capsys.readouterr().out)
-    return path
-
-
 def test_parity_digest_is_deterministic(parity, monkeypatch, capsys):
     monkeypatch.setattr(parity, "DIGEST_OPTIMIZERS", ("nystrom_ngd", "gd"))
     outputs = []
@@ -224,64 +216,34 @@ def test_parity_digest_is_deterministic(parity, monkeypatch, capsys):
 
 
 def test_parity_digest_has_one_option(capsys):
-    # each mode's grid is module constants: digest's one option is the saved file to
-    # compare with, and target takes only optimizer names
+    # each mode's grid is module constants, and target takes only optimizer names: the one
+    # option of every mode is --help, and comparing two digest files is cmp's job
     grid = load_grid()
-    for mode, options in [([], set()), (["digest"], {"--against"}), (["target"], set())]:
+    for mode in ([], ["digest"], ["target"]):
         with pytest.raises(SystemExit) as exit_info:
             grid.main([*mode, "--help"])
         assert exit_info.value.code == 0
-        assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", *options}
+        assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help"}
 
 
-def test_parity_digest_against_its_own_output_passes(parity, saved_digests, capsys):
-    assert parity.main(["digest", "--against", str(saved_digests)]) == 0
-    out, err = capsys.readouterr()
-    assert out == saved_digests.read_text()
-    assert "0 run(s) differ" in err
-    assert err.rstrip().endswith("; compared 2 of 2 saved runs")
-
-
-def test_parity_digest_against_reports_the_saved_runs_it_did_not_rerun(
-    parity, saved_digests, monkeypatch, capsys
-):
-    # one seed re-run against a two-seed file: nothing differs, half compared
-    monkeypatch.setattr(parity, "DIGEST_SEEDS", range(1))
-    assert parity.main(["digest", "--against", str(saved_digests)]) == 0
-    out, err = capsys.readouterr()
-    assert out == saved_digests.read_text().splitlines(keepends=True)[0]
-    assert err.rstrip().endswith("; compared 1 of 2 saved runs")
-
-
-@pytest.mark.parametrize("column", ["theta", "records"])
-def test_parity_digest_against_an_altered_digest_fails(
-    parity, saved_digests, tmp_path, capsys, column
-):
-    # --against names which of the two digests differs
-    lines = [line.split() for line in saved_digests.read_text().splitlines()]
-    assert len(lines) == 2
-    lines[1][3 if column == "theta" else 4] = "0" * 64
-    altered = tmp_path / "altered.txt"
-    altered.write_text("".join(" ".join(line) + "\n" for line in lines))
-    assert parity.main(["digest", "--against", str(altered)]) == 1
-    err = capsys.readouterr().err
-    assert f"differs in {column}: gd poisson1d 1" in err
-    assert "poisson1d 0" not in err
-    counts = {"theta": 0, "records": 0, column: 1}
-    summary = f"({counts['theta']} in theta, {counts['records']} in records)"
-    assert (
-        f"1 run(s) differ from or are missing in {altered} {summary}; compared 2 of 2 saved runs"
-        in err
-    )
-
-
-def test_parity_digest_against_fails_when_it_compared_no_saved_run(
-    parity, saved_digests, monkeypatch, capsys
-):
-    # a grid with no seed reruns nothing: no run differs, none is compared
-    monkeypatch.setattr(parity, "DIGEST_SEEDS", range(0))
-    assert parity.main(["digest", "--against", str(saved_digests)]) == 1
-    assert capsys.readouterr().err.rstrip().endswith("; compared 0 of 2 saved runs")
+def test_readme_grid_commands_parse(monkeypatch):
+    # each grid.py command the README shows, inline or in a fenced block, is one grid.py
+    # takes: a placeholder in usage brackets is dropped, an option in them is kept
+    grid = load_grid()
+    modes = []
+    monkeypatch.setattr(grid, "digest", lambda: modes.append("digest") or 0)
+    monkeypatch.setattr(grid, "target", lambda optimizers: modes.append("target") or 0)
+    readme = (ROOT / "README.md").read_text()
+    fenced = re.findall(r"```\w*\n(.*?)```", readme, re.S)
+    prose = re.sub(r"```\w*\n.*?```", "", readme, flags=re.S)
+    lines = [line for block in fenced for line in block.splitlines()]
+    commands = [c for c in lines if "grid.py " in c]
+    commands += [c for c in re.findall(r"`([^`]*)`", prose) if "grid.py " in c]
+    for command in commands:
+        args = re.split(r"[<>|;&]", command.split("grid.py ", 1)[1])[0]  # before any redirect
+        args = re.sub(r"\[([^\]]*)\]", lambda m: m[1] if m[1].startswith("-") else "", args)
+        assert grid.main(args.split()) == 0, command
+    assert {"digest", "target"} <= set(modes) and len(commands) >= 3
 
 
 @pytest.mark.parametrize("mode", ["digest", "target"])
