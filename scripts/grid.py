@@ -217,9 +217,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.mode == "digest":
         return digest()
-    for optimizer in args.optimizers:  # argparse's choices rejects an empty nargs="*" list
-        if optimizer not in optim.OPTIMIZER_NAMES:
-            target_parser.error(f"unknown optimizer {optimizer!r}")
+    try:  # the config's own check of each name, before any run
+        for optimizer in args.optimizers:
+            ExperimentConfig(optimizer=optimizer)
+    except ValueError as err:
+        target_parser.error(str(err))
     return target(args.optimizers or ["nystrom_ngd"])
 
 

@@ -1,10 +1,9 @@
 """Matrix-free natural gradient descent with randomized Nystrom
 preconditioning for small neural-network PDE solvers."""
 
-from . import autodiff, gramian, harness, krylov, model, optim, problems, sketch
+from . import gramian, harness, krylov, model, optim, problems, sketch
 
 __all__ = [
-    "autodiff",
     "model",
     "problems",
     "gramian",

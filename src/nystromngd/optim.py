@@ -122,8 +122,8 @@ def adapt_mu(lam1, loss):
     return mu or GAMMA * EPS_MACH
 
 
-def adapt_rank(eigenvalues, mu, ell, ell_max):
-    """Next sketch rank from the estimated spectrum.
+def adapt_rank(eigenvalues, mu, ell_max):
+    """Next sketch rank from the estimated spectrum, whose length is the current rank.
 
     If no estimate lies below RANK_RATIO * mu the rank doubles (capped);
     otherwise it shrinks to the first index below that threshold plus an
@@ -131,7 +131,7 @@ def adapt_rank(eigenvalues, mu, ell, ell_max):
     """
     below = np.asarray(eigenvalues, dtype=float) < RANK_RATIO * mu
     if not below.any():
-        return min(2 * ell, ell_max)
+        return min(2 * len(below), ell_max)
     first_below = int(np.argmax(below)) + 1  # 1-based index
     return min(first_below + 1, ell_max)
 
@@ -208,7 +208,7 @@ def _nystrom_ngd(theta0, config):
         precond = NystromPreconditioner(factor, mu)
         report = pcg(ShiftedOperator(gop, mu), g, tol, CG_MAXIT, precond=precond)
         done = StepReport(mu, ell, report.iterations)
-        ell = adapt_rank(factor.eigenvalues, mu, ell, ell_max)
+        ell = adapt_rank(factor.eigenvalues, mu, ell_max)
         return report.solution, done
 
     return direction

@@ -174,20 +174,21 @@ class TestCgRelTol:
 
 
 class TestAdaptRank:
+    # each spectrum's length is the rank it was sketched at, as nystrom_approximate returns it
     def test_doubles_when_spectrum_not_resolved(self):
-        nxt = optim.adapt_rank(np.array([1.0]), mu=0.05, ell=8, ell_max=100)
+        nxt = optim.adapt_rank(np.full(8, 1.0), mu=0.05, ell_max=100)
         assert nxt == 16
 
     def test_doubling_capped(self):
-        nxt = optim.adapt_rank(np.array([1.0]), mu=0.05, ell=80, ell_max=100)
+        nxt = optim.adapt_rank(np.full(80, 1.0), mu=0.05, ell_max=100)
         assert nxt == 100
 
     def test_shrinks_to_first_resolved_index_plus_offset(self):
-        nxt = optim.adapt_rank(np.array([1.0, 0.5, 1e-6]), mu=1e-3, ell=3, ell_max=50)
+        nxt = optim.adapt_rank(np.array([1.0, 0.5, 1e-6]), mu=1e-3, ell_max=50)
         assert nxt == 4  # first eigenvalue below 10*mu is the 3rd (1-based) + 1
 
     def test_cap_when_already_at_max(self):
-        nxt = optim.adapt_rank(np.full(10, 1.0), mu=1e-6, ell=10, ell_max=10)
+        nxt = optim.adapt_rank(np.full(10, 1.0), mu=1e-6, ell_max=10)
         assert nxt == 10
 
     @pytest.mark.parametrize(
@@ -197,7 +198,7 @@ class TestAdaptRank:
     def test_estimate_at_the_threshold_is_not_below_it(self, eigenvalues, expected):
         # threshold 10 * mu = 5: an estimate equal to it counts as unresolved in both
         # branches, so with none below it the rank doubles instead of collapsing to 2
-        nxt = optim.adapt_rank(np.array(eigenvalues), mu=0.5, ell=4, ell_max=8)
+        nxt = optim.adapt_rank(np.array(eigenvalues), mu=0.5, ell_max=8)
         assert nxt == expected
 
 

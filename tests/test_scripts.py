@@ -151,7 +151,12 @@ def test_to_target_main_reports_every_named_optimizer(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exit_info:
         grid.main(["target", "nystrom_ngd", "newton"])
     assert exit_info.value.code == 2  # before any run
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        "unknown optimizer 'newton'; available: "
+        "('nystrom_ngd', 'ngd_cg', 'ngd_dense', 'gd', 'bfgs')"
+    )
 
 
 def missed_run(optimizer, crossed):
