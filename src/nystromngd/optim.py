@@ -6,8 +6,9 @@ A = W^{1/2} J, together with the loss gradient A^T s, into the run's one
 matrix-free Gramian A^T A, asks the optimizer for a search direction,
 runs the Armijo line search, moves theta, and records the new iterate; a
 step that cannot decrease the loss ends the run.  Each optimizer is a factory
-``(theta0, config) -> direction`` whose closure holds only
-its own state; ``direction(theta, loss, g, gop)`` returns ``(d, StepReport)``.
+``(theta0, config) -> direction`` whose closure holds only its own state;
+``direction(theta, loss, g, gop)`` returns ``(d, fields)``, ``fields`` a dict of the
+RunRecord step fields it sets, from which the loop builds the step's row.
 Every NGD direction damps by mu = adapt_mu(lam1, L), lam1 the sketch's top eigenvalue or, in
 the baselines, g's Rayleigh quotient (one counted matvec), and solves by (P)CG or directly.
 """
@@ -41,11 +42,11 @@ RANK_RATIO = 10.0  # the rank grows while lam_ell >= RANK_RATIO*mu (arXiv:2110.0
 CG_TOL_CAP = 0.1  # binds while mu >= lam1/100
 CG_TOL_RATIO = 10.0  # 100 cut NGD-CG's bench reached_frac from 1.0 to 0.8: one of 5 seeds missed
 CG_MAXIT = 60  # PCG iteration cap; Nystrom-NGD's solves to H1 <= 1e-4 took at most 42 (seeds 0-7)
+RANK_CAP = 500  # no default rank cap exceeds it (_rank_cap)
 
 __all__ = [
     "NystromNgdConfig",
     "RunRecord",
-    "StepReport",
     "adapt_mu",
     "adapt_rank",
     "backtracking_linesearch",
@@ -64,7 +65,7 @@ class NystromNgdConfig:
     """Hyperparameters of the preconditioned natural-gradient loop."""
 
     ell0: int = 10
-    ell_max: int | None = None  # None -> max(min(500, p // 2), ell0) at run time
+    ell_max: int | None = None  # None -> max(_rank_cap(p), ell0) at run time
     iterations: int = 300
     seed: int = 0
 
@@ -80,28 +81,21 @@ class NystromNgdConfig:
             raise ValueError("need 1 <= ell0 <= ell_max")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunRecord:
     """Trace row k: the iterate theta_k after k steps, with step k's mu,
-    ell and PCG iterations (all zero in row 0, which is theta0)."""
+    ell and PCG iterations.  Those step fields come from the direction's
+    ``fields`` dict; one it does not set reads zero, as all do in row 0
+    (theta0) and after a zero gradient."""
 
     iteration: int
     loss: float
     h1_rel_error: float
-    mu: float
-    ell: int
-    pcg_iters: int
-    matvecs: int  # cumulative
-    seconds: float
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """What one optimizer's direction reports to run_optimizer."""
-
     mu: float = 0.0
     ell: int = 0
     pcg_iters: int = 0
+    matvecs: int  # cumulative
+    seconds: float
 
 
 def adapt_mu(lam1, loss):
@@ -173,6 +167,12 @@ def bfgs_update(h, s, y):
     return h + coeff * np.outer(s, s) - rho * (np.outer(hy, s) + np.outer(s, hy))
 
 
+def _rank_cap(p):
+    """min(RANK_CAP, p // 2): Nystrom-NGD's default rank cap, and NGD-CG's CG budget past
+    CG_MAXIT, so the two spend alike at equal budgets."""
+    return min(RANK_CAP, p // 2)
+
+
 def _cg_rel_tol(mu, lam1):
     """Both CG variants' relative tolerance min(CG_TOL_CAP, CG_TOL_RATIO * mu / lam1), lam1 the
     top eigenvalue estimate; the cap if lam1 <= 0, and at least 1e-300 if mu / lam1 underflows."""
@@ -191,7 +191,7 @@ def _nystrom_ngd(theta0, config):
     first step), topped up with Gaussian columns when the rank grows.
     """
     p = theta0.shape[0]
-    ell_max = min(config.ell_max or max(min(500, p // 2), config.ell0), p)
+    ell_max = min(config.ell_max or max(_rank_cap(p), config.ell0), p)
     ell = min(config.ell0, ell_max)
     rng = np.random.default_rng(config.seed)
     basis = None  # the previous step's Nystrom basis
@@ -207,9 +207,9 @@ def _nystrom_ngd(theta0, config):
         tol = _cg_rel_tol(mu, lam1)
         precond = NystromPreconditioner(factor, mu)
         report = pcg(ShiftedOperator(gop, mu), g, tol, CG_MAXIT, precond=precond)
-        done = StepReport(mu, ell, report.iterations)
+        fields = {"mu": mu, "ell": ell, "pcg_iters": report.iterations}
         ell = adapt_rank(factor.eigenvalues, mu, ell_max)
-        return report.solution, done
+        return report.solution, fields
 
     return direction
 
@@ -221,9 +221,9 @@ def _rayleigh_lam1(gop, g):
 
 def _ngd_cg(theta0, config):
     """Unpreconditioned NGD-CG: adapt_mu of g's Rayleigh quotient, CG in <= CG_MAXIT +
-    min(500, p // 2) steps on G + mu I (Nystrom-NGD's default rank cap; no config field is
-    read); G = gop.dense(), charged nothing, if p <= min(rows, DENSE_GUARD)."""
-    maxit_total = CG_MAXIT + min(500, theta0.shape[0] // 2)
+    _rank_cap(p) steps on G + mu I (no config field is read); G = gop.dense(), charged
+    nothing, if p <= min(rows, DENSE_GUARD)."""
+    maxit_total = CG_MAXIT + _rank_cap(theta0.shape[0])
 
     def direction(theta, loss, g, gop):
         formed = gop.dim <= min(gop.jacobian.shape[0], gramian.DENSE_GUARD)
@@ -233,7 +233,7 @@ def _ngd_cg(theta0, config):
         report = pcg(ShiftedOperator(base, mu), g, _cg_rel_tol(mu, lam1), maxit_total)
         if formed:
             gop.matvec_count += base.matvec_count
-        return report.solution, StepReport(mu, 0, report.iterations)
+        return report.solution, {"mu": mu, "pcg_iters": report.iterations}
 
     return direction
 
@@ -253,14 +253,14 @@ def _ngd_dense(theta0, config):
     """Oracle NGD: adapt_mu of g's Rayleigh quotient (one matvec), solve with G (p <= 2000)."""
     def direction(theta, loss, g, gop):
         d, mu = ngd_dense_direction(gop, g, adapt_mu(_rayleigh_lam1(gop, g), loss))
-        return d, StepReport(mu)
+        return d, {"mu": mu}
 
     return direction
 
 
 def _gradient_descent(theta0, config):
     """Plain gradient descent: the direction is the gradient itself."""
-    return lambda theta, loss, g, gop: (g, StepReport())
+    return lambda theta, loss, g, gop: (g, {})
 
 
 def _bfgs(theta0, config):
@@ -273,7 +273,7 @@ def _bfgs(theta0, config):
         if previous is not None:
             h = bfgs_update(h, theta - previous[0], g - previous[1])
         previous = theta, g
-        return h @ g, StepReport()
+        return h @ g, {}
 
     return direction
 
@@ -315,10 +315,11 @@ def run_optimizer(
     its record keeps theta and the previous loss.  That is a line search
     that finds no decrease (none is sought along a d with g^T d not > 0,
     such as a solve that broke down at d = 0), or an exactly zero
-    gradient, where every direction is 0 and none is asked for (the record
-    has no mu, ell or new matvecs).  A non-finite theta0 loss ends the run
-    at its record too; every later loss passed the Armijo test, which
-    rejects NaN and +inf.
+    gradient, where every direction is 0 and none is asked for (the record's
+    mu, ell and PCG iterations read zero, and its matvecs do not grow).  A
+    non-finite theta0 loss ends the run at its record too; every later loss
+    passed the Armijo test, which rejects NaN and +inf.  A direction's
+    ``fields`` key that RunRecord lacks raises TypeError at that row.
     ``check_optimizer`` runs before anything is evaluated.
     Returns (theta_final, [RunRecord, ...]).
     """
@@ -329,34 +330,26 @@ def run_optimizer(
     direction = _OPTIMIZERS[name](theta, config)
     gop = GramianOperator(np.empty((problem.metric_weights(quad).shape[0], theta.shape[0])))
     records = []
-    report = StepReport()  # row 0, the initialization, took no step
+    fields = {}  # row 0, the initialization, took no step
     tic = time.perf_counter()
     loss = problem.loss_value(theta, quad)
     stalled = not np.isfinite(loss)  # no decrease at the last step, or a non-finite theta0 loss
     for k in range(config.iterations + 1):
         h1 = float("nan") if quad_eval is None else problem.h1_relative_error(theta, quad_eval)
         toc = time.perf_counter()
-        records.append(
-            RunRecord(
-                iteration=k,
-                loss=loss,
-                h1_rel_error=h1,
-                mu=report.mu,
-                ell=report.ell,
-                pcg_iters=report.pcg_iters,
-                matvecs=gop.matvec_count,
-                seconds=toc - tic,
-            )
-        )
+        records.append(RunRecord(
+            iteration=k, loss=loss, h1_rel_error=h1, matvecs=gop.matvec_count,
+            seconds=toc - tic, **fields,
+        ))
         tic = toc
         reached = h1_stop is not None and h1 <= h1_stop
         spent = matvec_budget is not None and gop.matvec_count >= matvec_budget
         if stalled or reached or spent or k == config.iterations:
             break
         g = problem.loss_grad(theta, quad, out=gop.jacobian)
-        alpha, report = 0.0, StepReport()  # at g = 0 every direction is 0: no step
+        alpha, fields = 0.0, {}  # at g = 0 every direction is 0: no step
         if g.any():
-            d, report = direction(theta, loss, g, gop)
+            d, fields = direction(theta, loss, g, gop)
             alpha, loss = backtracking_linesearch(
                 theta, d, lambda th: problem.loss_value(th, quad), float(g @ d), loss
             )

@@ -356,12 +356,20 @@ class TestNystromNgdRun:
     def test_records_well_formed(self):
         prob = toy(seed=4)
         cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=4, seed=0)
+        # the step fields each direction leaves unset, which read zero
+        unset = {"nystrom_ngd": (), "ngd_cg": ("ell",), "ngd_dense": ("ell",)}
         for name in optim.OPTIMIZER_NAMES:
             _, records = optim.run_optimizer(name, prob, np.zeros(8), cfg, quad=None)
             its = [r.iteration for r in records]
             assert its == list(range(5)), name  # theta0 and one row per step
             mv = [r.matvecs for r in records]
             assert all(b >= a for a, b in zip(mv, mv[1:])), name
+            for r in records[1:]:
+                kinds = type(r.mu), type(r.ell), type(r.pcg_iters)
+                assert kinds == (float, int, int), name
+                zero = unset.get(name, ("mu", "ell", "pcg_iters"))
+                assert all(getattr(r, f) == 0 for f in zero), name
+                assert r.mu > 0 or "mu" in zero, name
 
     def test_h1_stop_ends_at_first_record_at_target(self):
         prob = toy(seed=4)
@@ -401,6 +409,16 @@ class TestRunOptimizer:
             optim.run_optimizer(
                 "adam", NoLoss(prob.phi, prob.y, prob.w), np.zeros(8), cfg, quad=None
             )
+
+    def test_a_step_field_the_record_lacks_raises(self, monkeypatch):
+        # a misspelled step column is refused, not dropped from the trace
+        def misspelled(theta0, config):
+            return lambda theta, loss, g, gop: (g, {"alpha": 1.0})
+
+        monkeypatch.setitem(optim._OPTIMIZERS, "gd", misspelled)
+        cfg = optim.NystromNgdConfig(iterations=1)
+        with pytest.raises(TypeError, match="alpha"):
+            optim.run_optimizer("gd", toy(), np.zeros(8), cfg, quad=None)
 
     @pytest.mark.parametrize("name", ["nystrom_ngd", "ngd_cg"])
     def test_a_solve_that_returns_zero_stalls_the_run(self, name, monkeypatch):
@@ -794,8 +812,8 @@ def record_pcg_operators(monkeypatch):
 
 
 def ngd_cg_step(prob, theta, quad, cfg):
-    """(d, report, g, gop): one ngd_cg direction at theta, asked for as
-    run_optimizer asks, on a fresh run Gramian gop."""
+    """(d, report, g, gop): one ngd_cg direction at theta and its fields dict, asked
+    for as run_optimizer asks, on a fresh run Gramian gop."""
     gop = GramianOperator(np.empty((prob.metric_weights(quad).shape[0], theta.shape[0])))
     g = prob.loss_grad(theta, quad, out=gop.jacobian)
     direction = optim._OPTIMIZERS["ngd_cg"](theta, cfg)
@@ -826,7 +844,7 @@ class TestFormedGramian:
         a = gop.jacobian
         assert gop.dim <= a.shape[0]
         mu, ref = reference_cg_solve(DenseOperator(a.T @ a), g, prob.loss_value(theta, quad))
-        assert report.mu == mu and report.pcg_iters == ref.iterations
+        assert report["mu"] == mu and report["pcg_iters"] == ref.iterations
         np.testing.assert_array_equal(d, ref.solution)
         # the Rayleigh quotient, the iterations and the true-residual recomputes; forming is free
         recomputes = ref.iterations // RECOMPUTE_EVERY + 1
@@ -850,7 +868,7 @@ class TestFormedGramian:
         assert len(ops) == 1 and ops[0].base is gop
         two_pass = GramianOperator(prob.a)
         mu, ref = reference_cg_solve(two_pass, g, prob.loss_value(theta, None))
-        assert report.mu == mu
+        assert report["mu"] == mu
         np.testing.assert_array_equal(d, ref.solution)
         assert gop.matvec_count == two_pass.matvec_count
 
@@ -860,7 +878,7 @@ class TestFormedGramian:
         cfg = optim.NystromNgdConfig(iterations=1)
         d, report, g, _ = ngd_cg_step(prob, theta, None, cfg)
         _, ref = reference_cg_solve(GramianOperator(prob.a), g, prob.loss_value(theta, None))
-        assert report.pcg_iters == ref.iterations
+        assert report["pcg_iters"] == ref.iterations
         assert np.linalg.norm(d - ref.solution) <= 1e-10 * np.linalg.norm(ref.solution)
 
 
