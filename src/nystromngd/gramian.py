@@ -5,8 +5,8 @@ s = W^{1/2} r in the parameters, one row per quadrature point, so
 G = J^T W J is the Gauss-Newton metric; ``run_optimizer`` assembles A with
 the loss gradient A^T s into one (rows, p) array per run.  A matvec is two
 passes over A and a block two GEMMs, so its answer depends on A and v
-alone.  ``dense()`` forms G uncounted; the step that solves with G states
-what forming it costs.
+alone.  Only the Gramian charges its ``matvec_count``, the run's cost unit:
+``dense()`` as p matvecs, and ``formed()``'s G per product, so no step edits it.
 """
 
 from __future__ import annotations
@@ -48,12 +48,25 @@ class GramianOperator:
         return self.jacobian.T @ (self.jacobian @ _counted(self, vmat, 2))
 
     def dense(self):
-        """G = A^T A itself (one syrk), uncounted; its callers hold p <= DENSE_GUARD."""
+        """G = A^T A (one syrk), charged as assemble_dense's p matvecs; p <= DENSE_GUARD."""
+        self.matvec_count += self.dim
+        return self._gram()
+
+    def formed(self):
+        """What CG iterates with: G formed uncounted, as a DenseOperator whose products this
+        Gramian counts, if p <= min(rows, DENSE_GUARD); otherwise this Gramian itself."""
+        if self.dim > min(self.jacobian.shape[0], DENSE_GUARD):
+            return self
+        formed = DenseOperator(self._gram())
+        formed._tally = self
+        return formed
+
+    def _gram(self):
         return self.jacobian.T @ self.jacobian
 
 
 class DenseOperator:
-    """Matvec wrapper around an explicit SPSD matrix (NGD-CG's formed G, tests, synthetic runs)."""
+    """Matvec wrapper around an explicit SPSD matrix (a formed Gramian, tests, synthetic runs)."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -61,12 +74,13 @@ class DenseOperator:
             raise ValueError("expected a square matrix")
         self.dim = self.matrix.shape[0]
         self.matvec_count = 0
+        self._tally = self  # whose matvec_count its products raise: a formed G's is its Gramian
 
     def matvec(self, v):
-        return self.matrix @ _counted(self, v, 1)
+        return self.matrix @ _counted(self._tally, v, 1)
 
     def matmat(self, vmat):
-        return self.matrix @ _counted(self, vmat, 2)
+        return self.matrix @ _counted(self._tally, vmat, 2)
 
 
 class ShiftedOperator:
@@ -83,9 +97,6 @@ class ShiftedOperator:
 
 def assemble_dense(op):
     """Assemble an operator column by column via matvecs with e_i."""
-    p = op.dim
-    if p > DENSE_GUARD:
-        raise ValueError(f"dense assembly guard: p={p} exceeds {DENSE_GUARD}")
-    basis = np.eye(p)
-    cols = [op.matvec(basis[:, i]) for i in range(p)]
-    return np.column_stack(cols)
+    if op.dim > DENSE_GUARD:
+        raise ValueError(f"dense assembly guard: p={op.dim} exceeds {DENSE_GUARD}")
+    return np.column_stack([op.matvec(e) for e in np.eye(op.dim)])

@@ -30,7 +30,7 @@ def pcg(op, b, rel_tol, maxit, precond=None):
     The stopping test uses the unpreconditioned relative residual
     ||r|| / ||b||.  The recursive residual is replaced by the true
     residual every ``RECOMPUTE_EVERY`` iterations to bound drift, and
-    once more on exit; the operator's own ``matvec_count`` counts those
+    once more on exit; the operator's matvec tally counts those
     recomputations along with the iterations' matvecs.
 
     On a breakdown (p^T A p not > 0, so NaN too, signalling a non-SPD or

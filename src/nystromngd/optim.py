@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from . import gramian
-from .gramian import DenseOperator, GramianOperator, ShiftedOperator
+from .gramian import GramianOperator, ShiftedOperator
 from .krylov import pcg
 from .sketch import NystromPreconditioner, nystrom_approximate
 
@@ -220,30 +220,25 @@ def _rayleigh_lam1(gop, g):
 
 
 def _ngd_cg(theta0, config):
-    """Unpreconditioned NGD-CG: adapt_mu of g's Rayleigh quotient, CG in <= CG_MAXIT +
-    _rank_cap(p) steps on G + mu I (no config field is read); G = gop.dense(), charged
-    nothing, if p <= min(rows, DENSE_GUARD)."""
+    """Unpreconditioned NGD-CG on gop.formed(): adapt_mu of g's Rayleigh quotient, CG in
+    <= CG_MAXIT + _rank_cap(p) steps on G + mu I (no config field is read)."""
     maxit_total = CG_MAXIT + _rank_cap(theta0.shape[0])
 
     def direction(theta, loss, g, gop):
-        formed = gop.dim <= min(gop.jacobian.shape[0], gramian.DENSE_GUARD)
-        base = DenseOperator(gop.dense()) if formed else gop
+        base = gop.formed()
         lam1 = _rayleigh_lam1(base, g)
         mu = adapt_mu(lam1, loss)
         report = pcg(ShiftedOperator(base, mu), g, _cg_rel_tol(mu, lam1), maxit_total)
-        if formed:
-            gop.matvec_count += base.matvec_count
         return report.solution, {"mu": mu, "pcg_iters": report.iterations}
 
     return direction
 
 
 def ngd_dense_direction(gop, g, mu):
-    """(d, mu~) with (G + mu~ I) d = g: G = A^T A formed directly, charged as p matvecs
-    to gop, and mu~ = max(mu, p*eps*tr G) keeps the LU solve finite on a rank-deficient G."""
+    """(d, mu~) with (G + mu~ I) d = g: G = gop.dense(), which gop charges as p matvecs,
+    and mu~ = max(mu, p*eps*tr G) keeps the LU solve finite on a rank-deficient G."""
     p = gop.dim
     matrix = gop.dense()
-    gop.matvec_count += p
     mu = max(mu, p * EPS_MACH * float(np.trace(matrix)))
     matrix[np.diag_indices(p)] += mu
     return np.linalg.solve(matrix, g), mu

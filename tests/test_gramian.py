@@ -187,8 +187,8 @@ class TestDenseAssembly:
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_gramian_dense_matches_column_assembly_and_counts_p(self, name):
-        # the column assembly costs p matvecs; dense() counts none, since the
-        # step that forms G charges for it
+        # the column assembly costs p matvecs, and dense() charges the same p to the
+        # Gramian itself, so no step that forms G edits the tally
         prob, quad, theta = small_instance(name)
         gop = gramian.GramianOperator.from_problem(prob, theta, quad)
         columns = gramian.GramianOperator(gop.jacobian)
@@ -196,7 +196,30 @@ class TestDenseAssembly:
         assert columns.matvec_count == gop.dim
         dense = gop.dense()
         assert np.linalg.norm(dense - reference) <= 1e-14 * np.linalg.norm(reference)
+        assert gop.matvec_count == gop.dim
+
+    @pytest.mark.parametrize("rows, guard", [(4, 2000), (12, 4)], ids=["rows", "guard"])
+    def test_formed_is_the_gramian_itself_when_p_exceeds_rows_or_guard(
+        self, rows, guard, monkeypatch
+    ):
+        monkeypatch.setattr(gramian, "DENSE_GUARD", guard)
+        gop = gramian.GramianOperator(np.random.default_rng(0).standard_normal((rows, 5)))
+        assert gop.formed() is gop
         assert gop.matvec_count == 0
+
+    def test_formed_gramian_is_a_t_a_and_counts_on_the_gramian(self):
+        a = np.random.default_rng(1).standard_normal((12, 5))
+        gop = gramian.GramianOperator(a)
+        formed = gop.formed()
+        assert type(formed) is gramian.DenseOperator
+        np.testing.assert_array_equal(formed.matrix, a.T @ a)
+        assert gop.matvec_count == 0  # forming G is free
+        formed.matvec(np.ones(5))
+        formed.matmat(np.ones((5, 3)))
+        assert gop.matvec_count == 1 + 3 and formed.matvec_count == 0
+        with pytest.raises(ValueError, match=re.escape("(4,)")):  # a wrong shape, uncounted
+            formed.matvec(np.ones(4))
+        assert gop.matvec_count == 4
 
     def test_shifted_operator(self):
         gop = gramian.DenseOperator(np.diag([1.0, 2.0]))

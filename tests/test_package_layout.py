@@ -1,5 +1,6 @@
-"""The package's public names exist, and no module of the package, its root
-included, imports the tests' derivative reference (``autodiff``)."""
+"""The package's public names exist, no module of the package, its root
+included, imports the tests' derivative reference (``autodiff``), and only
+``gramian`` writes a ``matvec_count``, the run's cost unit."""
 
 import ast
 import importlib
@@ -39,3 +40,20 @@ def imported_modules(path):
 @pytest.mark.parametrize("name", ["__init__"] + [m for m in MODULES if m != "autodiff"])
 def test_no_module_of_the_package_imports_autodiff(name):
     assert "nystromngd.autodiff" not in imported_modules(PACKAGE / f"{name}.py")
+
+
+def matvec_count_writes(path):
+    """Line numbers of every assignment in ``path`` to an attribute named matvec_count."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for sub in ast.walk(target)
+        if isinstance(sub, ast.Attribute) and sub.attr == "matvec_count"
+    ]
+
+
+@pytest.mark.parametrize("name", ["__init__"] + [m for m in MODULES if m != "gramian"])
+def test_only_gramian_writes_a_matvec_count(name):
+    assert matvec_count_writes(PACKAGE / f"{name}.py") == []
