@@ -98,28 +98,26 @@ def nystrom_approximate(op, rank, seed, basis=None):
 class NystromPreconditioner:
     """Inverse preconditioner for (G + mu I) from a Nystrom factor.
 
-    P^{-1} v = (lam_l + mu) U (Lam + mu I)^{-1} U^T v + (v - U U^T v),
-    which leaves the orthogonal complement of range(U) untouched and is
-    SPD whenever lam_l + mu > 0.
+    P^{-1} = I + U diag(c) U^T with c = (lam_l + mu) / (Lam + mu) - 1 in
+    (-1, 0]: the paper's (lam_l + mu) U (Lam + mu I)^{-1} U^T + (I - U U^T).
+    c_l = 0 exactly, so u_l passes unchanged and the l-th column serves only
+    the rank rule and the next basis.  P^{-1} is SPD as lam_l + mu > 0.
     """
 
     def __init__(self, factor, mu):
         if factor.eigenvalues[-1] + mu <= 0:
             raise ValueError("need smallest eigenvalue estimate + mu > 0")
         self.factor = factor
-        self._scale = factor.eigenvalues[-1] + mu
-        self._inv = 1.0 / (factor.eigenvalues + mu)
+        self._coeff = (factor.eigenvalues[-1] + mu) / (factor.eigenvalues + mu) - 1.0
 
     def apply(self, v):
         u = self.factor.basis
-        utv = u.T @ v
-        return self._scale * (u @ (self._inv * utv)) + (v - u @ utv)
+        return v + u @ (self._coeff * (u.T @ v))
 
     def dense_inverse(self):
         """Dense P^{-1} (test oracle)."""
         u = self.factor.basis
-        p = u.shape[0]
-        return self._scale * (u * self._inv) @ u.T + (np.eye(p) - u @ u.T)
+        return np.eye(u.shape[0]) + (u * self._coeff) @ u.T
 
 
 def effective_dimension(eigs, mu):

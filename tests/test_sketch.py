@@ -241,6 +241,27 @@ class TestPreconditioner:
         v = np.random.default_rng(6).standard_normal(g.shape[0])
         np.testing.assert_allclose(pre.apply(v), pre.dense_inverse() @ v, rtol=1e-12)
 
+    @pytest.mark.parametrize("mu_ratio", [1e-10, 1e-4, 1.0])
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_papers_form(self, mu_ratio, seed):
+        """apply and dense_inverse against P^{-1} as the paper writes it,
+        (lam_l + mu) U (Lam + mu I)^{-1} U^T + (I - U U^T), on a random
+        orthonormal U and a descending spectrum from 1e2 down to 1e-10."""
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 41))
+        ell = int(rng.integers(1, p + 1))
+        u = orthonormal(rng, p, ell)
+        lam = np.sort(10.0 ** rng.uniform(-10, 2, ell))[::-1]
+        lam[0], lam[-1] = 1e2, (1e-10 if ell > 1 else 1e2)
+        mu = mu_ratio * lam[0]
+        paper = (lam[-1] + mu) * (u / (lam + mu)) @ u.T + (np.eye(p) - u @ u.T)
+        pre = sketch.NystromPreconditioner(sketch.NystromFactor(u, lam), mu)
+        v = rng.standard_normal(p)
+        want = paper @ v
+        assert np.linalg.norm(pre.apply(v) - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(pre.dense_inverse() - paper) <= 1e-12 * np.linalg.norm(paper)
+
     def test_exact_low_rank_condition_number_one(self):
         rng = np.random.default_rng(7)
         p, k = 30, 5
