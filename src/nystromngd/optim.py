@@ -198,9 +198,7 @@ def _nystrom_ngd(theta0, config):
 
     def direction(theta, loss, g, gop):
         nonlocal ell, basis
-        factor = nystrom_approximate(
-            gop, ell, seed=int(rng.integers(2**63)), basis=basis
-        )
+        factor = nystrom_approximate(gop, ell, seed=rng, basis=basis)
         basis = factor.basis
         lam1 = factor.eigenvalues[0]
         mu = adapt_mu(lam1, loss)

@@ -148,9 +148,9 @@ class TestAdaptMu:
         a = np.empty((prob.metric_weights(quad).shape[0], theta0.size))
         g = prob.loss_grad(theta0, quad, out=a)
         if name == "nystrom_ngd":
-            seed = int(np.random.default_rng(cfg.seed).integers(2**63))
+            rng = np.random.default_rng(cfg.seed)  # the run's one stream, first drawn here
             assert cfg.ell0 <= theta0.size // 2  # the first rank is ell0, under the default cap
-            lam1 = nystrom_approximate(GramianOperator(a), cfg.ell0, seed=seed).eigenvalues[0]
+            lam1 = nystrom_approximate(GramianOperator(a), cfg.ell0, seed=rng).eigenvalues[0]
         else:
             lam1 = (g @ (a.T @ (a @ g))) / (g @ g)  # the Rayleigh quotient of g
         for floor_coeff in (optim.MU_FLOOR_COEFF, 0.0):
