@@ -96,20 +96,20 @@ def parse_config(text):
 
 
 def set_up(config):
-    """(problem, training quadrature, theta0) of the run ``config``
-    describes; the quadrature and theta0 are both drawn from
-    ``config.seed``, which also seeds the optimizer."""
+    """(problem, training quadrature, theta0) of ``config``'s run.  A run draws from four
+    independent streams of ``config.seed``: the held-out points (seed, 1), the quadrature
+    (seed, 2), theta0 (seed, 3) and Nystrom-NGD's sketches (seed, 4)."""
     problem = make_problem(
         config.problem, hidden_width=config.hidden_width, hidden_depth=config.hidden_depth
     )
-    quad = problem.sample_quadrature(config.n_interior, config.n_boundary, seed=config.seed)
-    theta0 = model.init(problem.topology, config.seed).values
+    quad = problem.sample_quadrature(config.n_interior, config.n_boundary, seed=[config.seed, 2])
+    theta0 = model.init(problem.topology, [config.seed, 3]).values
     return problem, quad, theta0
 
 
 def heldout_quadrature(problem, seed):
-    """1600 interior and 400 boundary points from the seed sequence
-    (seed, 1), which a run seeded by ``seed`` never trains on."""
+    """1600 interior and 400 boundary points from (seed, 1), the first of a run's
+    four streams (``set_up``), which a run seeded by ``seed`` never trains on."""
     return problem.sample_quadrature(1600, 400, seed=[seed, 1])
 
 

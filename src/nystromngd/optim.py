@@ -187,13 +187,13 @@ def _nystrom_ngd(theta0, config):
     Per step: sketch the Gramian at the current rank, damp by adapt_mu of
     the top eigenvalue estimate, run PCG on the damped system, then
     adapt the rank from the estimated spectrum.  Each sketch's test matrix
-    is the previous step's Nystrom basis (a fresh Gaussian one on the
-    first step), topped up with Gaussian columns when the rank grows.
+    is the previous step's Nystrom basis, topped up with Gaussian columns from
+    the run's one Generator (config.seed, 4) at the first sketch and at rank growth.
     """
     p = theta0.shape[0]
     ell_max = min(config.ell_max or max(_rank_cap(p), config.ell0), p)
     ell = min(config.ell0, ell_max)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng([config.seed, 4])  # the fourth of harness.set_up's streams
     basis = None  # the previous step's Nystrom basis
 
     def direction(theta, loss, g, gop):

@@ -67,8 +67,8 @@ def nystrom_approximate(op, rank, seed, basis=None):
     orthonormal columns, e.g. the previous factor's basis of a slowly
     changing operator), the test matrix is its first ``rank`` columns, or,
     when ``rank`` exceeds k, the Q of [basis, rank - k Gaussian columns]:
-    one step of subspace iteration.  Without ``basis`` (k = 0) it is the Q
-    of a Gaussian matrix.
+    one step of subspace iteration.  Without ``basis`` (k = 0) it is the Q of a Gaussian
+    matrix.  ``seed`` is anything ``np.random.default_rng`` takes; a Generator is drawn in place.
 
     Raises ``ValueError`` when the core shows that the operator is not
     PSD: it has no positive eigenvalue, or a negative one larger in

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -296,10 +297,42 @@ class TestSetUp:
         cfg = harness.ExperimentConfig(problem=name, hidden_width=3, hidden_depth=1, seed=5)
         prob, quad, theta0 = harness.set_up(cfg)
         assert prob.topology.widths == (prob.input_dim, 3, 1)
-        expected = prob.sample_quadrature(cfg.n_interior, cfg.n_boundary, seed=5)
+        # the quadrature is the seed's stream 2 and theta0 its stream 3
+        expected = prob.sample_quadrature(cfg.n_interior, cfg.n_boundary, seed=[5, 2])
         for got, want in zip(quadrature_arrays(quad), quadrature_arrays(expected), strict=True):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(theta0, model.init(prob.topology, 5).values)
+        np.testing.assert_array_equal(theta0, model.init(prob.topology, [5, 3]).values)
+
+    def test_theta0_is_uncorrelated_with_the_quadrature(self):
+        # drawn from one stream, |first-layer weights| correlated 0.62 with
+        # frac(8x) of the interior coordinates, pooled over seeds 0-199
+        weights, coords = [], []
+        for seed in range(200):
+            prob, quad, theta0 = harness.set_up(harness.ExperimentConfig(seed=seed))
+            first_layer = prob.topology.layer_slices()[0][0]
+            weights.append(np.abs(theta0[first_layer][:32]))
+            coords.append(np.modf(8 * quad.interior_points.ravel()[:32])[0])
+        assert abs(np.corrcoef(np.concatenate(weights), np.concatenate(coords))[0, 1]) < 0.1
+
+    def test_a_run_draws_from_four_streams_that_start_apart(self, monkeypatch):
+        # train builds one Generator per stream (held-out points, quadrature,
+        # theta0, sketch); their first 64-bit draws differ
+        first_draws = {}  # id -> (Generator, its first draw), the Generator kept alive
+        default_rng = np.random.default_rng
+
+        def spy(seed=None):
+            rng = default_rng(seed)
+            first_draws.setdefault(id(rng), (rng, copy.deepcopy(rng.bit_generator).random_raw()))
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        for seed in range(10):
+            first_draws.clear()
+            harness.train(harness.ExperimentConfig(
+                hidden_width=3, n_interior=20, n_boundary=8, iterations=1, seed=seed
+            ))
+            draws = [draw for _, draw in first_draws.values()]
+            assert len(draws) == len(set(draws)) == 4, seed
 
     def test_defaults_are_the_criterion_10_setup(self):
         prob, quad, theta0 = harness.set_up(harness.ExperimentConfig())

@@ -148,11 +148,12 @@ class TestAdaptMu:
         a = np.empty((prob.metric_weights(quad).shape[0], theta0.size))
         g = prob.loss_grad(theta0, quad, out=a)
         if name == "nystrom_ngd":
-            rng = np.random.default_rng(cfg.seed)  # the run's one stream, first drawn here
+            rng = np.random.default_rng([cfg.seed, 4])  # the run's one stream, first drawn here
             assert cfg.ell0 <= theta0.size // 2  # the first rank is ell0, under the default cap
             lam1 = nystrom_approximate(GramianOperator(a), cfg.ell0, seed=rng).eigenvalues[0]
-        else:
-            lam1 = (g @ (a.T @ (a @ g))) / (g @ g)  # the Rayleigh quotient of g
+        else:  # the Rayleigh quotient of g, by each optimizer's own product: NGD-CG's formed G
+            gg = a.T @ a @ g if name == "ngd_cg" else a.T @ (a @ g)
+            lam1 = (g @ gg) / (g @ g)
         for floor_coeff in (optim.MU_FLOOR_COEFF, 0.0):
             monkeypatch.setattr(optim, "MU_FLOOR_COEFF", floor_coeff)
             _, records = optim.run_optimizer(name, prob, theta0, cfg, quad)
@@ -352,6 +353,31 @@ class TestNystromNgdRun:
                 shrunk = True
             if not shrunk:
                 assert cur >= prev
+
+    def test_every_sketch_draws_from_the_runs_one_generator(self, monkeypatch):
+        # one Generator, seeded (seed, 4), reaches every sketch; it is drawn
+        # from only where Gaussian columns are needed: the first sketch and
+        # each rank growth past the previous basis
+        calls = []
+
+        def spy(op, rank, seed, basis=None):
+            assert isinstance(seed, np.random.Generator)
+            before = seed.bit_generator.state
+            factor = nystrom_approximate(op, rank, seed, basis=basis)
+            k = 0 if basis is None else basis.shape[1]
+            calls.append((seed, before, seed.bit_generator.state, rank > k))
+            return factor
+
+        monkeypatch.setattr(optim, "nystrom_approximate", spy)
+        monkeypatch.setattr(optim, "MU_FLOOR_COEFF", 1e-10)
+        cfg = optim.NystromNgdConfig(ell0=2, ell_max=10, iterations=8, seed=1)
+        optim.nystrom_ngd_run(toy(seed=3, n=60, p=12), np.zeros(12), cfg, quad=None)
+        (rng, first, _, _), *_ = calls
+        assert all(seed is rng for seed, *_ in calls)
+        assert first == np.random.default_rng([cfg.seed, 4]).bit_generator.state
+        drew = [before != after for _, before, after, _ in calls]
+        assert drew == [grew for *_, grew in calls]
+        assert drew[0] and any(drew[1:]) and not all(drew)  # it grows, and holds or shrinks
 
     def test_records_well_formed(self):
         prob = toy(seed=4)
