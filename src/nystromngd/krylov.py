@@ -27,11 +27,13 @@ def pcg(op, b, rel_tol, maxit, precond=None):
 
     ``op`` has a ``matvec`` and must be SPD (the caller guarantees it,
     e.g. G + mu I with mu > 0); ``precond``, if given, has an ``apply``.
-    The stopping test uses the unpreconditioned relative residual
-    ||r|| / ||b||.  The recursive residual is replaced by the true
-    residual every ``RECOMPUTE_EVERY`` iterations to bound drift, and
-    once more on exit; the operator's matvec tally counts those
-    recomputations along with the iterations' matvecs.
+    ``pcg`` writes into none of its arguments, and ``op.matvec`` and
+    ``precond.apply`` must return fresh arrays, as every operator in
+    ``gramian.py`` and ``sketch.py`` does.  The stopping test uses the
+    unpreconditioned relative residual ||r|| / ||b||.  The recursive
+    residual is replaced by the true residual every ``RECOMPUTE_EVERY``
+    iterations to bound drift, and once more on exit; the operator's
+    matvec tally counts those recomputations too.
 
     On a breakdown (p^T A p not > 0, so NaN too, signalling a non-SPD or
     non-finite operator or severe roundoff) the best iterate so far is
@@ -47,14 +49,13 @@ def pcg(op, b, rel_tol, maxit, precond=None):
     if norm_b == 0.0:
         return SolveReport(x, 0, 0.0, True)
 
-    r = b.copy()
-    z = precond.apply(r) if precond else r
-    d = z.copy()
+    r = b  # no copy: the loop rebinds r, z, d and x and writes into none of them
+    d = z = precond.apply(r) if precond else r
     rz = float(r @ z)
     iterations = 0
     breakdown = False
 
-    for it in range(1, maxit + 1):
+    while iterations < maxit:
         ad_ = op.matvec(d)
         dad = float(d @ ad_)
         if not dad > 0.0:
@@ -62,8 +63,8 @@ def pcg(op, b, rel_tol, maxit, precond=None):
             break
         alpha = rz / dad
         x = x + alpha * d
-        iterations = it
-        if it % RECOMPUTE_EVERY == 0:
+        iterations += 1
+        if iterations % RECOMPUTE_EVERY == 0:
             r = b - op.matvec(x)
         else:
             r = r - alpha * ad_
@@ -71,13 +72,11 @@ def pcg(op, b, rel_tol, maxit, precond=None):
         if rel_res <= rel_tol:
             break
         z = precond.apply(r) if precond else r
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
+        rz_old, rz = rz, float(r @ z)
+        beta = rz / rz_old
         d = z + beta * d
 
-    # one true-residual evaluation to report a trustworthy final residual; the
-    # report holds plain Python scalars, so it serialises whatever type rel_tol has
+    # a closing true residual; the report holds Python scalars whatever type rel_tol has
     r_true = b - op.matvec(x)
     rel_res = float(np.linalg.norm(r_true) / norm_b)
     converged = not breakdown and bool(rel_res <= rel_tol)

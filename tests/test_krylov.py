@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nystromngd import sketch
+from nystromngd import krylov, sketch
 from nystromngd.gramian import DenseOperator, ShiftedOperator
-from nystromngd.krylov import pcg
+from nystromngd.krylov import SolveReport, pcg
 
 
 class TestPcg:
@@ -111,5 +111,131 @@ class TestPcg:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((50, 50))
         spd = a @ a.T + 1e-6 * np.eye(50)
-        report = pcg(DenseOperator(spd), rng.standard_normal(50), 1e-14, maxit=3)
-        assert report.iterations <= 3
+        op = DenseOperator(spd)
+        report = pcg(op, rng.standard_normal(50), 1e-14, maxit=3)
+        assert report.iterations == 3
+        assert not report.converged and not report.breakdown
+        assert op.matvec_count == 4  # three iterations, then the closing true residual
+
+    @pytest.mark.parametrize("case", ["plain", "preconditioned", "capped", "breakdown"])
+    def test_writes_into_none_of_its_arguments(self, case):
+        # r starts as b and d as z, so a loop that wrote into them would write into the
+        # caller's b (a step's gradient); the solution must not be a view of b either
+        op, b, rel_tol, maxit, precond = _no_write_case(case)
+        before = b.tobytes()
+        report = pcg(op, b, rel_tol, maxit, precond=precond)
+        assert b.tobytes() == before
+        assert not np.shares_memory(report.solution, b)
+        assert report.converged == (case in ("plain", "preconditioned"))
+        assert report.breakdown == (case == "breakdown")
+        if case == "capped":
+            assert report.iterations == maxit
+
+
+class TestPcgAgainstReference:
+    """``pcg`` against the loop it replaced, written out with its copies of b and z."""
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(2, 40),
+        st.booleans(),
+        st.sampled_from([1e-2, 1e-6, 1e-12]),
+        st.integers(1, 80),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_spd(self, seed, n, preconditioned, rel_tol, maxit):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((n, n)) * np.logspace(0, -4, n)
+        g, mu = f @ f.T, 1e-3
+        precond = None
+        if preconditioned:
+            rank = int(rng.integers(1, n + 1))
+            precond = sketch.NystromPreconditioner(sketch.nystrom_approximate(g, rank, seed), mu)
+        _assert_same_solve(g, mu, rng.standard_normal(n), rel_tol, maxit, precond)
+
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_ill_conditioned_solve_through_the_recompute(self, preconditioned):
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        g, mu = (q * np.logspace(0, 8, 40)) @ q.T, 1e-3
+        precond = None
+        if preconditioned:
+            precond = sketch.NystromPreconditioner(sketch.nystrom_approximate(g, 4, 0), mu)
+        report = _assert_same_solve(g, mu, rng.standard_normal(40), 1e-15, 120, precond)
+        assert report.iterations >= 2 * krylov.RECOMPUTE_EVERY
+
+    def test_nan_curvature_breakdown(self):
+        a = np.eye(4)
+        a[2, 2] = np.nan
+        report = _assert_same_solve(a, 0.0, np.ones(4), 1e-8, 200)
+        assert report.breakdown
+
+
+def _assert_same_solve(g, mu, b, rel_tol, maxit, precond=None):
+    """pcg and the reference on G + mu I, each with its own tally; returns pcg's report."""
+    op, ref_op = DenseOperator(g), DenseOperator(g)
+    got = pcg(ShiftedOperator(op, mu), b, rel_tol, maxit, precond=precond)
+    want = _pcg_reference(ShiftedOperator(ref_op, mu), b, rel_tol, maxit, precond=precond)
+    assert got.solution.tobytes() == want.solution.tobytes()
+    np.testing.assert_equal(  # NaN equals NaN here: a NaN-curvature solve reports a NaN residual
+        (got.iterations, got.relative_residual, got.converged, got.breakdown, op.matvec_count),
+        (want.iterations, want.relative_residual, want.converged, want.breakdown,
+         ref_op.matvec_count),
+    )
+    return got
+
+
+def _pcg_reference(op, b, rel_tol, maxit, precond=None):
+    b = np.asarray(b, dtype=float)
+    norm_b = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    if norm_b == 0.0:
+        return SolveReport(x, 0, 0.0, True)
+
+    r = b.copy()
+    z = precond.apply(r) if precond else r
+    d = z.copy()
+    rz = float(r @ z)
+    iterations = 0
+    breakdown = False
+
+    for it in range(1, maxit + 1):
+        ad_ = op.matvec(d)
+        dad = float(d @ ad_)
+        if not dad > 0.0:
+            breakdown = True
+            break
+        alpha = rz / dad
+        x = x + alpha * d
+        iterations = it
+        if it % krylov.RECOMPUTE_EVERY == 0:
+            r = b - op.matvec(x)
+        else:
+            r = r - alpha * ad_
+        rel_res = np.linalg.norm(r) / norm_b
+        if rel_res <= rel_tol:
+            break
+        z = precond.apply(r) if precond else r
+        rz_new = float(r @ z)
+        beta = rz_new / rz
+        rz = rz_new
+        d = z + beta * d
+
+    r_true = b - op.matvec(x)
+    rel_res = float(np.linalg.norm(r_true) / norm_b)
+    converged = not breakdown and bool(rel_res <= rel_tol)
+    return SolveReport(x, iterations, rel_res, converged, breakdown)
+
+
+def _no_write_case(case):
+    """(op, b, rel_tol, maxit, precond) of a solve that converges, is capped or breaks down."""
+    if case == "breakdown":  # d0 = b has d^T A d = -1 at the first iteration
+        return DenseOperator(np.diag([1.0, -1.0])), np.array([0.0, 1.0]), 1e-10, 10, None
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal((20, 20))
+    g, mu = f @ f.T, 1e-2
+    precond = None
+    if case == "preconditioned":
+        precond = sketch.NystromPreconditioner(sketch.nystrom_approximate(g, 6, 0), mu)
+    maxit = 2 if case == "capped" else 200
+    return ShiftedOperator(DenseOperator(g), mu), rng.standard_normal(20), 1e-10, maxit, precond
