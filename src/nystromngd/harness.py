@@ -54,23 +54,14 @@ class ExperimentConfig(NystromNgdConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        optim.check_optimizer(self.optimizer, self.param_count)  # param_count checks the problem
+        p = make_problem(self.problem, self.hidden_width, self.hidden_depth).topology.param_count
+        optim.check_optimizer(self.optimizer, p)
         if not self.out_dir:  # Path("") is the working directory
             raise ValueError("out_dir must not be empty")
-
-    @property
-    def param_count(self):
-        """p, the parameter count of the network ``set_up`` builds."""
-        return make_problem(self.problem, self.hidden_width, self.hidden_depth).topology.param_count
 
 
 # annotation strings such as "int | None" (postponed evaluation)
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
-
-def _parse_value(key, value):
-    """Convert by the field's declared type."""
-    return int(value) if _FIELD_TYPES[key].startswith("int") else value
 
 
 def parse_config(text):
@@ -89,7 +80,7 @@ def parse_config(text):
         if key in options:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            options[key] = _parse_value(key, value)
+            options[key] = int(value) if _FIELD_TYPES[key].startswith("int") else value
         except ValueError as err:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {value!r}") from err
     return ExperimentConfig(**options)

@@ -108,11 +108,12 @@ def adapt_mu(lam1, loss):
     poisson2d (seed 0) falls from 0.22 to 1.2e-8 at step 1, the rank
     doubles each step, and Nystrom-NGD's median matvecs to H1 <= 1e-3 rise
     by 19-31% per problem, in about as many iterations.  Where both terms
-    underflow to 0, mu is GAMMA * eps_mach, so no solve runs undamped.
+    underflow to 0, mu is GAMMA * eps_mach, so no solve runs undamped.  L^2 is a float64
+    square, inf past L ~ 1.34e154 (Python's float ** would raise), so that step stalls the run.
     """
     if lam1 < 0:
         raise ValueError("need lam1 >= 0")
-    mu = float(max(GAMMA * EPS_MACH * lam1, MU_FLOOR_COEFF * abs(loss) ** 2.0))
+    mu = float(max(GAMMA * EPS_MACH * lam1, MU_FLOOR_COEFF * np.abs(loss) ** 2.0))
     return mu or GAMMA * EPS_MACH
 
 
@@ -175,10 +176,10 @@ def _rank_cap(p):
 
 def _cg_rel_tol(mu, lam1):
     """Both CG variants' relative tolerance min(CG_TOL_CAP, CG_TOL_RATIO * mu / lam1), lam1 the
-    top eigenvalue estimate; the cap if lam1 <= 0, and at least 1e-300 if mu / lam1 underflows."""
+    top eigenvalue estimate; the cap if lam1 <= 0.  No floor: adapt_mu's mu >= GAMMA*eps*lam1."""
     if lam1 <= 0.0:
         return CG_TOL_CAP
-    return max(min(CG_TOL_CAP, CG_TOL_RATIO * mu / lam1), 1e-300)
+    return min(CG_TOL_CAP, CG_TOL_RATIO * mu / lam1)
 
 
 def _nystrom_ngd(theta0, config):

@@ -177,17 +177,6 @@ class PdeProblem:
             self._last_blocks = (quad, blocks)
         return self._last_blocks[1]
 
-    def _h1_reference(self, quad):
-        """(order-1 input jet, exact value and gradient channels (1 + d, q),
-        squared H1 norm) of u* on ``quad``'s interior, built unless ``quad``
-        was the last set."""
-        if self._last_h1[0] is not quad:
-            x, w = quad.interior_points, quad.interior_weights
-            exact = self.exact_jet(x)[: 1 + self.input_dim]
-            norm = np.sum(w * exact[0] ** 2) + np.sum(w * np.sum(exact[1:] ** 2, axis=0))
-            self._last_h1 = (quad, (model.input_jet(self.topology, x, 1), exact, norm))
-        return self._last_h1[1]
-
     def _jet(self, theta, inputs):
         """Jet channels (c, q) at theta for an input jet (``model.input_jet``)."""
         return model.propagate(self.topology, theta, inputs)[:, :, 0]
@@ -256,7 +245,12 @@ class PdeProblem:
         order-1 jet).  For the space-time heat problem the gradient runs
         over all input coordinates (space-time H1 seminorm).
         """
-        inputs, e, norm = self._h1_reference(quad)
+        if self._last_h1[0] is not quad:  # (order-1 input jet, u* channels, squared H1 norm)
+            x, w = quad.interior_points, quad.interior_weights
+            exact = self.exact_jet(x)[: 1 + self.input_dim]
+            norm = np.sum(w * exact[0] ** 2) + np.sum(w * np.sum(exact[1:] ** 2, axis=0))
+            self._last_h1 = (quad, (model.input_jet(self.topology, x, 1), exact, norm))
+        inputs, e, norm = self._last_h1[1]
         if norm == 0.0:
             raise ZeroDivisionError("exact solution has zero H1 norm")
         z, w = self._jet(theta, inputs), quad.interior_weights

@@ -126,7 +126,7 @@ class TestParseConfig:
         # p follows from the problem and the hidden shape: the widest net under
         # the optimizer's guard parses, one unit wider raises
         config = harness.ExperimentConfig(optimizer=optimizer, hidden_width=width)
-        assert config.param_count == harness.set_up(config)[0].topology.param_count == p
+        assert harness.set_up(config)[0].topology.param_count == p
         with pytest.raises(ValueError, match=f"{optimizer} guard: p={wider_p} exceeds {guard}"):
             replace(config, hidden_width=width + 1)
 

@@ -112,6 +112,12 @@ class TestConfig:
         assert names == ["ell0", "ell_max", "iterations", "seed"]
 
 
+# lam1 and loss values log-uniform over [1e-320, 1e308], subnormals included, and the edges
+MAGNITUDES = st.one_of(
+    st.floats(-320.0, 308.0).map(lambda e: 10.0**e), st.sampled_from([0.0, np.inf, np.nan])
+)
+
+
 class TestAdaptMu:
     def test_machine_epsilon_scaling(self, monkeypatch):
         monkeypatch.setattr(optim, "GAMMA", 1217)
@@ -133,6 +139,15 @@ class TestAdaptMu:
     def test_returns_a_python_float(self):
         # mu reaches the trace rows and, through PCG's tolerance, the solve reports
         assert type(optim.adapt_mu(np.float64(2.0), 0.0)) is float
+
+    @settings(max_examples=500, deadline=None)
+    @given(lam1=st.floats(0.0, 1e308), loss=st.floats(0.0, 1e154, exclude_max=True))
+    def test_is_bitwise_the_python_power_formula_where_the_square_is_finite(self, lam1, loss):
+        # the loss is squared in float64, which gives inf past ~1.34e154 where Python's
+        # float ** would raise OverflowError; below that both round alike
+        gamma_eps, c = optim.GAMMA * optim.EPS_MACH, optim.MU_FLOOR_COEFF
+        expected = float(max(gamma_eps * lam1, c * abs(loss) ** 2.0)) or gamma_eps
+        assert optim.adapt_mu(lam1, loss).hex() == expected.hex()
 
     def test_zero_when_both_terms_vanish_falls_back_to_gamma_eps(self):
         # no NGD variant solves undamped: where lam1 and L both give 0, mu is GAMMA * eps
@@ -170,8 +185,15 @@ class TestCgRelTol:
         assert optim._cg_rel_tol(1.0, -1.0) == cap
         assert optim._cg_rel_tol(1.0, 2.0) == cap  # mu large next to lam1
         assert optim._cg_rel_tol(1e-6, 2.0) == ratio * 1e-6 / 2.0 < cap
-        tol = optim._cg_rel_tol(5e-324, 1e10)  # ratio * mu / lam1 underflows to 0
-        assert 0.0 < tol < cap and pcg(DenseOperator(np.eye(2)), np.ones(2), tol, 1).converged
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=500, deadline=None)
+    @given(lam1=MAGNITUDES, loss=MAGNITUDES)
+    def test_lies_in_1e_9_to_the_cap_at_every_adapt_mu(self, lam1, loss):
+        # mu >= GAMMA * eps * lam1 keeps the ratio term near 10 * GAMMA * eps or above, down
+        # to subnormal lam1 and through an overflowing, infinite or NaN loss
+        tol = optim._cg_rel_tol(optim.adapt_mu(lam1, loss), lam1)
+        assert 1e-9 <= tol <= optim.CG_TOL_CAP
 
 
 class TestAdaptRank:
@@ -519,6 +541,19 @@ class TestRunOptimizer:
         with pytest.raises(ValueError, match="h1_stop needs quad_eval"):
             getattr(optim, run)(*args, prob, np.zeros(8), cfg, None, h1_stop=1e-3)
         assert calls == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", NGD_NAMES)
+    def test_a_theta0_loss_whose_square_overflows_stalls_the_run(self, name):
+        # the damping floor squares the loss in float64 (Python's float ** would raise
+        # OverflowError): past ~1.34e154 mu is inf, and the step fails its line search
+        cfg = harness.ExperimentConfig(optimizer=name, iterations=3)
+        prob, quad, theta0 = harness.set_up(cfg)
+        theta0[-1] = 1e78  # the output bias
+        theta, records = optim.run_optimizer(name, prob, theta0, cfg, quad)
+        assert 1e156 < records[0].loss < np.inf and records[1].mu == np.inf
+        assert len(records) == 2 and records[-1].loss == records[0].loss
+        assert theta.tobytes() == theta0.tobytes()
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_nonfinite_theta0_loss_ends_the_run_at_row_0(self, name, monkeypatch):
