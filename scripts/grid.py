@@ -8,7 +8,7 @@ Each run is ``harness.train`` of the default ``ExperimentConfig`` but for
 the optimizer, problem and seed (the criterion-10 setup: a 16x2 tanh MLP,
 400 interior and 160 boundary points; quadrature, initialization and
 sketches drawn from independent streams of the seed, as ``harness.set_up``
-names them).  A run whose theta0 loss is not finite ends there, with a
+names them).  A run whose theta0 loss has no finite square ends there, with a
 one-row trace.  Run as a script, ``grid.py`` pins OpenBLAS,
 OpenMP and MKL to one thread before numpy is imported, so a digest or a
 count does not depend on how a BLAS splits its sums.  It imports the

@@ -10,7 +10,7 @@ step that cannot decrease the loss ends the run.  Each optimizer is a factory
 ``direction(theta, loss, g, gop)`` returns ``(d, fields)``, ``fields`` a dict of the
 RunRecord step fields it sets, from which the loop builds the step's row.
 Every NGD direction damps by mu = adapt_mu(lam1, L), lam1 the sketch's top eigenvalue or, in
-the baselines, g's Rayleigh quotient (one counted matvec), and solves by (P)CG or directly.
+the baselines, g's Rayleigh quotient, and solves by (P)CG or directly.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "run_optimizer",
     "nystrom_ngd_run",
     "ngd_cg_run",
-    "ngd_dense_direction",
     "OPTIMIZER_NAMES",
 ]
 
@@ -109,7 +108,7 @@ def adapt_mu(lam1, loss):
     doubles each step, and Nystrom-NGD's median matvecs to H1 <= 1e-3 rise
     by 19-31% per problem, in about as many iterations.  Where both terms
     underflow to 0, mu is GAMMA * eps_mach, so no solve runs undamped.  L^2 is a float64
-    square, inf past L ~ 1.34e154 (Python's float ** would raise), so that step stalls the run.
+    square, inf past L ~ 1.34e154 (Python's float ** would raise); the loop never passes one.
     """
     if lam1 < 0:
         raise ValueError("need lam1 >= 0")
@@ -213,9 +212,10 @@ def _nystrom_ngd(theta0, config):
     return direction
 
 
-def _rayleigh_lam1(gop, g):
-    """The baselines' lam1 estimate g^T G g / g^T g <= lam1: one counted matvec; 0 at g = 0."""
-    return float(g @ gop.matvec(g)) / (float(g @ g) or 1.0)
+def _rayleigh_lam1(g, gg):
+    """The baselines' lam1 estimate g^T G g / g^T g <= lam1, from the caller's gg = G g; 0 at
+    g = 0: NGD-CG's gg is a counted matvec, exact NGD's a product with the G it paid for."""
+    return float(g @ gg) / (float(g @ g) or 1.0)
 
 
 def _ngd_cg(theta0, config):
@@ -225,7 +225,7 @@ def _ngd_cg(theta0, config):
 
     def direction(theta, loss, g, gop):
         base = gop.formed()
-        lam1 = _rayleigh_lam1(base, g)
+        lam1 = _rayleigh_lam1(g, base.matvec(g))
         mu = adapt_mu(lam1, loss)
         report = pcg(ShiftedOperator(base, mu), g, _cg_rel_tol(mu, lam1), maxit_total)
         return report.solution, {"mu": mu, "pcg_iters": report.iterations}
@@ -233,21 +233,16 @@ def _ngd_cg(theta0, config):
     return direction
 
 
-def ngd_dense_direction(gop, g, mu):
-    """(d, mu~) with (G + mu~ I) d = g: G = gop.dense(), which gop charges as p matvecs,
-    and mu~ = max(mu, p*eps*tr G) keeps the LU solve finite on a rank-deficient G."""
-    p = gop.dim
-    matrix = gop.dense()
-    mu = max(mu, p * EPS_MACH * float(np.trace(matrix)))
-    matrix[np.diag_indices(p)] += mu
-    return np.linalg.solve(matrix, g), mu
-
-
 def _ngd_dense(theta0, config):
-    """Oracle NGD: adapt_mu of g's Rayleigh quotient (one matvec), solve with G (p <= 2000)."""
+    """Oracle NGD (p <= 2000): G = gop.dense() (p matvecs), adapt_mu of g's Rayleigh quotient
+    on that G, and an LU solve with mu~ = max(mu, p*eps*tr G), finite on a rank-deficient G."""
     def direction(theta, loss, g, gop):
-        d, mu = ngd_dense_direction(gop, g, adapt_mu(_rayleigh_lam1(gop, g), loss))
-        return d, {"mu": mu}
+        p = gop.dim
+        matrix = gop.dense()
+        mu = adapt_mu(_rayleigh_lam1(g, matrix @ g), loss)
+        mu = max(mu, p * EPS_MACH * float(np.trace(matrix)))
+        matrix[np.diag_indices(p)] += mu
+        return np.linalg.solve(matrix, g), {"mu": mu}
 
     return direction
 
@@ -311,8 +306,9 @@ def run_optimizer(
     such as a solve that broke down at d = 0), or an exactly zero
     gradient, where every direction is 0 and none is asked for (the record's
     mu, ell and PCG iterations read zero, and its matvecs do not grow).  A
-    non-finite theta0 loss ends the run at its record too; every later loss
-    passed the Armijo test, which rejects NaN and +inf.  A direction's
+    theta0 loss with no finite square (NaN, inf, or past about 1.34e154, where
+    adapt_mu's mu is inf) ends the run at its record too; every later loss
+    passed the Armijo test, so it lies below theta0's.  A direction's
     ``fields`` key that RunRecord lacks raises TypeError at that row.
     ``check_optimizer`` runs before anything is evaluated.
     Returns (theta_final, [RunRecord, ...]).
@@ -327,7 +323,7 @@ def run_optimizer(
     fields = {}  # row 0, the initialization, took no step
     tic = time.perf_counter()
     loss = problem.loss_value(theta, quad)
-    stalled = not np.isfinite(loss)  # no decrease at the last step, or a non-finite theta0 loss
+    stalled = not np.isfinite(loss * loss)  # no decrease at the last step, or no finite theta0 L^2
     for k in range(config.iterations + 1):
         h1 = float("nan") if quad_eval is None else problem.h1_relative_error(theta, quad_eval)
         toc = time.perf_counter()
