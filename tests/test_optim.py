@@ -541,6 +541,19 @@ class TestRunOptimizer:
             getattr(optim, run)(*args, prob, np.zeros(8), cfg, None, h1_stop=1e-3)
         assert calls == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", NGD_NAMES)
+    def test_a_theta0_loss_whose_square_overflows_stalls_the_run(self, name):
+        # the damping floor squares the loss in float64: past ~1.34e154 mu would be inf,
+        # so the run ends at theta0's own record, with no solver handed mu = inf
+        cfg = harness.ExperimentConfig(optimizer=name, iterations=3)
+        prob, quad, theta0 = harness.set_up(cfg)
+        theta0[-1] = 1e78  # the output bias
+        theta, records = optim.run_optimizer(name, prob, theta0, cfg, quad)
+        (first,) = records
+        assert 1e156 < first.loss < np.inf and first.matvecs == 0
+        assert theta.tobytes() == theta0.tobytes()
+
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
     def test_nonfinite_theta0_loss_ends_the_run_at_row_0(self, name, monkeypatch):
         # nothing raises or warns: a theta0 loss with no finite square (NaN, inf, or past
