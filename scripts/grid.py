@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Two grids of ``harness.train`` runs: parity digests, and the run to three depths.
+"""Three grids of ``harness.train`` runs: parity digests, the run to three depths, and p > rows.
 
     python scripts/grid.py digest
     python scripts/grid.py target [optimizer ...]
+    python scripts/grid.py wide
 
 Each run is ``harness.train`` of the default ``ExperimentConfig`` but for
 the optimizer, problem and seed (the criterion-10 setup: a 16x2 tanh MLP,
 400 interior and 160 boundary points; quadrature, initialization and
 sketches drawn from independent streams of the seed, as ``harness.set_up``
-names them).  A run whose theta0 loss has no finite square ends there, with a
+names them), or, in ``wide`` and the digest's last two lines, but also for
+the ``WIDE`` cell: a 64x2 MLP (p = 4417) on 1000 interior and 200 boundary
+points.  A run whose theta0 loss has no finite square ends there, with a
 one-row trace.  Run as a script, ``grid.py`` pins OpenBLAS,
 OpenMP and MKL to one thread before numpy is imported, so a digest or a
 count does not depend on how a BLAS splits its sums.  It imports the
@@ -21,13 +24,21 @@ names, then two SHA-256 digests, the first of the final theta's bytes, the
 second of every numeric RunRecord field but the wall-clock seconds.  The
 grid is every optimizer in ``DIGEST_OPTIMIZERS`` on every problem in
 ``DIGEST_PROBLEMS`` at each seed in ``DIGEST_SEEDS``, at ``DIGEST_WIDTH``
-and ``DIGEST_ITERATIONS``: 60 runs, in a fixed order.  Two checkouts do
-the same arithmetic on these runs exactly when their outputs are
-byte-identical, so each checkout runs its own copy and ``cmp`` compares:
+and ``DIGEST_ITERATIONS``: 60 runs, in a fixed order.  Then come the
+``DIGEST_WIDE_RUNS``, ``nystrom_ngd`` and ``ngd_cg`` on poisson2d at seed 0,
+for ``DIGEST_WIDE_ITERATIONS`` steps at the ``WIDE`` cell, whose p > rows
+takes the sketch and NGD-CG's matrix-free products where no other line
+does; their second field names the cell (``poisson2d-w64r1200``), so no
+two of the 62 lines share fields 1-3.  Two checkouts do the same
+arithmetic on these runs exactly when their outputs are byte-identical,
+so each checkout runs its own copy and ``cmp`` compares:
 
     python <other checkout>/scripts/grid.py digest > a.txt
     python scripts/grid.py digest > b.txt
     cmp a.txt b.txt
+
+A checkout older than the wide lines prints the first 60 alone, so
+``cmp <(head -60 b.txt) a.txt`` compares with it.
 
 A change that keeps the iterates but changes what the trace rows hold
 differs in the last field only; fields 1-4 (optimizer, problem, seed,
@@ -57,6 +68,29 @@ ngd_cg``.  It exits 1 if any run misses 1e-3, or any ``nystrom_ngd`` or
 ``ngd_dense`` run misses 1e-4; older checkouts run their own copy.  Every
 run of those three reaches 1e-3, and every ``nystrom_ngd`` and
 ``ngd_dense`` run 1e-4, so that call exits 0.
+
+``wide`` measures the paper's claim where it is decided: at the ``WIDE``
+cell p = 4417 exceeds the 1200 rows, so one Gramian product costs what the
+rows cost.  On poisson2d, heat1p1d and nlpoisson2d (``WIDE_PROBLEMS``) at
+seeds 0-3 (``WIDE_SEEDS``: four seeds run in about 2 min 20 s on one
+thread, eight would take about 4.5 min), ``nystrom_ngd`` trains to H1 <=
+1e-4 (``WIDE_DEPTH``).  Its twin, ``ngd_cg`` with the same seed and so the
+same quadrature and theta0, trains with the Nystrom run's final matvecs as
+its ``matvec_budget`` and stops at its first record that reaches it,
+criterion 10's rule.  Each line is one pair: per run its steps, matvecs,
+seconds (summed over the trace rows, as in ``target``), training H1 and
+final training loss, then NGD-CG's seconds over Nystrom-NGD's.  Per
+problem a median line gives each side's median steps, matvecs and seconds,
+NGD-CG's median H1 at the budget, the median time ratio, and in how many
+pairs Nystrom-NGD ends at the lower training loss.  ``ngd_dense`` is left
+out, and a first line says so with ``ExperimentConfig``'s own guard
+message: it forms the p x p G, which ``gramian.DENSE_GUARD`` refuses.  The
+last line is one JSON object: the cell, the depth, per run ``target``'s
+record (crossing ``WIDE_DEPTH`` alone) with its stop (``h1_stop`` or
+``matvec_budget``) and final ``loss``, what was left out and why, and the
+``src/`` line count, versions and BLAS settings as in ``target``.  A
+committed ``BENCH_<n>_wide.json`` is that line.  It exits 1 if any
+``nystrom_ngd`` run misses ``WIDE_DEPTH``.
 """
 
 import argparse
@@ -65,7 +99,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -91,10 +125,17 @@ DIGEST_PROBLEMS = problems.PROBLEM_NAMES
 DIGEST_SEEDS = range(3)
 DIGEST_ITERATIONS = 25
 DIGEST_WIDTH = 16
+DIGEST_WIDE_RUNS = (("nystrom_ngd", "poisson2d", 0), ("ngd_cg", "poisson2d", 0))  # at WIDE
+DIGEST_WIDE_ITERATIONS = 5
 
 TARGET_PROBLEMS = ("poisson2d", "heat1p1d", "nlpoisson2d")
 TARGET_SEEDS = range(8)
 DEPTHS = (1e-3, 1e-4, 1e-5)  # H1 errors; the first is the target the lines report
+
+WIDE = dict(hidden_width=64, n_interior=1000, n_boundary=200)  # p = 4417 > 1200 rows
+WIDE_PROBLEMS = TARGET_PROBLEMS
+WIDE_SEEDS = range(4)  # 2 min 20 s on one thread; 8 seeds would take about 4.5 min
+WIDE_DEPTH = 1e-4
 
 
 def digests(theta, records):
@@ -107,10 +148,11 @@ def digests(theta, records):
     return theta_hash.hexdigest(), records_hash.hexdigest()
 
 
-def digest_run(optimizer, name, seed):
+def digest_run(optimizer, name, seed, **cell):
+    """Digests of one run at DIGEST_WIDTH and DIGEST_ITERATIONS, or at what ``cell`` sets."""
     config = ExperimentConfig(
         problem=name, optimizer=optimizer, seed=seed,
-        hidden_width=DIGEST_WIDTH, iterations=DIGEST_ITERATIONS,
+        **{"hidden_width": DIGEST_WIDTH, "iterations": DIGEST_ITERATIONS, **cell},
     )
     theta, records, _ = train(config)
     return digests(theta, records)
@@ -123,19 +165,22 @@ def digest():
             for seed in DIGEST_SEEDS:
                 theta, records = digest_run(optimizer, name, seed)
                 print(f"{optimizer} {name} {seed} {theta} {records}", flush=True)
+    cell = f"w{WIDE['hidden_width']}r{WIDE['n_interior'] + WIDE['n_boundary']}"
+    for optimizer, name, seed in DIGEST_WIDE_RUNS:
+        theta, records = digest_run(
+            optimizer, name, seed, iterations=DIGEST_WIDE_ITERATIONS, **WIDE
+        )
+        print(f"{optimizer} {name}-{cell} {seed} {theta} {records}", flush=True)
     return 0
 
 
-def target_run(name, seed, optimizer="nystrom_ngd", **overrides):
-    """One ``harness.train`` run of ``optimizer``, stopped at H1 <= min(DEPTHS):
-    its last record's iteration, matvecs, training H1 and cumulative
-    seconds, its held-out H1, and per depth the first record at or below it
-    (iteration, matvecs, cumulative seconds) or None."""
-    config = ExperimentConfig(problem=name, optimizer=optimizer, seed=seed, **overrides)
-    _, records, heldout_h1 = train(config, h1_stop=min(DEPTHS))
+def run_record(config, records, heldout_h1, depths):
+    """A trained run of ``config``: its last record's iteration, matvecs,
+    training H1 and cumulative seconds, its held-out H1, and per depth the
+    first record at or below it (iteration, matvecs, cumulative seconds) or None."""
     elapsed = np.cumsum([r.seconds for r in records])
     crossings = []
-    for depth in DEPTHS:
+    for depth in depths:
         k = next((k for k, r in enumerate(records) if r.h1_rel_error <= depth), None)
         crossings.append(None if k is None else {
             "iteration": records[k].iteration,
@@ -144,9 +189,9 @@ def target_run(name, seed, optimizer="nystrom_ngd", **overrides):
         })
     last = records[-1]
     return {
-        "optimizer": optimizer,
-        "problem": name,
-        "seed": seed,
+        "optimizer": config.optimizer,
+        "problem": config.problem,
+        "seed": config.seed,
         "iterations": last.iteration,
         "matvecs": int(last.matvecs),
         "h1": float(last.h1_rel_error),
@@ -154,6 +199,13 @@ def target_run(name, seed, optimizer="nystrom_ngd", **overrides):
         "seconds": float(elapsed[-1]),
         "crossings": crossings,
     }
+
+
+def target_run(name, seed, optimizer="nystrom_ngd", **overrides):
+    """``run_record`` of a ``harness.train`` run of ``optimizer``, stopped at H1 <= min(DEPTHS)."""
+    config = ExperimentConfig(problem=name, optimizer=optimizer, seed=seed, **overrides)
+    _, records, heldout_h1 = train(config, h1_stop=min(DEPTHS))
+    return run_record(config, records, heldout_h1, DEPTHS)
 
 
 def at_target(r, i=0):
@@ -206,6 +258,66 @@ def target(optimizers):
     return 1 if missed else 0
 
 
+def wide_run(config, **stop):
+    """``run_record`` of ``train(config, **stop)`` at WIDE_DEPTH, with its stop and final loss."""
+    _, records, heldout_h1 = train(config, **stop)
+    record = run_record(config, records, heldout_h1, (WIDE_DEPTH,))
+    return {**record, **stop, "loss": float(records[-1].loss)}
+
+
+def describe(r):
+    return (
+        f"{r['optimizer']} {r['iterations']} steps, {r['matvecs']} matvecs, "
+        f"{r['seconds']:.3f} s, H1 {r['h1']:.3e}, loss {r['loss']:.3e}"
+    )
+
+
+def wide():
+    """Run Nystrom-NGD to H1 <= 1e-4 with p > rows, and NGD-CG at its matvecs."""
+    left_out = {}
+    # exact NGD forms the p x p G, which its size guard refuses at this width; every
+    # WIDE problem is 2-D, so one config checks the p they share
+    try:
+        ExperimentConfig(problem=WIDE_PROBLEMS[0], optimizer="ngd_dense", **WIDE)
+    except ValueError as err:
+        left_out["ngd_dense"] = str(err)
+        print(f"ngd_dense left out: {err}", flush=True)
+    pairs = []
+    for name in WIDE_PROBLEMS:
+        block = []
+        for seed in WIDE_SEEDS:
+            config = ExperimentConfig(problem=name, optimizer="nystrom_ngd", seed=seed, **WIDE)
+            nys = wide_run(config, h1_stop=WIDE_DEPTH)
+            cg = wide_run(replace(config, optimizer="ngd_cg"), matvec_budget=nys["matvecs"])
+            block.append((nys, cg))
+            print(
+                f"{name} seed {seed}: {describe(nys)}; {describe(cg)}; "
+                f"time ratio {cg['seconds'] / nys['seconds']:.2f}",
+                flush=True,
+            )
+        nys_its, nys_matvecs, nys_seconds = np.median(
+            [(a["iterations"], a["matvecs"], a["seconds"]) for a, _ in block], axis=0
+        )
+        cg_its, cg_matvecs, cg_seconds, cg_h1 = np.median(
+            [(b["iterations"], b["matvecs"], b["seconds"], b["h1"]) for _, b in block], axis=0
+        )
+        ratio = np.median([b["seconds"] / a["seconds"] for a, b in block])
+        wins = sum(a["loss"] < b["loss"] for a, b in block)
+        print(
+            f"{name} median: nystrom_ngd {nys_its:g} steps, {nys_matvecs:g} matvecs, "
+            f"{nys_seconds:.3f} s; ngd_cg {cg_its:g} steps, {cg_matvecs:g} matvecs, "
+            f"{cg_seconds:.3f} s, H1 {cg_h1:.3e} at the budget; time ratio {ratio:.2f}; "
+            f"nystrom_ngd ends at the lower loss in {wins} of {len(block)}",
+            flush=True,
+        )
+        pairs += block
+    runs = [r for pair in pairs for r in pair]
+    print(json.dumps({
+        "cell": WIDE, "depth": WIDE_DEPTH, "runs": runs, "left_out": left_out, **environment(),
+    }))
+    return 1 if any(nys["crossings"][0] is None for nys, _ in pairs) else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     modes = parser.add_subparsers(dest="mode", required=True)
@@ -215,9 +327,12 @@ def main(argv=None):
         "optimizers", nargs="*", metavar="optimizer",
         help=f"any of {', '.join(optim.OPTIMIZER_NAMES)} (default: nystrom_ngd)",
     )
+    modes.add_parser("wide", help=wide.__doc__, description=wide.__doc__)
     args = parser.parse_args(argv)
     if args.mode == "digest":
         return digest()
+    if args.mode == "wide":
+        return wide()
     try:  # the config's own check of each name, before any run
         for optimizer in args.optimizers:
             ExperimentConfig(optimizer=optimizer)

@@ -31,7 +31,7 @@ def main(argv=None):
         parser.error(f"{args.config}: {err}")
     summary = run_experiment(config)
     print(json.dumps(summary, indent=2))
-    return 1 if summary["nonfinite"] else 0  # some run's theta0 had no finite loss
+    return 1 if summary["nonfinite"] else 0  # some run's theta0 loss had no finite square
 
 
 if __name__ == "__main__":

@@ -104,13 +104,14 @@ def heldout_quadrature(problem, seed):
     return problem.sample_quadrature(1600, 400, seed=[seed, 1])
 
 
-def train(config, h1_stop=None):
+def train(config, h1_stop=None, matvec_budget=None):
     """(theta, records, heldout_h1) of ``config``'s run: ``set_up``, trained
-    with H1 recorded on the training points, stopped at the first record at
-    or below ``h1_stop`` if given, and scored on ``heldout_quadrature``."""
+    with H1 recorded on the training points, stopped by ``run_optimizer``'s
+    ``h1_stop`` and ``matvec_budget`` when given, and scored on ``heldout_quadrature``."""
     problem, quad, theta0 = set_up(config)
     theta, records = run_optimizer(
-        config.optimizer, problem, theta0, config, quad, quad_eval=quad, h1_stop=h1_stop
+        config.optimizer, problem, theta0, config, quad,
+        quad_eval=quad, h1_stop=h1_stop, matvec_budget=matvec_budget,
     )
     heldout = heldout_quadrature(problem, config.seed)
     return theta, records, problem.h1_relative_error(theta, heldout)
@@ -129,7 +130,7 @@ def _write_trace(path, records):
 def run_experiment(config, out_dir=None):
     """Run ``repetitions`` trainings, repetition r ``train`` of seed + r, write
     per-run CSV traces (one row per iterate, theta0 first) and a summary JSON,
-    whose ``nonfinite`` counts the runs that ended at a non-finite loss; return it.
+    whose ``nonfinite`` counts the runs ended by a loss with no finite square; return it.
     A given ``out_dir`` replaces ``config.out_dir`` and is checked like it."""
     if out_dir is not None:
         config = replace(config, out_dir=str(out_dir))
@@ -145,7 +146,7 @@ def run_experiment(config, out_dir=None):
         final_errors.append(records[-1].h1_rel_error)
         heldout_errors.append(heldout_h1)
         total_seconds.append(sum(r.seconds for r in records))
-        nonfinite += not np.isfinite(records[-1].loss)
+        nonfinite += not np.isfinite(records[-1].loss * records[-1].loss)  # run_optimizer's test
     summary = {
         "problem": config.problem,
         "optimizer": config.optimizer,

@@ -232,18 +232,22 @@ class TestNanSource:
     """The injected fault: a NaN source term, so theta0 of every poisson2d run has a NaN loss."""
 
     @pytest.fixture(autouse=True)
-    def nan_source(self, monkeypatch):
+    def fault(self, monkeypatch):
         monkeypatch.setattr(problems.Poisson2D, "source", lambda self, x: np.full(len(x), np.nan))
 
     def config_text(self, **overrides):
         return small_config_text(problem="poisson2d", repetitions=2, seed=3, **overrides)
 
+    def check_loss(self, cell):
+        assert cell == "nan"
+
     def check_traces(self, out):
-        for seed in (3, 4):  # each run ends at theta0's row, which records the NaN loss
+        for seed in (3, 4):  # each run ends at theta0's row, which records theta0's loss
             header, *rows = read_csv(out / f"run_{seed}.csv")
             (row,) = rows
             cells = dict(zip(header, row))
-            assert (cells["iteration"], cells["loss"], cells["matvecs"]) == ("0", "nan", "0")
+            assert (cells["iteration"], cells["matvecs"]) == ("0", "0")
+            self.check_loss(cells["loss"])
             assert 0.0 < float(cells["h1_rel_error"]) < float("inf")
 
     def test_run_experiment_writes_each_trace_and_counts_the_runs(self, tmp_path):
@@ -259,6 +263,25 @@ class TestNanSource:
         with open(tmp_path / "out" / "summary.json") as fh:
             assert json.load(fh)["nonfinite"] == 2
         assert json.loads(capsys.readouterr().out)["nonfinite"] == 2
+
+
+class TestTheta0LossSquareOverflows(TestNanSource):
+    """The injected fault: theta0[-1] = 1e78, the output bias, so theta0's loss is finite
+    (about 1e156) but its square is not: the loop's row-0 stop, counted as nonfinite."""
+
+    @pytest.fixture(autouse=True)
+    def fault(self, monkeypatch):
+        init = model.init
+
+        def overflowing_init(topology, seed):
+            params = init(topology, seed)
+            params.values[-1] = 1e78
+            return params
+
+        monkeypatch.setattr(model, "init", overflowing_init)
+
+    def check_loss(self, cell):
+        assert 1e154 < float(cell) < float("inf")
 
 
 class TestTrain:
@@ -285,6 +308,21 @@ class TestTrain:
         assert 0 < k < len(full) - 1  # the stop ends the run early, after row 0
         _, stopped, _ = harness.train(cfg, h1_stop=stop)
         assert record_bits(stopped) == record_bits(full[: k + 1])
+
+    def test_matvec_budget_is_run_optimizers_stop(self):
+        # the run ends at its first record with at least the budget's matvecs
+        cfg = harness.parse_config(small_config_text(iterations=12))
+        _, full, _ = harness.train(cfg)
+        k = len(full) // 2
+        budget = full[k].matvecs - 1
+        assert full[k - 1].matvecs < budget
+        theta, stopped, _ = harness.train(cfg, matvec_budget=budget)
+        prob, quad, theta0 = harness.set_up(cfg)
+        want_theta, want_records = optim.run_optimizer(
+            "nystrom_ngd", prob, theta0, cfg, quad, quad_eval=quad, matvec_budget=budget
+        )
+        assert theta.tobytes() == want_theta.tobytes()
+        assert record_bits(stopped) == record_bits(want_records) == record_bits(full[: k + 1])
 
 
 def quadrature_arrays(quad):

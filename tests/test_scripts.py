@@ -8,18 +8,21 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nystromngd import model, problems
+from nystromngd import gramian, model, problems
 
 ROOT = Path(__file__).resolve().parents[1]
 GRID = ROOT / "scripts" / "grid.py"
 
 
-@pytest.mark.parametrize("mode", [[], ["digest"], ["target"]], ids=["grid.py", "digest", "target"])
+@pytest.mark.parametrize(
+    "mode", [[], ["digest"], ["target"], ["wide"]], ids=["grid.py", "digest", "target", "wide"]
+)
 def test_script_answers_help(mode):
     # a script broken by a rename in src/ fails here; it finds src/ without PYTHONPATH
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -195,10 +198,12 @@ def test_to_target_exits_1_when_a_run_misses_its_depths(
 
 @pytest.fixture
 def parity(monkeypatch):
-    """grid.py on a tiny digest grid: gd on poisson1d, seeds 0 and 1, width 4, 2 steps."""
+    """grid.py on a tiny digest grid: gd on poisson1d, seeds 0 and 1, width 4, 2 steps,
+    and no wide lines."""
     grid = load_grid()
     for name, value in [("DIGEST_OPTIMIZERS", ("gd",)), ("DIGEST_PROBLEMS", ("poisson1d",)),
-                        ("DIGEST_SEEDS", range(2)), ("DIGEST_ITERATIONS", 2), ("DIGEST_WIDTH", 4)]:
+                        ("DIGEST_SEEDS", range(2)), ("DIGEST_ITERATIONS", 2), ("DIGEST_WIDTH", 4),
+                        ("DIGEST_WIDE_RUNS", ())]:
         monkeypatch.setattr(grid, name, value)
     return grid
 
@@ -220,11 +225,27 @@ def test_parity_digest_is_deterministic(parity, monkeypatch, capsys):
     assert len(set(digests)) == 8
 
 
+def test_parity_digest_ends_with_the_wide_cells_lines(parity, monkeypatch, capsys):
+    # a wide line is digest_run at the WIDE cell, and names the cell in its problem field
+    monkeypatch.setattr(parity, "WIDE", dict(hidden_width=5, n_interior=20, n_boundary=4))
+    monkeypatch.setattr(parity, "DIGEST_WIDE_RUNS", (("nystrom_ngd", "poisson1d", 0),))
+    monkeypatch.setattr(parity, "DIGEST_WIDE_ITERATIONS", 3)
+    assert parity.main(["digest"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:3] for line in lines] == [
+        ["gd", "poisson1d", "0"], ["gd", "poisson1d", "1"], ["nystrom_ngd", "poisson1d-w5r24", "0"]
+    ]
+    assert lines[-1][3:] == list(parity.digest_run(
+        "nystrom_ngd", "poisson1d", 0, hidden_width=5, n_interior=20, n_boundary=4, iterations=3
+    ))
+    assert lines[0][3:] == list(parity.digest_run("gd", "poisson1d", 0))  # 4 wide, 2 steps
+
+
 def test_parity_digest_has_one_option(capsys):
     # each mode's grid is module constants, and target takes only optimizer names: the one
     # option of every mode is --help, and comparing two digest files is cmp's job
     grid = load_grid()
-    for mode in ([], ["digest"], ["target"]):
+    for mode in ([], ["digest"], ["target"], ["wide"]):
         with pytest.raises(SystemExit) as exit_info:
             grid.main([*mode, "--help"])
         assert exit_info.value.code == 0
@@ -238,6 +259,7 @@ def test_readme_grid_commands_parse(monkeypatch):
     modes = []
     monkeypatch.setattr(grid, "digest", lambda: modes.append("digest") or 0)
     monkeypatch.setattr(grid, "target", lambda optimizers: modes.append("target") or 0)
+    monkeypatch.setattr(grid, "wide", lambda: modes.append("wide") or 0)
     readme = (ROOT / "README.md").read_text()
     fenced = re.findall(r"```\w*\n(.*?)```", readme, re.S)
     prose = re.sub(r"```\w*\n.*?```", "", readme, flags=re.S)
@@ -248,10 +270,10 @@ def test_readme_grid_commands_parse(monkeypatch):
         args = re.split(r"[<>|;&]", command.split("grid.py ", 1)[1])[0]  # before any redirect
         args = re.sub(r"\[([^\]]*)\]", lambda m: m[1] if m[1].startswith("-") else "", args)
         assert grid.main(args.split()) == 0, command
-    assert {"digest", "target"} <= set(modes) and len(commands) >= 3
+    assert {"digest", "target", "wide"} <= set(modes) and len(commands) >= 4
 
 
-@pytest.mark.parametrize("mode", ["digest", "target"])
+@pytest.mark.parametrize("mode", ["digest", "target", "wide"])
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "absent"])
 def test_script_imports_its_own_checkouts_package(tmp_path, planted, mode):
     # a copy beside another src/ runs that package, not the one PYTHONPATH names;
@@ -290,3 +312,71 @@ def test_a_nan_source_gives_each_script_its_one_row_run(monkeypatch):
     assert r["crossings"] == [None, None, None]
     assert (r["iterations"], r["matvecs"]) == (0, 0)
     assert 0.0 < r["h1"] < float("inf") and 0.0 < r["heldout_h1"] < float("inf")
+
+
+@pytest.fixture
+def wide(monkeypatch):
+    """grid.py wide on a tiny cell: poisson1d, width 4 (p = 33), 20 + 2 points, seeds 0 and 1."""
+    grid = load_grid()
+    monkeypatch.setattr(grid, "WIDE", dict(hidden_width=4, n_interior=20, n_boundary=2))
+    monkeypatch.setattr(grid, "WIDE_PROBLEMS", ("poisson1d",))
+    monkeypatch.setattr(grid, "WIDE_SEEDS", range(2))
+    return grid
+
+
+def row(record):
+    return {k: v for k, v in asdict(record).items() if k != "seconds"}
+
+
+def test_wide_runs_each_twin_from_its_nystrom_runs_theta0_at_its_matvecs(
+    wide, monkeypatch, capsys
+):
+    trained = []  # (config, stop, records) of each harness.train call, in order
+    train = wide.train
+
+    def recording_train(config, **stop):
+        out = train(config, **stop)
+        trained.append((config, stop, out[1]))
+        return out
+
+    monkeypatch.setattr(wide, "train", recording_train)
+    monkeypatch.setattr(gramian, "DENSE_GUARD", 32)  # below p: ExperimentConfig refuses ngd_dense
+    assert wide.main(["wide"]) == 0
+    first, *lines, last = capsys.readouterr().out.splitlines()
+    assert first == "ngd_dense left out: ngd_dense guard: p=33 exceeds 32"
+    record = json.loads(last)
+    assert record["left_out"] == {"ngd_dense": "ngd_dense guard: p=33 exceeds 32"}
+    assert (record["cell"], record["depth"]) == (wide.WIDE, wide.WIDE_DEPTH)
+    assert set(record["blas_threads"]) == set(wide.BLAS_ENV)
+    runs = record["runs"]  # one record per run, each Nystrom-NGD run before its twin
+    assert [(r["optimizer"], r["seed"]) for r in runs] == [
+        ("nystrom_ngd", 0), ("ngd_cg", 0), ("nystrom_ngd", 1), ("ngd_cg", 1)
+    ]
+    assert [(c.optimizer, c.problem, c.seed) for c, _, _ in trained] == [
+        (r["optimizer"], r["problem"], r["seed"]) for r in runs
+    ]
+    for (config, stop, records), (twin_config, twin_stop, twin_records), nys, cg in zip(
+        trained[::2], trained[1::2], runs[::2], runs[1::2]
+    ):
+        assert twin_config == replace(config, optimizer="ngd_cg")
+        assert row(twin_records[0]) == row(records[0])  # the same theta0 and quadrature
+        # the twin's budget is its Nystrom run's final matvecs; it stops at the first
+        # record that reaches it
+        assert stop == {"h1_stop": wide.WIDE_DEPTH} and nys["h1_stop"] == wide.WIDE_DEPTH
+        assert twin_stop == {"matvec_budget": records[-1].matvecs}
+        assert cg["matvec_budget"] == nys["matvecs"] == records[-1].matvecs
+        assert twin_records[-2].matvecs < nys["matvecs"] <= twin_records[-1].matvecs
+        assert cg["matvecs"] == twin_records[-1].matvecs
+        assert nys["crossings"][0]["iteration"] == nys["iterations"] == records[-1].iteration
+        assert records[-1].h1_rel_error <= wide.WIDE_DEPTH < records[-2].h1_rel_error
+        assert (nys["loss"], cg["loss"]) == (records[-1].loss, twin_records[-1].loss)
+    assert [line.split(":")[0] for line in lines] == [
+        "poisson1d seed 0", "poisson1d seed 1", "poisson1d median"
+    ]
+    wins = sum(a["loss"] < b["loss"] for a, b in zip(runs[::2], runs[1::2]))
+    assert lines[-1].endswith(f"nystrom_ngd ends at the lower loss in {wins} of 2")
+    # a Nystrom-NGD run that misses the depth fails the mode, after every run
+    monkeypatch.setattr(wide, "WIDE", dict(wide.WIDE, iterations=2))
+    monkeypatch.setattr(wide, "WIDE_DEPTH", 1e-30)
+    assert wide.main(["wide"]) == 1
+    assert len(json.loads(capsys.readouterr().out.splitlines()[-1])["runs"]) == 4
