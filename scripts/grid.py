@@ -25,20 +25,22 @@ second of every numeric RunRecord field but the wall-clock seconds.  The
 grid is every optimizer in ``DIGEST_OPTIMIZERS`` on every problem in
 ``DIGEST_PROBLEMS`` at each seed in ``DIGEST_SEEDS``, at ``DIGEST_WIDTH``
 and ``DIGEST_ITERATIONS``: 60 runs, in a fixed order.  Then come the
-``DIGEST_WIDE_RUNS``, ``nystrom_ngd`` and ``ngd_cg`` on poisson2d at seed 0,
-for ``DIGEST_WIDE_ITERATIONS`` steps at the ``WIDE`` cell, whose p > rows
-takes the sketch and NGD-CG's matrix-free products where no other line
-does; their second field names the cell (``poisson2d-w64r1200``), so no
-two of the 62 lines share fields 1-3.  Two checkouts do the same
-arithmetic on these runs exactly when their outputs are byte-identical,
-so each checkout runs its own copy and ``cmp`` compares:
+``DIGEST_WIDE_RUNS``, ``nystrom_ngd``, ``ngd_cg`` and ``ngd_dense`` on
+poisson2d at seed 0, for ``DIGEST_WIDE_ITERATIONS`` steps at the ``WIDE``
+cell, whose p > rows takes the sketch, NGD-CG's matrix-free products and
+exact NGD's row side where no other line does; their second field names
+the cell (``poisson2d-w64r1200``), so no two of the 63 lines share fields
+1-3.  Two checkouts do the same arithmetic on these runs exactly when
+their outputs are byte-identical, so each checkout runs its own copy and
+``cmp`` compares:
 
     python <other checkout>/scripts/grid.py digest > a.txt
     python scripts/grid.py digest > b.txt
     cmp a.txt b.txt
 
-A checkout older than the wide lines prints the first 60 alone, so
-``cmp <(head -60 b.txt) a.txt`` compares with it.
+A checkout older than the ``ngd_dense`` wide line prints the first 62 alone,
+so ``cmp <(head -62 b.txt) a.txt`` compares with it (``head -60`` for one
+older than every wide line).
 
 A change that keeps the iterates but changes what the trace rows hold
 differs in the last field only; fields 1-4 (optimizer, problem, seed,
@@ -70,27 +72,29 @@ run of those three reaches 1e-3, and every ``nystrom_ngd`` and
 ``ngd_dense`` run 1e-4, so that call exits 0.
 
 ``wide`` measures the paper's claim where it is decided: at the ``WIDE``
-cell p = 4417 exceeds the 1200 rows, so one Gramian product costs what the
-rows cost.  On poisson2d, heat1p1d and nlpoisson2d (``WIDE_PROBLEMS``) at
-seeds 0-3 (``WIDE_SEEDS``: four seeds run in about 2 min 20 s on one
-thread, eight would take about 4.5 min), ``nystrom_ngd`` trains to H1 <=
-1e-4 (``WIDE_DEPTH``).  Its twin, ``ngd_cg`` with the same seed and so the
-same quadrature and theta0, trains with the Nystrom run's final matvecs as
-its ``matvec_budget`` and stops at its first record that reaches it,
-criterion 10's rule.  Each line is one pair: per run its steps, matvecs,
-seconds (summed over the trace rows, as in ``target``), training H1 and
-final training loss, then NGD-CG's seconds over Nystrom-NGD's.  Per
-problem a median line gives each side's median steps, matvecs and seconds,
-NGD-CG's median H1 at the budget, the median time ratio, and in how many
-pairs Nystrom-NGD ends at the lower training loss.  ``ngd_dense`` is left
-out, and a first line says so with ``ExperimentConfig``'s own guard
-message: it forms the p x p G, which ``gramian.DENSE_GUARD`` refuses.  The
-last line is one JSON object: the cell, the depth, per run ``target``'s
-record (crossing ``WIDE_DEPTH`` alone) with its stop (``h1_stop`` or
-``matvec_budget``) and final ``loss``, what was left out and why, and the
-``src/`` line count, versions and BLAS settings as in ``target``.  A
-committed ``BENCH_<n>_wide.json`` is that line.  It exits 1 if any
-``nystrom_ngd`` run misses ``WIDE_DEPTH``.
+cell p = 4417 exceeds the 1200 rows (1300 on heat1p1d, whose boundary
+adds its initial slice), so one Gramian product costs what the rows cost.
+On poisson2d, heat1p1d and nlpoisson2d (``WIDE_PROBLEMS``) at seeds 0-3
+(``WIDE_SEEDS``: four seeds run in about 3 min 15 s on one thread),
+``nystrom_ngd`` trains to H1 <= 1e-4 (``WIDE_DEPTH``).  Its twin,
+``ngd_cg`` with the same seed and so the same quadrature and theta0, trains
+with the Nystrom run's final matvecs as its ``matvec_budget`` and stops at
+its first record that reaches it, criterion 10's rule.  Then ``ngd_dense``,
+exact NGD, which solves on the row side here (K = A A^T), trains from the
+same theta0 to ``WIDE_DEPTH``.  Each line is one seed: per run its steps,
+matvecs, seconds (summed over the trace rows, as in ``target``), training
+H1 and final training loss, then NGD-CG's and exact NGD's seconds over
+Nystrom-NGD's.  Per problem a median line gives each run's median steps,
+matvecs and seconds, NGD-CG's median H1 at the budget, its median time
+ratio, in how many seeds Nystrom-NGD ends below NGD-CG's training loss,
+and in how many it reaches ``WIDE_DEPTH`` sooner than exact NGD (a miss
+enters at its last record, as in ``target``).  The last line is one JSON
+object: the cell, the depth, per run ``target``'s record (crossing
+``WIDE_DEPTH`` alone) with its stop (``h1_stop`` or ``matvec_budget``) and
+final ``loss``, and the ``src/`` line count, versions and BLAS settings as
+in ``target``.  A committed ``BENCH_<n>_wide.json`` is that line.  It exits
+1 if any ``nystrom_ngd`` or ``ngd_dense`` run misses ``WIDE_DEPTH``, the
+rule ``target`` applies at that depth.
 """
 
 import argparse
@@ -125,16 +129,18 @@ DIGEST_PROBLEMS = problems.PROBLEM_NAMES
 DIGEST_SEEDS = range(3)
 DIGEST_ITERATIONS = 25
 DIGEST_WIDTH = 16
-DIGEST_WIDE_RUNS = (("nystrom_ngd", "poisson2d", 0), ("ngd_cg", "poisson2d", 0))  # at WIDE
+DIGEST_WIDE_RUNS = (  # at WIDE
+    ("nystrom_ngd", "poisson2d", 0), ("ngd_cg", "poisson2d", 0), ("ngd_dense", "poisson2d", 0)
+)
 DIGEST_WIDE_ITERATIONS = 5
 
 TARGET_PROBLEMS = ("poisson2d", "heat1p1d", "nlpoisson2d")
 TARGET_SEEDS = range(8)
 DEPTHS = (1e-3, 1e-4, 1e-5)  # H1 errors; the first is the target the lines report
 
-WIDE = dict(hidden_width=64, n_interior=1000, n_boundary=200)  # p = 4417 > 1200 rows
+WIDE = dict(hidden_width=64, n_interior=1000, n_boundary=200)  # p = 4417 > 1200 or 1300 rows
 WIDE_PROBLEMS = TARGET_PROBLEMS
-WIDE_SEEDS = range(4)  # 2 min 20 s on one thread; 8 seeds would take about 4.5 min
+WIDE_SEEDS = range(4)  # about 3 min 15 s on one thread for the three optimizers
 WIDE_DEPTH = 1e-4
 
 
@@ -273,49 +279,48 @@ def describe(r):
 
 
 def wide():
-    """Run Nystrom-NGD to H1 <= 1e-4 with p > rows, and NGD-CG at its matvecs."""
-    left_out = {}
-    # exact NGD forms the p x p G, which its size guard refuses at this width; every
-    # WIDE problem is 2-D, so one config checks the p they share
-    try:
-        ExperimentConfig(problem=WIDE_PROBLEMS[0], optimizer="ngd_dense", **WIDE)
-    except ValueError as err:
-        left_out["ngd_dense"] = str(err)
-        print(f"ngd_dense left out: {err}", flush=True)
-    pairs = []
+    """Run Nystrom-NGD and exact NGD to H1 <= 1e-4 with p > rows, NGD-CG at Nystrom's matvecs."""
+    triples = []
     for name in WIDE_PROBLEMS:
         block = []
         for seed in WIDE_SEEDS:
             config = ExperimentConfig(problem=name, optimizer="nystrom_ngd", seed=seed, **WIDE)
             nys = wide_run(config, h1_stop=WIDE_DEPTH)
             cg = wide_run(replace(config, optimizer="ngd_cg"), matvec_budget=nys["matvecs"])
-            block.append((nys, cg))
+            exact = wide_run(replace(config, optimizer="ngd_dense"), h1_stop=WIDE_DEPTH)
+            block.append((nys, cg, exact))
             print(
                 f"{name} seed {seed}: {describe(nys)}; {describe(cg)}; "
-                f"time ratio {cg['seconds'] / nys['seconds']:.2f}",
+                f"time ratio {cg['seconds'] / nys['seconds']:.2f}; {describe(exact)}; "
+                f"time ratio {exact['seconds'] / nys['seconds']:.2f}",
                 flush=True,
             )
         nys_its, nys_matvecs, nys_seconds = np.median(
-            [(a["iterations"], a["matvecs"], a["seconds"]) for a, _ in block], axis=0
+            [(a["iterations"], a["matvecs"], a["seconds"]) for a, _, _ in block], axis=0
         )
         cg_its, cg_matvecs, cg_seconds, cg_h1 = np.median(
-            [(b["iterations"], b["matvecs"], b["seconds"], b["h1"]) for _, b in block], axis=0
+            [(b["iterations"], b["matvecs"], b["seconds"], b["h1"]) for _, b, _ in block], axis=0
         )
-        ratio = np.median([b["seconds"] / a["seconds"] for a, b in block])
-        wins = sum(a["loss"] < b["loss"] for a, b in block)
+        exact_its, exact_matvecs, exact_seconds = np.median(
+            [(c["iterations"], c["matvecs"], c["seconds"]) for _, _, c in block], axis=0
+        )
+        ratio = np.median([b["seconds"] / a["seconds"] for a, b, _ in block])
+        wins = sum(a["loss"] < b["loss"] for a, b, _ in block)
+        sooner = sum(at_target(a)[2] < at_target(c)[2] for a, _, c in block)
         print(
             f"{name} median: nystrom_ngd {nys_its:g} steps, {nys_matvecs:g} matvecs, "
             f"{nys_seconds:.3f} s; ngd_cg {cg_its:g} steps, {cg_matvecs:g} matvecs, "
             f"{cg_seconds:.3f} s, H1 {cg_h1:.3e} at the budget; time ratio {ratio:.2f}; "
-            f"nystrom_ngd ends at the lower loss in {wins} of {len(block)}",
+            f"nystrom_ngd ends at the lower loss in {wins} of {len(block)}; "
+            f"ngd_dense {exact_its:g} steps, {exact_matvecs:g} matvecs, {exact_seconds:.3f} s; "
+            f"nystrom_ngd reaches {WIDE_DEPTH:.0e} sooner in {sooner} of {len(block)}",
             flush=True,
         )
-        pairs += block
-    runs = [r for pair in pairs for r in pair]
-    print(json.dumps({
-        "cell": WIDE, "depth": WIDE_DEPTH, "runs": runs, "left_out": left_out, **environment(),
-    }))
-    return 1 if any(nys["crossings"][0] is None for nys, _ in pairs) else 0
+        triples += block
+    runs = [r for triple in triples for r in triple]
+    print(json.dumps({"cell": WIDE, "depth": WIDE_DEPTH, "runs": runs, **environment()}))
+    # every Nystrom-NGD and exact NGD run must reach WIDE_DEPTH, as in target's must_cross
+    return 1 if any(None in (a["crossings"][0], c["crossings"][0]) for a, _, c in triples) else 0
 
 
 def main(argv=None):

@@ -2,11 +2,11 @@
 
 A = W^{1/2} J is the Jacobian of a problem's weighted residual
 s = W^{1/2} r in the parameters, one row per quadrature point, so
-G = J^T W J is the Gauss-Newton metric; ``run_optimizer`` assembles A with
-the loss gradient A^T s into one (rows, p) array per run.  A matvec is two
-passes over A and a block two GEMMs, so its answer depends on A and v
-alone.  Only the Gramian charges its ``matvec_count``, the run's cost unit:
-``dense()`` as p matvecs, and ``formed()``'s G per product, so no step edits it.
+G = J^T W J is the Gauss-Newton metric; ``run_optimizer`` assembles A into
+one (rows, p) array per run.  A matvec is two passes over A and a block two
+GEMMs, so its answer depends on A and v alone.  Only the Gramian charges its
+``matvec_count``, the run's cost unit: ``dense()`` as min(rows, p) matvecs,
+and ``formed()``'s G per product, so no step edits it.
 """
 
 from __future__ import annotations
@@ -48,21 +48,20 @@ class GramianOperator:
         return self.jacobian.T @ (self.jacobian @ _counted(self, vmat, 2))
 
     def dense(self):
-        """G = A^T A (one syrk), charged as assemble_dense's p matvecs; p <= DENSE_GUARD."""
-        self.matvec_count += self.dim
-        return self._gram()
+        """The smaller Gram matrix of A, never larger than A: G = A^T A if p <= rows, else
+        K = A A^T (one syrk), charged as the min(rows, p) matvecs of its column assembly."""
+        a = self.jacobian
+        self.matvec_count += min(a.shape)
+        return a.T @ a if self.dim <= a.shape[0] else a @ a.T
 
     def formed(self):
         """What CG iterates with: G formed uncounted, as a DenseOperator whose products this
         Gramian counts, if p <= min(rows, DENSE_GUARD); otherwise this Gramian itself."""
         if self.dim > min(self.jacobian.shape[0], DENSE_GUARD):
             return self
-        formed = DenseOperator(self._gram())
+        formed = DenseOperator(self.jacobian.T @ self.jacobian)
         formed._tally = self
         return formed
-
-    def _gram(self):
-        return self.jacobian.T @ self.jacobian
 
 
 class DenseOperator:

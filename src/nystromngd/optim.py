@@ -1,16 +1,16 @@
 """Outer optimizers: Nystrom-preconditioned NGD and its baselines.
 
 One loop, :func:`run_optimizer`, runs every optimizer and owns every phase
-they share.  Per iteration it assembles the weighted residual Jacobian
-A = W^{1/2} J, together with the loss gradient A^T s, into the run's one
-matrix-free Gramian A^T A, asks the optimizer for a search direction,
+they share.  Per iteration it assembles the weighted residual s and its
+Jacobian A = W^{1/2} J, A into the run's one matrix-free Gramian A^T A, forms
+the loss gradient g = A^T s, asks the optimizer for a search direction,
 runs the Armijo line search, moves theta, and records the new iterate; a
 step that cannot decrease the loss ends the run.  Each optimizer is a factory
 ``(theta0, config) -> direction`` whose closure holds only its own state;
-``direction(theta, loss, g, gop)`` returns ``(d, fields)``, ``fields`` a dict of the
-RunRecord step fields it sets, from which the loop builds the step's row.
-Every NGD direction damps by mu = adapt_mu(lam1, L), lam1 the sketch's top eigenvalue or, in
-the baselines, g's Rayleigh quotient, and solves by (P)CG or directly.
+``direction(theta, loss, g, s, gop)`` returns ``(d, fields)``, ``fields`` a dict of the
+RunRecord step fields it sets, from which the loop builds the step's row; only exact NGD
+reads s.  Every NGD direction damps by mu = adapt_mu(lam1, L), lam1 the sketch's top
+eigenvalue or, in the baselines, g's Rayleigh quotient, and solves by (P)CG or directly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from functools import partial
 
 import numpy as np
 
-from . import gramian
 from .gramian import GramianOperator, ShiftedOperator
 from .krylov import pcg
 from .sketch import NystromPreconditioner, nystrom_approximate
@@ -196,7 +195,7 @@ def _nystrom_ngd(theta0, config):
     rng = np.random.default_rng([config.seed, 4])  # the fourth of harness.set_up's streams
     basis = None  # the previous step's Nystrom basis
 
-    def direction(theta, loss, g, gop):
+    def direction(theta, loss, g, s, gop):
         nonlocal ell, basis
         factor = nystrom_approximate(gop, ell, seed=rng, basis=basis)
         basis = factor.basis
@@ -214,7 +213,7 @@ def _nystrom_ngd(theta0, config):
 
 def _rayleigh_lam1(g, gg):
     """The baselines' lam1 estimate g^T G g / g^T g <= lam1, from the caller's gg = G g; 0 at
-    g = 0: NGD-CG's gg is a counted matvec, exact NGD's a product with the G it paid for."""
+    g = 0: NGD-CG's gg is a counted matvec, exact NGD's (p side) a product with the G it formed."""
     return float(g @ gg) / (float(g @ g) or 1.0)
 
 
@@ -223,7 +222,7 @@ def _ngd_cg(theta0, config):
     <= CG_MAXIT + _rank_cap(p) steps on G + mu I (no config field is read)."""
     maxit_total = CG_MAXIT + _rank_cap(theta0.shape[0])
 
-    def direction(theta, loss, g, gop):
+    def direction(theta, loss, g, s, gop):
         base = gop.formed()
         lam1 = _rayleigh_lam1(g, base.matvec(g))
         mu = adapt_mu(lam1, loss)
@@ -234,22 +233,28 @@ def _ngd_cg(theta0, config):
 
 
 def _ngd_dense(theta0, config):
-    """Oracle NGD (p <= 2000): G = gop.dense() (p matvecs), adapt_mu of g's Rayleigh quotient
-    on that G, and an LU solve with mu~ = max(mu, p*eps*tr G), finite on a rank-deficient G."""
-    def direction(theta, loss, g, gop):
-        p = gop.dim
+    """Exact NGD on the smaller side of A: M = gop.dense(), G = A^T A, or K = A A^T if p > rows,
+    adapt_mu of g's Rayleigh quotient, and an LU solve of (M + mu~ I) x = g, or = s, with
+    mu~ = max(mu, min(rows, p)*eps*tr M); d = x, or A^T x, as g = A^T s and
+    (G + mu~ I)^-1 A^T = A^T (K + mu~ I)^-1.  mu~ keeps a rank-deficient M's solve finite."""
+    def direction(theta, loss, g, s, gop):
         matrix = gop.dense()
-        mu = adapt_mu(_rayleigh_lam1(g, matrix @ g), loss)
-        mu = max(mu, p * EPS_MACH * float(np.trace(matrix)))
-        matrix[np.diag_indices(p)] += mu
-        return np.linalg.solve(matrix, g), {"mu": mu}
+        n = matrix.shape[0]
+        x = g if n == gop.dim else s
+        mx = matrix @ x
+        # g's Rayleigh quotient g^T G g / g^T g, on the row side |K s|^2 / s^T K s
+        lam1 = _rayleigh_lam1(g, mx) if n == gop.dim else float(mx @ mx) / (float(x @ mx) or 1.0)
+        mu = max(adapt_mu(lam1, loss), n * EPS_MACH * float(np.trace(matrix)))
+        matrix[np.diag_indices(n)] += mu
+        x = np.linalg.solve(matrix, x)
+        return (x if n == gop.dim else gop.jacobian.T @ x), {"mu": mu}
 
     return direction
 
 
 def _gradient_descent(theta0, config):
     """Plain gradient descent: the direction is the gradient itself."""
-    return lambda theta, loss, g, gop: (g, {})
+    return lambda theta, loss, g, s, gop: (g, {})
 
 
 def _bfgs(theta0, config):
@@ -257,7 +262,7 @@ def _bfgs(theta0, config):
     h = np.eye(theta0.shape[0])
     previous = None  # (theta, g) at the previous step, which was accepted
 
-    def direction(theta, loss, g, gop):
+    def direction(theta, loss, g, s, gop):
         nonlocal h, previous
         if previous is not None:
             h = bfgs_update(h, theta - previous[0], g - previous[1])
@@ -278,12 +283,12 @@ OPTIMIZER_NAMES = tuple(_OPTIMIZERS)
 
 
 def check_optimizer(name, p):
-    """Raise ValueError if ``name`` is no optimizer or forms a dense p x p matrix past its guard."""
+    """Raise ValueError if ``name`` is no optimizer, or is bfgs past BFGS_GUARD: its p x p
+    inverse Hessian can outgrow A.  Exact NGD's min(rows, p)^2 matrix never does."""
     if name not in _OPTIMIZERS:
         raise ValueError(f"unknown optimizer {name!r}; available: {OPTIMIZER_NAMES}")
-    limit = {"ngd_dense": gramian.DENSE_GUARD, "bfgs": BFGS_GUARD}.get(name)
-    if limit is not None and p > limit:
-        raise ValueError(f"{name} guard: p={p} exceeds {limit}")
+    if name == "bfgs" and p > BFGS_GUARD:
+        raise ValueError(f"bfgs guard: p={p} exceeds {BFGS_GUARD}")
 
 
 def run_optimizer(
@@ -291,8 +296,8 @@ def run_optimizer(
 ):
     """Run optimizer ``name`` for up to ``config.iterations`` steps.
 
-    Each step assembles A into the run's one Gramian operator with the
-    gradient, takes the optimizer's direction, and backtracks along it.
+    Each step takes s and A from one ``problem.residual_jacobian``, A into the run's one
+    Gramian, hands g = A^T s and s to the optimizer's direction, and backtracks along it.
     Record k holds theta_k's loss (theta0's is evaluated here, each step's
     is the one its line search accepted), its relative H1 error (NaN
     without ``quad_eval``), and the Gramian's matvecs so far, so n steps
@@ -336,10 +341,11 @@ def run_optimizer(
         spent = matvec_budget is not None and gop.matvec_count >= matvec_budget
         if stalled or reached or spent or k == config.iterations:
             break
-        g = problem.loss_grad(theta, quad, out=gop.jacobian)
+        s, a = problem.residual_jacobian(theta, quad, out=gop.jacobian)
+        g = a.T @ s  # the loss gradient, as problem.loss_grad forms it
         alpha, fields = 0.0, {}  # at g = 0 every direction is 0: no step
         if g.any():
-            d, fields = direction(theta, loss, g, gop)
+            d, fields = direction(theta, loss, g, s, gop)
             alpha, loss = backtracking_linesearch(
                 theta, d, lambda th: problem.loss_value(th, quad), float(g @ d), loss
             )

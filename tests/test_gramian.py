@@ -198,6 +198,17 @@ class TestDenseAssembly:
         assert np.linalg.norm(dense - reference) <= 1e-14 * np.linalg.norm(reference)
         assert gop.matvec_count == gop.dim
 
+    @pytest.mark.parametrize("rows, p", [(7, 4), (5, 5), (4, 7)], ids=["tall", "square", "wide"])
+    def test_dense_is_the_smaller_gram_matrix_and_counts_its_side(self, rows, p):
+        # A^T A while p <= rows, else A A^T: min(rows, p)^2 entries, never more than A's
+        a = np.random.default_rng(3).standard_normal((rows, p))
+        gop = gramian.GramianOperator(a)
+        dense = gop.dense()
+        side = min(rows, p)
+        assert dense.shape == (side, side) and dense.size <= a.size
+        np.testing.assert_array_equal(dense, a.T @ a if p <= rows else a @ a.T)
+        assert gop.matvec_count == side
+
     @pytest.mark.parametrize("rows, guard", [(4, 2000), (12, 4)], ids=["rows", "guard"])
     def test_formed_is_the_gramian_itself_when_p_exceeds_rows_or_guard(
         self, rows, guard, monkeypatch

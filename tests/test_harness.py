@@ -118,7 +118,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "optimizer, width, p, wider_p, guard",
-        [("ngd_dense", 42, 1975, 2065, 2000), ("bfgs", 68, 4965, 5107, 5000)],
+        [("bfgs", 68, 4965, 5107, 5000)],
     )
     def test_dense_optimizer_guards_are_checked_on_the_config(
         self, optimizer, width, p, wider_p, guard
@@ -487,11 +487,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "optimizer, width, message",
-        [
-            ("ngd_dense", 64, "ngd_dense guard: p=4417 exceeds 2000"),
-            ("bfgs", 72, "bfgs guard: p=5545 exceeds 5000"),
-        ],
-        ids=["ngd_dense", "bfgs"],
+        [("bfgs", 72, "bfgs guard: p=5545 exceeds 5000")],
+        ids=["bfgs"],
     )
     def test_config_past_a_size_guard_fails_like_a_bad_argument(
         self, tmp_path, capsys, optimizer, width, message

@@ -30,8 +30,11 @@ class LinearLeastSquares:
         self.w = np.asarray(w, dtype=float)
         self.a = np.sqrt(self.w)[:, None] * self.phi
 
+    def residual(self, theta):
+        return np.sqrt(self.w) * (self.phi @ theta - self.y)
+
     def residual_jacobian(self, theta, quad, out=None):
-        s = np.sqrt(self.w) * (self.phi @ theta - self.y)
+        s = self.residual(theta)
         if out is None:
             return s, self.a
         out[...] = self.a
@@ -41,7 +44,7 @@ class LinearLeastSquares:
         return self.w
 
     def loss_value(self, theta, quad):
-        s, _ = self.residual_jacobian(theta, quad)
+        s = self.residual(theta)  # not residual_jacobian, whose calls are the run loop's
         return 0.5 * float(s @ s)
 
     def loss_grad(self, theta, quad, out=None):
@@ -460,7 +463,7 @@ class TestRunOptimizer:
     def test_a_step_field_the_record_lacks_raises(self, monkeypatch):
         # a misspelled step column is refused, not dropped from the trace
         def misspelled(theta0, config):
-            return lambda theta, loss, g, gop: (g, {"alpha": 1.0})
+            return lambda theta, loss, g, s, gop: (g, {"alpha": 1.0})
 
         monkeypatch.setitem(optim._OPTIMIZERS, "gd", misspelled)
         cfg = optim.NystromNgdConfig(iterations=1)
@@ -560,7 +563,7 @@ class TestRunOptimizer:
         # ~1.34e154, where adapt_mu's mu would be inf) ends the run at its own record, as a
         # failed line search does, with no step taken
         theta0 = np.random.default_rng(5).standard_normal(8)
-        calls = {"direction": 0, "grad": 0}
+        calls = {"direction": 0, "jacobian": 0}
         make = optim._OPTIMIZERS[name]
 
         def counted(theta, config):
@@ -576,9 +579,9 @@ class TestRunOptimizer:
             def loss_value(self, theta, quad):
                 return bad
 
-            def loss_grad(self, theta, quad, out=None):
-                calls["grad"] += 1
-                return super().loss_grad(theta, quad, out)
+            def residual_jacobian(self, theta, quad, out=None):
+                calls["jacobian"] += 1
+                return super().residual_jacobian(theta, quad, out)
 
         monkeypatch.setitem(optim._OPTIMIZERS, name, counted)
         base = toy(seed=4)
@@ -594,17 +597,17 @@ class TestRunOptimizer:
             assert first.h1_rel_error == base.h1_relative_error(theta0, "eval")
             assert (first.iteration, first.mu, first.ell, first.pcg_iters) == (0, 0.0, 0, 0)
             assert first.matvecs == 0
-        assert calls == {"direction": 0, "grad": 0}
+        assert calls == {"direction": 0, "jacobian": 0}
 
     @pytest.mark.parametrize("name", optim.OPTIMIZER_NAMES)
-    def test_loss_grad_called_once_per_iteration_into_one_buffer(self, name):
-        # the driver loop takes every gradient, assembling J into one array
+    def test_residual_jacobian_once_per_step_into_one_buffer(self, name):
+        # the driver loop takes every residual and J, assembling J into one array
         outs = []
 
         class Recording(LinearLeastSquares):
-            def loss_grad(self, theta, quad, out=None):
+            def residual_jacobian(self, theta, quad, out=None):
                 outs.append(out)
-                return super().loss_grad(theta, quad, out)
+                return super().residual_jacobian(theta, quad, out)
 
         base = toy(seed=2)
         cfg = optim.NystromNgdConfig(ell0=4, ell_max=8, iterations=3, seed=0)
@@ -708,11 +711,11 @@ class TestRunOptimizer:
     def test_stationary_run_takes_one_gradient(self, name):
         # g = 0 at theta0 ends the run: no later step could move theta
         class Stationary(LinearLeastSquares):
-            grads = 0
+            grads = 0  # residual_jacobian calls, one per gradient the loop forms
 
-            def loss_grad(self, theta, quad, out=None):
+            def residual_jacobian(self, theta, quad, out=None):
                 self.grads += 1
-                return super().loss_grad(theta, quad, out)
+                return super().residual_jacobian(theta, quad, out)
 
         prob = Stationary(np.zeros((10, 4)), np.zeros(10), np.ones(10))
         cfg = optim.NystromNgdConfig(ell0=2, iterations=300, seed=0)
@@ -726,11 +729,11 @@ class TestRunOptimizer:
         m = 3
 
         class LateWall(LinearLeastSquares):
-            steps = 0  # gradients taken, one per step
+            steps = 0  # residual_jacobian calls, one per step
 
-            def loss_grad(self, theta, quad, out=None):
+            def residual_jacobian(self, theta, quad, out=None):
                 self.steps += 1
-                return super().loss_grad(theta, quad, out)
+                return super().residual_jacobian(theta, quad, out)
 
             def loss_value(self, theta, quad):
                 # the driver's only loss calls after theta0's are trials
@@ -755,12 +758,12 @@ class TestRunOptimizer:
         assert records[-1].h1_rel_error == records[-2].h1_rel_error
 
 
-def dense_direction(monkeypatch, gop, g, mu):
-    """(d, mu~): the ngd_dense direction at g on gop, asked for as run_optimizer asks, with
-    adapt_mu returning mu, and the damping mu~ its fields record."""
+def dense_direction(monkeypatch, gop, g, s, mu):
+    """(d, mu~): the ngd_dense direction at g = A^T s on gop, asked for as run_optimizer
+    asks, with adapt_mu returning mu, and the damping mu~ its fields record."""
     monkeypatch.setattr(optim, "adapt_mu", lambda lam1, loss: mu)
     theta, cfg = np.zeros(gop.dim), optim.NystromNgdConfig()
-    d, fields = optim._OPTIMIZERS["ngd_dense"](theta, cfg)(theta, 1.0, g, gop)
+    d, fields = optim._OPTIMIZERS["ngd_dense"](theta, cfg)(theta, 1.0, g, s, gop)
     return d, fields["mu"]
 
 
@@ -771,7 +774,7 @@ class TestDenseNgd:
         mu = 0.5
         g = prob.loss_grad(theta, None)
         gop = GramianOperator.from_problem(prob, theta, None)
-        direction, mu_used = dense_direction(monkeypatch, gop, g, mu)
+        direction, mu_used = dense_direction(monkeypatch, gop, g, prob.residual(theta), mu)
         np.testing.assert_allclose(direction, g / (1.0 + mu), rtol=1e-12)
         assert mu_used == mu
 
@@ -781,7 +784,7 @@ class TestDenseNgd:
         g = prob.loss_grad(theta, None)
         mu = 1e8
         gop = GramianOperator.from_problem(prob, theta, None)
-        direction, _ = dense_direction(monkeypatch, gop, g, mu)
+        direction, _ = dense_direction(monkeypatch, gop, g, prob.residual(theta), mu)
         cos = (direction @ g) / (np.linalg.norm(direction) * np.linalg.norm(g))
         assert np.arccos(np.clip(cos, -1, 1)) <= 1e-3
 
@@ -791,7 +794,7 @@ class TestDenseNgd:
         theta = np.random.default_rng(seed + 10).standard_normal(10)
         g = prob.loss_grad(theta, None)
         gop = GramianOperator.from_problem(prob, theta, None)
-        direction, mu_used = dense_direction(monkeypatch, gop, g, mu)
+        direction, mu_used = dense_direction(monkeypatch, gop, g, prob.residual(theta), mu)
         oracle = svd_pseudoinverse_direction(gop, g, mu)
         assert mu_used == mu  # above the floor p*eps*tr G
         assert np.linalg.norm(direction - oracle) <= 1e-8 * np.linalg.norm(oracle)
@@ -806,7 +809,7 @@ class TestDenseNgd:
         dense = gop.dense()
         with pytest.raises(np.linalg.LinAlgError):  # the unfloored solve
             np.linalg.solve(dense + mu * np.eye(8), g)
-        direction, mu_used = dense_direction(monkeypatch, gop, g, mu)
+        direction, mu_used = dense_direction(monkeypatch, gop, g, prob.residual(theta), mu)
         assert np.all(np.isfinite(direction)) and g @ direction > 0
         assert mu_used == 8 * EPS * np.trace(dense) > mu
         # the floored solve and the pseudoinverse differ only in G's null
@@ -822,7 +825,7 @@ class TestDenseNgd:
         g = prob.loss_grad(theta, None)
         gop = GramianOperator.from_problem(prob, theta, None)
         for calls in (1, 2):
-            dense_direction(monkeypatch, gop, g, 1e-6)
+            dense_direction(monkeypatch, gop, g, prob.residual(theta), 1e-6)
             assert gop.matvec_count == 8 * calls
 
     def test_a_step_makes_no_gramian_product_but_forming_g(self, monkeypatch):
@@ -855,20 +858,29 @@ class TestDenseNgd:
         assert records[1].mu == pytest.approx(floor, rel=1e-14)
         assert records[1].matvecs == 8  # G; its Rayleigh quotient costs no matvec
 
-    def test_guard(self):
-        class NoEvaluation(LinearLeastSquares):
-            def loss_value(self, theta, quad):
-                raise AssertionError("loss evaluated before the guard")
-
-            def loss_grad(self, theta, quad, out=None):
-                raise AssertionError("gradient evaluated before the guard")
-
-        p = gramian.DENSE_GUARD + 1
-        prob = NoEvaluation(np.zeros((2, p)), np.ones(2), np.ones(2))
-        cfg = optim.NystromNgdConfig(iterations=1)
-        message = f"^ngd_dense guard: p={p} exceeds {gramian.DENSE_GUARD}$"
-        with pytest.raises(ValueError, match=message):
-            optim.run_optimizer("ngd_dense", prob, np.zeros(p), cfg, quad=None)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 12), extra=st.integers(1, 20), scale=st.floats(-3.0, 3.0),
+        ratio=st.floats(-4.0, 1.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_side_is_the_p_side_step(self, rows, extra, scale, ratio, seed):
+        # rows < p: the step solves (K + mu~ I) x = s with K = A A^T and returns A^T x, which
+        # is (A^T A + mu~ I)^-1 g for g = A^T s; lam1 is still g's Rayleigh quotient on A^T A
+        rng = np.random.default_rng(seed)
+        a = 10.0**scale * rng.standard_normal((rows, rows + extra))
+        s = rng.standard_normal(rows)
+        g = a.T @ s
+        mu = 10.0**ratio * np.linalg.norm(a, 2) ** 2  # (lam1 + mu) / mu <= 1 + 1e4
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optim, "adapt_mu", lambda lam1, loss: seen.append(lam1) or mu)
+            theta, cfg = np.zeros(a.shape[1]), optim.NystromNgdConfig()
+            gop = GramianOperator(a)
+            d, fields = optim._OPTIMIZERS["ngd_dense"](theta, cfg)(theta, 1.0, g, s, gop)
+        reference = np.linalg.solve(a.T @ a + fields["mu"] * np.eye(a.shape[1]), g)
+        assert np.linalg.norm(d - reference) <= 1e-8 * np.linalg.norm(reference)
+        assert seen == [pytest.approx((g @ (a.T @ (a @ g))) / (g @ g), rel=1e-12)]
+        assert gop.matvec_count == rows
 
     def test_agrees_with_nystrom_ngd_direction(self):
         prob = toy(seed=7, n=50, p=10)
@@ -901,9 +913,10 @@ def ngd_cg_step(prob, theta, quad, cfg):
     """(d, report, g, gop): one ngd_cg direction at theta and its fields dict, asked
     for as run_optimizer asks, on a fresh run Gramian gop."""
     gop = GramianOperator(np.empty((prob.metric_weights(quad).shape[0], theta.shape[0])))
-    g = prob.loss_grad(theta, quad, out=gop.jacobian)
+    s, a = prob.residual_jacobian(theta, quad, out=gop.jacobian)
+    g = a.T @ s
     direction = optim._OPTIMIZERS["ngd_cg"](theta, cfg)
-    d, report = direction(theta, prob.loss_value(theta, quad), g, gop)
+    d, report = direction(theta, prob.loss_value(theta, quad), g, s, gop)
     return d, report, g, gop
 
 
@@ -1059,7 +1072,7 @@ class TestBfgsRun:
             def loss_value(self, theta, quad):
                 raise AssertionError("loss evaluated before the guard")
 
-            def loss_grad(self, theta, quad, out=None):
+            def residual_jacobian(self, theta, quad, out=None):
                 raise AssertionError("gradient evaluated before the guard")
 
         prob = NoEvaluation(np.eye(8), np.ones(8), np.ones(8))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nystromngd import gramian, model, problems
+from nystromngd import model, problems
 
 ROOT = Path(__file__).resolve().parents[1]
 GRID = ROOT / "scripts" / "grid.py"
@@ -69,13 +69,26 @@ def test_to_target_run_reports_its_last_record():
 
 
 def test_to_target_runs_the_named_optimizer():
-    # ngd_dense pays p matvecs per step for G alone: its damping's lam1 is read off that G
+    # ngd_dense pays min(rows, p) matvecs per step for its Gram matrix alone: the tiny
+    # cell's 22 rows are fewer than p = 33, so it forms K = A A^T
     grid = load_grid()
     prob = problems.make_problem("poisson1d", hidden_width=4, hidden_depth=2)
     p = model.init(prob.topology, 0).values.size
+    rows = TINY["n_interior"] + TINY["n_boundary"]
+    assert rows < p
     r = grid.target_run("poisson1d", 0, optimizer="ngd_dense", **TINY)
-    assert (r["iterations"], r["matvecs"]) == (2, 2 * p)
+    assert (r["iterations"], r["matvecs"]) == (2, 2 * rows)
     assert 1e-3 < r["h1"] < float("inf")
+
+
+def test_exact_ngd_runs_at_the_wide_cell():
+    # p = 4417 > 1200 rows: the config parses, and one step forms K = A A^T for 1200 matvecs
+    grid = load_grid()
+    config = grid.ExperimentConfig(optimizer="ngd_dense", iterations=1, **grid.WIDE)
+    p = problems.make_problem(config.problem, config.hidden_width).topology.param_count
+    assert grid.WIDE["n_interior"] + grid.WIDE["n_boundary"] == 1200 < p == 4417
+    _, records, _ = grid.train(config)
+    assert [r.matvecs for r in records] == [0, 1200] and records[1].loss < records[0].loss
 
 
 def test_to_target_crossing_is_the_run_stopped_at_its_depth(monkeypatch):
@@ -340,23 +353,24 @@ def test_wide_runs_each_twin_from_its_nystrom_runs_theta0_at_its_matvecs(
         return out
 
     monkeypatch.setattr(wide, "train", recording_train)
-    monkeypatch.setattr(gramian, "DENSE_GUARD", 32)  # below p: ExperimentConfig refuses ngd_dense
     assert wide.main(["wide"]) == 0
-    first, *lines, last = capsys.readouterr().out.splitlines()
-    assert first == "ngd_dense left out: ngd_dense guard: p=33 exceeds 32"
+    *lines, last = capsys.readouterr().out.splitlines()
     record = json.loads(last)
-    assert record["left_out"] == {"ngd_dense": "ngd_dense guard: p=33 exceeds 32"}
+    assert "left_out" not in record  # every optimizer of the comparison runs at p > rows
     assert (record["cell"], record["depth"]) == (wide.WIDE, wide.WIDE_DEPTH)
     assert set(record["blas_threads"]) == set(wide.BLAS_ENV)
-    runs = record["runs"]  # one record per run, each Nystrom-NGD run before its twin
+    runs = record["runs"]  # one record per run, each Nystrom-NGD run before its two twins
     assert [(r["optimizer"], r["seed"]) for r in runs] == [
-        ("nystrom_ngd", 0), ("ngd_cg", 0), ("nystrom_ngd", 1), ("ngd_cg", 1)
+        (optimizer, seed) for seed in (0, 1) for optimizer in ("nystrom_ngd", "ngd_cg", "ngd_dense")
     ]
     assert [(c.optimizer, c.problem, c.seed) for c, _, _ in trained] == [
         (r["optimizer"], r["problem"], r["seed"]) for r in runs
     ]
-    for (config, stop, records), (twin_config, twin_stop, twin_records), nys, cg in zip(
-        trained[::2], trained[1::2], runs[::2], runs[1::2]
+    rows = wide.WIDE["n_interior"] + wide.WIDE["n_boundary"]
+    for (config, stop, records), (twin_config, twin_stop, twin_records), (
+        exact_config, exact_stop, exact_records
+    ), nys, cg, exact in zip(
+        trained[::3], trained[1::3], trained[2::3], runs[::3], runs[1::3], runs[2::3]
     ):
         assert twin_config == replace(config, optimizer="ngd_cg")
         assert row(twin_records[0]) == row(records[0])  # the same theta0 and quadrature
@@ -370,13 +384,32 @@ def test_wide_runs_each_twin_from_its_nystrom_runs_theta0_at_its_matvecs(
         assert nys["crossings"][0]["iteration"] == nys["iterations"] == records[-1].iteration
         assert records[-1].h1_rel_error <= wide.WIDE_DEPTH < records[-2].h1_rel_error
         assert (nys["loss"], cg["loss"]) == (records[-1].loss, twin_records[-1].loss)
+        # exact NGD trains from the same theta0 to the same depth, on the row side: p > rows
+        assert exact_config == replace(config, optimizer="ngd_dense")
+        assert row(exact_records[0]) == row(records[0])
+        assert exact_stop == {"h1_stop": wide.WIDE_DEPTH} and exact["h1_stop"] == wide.WIDE_DEPTH
+        assert exact_records[-1].h1_rel_error <= wide.WIDE_DEPTH < exact_records[-2].h1_rel_error
+        assert [r.matvecs for r in exact_records] == [rows * k for k in range(len(exact_records))]
+        assert exact["crossings"][0]["iteration"] == exact["iterations"]
     assert [line.split(":")[0] for line in lines] == [
         "poisson1d seed 0", "poisson1d seed 1", "poisson1d median"
     ]
-    wins = sum(a["loss"] < b["loss"] for a, b in zip(runs[::2], runs[1::2]))
-    assert lines[-1].endswith(f"nystrom_ngd ends at the lower loss in {wins} of 2")
-    # a Nystrom-NGD run that misses the depth fails the mode, after every run
+    for line, nys, cg, exact in zip(lines, runs[::3], runs[1::3], runs[2::3]):
+        assert line.endswith(f"time ratio {exact['seconds'] / nys['seconds']:.2f}")
+    wins = sum(a["loss"] < b["loss"] for a, b in zip(runs[::3], runs[1::3]))
+    sooner = sum(a["seconds"] < c["seconds"] for a, c in zip(runs[::3], runs[2::3]))
+    assert f"nystrom_ngd ends at the lower loss in {wins} of 2; ngd_dense " in lines[-1]
+    assert lines[-1].endswith(f"nystrom_ngd reaches 1e-04 sooner in {sooner} of 2")
+    # an exact NGD run that misses the depth fails the mode, after every run
+    def exact_misses(config, **stop):
+        theta, records, heldout = train(config, **stop)
+        return theta, records[:1] if config.optimizer == "ngd_dense" else records, heldout
+
+    monkeypatch.setattr(wide, "train", exact_misses)
+    assert wide.main(["wide"]) == 1
+    assert len(json.loads(capsys.readouterr().out.splitlines()[-1])["runs"]) == 6
+    # and so does a Nystrom-NGD run that misses it
     monkeypatch.setattr(wide, "WIDE", dict(wide.WIDE, iterations=2))
     monkeypatch.setattr(wide, "WIDE_DEPTH", 1e-30)
     assert wide.main(["wide"]) == 1
-    assert len(json.loads(capsys.readouterr().out.splitlines()[-1])["runs"]) == 4
+    assert len(json.loads(capsys.readouterr().out.splitlines()[-1])["runs"]) == 6
