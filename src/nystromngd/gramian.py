@@ -4,7 +4,9 @@ A = W^{1/2} J is the Jacobian of a problem's weighted residual
 s = W^{1/2} r in the parameters, one row per quadrature point, so
 G = J^T W J is the Gauss-Newton metric; ``run_optimizer`` assembles A into
 one (rows, p) array per run.  A matvec is two passes over A and a block two
-GEMMs, so its answer depends on A and v alone.  Only the Gramian charges its
+GEMMs, so its answer depends on A and v alone.  A Gram matrix is formed only
+where it is no larger than A: ``dense()`` forms the smaller of A^T A and
+A A^T, ``formed()`` G if p <= rows.  Only the Gramian charges its
 ``matvec_count``, the run's cost unit: ``dense()`` as min(rows, p) matvecs,
 and ``formed()``'s G per product, so no step edits it.
 """
@@ -55,9 +57,9 @@ class GramianOperator:
         return a.T @ a if self.dim <= a.shape[0] else a @ a.T
 
     def formed(self):
-        """What CG iterates with: G formed uncounted, as a DenseOperator whose products this
-        Gramian counts, if p <= min(rows, DENSE_GUARD); otherwise this Gramian itself."""
-        if self.dim > min(self.jacobian.shape[0], DENSE_GUARD):
+        """What CG iterates with: if p <= rows (dense()'s rule), G formed uncounted, as a
+        DenseOperator whose products this Gramian counts; otherwise this Gramian itself."""
+        if self.dim > self.jacobian.shape[0]:
             return self
         formed = DenseOperator(self.jacobian.T @ self.jacobian)
         formed._tally = self
@@ -95,7 +97,8 @@ class ShiftedOperator:
 
 
 def assemble_dense(op):
-    """Assemble an operator column by column via matvecs with e_i."""
+    """Assemble an operator column by column via matvecs with e_i, up to DENSE_GUARD columns:
+    the tests' reference for dense() and formed(), which read no guard."""
     if op.dim > DENSE_GUARD:
         raise ValueError(f"dense assembly guard: p={op.dim} exceeds {DENSE_GUARD}")
     return np.column_stack([op.matvec(e) for e in np.eye(op.dim)])

@@ -211,20 +211,15 @@ def _nystrom_ngd(theta0, config):
     return direction
 
 
-def _rayleigh_lam1(g, gg):
-    """The baselines' lam1 estimate g^T G g / g^T g <= lam1, from the caller's gg = G g; 0 at
-    g = 0: NGD-CG's gg is a counted matvec, exact NGD's (p side) a product with the G it formed."""
-    return float(g @ gg) / (float(g @ g) or 1.0)
-
-
 def _ngd_cg(theta0, config):
-    """Unpreconditioned NGD-CG on gop.formed(): adapt_mu of g's Rayleigh quotient, CG in
-    <= CG_MAXIT + _rank_cap(p) steps on G + mu I (no config field is read)."""
+    """Unpreconditioned NGD-CG on gop.formed(): adapt_mu of g's Rayleigh quotient
+    g^T G g / g^T g <= lam1, one counted matvec, and CG in <= CG_MAXIT + _rank_cap(p) steps
+    on G + mu I (no config field is read)."""
     maxit_total = CG_MAXIT + _rank_cap(theta0.shape[0])
 
     def direction(theta, loss, g, s, gop):
         base = gop.formed()
-        lam1 = _rayleigh_lam1(g, base.matvec(g))
+        lam1 = float(g @ base.matvec(g)) / (float(g @ g) or 1.0)
         mu = adapt_mu(lam1, loss)
         report = pcg(ShiftedOperator(base, mu), g, _cg_rel_tol(mu, lam1), maxit_total)
         return report.solution, {"mu": mu, "pcg_iters": report.iterations}
@@ -234,19 +229,18 @@ def _ngd_cg(theta0, config):
 
 def _ngd_dense(theta0, config):
     """Exact NGD on the smaller side of A: M = gop.dense(), G = A^T A, or K = A A^T if p > rows,
-    adapt_mu of g's Rayleigh quotient, and an LU solve of (M + mu~ I) x = g, or = s, with
-    mu~ = max(mu, min(rows, p)*eps*tr M); d = x, or A^T x, as g = A^T s and
-    (G + mu~ I)^-1 A^T = A^T (K + mu~ I)^-1.  mu~ keeps a rank-deficient M's solve finite."""
+    adapt_mu of g's Rayleigh quotient |A g|^2 / g^T g on either side (A g is no matvec), and
+    an LU solve of (M + mu~ I) x = g, or = s, with mu~ = max(mu, min(rows, p)*eps*tr M); d = x,
+    or A^T x, as g = A^T s and (G + mu~ I)^-1 A^T = A^T (K + mu~ I)^-1.  mu~ keeps a
+    rank-deficient M's solve finite."""
     def direction(theta, loss, g, s, gop):
         matrix = gop.dense()
         n = matrix.shape[0]
-        x = g if n == gop.dim else s
-        mx = matrix @ x
-        # g's Rayleigh quotient g^T G g / g^T g, on the row side |K s|^2 / s^T K s
-        lam1 = _rayleigh_lam1(g, mx) if n == gop.dim else float(mx @ mx) / (float(x @ mx) or 1.0)
+        ag = gop.jacobian @ g
+        lam1 = float(ag @ ag) / (float(g @ g) or 1.0)
         mu = max(adapt_mu(lam1, loss), n * EPS_MACH * float(np.trace(matrix)))
         matrix[np.diag_indices(n)] += mu
-        x = np.linalg.solve(matrix, x)
+        x = np.linalg.solve(matrix, g if n == gop.dim else s)
         return (x if n == gop.dim else gop.jacobian.T @ x), {"mu": mu}
 
     return direction

@@ -209,13 +209,19 @@ class TestDenseAssembly:
         np.testing.assert_array_equal(dense, a.T @ a if p <= rows else a @ a.T)
         assert gop.matvec_count == side
 
-    @pytest.mark.parametrize("rows, guard", [(4, 2000), (12, 4)], ids=["rows", "guard"])
-    def test_formed_is_the_gramian_itself_when_p_exceeds_rows_or_guard(
-        self, rows, guard, monkeypatch
-    ):
-        monkeypatch.setattr(gramian, "DENSE_GUARD", guard)
-        gop = gramian.GramianOperator(np.random.default_rng(0).standard_normal((rows, 5)))
+    def test_formed_is_the_gramian_itself_when_p_exceeds_rows(self):
+        gop = gramian.GramianOperator(np.random.default_rng(0).standard_normal((4, 5)))
         assert gop.formed() is gop
+        assert gop.matvec_count == 0
+
+    def test_formed_reads_no_guard(self):
+        # p <= rows past assemble_dense's DENSE_GUARD: formed() reads only dense()'s rule
+        a = np.random.default_rng(4).standard_normal((2002, 2001))
+        gop = gramian.GramianOperator(a)
+        formed = gop.formed()
+        assert gop.dim > gramian.DENSE_GUARD
+        assert type(formed) is gramian.DenseOperator
+        np.testing.assert_array_equal(formed.matrix, a.T @ a)
         assert gop.matvec_count == 0
 
     def test_formed_gramian_is_a_t_a_and_counts_on_the_gramian(self):
